@@ -1,27 +1,22 @@
-"""Gate-application kernels: compiled extension with a numpy fallback.
+"""Gate-application kernel: a numpy gather / matmul / scatter over index plans.
 
-The compiled kernel is selected at import when available; set
-``TOFFSIM_KERNEL=python`` to force the numpy path (used by the benchmark and
-by backend-agreement tests).
+The protocols apply gates to a few dozen distinct (register size, target axes)
+pairs over and over, so the index plans are memoized and handed out
+read-only.
 """
 
-import os
+import functools
 
 import numpy as np
 
-from . import pyref
-
+# Reported as `toffsim.kernel_backend` and `versions.kernel_backend`.
 BACKEND = "python"
-_impl = pyref
-if os.environ.get("TOFFSIM_KERNEL", "").lower() not in {"python", "numpy", "pyref"}:
-    try:
-        from . import _gatekern as _impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
-    except ImportError:
-        pass
 
-apply_dense = _impl.apply_dense
+def apply_dense(vec, u, base, offs):
+    """In-place: vec[b+offs] <- u @ vec[b+offs] for every b in base."""
+    idx = np.add.outer(base, offs)
+    vec[idx] = vec[idx] @ u.T
 
 
 def target_plan(n_axes, axes):
@@ -29,8 +24,15 @@ def target_plan(n_axes, axes):
 
     Axis 0 is the most significant bit of the flattened index.  Returns
     (base, offs): `base` enumerates every setting of the non-target bits,
-    `offs` the 2^k offsets of the target-bit patterns in `axes` order.
+    `offs` the 2^k offsets of the target-bit patterns in `axes` order.  Both
+    arrays are shared between callers and read-only.
     """
+    return _cached_plan(n_axes, tuple(axes))
+
+
+# the CLI workloads use at most a few dozen distinct plans
+@functools.lru_cache(maxsize=64)
+def _cached_plan(n_axes, axes):
     k = len(axes)
     tbits = [n_axes - 1 - ax for ax in axes]
     offs = np.zeros(2**k, dtype=np.intp)
@@ -45,4 +47,6 @@ def target_plan(n_axes, axes):
     base = np.zeros_like(m)
     for i, bitpos in enumerate(rest):
         base |= ((m >> (len(rest) - 1 - i)) & 1) << bitpos
+    base.flags.writeable = False
+    offs.flags.writeable = False
     return base, offs

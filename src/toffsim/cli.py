@@ -169,6 +169,21 @@ def _resolve_config(command: str, args) -> dict:
     return cfg
 
 
+def _number(value, key: str, kind=float):
+    """`value` of config field `key` as a `kind`; a non-number is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _list(cfg: dict, key: str) -> list:
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _random_data_state(rng: np.random.Generator) -> QuantumState:
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     return QuantumState.from_vector(DATA_LABELS, vec)
@@ -177,13 +192,14 @@ def _random_data_state(rng: np.random.Generator) -> QuantumState:
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_toffoli_verify(cfg: dict, seed: int):
-    trials = int(cfg["trials"])
-    tol = float(cfg["tolerance"])
+    trials = _number(cfg["trials"], "trials", int)
+    tol = _number(cfg["tolerance"], "tolerance")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     corrupt = cfg["corrupt_branch"]
     if corrupt is not None:
-        corrupt = _parse_branch(corrupt) if isinstance(corrupt, str) else tuple(corrupt)
+        corrupt = (_parse_branch(corrupt) if isinstance(corrupt, str)
+                   else tuple(_list(cfg, "corrupt_branch")))
     table = default_correction_table()
     if corrupt is not None:
         if corrupt not in _BRANCHES:
@@ -241,9 +257,9 @@ def _cmd_toffoli_verify(cfg: dict, seed: int):
 
 
 def _cmd_distill(cfg: dict, seed: int):
-    alpha3 = float(cfg["alpha3"])
-    levels = int(cfg["levels"])
-    trials = int(cfg["trials"])
+    alpha3 = _number(cfg["alpha3"], "alpha3")
+    levels = _number(cfg["levels"], "levels", int)
+    trials = _number(cfg["trials"], "trials", int)
     if levels < 0:
         raise ValueError("levels must be >= 0")
     if trials < 1:
@@ -342,7 +358,7 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
 
 
 def _cmd_noisy_meas(cfg: dict, seed: int):
-    n = int(cfg["n"])
+    n = _number(cfg["n"], "n", int)
     model = cfg["model"]
     mode = cfg["mode"]
     if model not in ("decoherent", "unitary"):
@@ -352,14 +368,15 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
     if model == "unitary" and mode != "exact":
         raise ValueError("the unitary model requires exact mode")
     trials = cfg["trials"]
-    trials = (20_000 if mode == "effective" else 2_000) if trials is None else int(trials)
+    trials = ((20_000 if mode == "effective" else 2_000) if trials is None
+              else _number(trials, "trials", int))
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     if model == "decoherent":
-        errors = PauliChannel.uniform(n, float(cfg["p"]), float(cfg["q"]))
+        errors = PauliChannel.uniform(n, _number(cfg["p"], "p"), _number(cfg["q"], "q"))
     else:
-        errors = UnitaryErrorSet.uniform_ratio(n, float(cfg["ratio"]))
+        errors = UnitaryErrorSet.uniform_ratio(n, _number(cfg["ratio"], "ratio"))
 
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
     rows = []
@@ -447,16 +464,19 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
 
 
 def _cmd_ensemble(cfg: dict, seed: int):
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
+    trials = _number(cfg["trials"], "trials", int)
+    k_max = _number(cfg["k_max"], "k_max", int)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ens_keys = {k: cfg[k] for k in
-                ("n", "levels", "model", "p", "q", "defect_fraction", "defect_p",
-                 "distribution")}
-    if ens_keys["defect_fraction"] is None:
-        ens_keys["defect_fraction"] = 0.02 if cfg["model"] == "decoherent" else 0.0
-    ensemble = BlockEnsemble(seed=seed, **ens_keys)
+    defect_fraction = cfg["defect_fraction"]
+    if defect_fraction is None:
+        defect_fraction = 0.02 if cfg["model"] == "decoherent" else 0.0
+    ensemble = BlockEnsemble(
+        seed=seed, model=cfg["model"], distribution=cfg["distribution"],
+        n=_number(cfg["n"], "n", int), levels=_number(cfg["levels"], "levels", int),
+        p=_number(cfg["p"], "p"), q=_number(cfg["q"], "q"),
+        defect_fraction=_number(defect_fraction, "defect_fraction"),
+        defect_p=_number(cfg["defect_p"], "defect_p"))
     checks = _Check()
 
     if ensemble.model == "decoherent":
@@ -543,18 +563,17 @@ def _cmd_ensemble(cfg: dict, seed: int):
 
 def _cmd_estimate(cfg: dict, seed: int):
     del seed  # deterministic command; seed is echoed in the report envelope
-    params_kwargs = {
-        "threshold_log10": float(cfg["threshold_log10"]),
-        "prefactor_log10": float(cfg["prefactor_log10"]),
-    }
+    params_kwargs = {key: _number(cfg[key], key)
+                     for key in ("threshold_log10", "prefactor_log10")}
     if cfg["scaling_exponent"] is not None:
-        params_kwargs["scaling_exponent"] = float(cfg["scaling_exponent"])
+        params_kwargs["scaling_exponent"] = _number(cfg["scaling_exponent"],
+                                                    "scaling_exponent")
     params = CodeParams(**params_kwargs)
-    strategies = list(cfg["strategies"])
-    unknown = set(strategies) - {"progressive", "standard"}
+    strategies = _list(cfg, "strategies")
+    unknown = [s for s in strategies if s not in ("progressive", "standard")]
     if unknown:
-        raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    targets = [float(t) for t in cfg["targets"]]
+        raise ValueError(f"unknown strategies: {unknown}")
+    targets = [_number(t, "targets") for t in _list(cfg, "targets")]
     if not targets:
         raise ValueError("at least one target required")
 
@@ -565,12 +584,13 @@ def _cmd_estimate(cfg: dict, seed: int):
         for strategy in strategies:
             fn = progressive_schedule if strategy == "progressive" else standard_concat_levels
             kwargs = dict(params=params,
-                          physical_error_log10=float(cfg["physical_error_log10"]),
-                          gate_penalty=float(cfg["gate_penalty"]))
+                          physical_error_log10=_number(cfg["physical_error_log10"],
+                                                       "physical_error_log10"),
+                          gate_penalty=_number(cfg["gate_penalty"], "gate_penalty"))
             if strategy == "progressive":
-                kwargs["first_block"] = int(cfg["first_block"])
+                kwargs["first_block"] = _number(cfg["first_block"], "first_block", int)
             else:
-                kwargs["block_size"] = int(cfg["block_size"])
+                kwargs["block_size"] = _number(cfg["block_size"], "block_size", int)
             try:
                 schedule = fn(target, **kwargs)
             except ValueError as exc:

@@ -129,6 +129,18 @@ class QuantumState:
     def copy(self) -> "QuantumState":
         return QuantumState(self.qubits, self.data.copy())
 
+    def _derived(self, data: np.ndarray) -> "QuantumState":
+        """State over this register holding `data`, skipping validation.
+
+        Only for complex128 data of this state's shape computed by the
+        library itself; the new state shares `qubits` and the label index.
+        """
+        state = QuantumState.__new__(QuantumState)
+        state.qubits = self.qubits
+        state.data = data
+        state._index = self._index
+        return state
+
     def __repr__(self):
         kind = "density" if self.is_density else "vector"
         return f"QuantumState({kind}, qubits={self.labels}, trace={self.trace:.6g})"
@@ -211,6 +223,10 @@ def _build_gate_matrices():
 
 GATE_MATRICES = _build_gate_matrices()
 GATE_ARITY = {k: int(math.log2(m.shape[0])) for k, m in GATE_MATRICES.items()}
+# Gate kinds that square to the identity: the ones measurable as +-1 operators.
+INVOLUTORY_GATES = frozenset(
+    k for k, m in GATE_MATRICES.items()
+    if np.allclose(m @ m, np.eye(m.shape[0]), atol=ATOL))
 
 
 @dataclass(frozen=True)
@@ -247,15 +263,15 @@ def _apply_matrix_to_axes(state: QuantumState, matrix: np.ndarray, axes: Sequenc
     u = np.ascontiguousarray(matrix, dtype=np.complex128)
     if state.is_density:
         flat = state.data.copy().reshape(-1)
-        base, offs = _kernels.target_plan(2 * n, list(axes))
+        base, offs = _kernels.target_plan(2 * n, axes)
         _kernels.apply_dense(flat, u, base, offs)
         base, offs = _kernels.target_plan(2 * n, [n + ax for ax in axes])
         _kernels.apply_dense(flat, np.conj(u), base, offs)
-        return QuantumState(state.qubits, flat.reshape(state.dim, state.dim))
+        return state._derived(flat.reshape(state.dim, state.dim))
     vec = state.data.copy()
-    base, offs = _kernels.target_plan(n, list(axes))
+    base, offs = _kernels.target_plan(n, axes)
     _kernels.apply_dense(vec, u, base, offs)
-    return QuantumState(state.qubits, vec)
+    return state._derived(vec)
 
 
 def apply_gate(state: QuantumState, gate_or_kind, *targets: LabelLike) -> QuantumState:
@@ -347,7 +363,6 @@ def _diag_eigenvalues(state: QuantumState, zlabels: Sequence[str]) -> np.ndarray
     for label in zlabels:
         mask |= 1 << (n - 1 - state.axis(label))
     idx = np.arange(state.dim)
-    bits = idx & mask
     # popcount parity of the masked bits
     par = np.zeros(state.dim, dtype=np.int64)
     while mask:
@@ -365,17 +380,25 @@ def _project_diag(state: QuantumState, eigs: np.ndarray, outcome: int):
         mat[~keep, :] = 0.0
         mat[:, ~keep] = 0.0
         prob = float(np.real(np.trace(mat))) / pin
-        return QuantumState(state.qubits, mat), prob
+        return state._derived(mat), prob
     vec = state.data.copy()
     pin = state.trace
     vec[~keep] = 0.0
     prob = float(np.real(np.vdot(vec, vec))) / pin
-    return QuantumState(state.qubits, vec), prob
+    return state._derived(vec), prob
 
 
-def _project_dense(state: QuantumState, op_matrix: np.ndarray, axes: Sequence[int], outcome: int):
+def _projector(op_matrix: np.ndarray, outcome: int) -> np.ndarray:
     d = op_matrix.shape[0]
-    proj = 0.5 * (np.eye(d, dtype=np.complex128) + outcome * op_matrix)
+    return 0.5 * (np.eye(d, dtype=np.complex128) + outcome * op_matrix)
+
+
+# (kind, outcome) -> projector onto that eigenspace of an involutory gate
+_GATE_PROJECTORS = {(k, outcome): _projector(GATE_MATRICES[k], outcome)
+                    for k in INVOLUTORY_GATES for outcome in (+1, -1)}
+
+
+def _project_dense(state: QuantumState, proj: np.ndarray, axes: Sequence[int]):
     projected = _apply_matrix_to_axes(state, proj, axes)
     prob = projected.trace / state.trace
     return projected, prob
@@ -392,13 +415,13 @@ def _operator_parts(state: QuantumState, op: MeasOperator):
         for extra in mats[1:]:
             m = np.kron(m, extra)
         axes = [state.axis(l) for l in op.support]
-        return str(op), lambda outcome: _project_dense(state, m, axes, outcome)
+        return str(op), lambda outcome: _project_dense(state, _projector(m, outcome), axes)
     if isinstance(op, GateSpec):
-        m = op.matrix
-        if not np.allclose(m @ m, np.eye(m.shape[0]), atol=ATOL):
+        if op.kind not in INVOLUTORY_GATES:
             raise ValueError(f"{op.kind} is not an involution; cannot measure it as a +-1 operator")
         axes = [state.axis(l) for l in op.targets]
-        return str(op), lambda outcome: _project_dense(state, m, axes, outcome)
+        return str(op), lambda outcome: _project_dense(
+            state, _GATE_PROJECTORS[op.kind, outcome], axes)
     raise TypeError(f"cannot measure operator of type {type(op).__name__}")
 
 
@@ -431,17 +454,19 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
     plus, p_plus = project(+1)
     p_plus = min(max(p_plus, 0.0), 1.0)
     if rng.random() < p_plus:
-        out = QuantumState(plus.qubits, plus.data / (p_plus if plus.is_density else math.sqrt(p_plus)))
+        out = plus._derived(plus.data / (p_plus if plus.is_density else math.sqrt(p_plus)))
         return out, MeasurementRecord(desc, +1, p_plus)
     minus, p_minus = project(-1)
     if p_minus <= 0.0:
         raise ValueError(f"sampled an empty branch of {desc}; state is numerically degenerate")
-    out = QuantumState(minus.qubits, minus.data / (p_minus if minus.is_density else math.sqrt(p_minus)))
+    out = minus._derived(minus.data / (p_minus if minus.is_density else math.sqrt(p_minus)))
     return out, MeasurementRecord(desc, -1, p_minus)
 
 
 def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> float:
     """Born probability of one outcome, without touching the state."""
+    if outcome not in (+1, -1):
+        raise ValueError("outcome must be +1 or -1")
     _, project = _operator_parts(state, op)
     _, prob = project(outcome)
     return prob

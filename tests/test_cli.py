@@ -74,6 +74,25 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("estimate", {"targets": 5}),
+    ("estimate", {"strategies": 7}),
+    ("estimate", {"strategies": "progressive"}),
+    ("estimate", {"targets": [-9.0, None]}),
+    ("ensemble", {"trials": None}),
+    ("ensemble", {"n": "many"}),
+    ("noisy-meas", {"p": [0.1]}),
+    ("toffoli-verify", {"corrupt_branch": 5}),
+])
+def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "typed.json", payload)
+    rc, _, err = run_cli([command, "--config", cfg], capsys)
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("toffsim: error:")
+    assert "Traceback" not in err
+
+
 def test_bad_corrupt_branch_value(capsys):
     rc, _, err = run_cli(["toffoli-verify", "--trials", "2",
                           "--corrupt-branch=+2,+1,+1"], capsys)
