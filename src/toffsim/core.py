@@ -11,7 +11,8 @@ operators such as the controlled-NOT), with two modes: sampling against a
 supplied random generator, or postselecting a requested branch.  Sampling
 divides the projected state by the branch probability, so the norm of the
 input is preserved; postselection returns the bare projection and the caller
-tracks the norm.
+tracks the norm.  `sample_outcomes` repeats a sampled measurement of one
+state against an array of uniforms, by the same rule.
 """
 
 from __future__ import annotations
@@ -451,16 +452,46 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
                 f"< {MIN_BRANCH_PROBABILITY}")
         return projected, MeasurementRecord(desc, postselect, prob)
 
+    outcomes, branches = _sample_branches(desc, project, [rng.random()])
+    outcome = int(outcomes[0])
+    out, prob = branches[outcome]
+    return out, MeasurementRecord(desc, outcome, prob)
+
+
+def _renormalized(state: QuantumState, prob: float) -> QuantumState:
+    return state._derived(state.data / (prob if state.is_density else math.sqrt(prob)))
+
+
+def _sample_branches(desc: str, project, uniforms):
     plus, p_plus = project(+1)
     p_plus = min(max(p_plus, 0.0), 1.0)
-    if rng.random() < p_plus:
-        out = plus._derived(plus.data / (p_plus if plus.is_density else math.sqrt(p_plus)))
-        return out, MeasurementRecord(desc, +1, p_plus)
-    minus, p_minus = project(-1)
-    if p_minus <= 0.0:
-        raise ValueError(f"sampled an empty branch of {desc}; state is numerically degenerate")
-    out = minus._derived(minus.data / (p_minus if minus.is_density else math.sqrt(p_minus)))
-    return out, MeasurementRecord(desc, -1, p_minus)
+    hit_plus = np.asarray(uniforms, dtype=np.float64) < p_plus
+    n_plus = np.count_nonzero(hit_plus)
+    branches = {}
+    if n_plus:
+        branches[+1] = (_renormalized(plus, p_plus), p_plus)
+    if n_plus < hit_plus.size:
+        minus, p_minus = project(-1)
+        if p_minus <= 0.0:
+            raise ValueError(f"sampled an empty branch of {desc}; state is numerically degenerate")
+        branches[-1] = (_renormalized(minus, p_minus), p_minus)
+    return np.where(hit_plus, 1, -1), branches
+
+
+def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
+    """Sampled measurement of `op`, repeated on one `state` once per uniform.
+
+    Shot i reports +1 exactly when uniforms[i] < p(+1), the rule
+    `measure_operator` applies to its one `rng.random()` draw.  Returns
+    (outcomes, branches): an int array of +1/-1, one per uniform, and
+    {outcome: (renormalized post-measurement state, probability)} for the
+    outcomes that occur; the -1 projection is computed only when some shot
+    hits it.
+    """
+    if state.trace <= 0.0:
+        raise ValueError("cannot measure a zero-norm state")
+    desc, project = _operator_parts(state, op)
+    return _sample_branches(desc, project, uniforms)
 
 
 def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> float:

@@ -18,14 +18,18 @@ accumulated flip angle of the block.
 Two execution scales are provided: `exact` keeps every readout bit as a
 simulated qubit (small n), while `effective` measures the pair directly and
 samples the readout-error parity classically (any n), which is faithful
-because only the flip parity ever touches the outcome.
+because only the flip parity ever touches the outcome.  In effective mode a
+shot of a fixed pair state is one Born draw plus 2n Bernoulli draws, and it
+leaves the pair in one of just two states, so `sample_effective` runs any
+number of shots from one array of uniforms; the per-shot measurement is that
+sampler on a single row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .core import (
     discard,
     gate,
     measure_operator,
+    sample_outcomes,
     tensor,
     z_product,
 )
@@ -214,7 +219,7 @@ def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
             raise ValueError("coherent errors require exact mode")
         if inject:
             raise ValueError("deliberate injections require exact mode")
-        return _measure_effective(state, errors, rng)
+        return sample_effective(state, errors, rng.random((1, 2 * n + 1))).shot(0)
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'effective'")
     inject = _validate_inject(inject, n)
@@ -224,17 +229,60 @@ def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
     return _measure_exact(state, errors, rng, inject)
 
 
-def _measure_effective(state: QuantumState, channel: PauliChannel,
-                       rng: np.random.Generator) -> RawPrepResult:
+@dataclass(frozen=True)
+class EffectiveShots:
+    """Shots of one effective-mode parity measurement of a fixed pair state.
+
+    The arrays hold one entry per shot.  `branches` maps each true
+    eigenvalue that occurred to the pair state it leaves, the same for every
+    shot with that eigenvalue, since readout errors only touch the report.
+    """
+
+    n: int
+    true_eigenvalues: np.ndarray
+    reported_outcomes: np.ndarray
+    bit_flips: np.ndarray
+    phase_flips: np.ndarray
+    branches: Dict[int, QuantumState]
+
+    def shot(self, i: int) -> RawPrepResult:
+        """Shot i as the per-shot measurement result."""
+        true = int(self.true_eigenvalues[i])
+        bit_flips = int(self.bit_flips[i])
+        cat = CatBlock(self.n, "effective", parity=-1 if bit_flips % 2 else +1,
+                       bit_flips=bit_flips, phase_flips=int(self.phase_flips[i]))
+        return RawPrepResult(self.branches[true], int(self.reported_outcomes[i]),
+                             true, None, cat=cat)
+
+
+def sample_effective(state: QuantumState, channel: PauliChannel,
+                     uniforms) -> EffectiveShots:
+    """Effective-mode noisy parity measurement of one pair state, one shot per row.
+
+    `uniforms` is a (shots, 2n + 1) array of draws from [0, 1).  Column 0
+    decides the true eigenvalue by `core.sample_outcomes` (+1 when below the
+    Born probability); columns 1..n are the readout bit flips (u < p) and
+    columns n+1..2n the phase flips (u < q).  A row `rng.random((1, 2n + 1))`
+    is exactly what the per-shot `measure_cnot_noisy` draws.  Measures the
+    controlled-NOT involution; `measure_cphase_noisy`'s controlled-phase
+    shots are these shots of the pair conjugated by a Hadamard on its second
+    qubit.
+    """
+    if state.n_qubits != 2:
+        raise ValueError("the measured pair must be exactly two qubits")
+    if not isinstance(channel, PauliChannel):
+        raise ValueError("coherent errors require exact mode")
+    n = channel.n
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != 2 * n + 1:
+        raise ValueError(f"uniforms must have shape (shots, {2 * n + 1}), got {u.shape}")
     a, b = state.labels
-    projected, rec = measure_operator(state, gate("CNOT", a, b), rng=rng)
-    bit_flips = int(np.sum(rng.random(channel.n) < channel.p))
-    phase_flips = int(np.sum(rng.random(channel.n) < channel.q))
-    parity = -1 if bit_flips % 2 else +1
-    cat = CatBlock(channel.n, "effective", parity=parity,
-                   bit_flips=bit_flips, phase_flips=phase_flips)
-    reported = rec.outcome * parity
-    return RawPrepResult(projected, reported, rec.outcome, None, cat=cat)
+    true, branches = sample_outcomes(state, gate("CNOT", a, b), u[:, 0])
+    bit_flips = np.count_nonzero(u[:, 1:n + 1] < channel.p, axis=1)
+    phase_flips = np.count_nonzero(u[:, n + 1:] < channel.q, axis=1)
+    reported = np.where(bit_flips % 2, -true, true)
+    return EffectiveShots(n, true, reported, bit_flips, phase_flips,
+                          {outcome: post for outcome, (post, _) in branches.items()})
 
 
 def _measure_exact(state: QuantumState, errors: ErrorModel,
@@ -334,6 +382,7 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
 
 __all__ = [
     "CatBlock",
+    "EffectiveShots",
     "RawPrepResult",
     "apply_bitwise_probe",
     "cat_labels",
@@ -344,4 +393,5 @@ __all__ = [
     "measure_cphase_noisy",
     "prepare_even_cat",
     "prepare_raw_ancilla",
+    "sample_effective",
 ]

@@ -3,9 +3,33 @@
 Every sampled experiment takes a (seed, trial) pair and gets an independent
 substream, so results do not depend on execution order and a parallel run
 aggregates to exactly the same numbers as a serial one.
+
+`trial_rng(seed, t)` is a numpy Philox4x64-10 generator keyed (seed, t).
+`trial_uniforms(seed, start, stop, count)` computes the first `count`
+uniforms of every substream t in [start, stop) at once, in numpy array
+arithmetic: row `t - start` is bit-identical to
+`trial_rng(seed, t).random(count)`.  Seeds and trial indices lie in
+[0, 2**64).
 """
 
 import numpy as np
+
+_KEY_LIMIT = 2**64
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11),
+# as used by numpy's Philox bit generator
+_MUL0 = np.uint64(0xD2E7470EE14C6C93)
+_MUL1 = np.uint64(0xCA5A826395121157)
+_BUMP0 = 0x9E3779B97F4A7C15
+_BUMP1 = 0xBB67AE8584CAA73B
+_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _check_key(value: int, what: str) -> None:
+    if not 0 <= value < _KEY_LIMIT:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {value}")
 
 
 def master_rng(seed: int) -> np.random.Generator:
@@ -14,7 +38,54 @@ def master_rng(seed: int) -> np.random.Generator:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream for one trial of one seeded experiment."""
-    if seed < 0 or trial < 0:
-        raise ValueError("seed and trial index must be nonnegative")
+    _check_key(seed, "seed")
+    _check_key(trial, "trial index")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(mul: np.uint64, x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products mul * x, via 32-bit limbs."""
+    m_lo, m_hi = mul & _LOW32, mul >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo = m_lo * x_lo
+    hi_lo = m_hi * x_lo
+    lo_hi = m_lo * x_hi
+    carry = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    high = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (carry >> _SHIFT32)
+    return high, mul * x
+
+
+def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """First `count` uniforms of the substreams of trials start..stop-1.
+
+    Returns a (stop - start, count) float64 array whose row i equals
+    `trial_rng(seed, start + i).random(count)` bit for bit: numpy's Philox
+    keys block j of a stream with the counter (j + 1, 0, 0, 0) and turns each
+    64-bit output word w into the double (w >> 11) * 2**-53.
+    """
+    _check_key(seed, "seed")
+    if not 0 <= start <= stop <= _KEY_LIMIT:
+        raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    rows, blocks = stop - start, -(-count // 4)
+    if rows == 0:
+        return np.empty((0, count))
+    key0 = seed
+    key1 = (np.uint64(start) + np.arange(rows, dtype=np.uint64))[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (rows, blocks))
+    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
+    for r in range(_ROUNDS):
+        if r:
+            key0 = (key0 + _BUMP0) % _KEY_LIMIT
+            key1 = key1 + np.uint64(_BUMP1)
+        hi0, lo0 = _mulhilo(_MUL0, c0)
+        hi1, lo1 = _mulhilo(_MUL1, c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(key0)
+        hi0 ^= c3
+        hi0 ^= key1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)) * 2.0**-53

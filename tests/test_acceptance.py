@@ -59,8 +59,8 @@ from toffsim.noisy_meas import (
     eigenstring_state,
     eigenstring_weight,
     measure_cnot_noisy,
-    measure_cphase_noisy,
     prepare_even_cat,
+    sample_effective,
 )
 from toffsim.cli import main as cli_main
 from toffsim.rng import master_rng, trial_rng
@@ -297,16 +297,19 @@ def test_readout_bit_flips_reverse_the_report_and_phase_flips_do_nothing():
 # 8. Decoherent readout noise: contamination estimate and parity bias. -----------
 
 def test_decoherent_contamination_monte_carlo():
+    # one shot draws one row of 2n+1 uniforms, as a per-shot call draws them
     errors = PauliChannel.uniform(8, 0.05)
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
+    # the controlled-phase measurement is the CNOT one conjugated by H on b
+    cnot_frame = apply_gate(plus_plus, "H", "b")
     rng = master_rng(SEED)
-    trials = 100_000
+    trials, block = 100_000, 10_000
     reported_plus = false_plus = 0
-    for _ in range(trials):
-        res = measure_cphase_noisy(plus_plus, errors, mode="effective", rng=rng)
-        if res.reported_outcome == +1:
-            reported_plus += 1
-            false_plus += res.true_eigenvalue == -1
+    for _ in range(trials // block):
+        shots = sample_effective(cnot_frame, errors, rng.random((block, 17)))
+        plus = shots.reported_outcomes == +1
+        reported_plus += int(np.count_nonzero(plus))
+        false_plus += int(np.count_nonzero(plus & (shots.true_eigenvalues == -1)))
     f = false_plus / reported_plus
     alpha_hat = 3.0 * f / (1.0 - f)
     se_f = math.sqrt(f * (1.0 - f) / reported_plus)

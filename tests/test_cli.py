@@ -8,7 +8,12 @@ import sys
 
 import pytest
 
+from toffsim import cli
 from toffsim.cli import main
+from toffsim.core import QuantumState
+from toffsim.error_models import PauliChannel
+from toffsim.noisy_meas import measure_cphase_noisy
+from toffsim.rng import trial_rng
 
 
 def run_cli(argv, capsys):
@@ -83,6 +88,9 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     ("ensemble", {"n": "many"}),
     ("noisy-meas", {"p": [0.1]}),
     ("toffoli-verify", {"corrupt_branch": 5}),
+    ("distill", {"alpha3": float("inf")}),
+    ("distill", {"alpha3": float("nan")}),
+    ("distill", {"alpha3": float("-inf")}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -91,6 +99,20 @@ def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payl
     assert len(err.splitlines()) == 1
     assert err.startswith("toffsim: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["distill", "noisy-meas", "toffoli-verify",
+                                     "ensemble"])
+def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
+    rc, _, err = run_cli([command, "--seed", str(2**64), "--trials", "2"], capsys)
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("toffsim: error:") and "seed" in err
+
+
+def test_largest_seed_runs(capsys):
+    rc, _, _ = run_cli(["distill", "--seed", str(2**64 - 1), "--trials", "2"], capsys)
+    assert rc == 0
 
 
 def test_bad_corrupt_branch_value(capsys):
@@ -177,6 +199,24 @@ def test_failed_check_without_flag_still_exits_zero(tmp_path, capsys):
     assert not all(c["passed"] for c in report["checks"])
 
 
+def test_noisy_meas_without_estimate_fails_its_check(capsys):
+    # seed 3's only trial reports +1 from a true -1, so f = 1 and 3f/(1-f) is undefined
+    for flags, want_rc in ((["--check"], 2), ([], 0)):
+        rc, out, err = run_cli(["noisy-meas", "--trials", "1", "--seed", "3"] + flags,
+                               capsys)
+        assert rc == want_rc
+        assert "Traceback" not in err
+        results = json.loads(out)["results"]
+        assert results["alpha3_estimate"] is None
+        assert results["alpha3_estimate_se"] is None
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["alpha3 Monte Carlo vs closed form"]
+    rc, out, _ = run_cli(["noisy-meas", "--trials", "1", "--seed", "3",
+                          "--format", "csv"], capsys)
+    assert rc == 0
+    assert out.splitlines()[1] == "0,8,decoherent,1,-1,"
+
+
 # -- report envelope --------------------------------------------------------------------------
 
 def test_report_envelope_fields(capsys):
@@ -218,6 +258,34 @@ def test_json_reports_identical_up_to_timing(tmp_path, capsys):
         assert rc == 0
     capsys.readouterr()
     assert strip_timing(a) == strip_timing(b)
+
+
+@pytest.mark.parametrize("payload, mode, trials, checked", [
+    ({}, "effective", 600, (0, 1, 511, 512, 513, 599)),
+    ({"n": 3, "mode": "exact"}, "exact", 20, (0, 6, 7, 13, 19)),
+])
+def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeypatch,
+                                                       payload, mode, trials, checked):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    reports = []
+    for chunk in (cli._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
+        csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        argv = ["noisy-meas", "--config", cfg, "--trials", str(trials), "--seed", "5"]
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+    # every row is the trial's own per-shot measurement
+    rows = read_csv(reports[0][0].decode())[1:]
+    n = payload.get("n", 8)
+    errors = PauliChannel.uniform(n, 0.05)
+    plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
+    for t in checked:
+        res = measure_cphase_noisy(plus_plus, errors, mode=mode, rng=trial_rng(5, t))
+        assert rows[t][:5] == [str(t), str(n), "decoherent", str(res.reported_outcome),
+                               str(res.true_eigenvalue)]
 
 
 def test_csv_reports_byte_identical(tmp_path, capsys):

@@ -12,6 +12,7 @@ from toffsim.core import (
     branch_probability,
     fidelity,
     gate,
+    measure_operator,
     tensor,
 )
 from toffsim.distill import MixedAncilla
@@ -32,6 +33,7 @@ from toffsim.noisy_meas import (
     measure_cphase_noisy,
     prepare_even_cat,
     prepare_raw_ancilla,
+    sample_effective,
 )
 from toffsim.rng import master_rng, trial_rng
 
@@ -184,6 +186,60 @@ def test_exact_and_effective_modes_agree_statistically():
     sigma = math.sqrt(want_plus * (1 - want_plus) / trials)
     for mode, hits in counts.items():
         assert abs(hits / trials - want_plus) < 4 * sigma, mode
+
+
+def per_shot_reference(state, channel, rng):
+    """One effective CNOT shot as separate draws: Born outcome, bit flips, phase flips."""
+    a, b = state.labels
+    post, rec = measure_operator(state, gate("CNOT", a, b), rng=rng)
+    bit_flips = int(np.sum(rng.random(channel.n) < channel.p))
+    phase_flips = int(np.sum(rng.random(channel.n) < channel.q))
+    reported = -rec.outcome if bit_flips % 2 else rec.outcome
+    return rec.outcome, reported, bit_flips, phase_flips, post
+
+
+@pytest.mark.parametrize("controlled_phase", [False, True])
+def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
+    errors = PauliChannel.uniform(8, 0.2, q=0.1)
+    # both eigenspaces of either involution are populated
+    state = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
+    measure = measure_cphase_noisy if controlled_phase else measure_cnot_noisy
+
+    def unframe(s):
+        # the controlled-phase measurement is the CNOT one conjugated by H on b
+        return apply_gate(s, "H", "b") if controlled_phase else s
+
+    frame = unframe(state)
+    rng, ref_rng = master_rng(31), master_rng(31)
+    singles = [measure(state, errors, mode="effective", rng=rng) for _ in range(500)]
+    refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
+    shots = sample_effective(frame, errors, master_rng(31).random((500, 17)))
+    assert set(shots.branches) == {+1, -1}
+    for i, (single, ref) in enumerate(zip(singles, refs)):
+        batched = shots.shot(i)
+        want_state = unframe(ref[4])
+        for res, logical in ((single, single.logical_state),
+                             (batched, unframe(batched.logical_state))):
+            fields = (res.true_eigenvalue, res.reported_outcome,
+                      res.cat.bit_flips, res.cat.phase_flips)
+            assert fields == ref[:4]
+            assert res.cat.parity == (-1 if ref[2] % 2 else +1)
+            assert logical.labels == want_state.labels
+            assert np.array_equal(logical.data, want_state.data)
+        assert shots.reported_outcomes[i] == ref[1]
+
+
+def test_batched_effective_input_validation():
+    errors = PauliChannel.uniform(3, 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        sample_effective(PLUS_PLUS, errors, np.zeros((4, 6)))
+    with pytest.raises(ValueError, match="shape"):
+        sample_effective(PLUS_PLUS, errors, np.zeros(7))
+    with pytest.raises(ValueError, match="exact"):
+        sample_effective(PLUS_PLUS, UnitaryErrorSet.uniform_ratio(3, 0.05),
+                         np.zeros((4, 7)))
+    empty = sample_effective(PLUS_PLUS, errors, np.zeros((0, 7)))
+    assert empty.reported_outcomes.shape == (0,) and empty.branches == {}
 
 
 def test_measurement_requires_rng():
