@@ -177,11 +177,14 @@ def _resolve_config(command: str, args) -> dict:
 
 
 def _number(value, key: str, kind=float):
-    """`value` of config field `key` as a `kind`; a non-number is a config error."""
+    """`value` of config field `key` as a finite `kind`; anything else is a config error."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _list(cfg: dict, key: str) -> list:
@@ -267,8 +270,6 @@ def _cmd_distill(cfg: dict, seed: int):
     alpha3 = _number(cfg["alpha3"], "alpha3")
     levels = _number(cfg["levels"], "levels", int)
     trials = _number(cfg["trials"], "trials", int)
-    if not math.isfinite(alpha3):
-        raise ValueError(f"alpha3 must be finite, got {alpha3!r}")
     if levels < 0:
         raise ValueError("levels must be >= 0")
     if trials < 1:
@@ -278,13 +279,13 @@ def _cmd_distill(cfg: dict, seed: int):
     trajectory = [alpha3 ** (2**k) for k in range(levels + 1)]
     formula = fidelity_after_rounds(alpha3, levels)
 
-    # postselected circuit tree: combine 2^levels leaves pairwise
-    states = [raw.to_state((f"x{i}", f"y{i}")) for i in range(2**levels)]
-    while len(states) > 1:
-        states = [combine_states(states[i], states[i + 1])[0]
-                  for i in range(0, len(states), 2)]
-    pair_target = QuantumState.from_vector(states[0].labels, [1.0, 1.0, 1.0, 0.0])
-    circuit_fidelity = fidelity(states[0], pair_target)
+    # postselected circuit tree: every node of a level holds the same state,
+    # so each level combines one state with a relabelled copy of itself
+    state = raw.to_state(("x0", "y0"))
+    for _ in range(levels):
+        state, _ = combine_states(state, QuantumState(("x1", "y1"), state.data))
+    pair_target = QuantumState.from_vector(state.labels, [1.0, 1.0, 1.0, 0.0])
+    circuit_fidelity = fidelity(state, pair_target)
 
     level_probs = []
     for k in range(levels):
@@ -304,7 +305,10 @@ def _cmd_distill(cfg: dict, seed: int):
     rows = []
     total_attempts = total_successes = total_leaves = 0
     for t in range(trials):
-        out = distill_tree(pair_supply(raw), levels, rng=trial_rng(seed, t))
+        try:
+            out = distill_tree(pair_supply(raw), levels, rng=trial_rng(seed, t))
+        except RuntimeError as exc:  # the per-tree combine budget ran out
+            raise ValueError(f"levels {levels} is too deep to sample: {exc}") from None
         total_attempts += out.combine_attempts
         total_successes += out.combine_successes
         total_leaves += out.leaves_used

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -182,6 +182,16 @@ class DistillOutcome:
     leaves_used: int
 
 
+# uniforms drawn from the rng per block by `distill_tree`
+_UNIFORM_BLOCK = 64
+
+
+def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """The uniforms of `rng`, one at a time, drawn in blocks of `_UNIFORM_BLOCK`."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
 def distill_tree(supply: Supply, level: int, *,
                  rng: Optional[np.random.Generator] = None,
                  max_attempts: int = 100_000) -> DistillOutcome:
@@ -191,6 +201,16 @@ def distill_tree(supply: Supply, level: int, *,
     which raises RuntimeError when exhausted, or a callable invoked per
     leaf.  Each combine succeeds with its coefficient-form probability,
     decided against `rng`; on failure both inputs are discarded and rebuilt.
+
+    The tree is built depth first, left subtree before right.  An attempt
+    at level 1 draws two fresh leaves from `supply`, left then right; an
+    attempt at level k > 1 pairs the finished left output of level k - 1
+    with the right one just made.  Draw contract: the j-th combine attempt
+    passes exactly when the j-th uniform of `rng` is below its success
+    probability.  Uniforms are taken from `rng` in blocks of
+    `_UNIFORM_BLOCK`, so on return `rng` has advanced by whole blocks, up to
+    one block past the last uniform used.  A level-0 tree draws one leaf and
+    no uniform.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -207,28 +227,43 @@ def distill_tree(supply: Supply, level: int, *,
             except StopIteration:
                 raise RuntimeError("ancilla supply exhausted mid-tree") from None
 
-    counters = {"attempts": 0, "successes": 0, "leaves": 0}
-
-    def build(lvl: int) -> MixedAncilla:
-        if lvl == 0:
-            counters["leaves"] += 1
-            return draw()
-        while True:
-            left = build(lvl - 1)
-            right = build(lvl - 1)
-            out, prob = combine(left, right)
-            counters["attempts"] += 1
-            if counters["attempts"] > max_attempts:
-                raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
-            if rng.random() < prob:
-                # counts every passed parity check, including ones whose
-                # output a later parent failure throws away
-                counters["successes"] += 1
-                return out
-
-    ancilla = build(level)
-    return DistillOutcome(ancilla, level, counters["attempts"],
-                          counters["successes"], counters["leaves"])
+    if level == 0:
+        return DistillOutcome(draw(), 0, 0, 0, 1)
+    uniforms = _uniform_stream(rng)
+    # held[k]: a finished level-k left output awaiting its right partner
+    held: List[Optional[MixedAncilla]] = [None] * level
+    # per level, the last combine as (left, right, output, probability);
+    # combine is pure, so identical input objects give the identical result
+    last: List[Optional[tuple]] = [None] * (level + 1)
+    attempts = successes = leaves = 0
+    k, out = 1, None
+    while True:
+        if k == 1:
+            left = draw()
+            right = draw()
+            leaves += 2
+        else:
+            left, right, held[k - 1] = held[k - 1], out, None
+        cached = last[k]
+        if cached is None or cached[0] is not left or cached[1] is not right:
+            cached = last[k] = (left, right) + combine(left, right)
+        _, _, made, prob = cached
+        attempts += 1
+        if attempts > max_attempts:
+            raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+        if next(uniforms) < prob:
+            # counts every passed parity check, including ones whose output
+            # a later parent failure throws away
+            successes += 1
+            out = made
+            if k == level:
+                return DistillOutcome(out, level, attempts, successes, leaves)
+            if held[k] is None:
+                held[k], k = out, 1
+            else:
+                k += 1
+        else:
+            k = 1  # both inputs are lost; rebuild this level's input pair
 
 
 # -- operation-count calculus ---------------------------------------------------
@@ -266,16 +301,6 @@ def expected_ops(rounds: int, params: CostParams = CostParams()) -> float:
     return growth + (growth - 1.0) / (r - 1.0) * params.measurement_ratio
 
 
-def expected_ops_recurrence(rounds: int, params: CostParams = CostParams()) -> float:
-    """Same as `expected_ops`, by direct iteration (cross-check)."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    g = 1.0
-    for _ in range(rounds):
-        g = (2.0 / params.success_probability) * g + params.measurement_ratio
-    return g
-
-
 def measurement_majority_repeats(eps: float, eps_m: float) -> int:
     """Odd repetition count making measurement error negligible at accuracy eps.
 
@@ -307,7 +332,6 @@ __all__ = [
     "combined_after_rounds",
     "distill_tree",
     "expected_ops",
-    "expected_ops_recurrence",
     "fidelity_after_rounds",
     "measurement_majority_repeats",
     "pair_supply",

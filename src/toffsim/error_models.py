@@ -54,7 +54,7 @@ class PauliChannel:
         if p.size == 0:
             raise ValueError("channel needs at least one bit")
         for name, vec in (("p", p), ("q", q)):
-            if np.any((vec < 0.0) | (vec > 1.0)):
+            if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails too
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -75,18 +75,6 @@ def parity_bias(channel: PauliChannel) -> float:
     return float(np.prod(1.0 - 2.0 * channel.p))
 
 
-def parity_bias_enumerated(channel: PauliChannel) -> float:
-    """Same number by brute-force enumeration of all 2^n flip patterns."""
-    n = channel.n
-    if n > 16:
-        raise ValueError("enumeration limited to n <= 16 bits")
-    masks = np.arange(2**n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    probs = np.prod(np.where(bits == 1, channel.p, 1.0 - channel.p), axis=1)
-    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
-    return float(signs @ probs)
-
-
 @dataclass(frozen=True)
 class Alpha3Reading:
     """|11> contamination implied by a reported-even noisy parity measurement."""
@@ -104,9 +92,14 @@ def alpha3_decoherent(channel: PauliChannel) -> Alpha3Reading:
     negative report worse than chance and the value exceeds 1.
     """
     bias = parity_bias(channel)
+    return Alpha3Reading(_alpha3_from_bias(bias), 1.0 - 2.0 * bias, bias)
+
+
+def _alpha3_from_bias(bias: float) -> float:
+    """|11> weight (1 - bias) / (1 + bias) of a reported-even block of parity bias `bias`."""
     if 1.0 + bias <= 1e-300:
         raise ValueError("bias -1: the reported outcome is deterministic and wrong")
-    return Alpha3Reading((1.0 - bias) / (1.0 + bias), 1.0 - 2.0 * bias, bias)
+    return (1.0 - bias) / (1.0 + bias)
 
 
 def max_block_size(p: float) -> float:
@@ -361,11 +354,22 @@ class BlockEnsemble:
     def draw_block(self, rng: np.random.Generator
                    ) -> Union[PauliChannel, UnitaryErrorSet]:
         if self.model == "decoherent":
-            p = np.full(self.n, self.p)
-            if self.defect_fraction > 0.0:
-                p[rng.random(self.n) < self.defect_fraction] = self.defect_p
-            return PauliChannel(p, np.full(self.n, self.q))
+            return PauliChannel(self._draw_flip_probabilities(rng, 1)[0],
+                                np.full(self.n, self.q))
         return UnitaryErrorSet.from_ratios(self._draw_tangents(rng))
+
+    def _draw_flip_probabilities(self, rng: np.random.Generator,
+                                 blocks: int) -> np.ndarray:
+        """Per-bit flip probabilities of `blocks` decoherent blocks, shape (blocks, n).
+
+        Bit j of block i is defective when the (i * n + j)-th uniform of `rng`
+        is below `defect_fraction`; no uniform is drawn when that is 0.  So
+        one call draws what `blocks` successive one-block calls would.
+        """
+        p = np.full((blocks, self.n), self.p)
+        if self.defect_fraction > 0.0:
+            p[rng.random((blocks, self.n)) < self.defect_fraction] = self.defect_p
+        return p
 
     def _draw_tangents(self, rng: np.random.Generator, size=None) -> np.ndarray:
         shape = (self.n,) if size is None else size
@@ -421,12 +425,12 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble,
     if ensemble.model != "decoherent":
         raise ValueError("the fidelity cascade formula applies to decoherent ensembles")
     rng = ensemble.rng() if rng is None else rng
-    blocks = [ensemble.draw_block(rng) for _ in range(ensemble.block_count)]
+    p_matrix = ensemble._draw_flip_probabilities(rng, ensemble.block_count)
+    # each block's bias as `parity_bias` computes it; math.log, not np.log,
+    # summed in block order, keeps the result bit-identical to block-by-block
     log_alpha = 0.0
-    p_matrix = np.empty((ensemble.block_count, ensemble.n))
-    for i, block in enumerate(blocks):
-        log_alpha += math.log(alpha3_decoherent(block).value)
-        p_matrix[i] = block.p
+    for bias in np.prod(1.0 - 2.0 * p_matrix, axis=1).tolist():
+        log_alpha += math.log(_alpha3_from_bias(bias))
     alpha_product = math.exp(log_alpha)
     empirical = 3.0 / (3.0 + alpha_product)
 
@@ -535,5 +539,4 @@ __all__ = [
     "max_block_size",
     "nominal_cos_moment",
     "parity_bias",
-    "parity_bias_enumerated",
 ]

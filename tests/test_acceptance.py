@@ -20,6 +20,7 @@ from toffsim.core import (
     apply_matrix,
     fidelity,
     measure_operator,
+    sample_outcomes,
     tensor,
     z_product,
 )
@@ -29,7 +30,6 @@ from toffsim.distill import (
     combine_states,
     distill_tree,
     expected_ops,
-    expected_ops_recurrence,
     fidelity_after_rounds,
     pair_supply,
     success_probability,
@@ -41,7 +41,6 @@ from toffsim.error_models import (
     accumulated_flip_angle,
     ensemble_log_tan,
     parity_bias,
-    parity_bias_enumerated,
 )
 from toffsim.gadgets import (
     default_correction_table,
@@ -200,19 +199,33 @@ def test_parity_check_success_probabilities():
     ideal = MixedAncilla.ideal()
     assert success_probability(ideal, ideal) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    # sampled frequency on the fixed ideal four-qubit state
+    # sampled frequency on the fixed ideal four-qubit state: a trial measures
+    # op1, and op2 on the +1 branch only, so it takes one or two uniforms
     joint = tensor(prepare_pair_ancilla(("a", "b")),
                    prepare_pair_ancilla(("c", "d")))
     op1, op2 = z_product("a", "c"), z_product("b", "d")
-    rng = master_rng(SEED + 3)
     trials = 100_000
-    successes = 0
+    uniforms = master_rng(SEED + 3).random(2 * trials)
+    first, branches = sample_outcomes(joint, op1, uniforms)
+    second, _ = sample_outcomes(branches[+1][0], op2, uniforms)
+    first, second = first.tolist(), second.tolist()
+    passed = []
+    i = 0
     for _ in range(trials):
+        if first[i] == +1:
+            passed.append(second[i + 1] == +1)
+            i += 2
+        else:
+            passed.append(False)
+            i += 1
+    successes = sum(passed)
+
+    # the first trials again, measured shot by shot on the same stream
+    rng = master_rng(SEED + 3)
+    for t in range(2_000):
         state, rec1 = measure_operator(joint, op1, rng=rng)
-        if rec1.outcome != +1:
-            continue
-        _, rec2 = measure_operator(state, op2, rng=rng)
-        successes += rec2.outcome == +1
+        ok = rec1.outcome == +1 and measure_operator(state, op2, rng=rng)[1].outcome == +1
+        assert ok == passed[t]
     p = 1.0 / 3.0
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(successes / trials - p) <= 4.0 * se
@@ -234,6 +247,14 @@ def test_parity_check_success_probabilities():
 
 
 # 6. Expected operation counts: closed form, recurrence, frozen values. ----------
+
+def expected_ops_recurrence(rounds, params=CostParams()):
+    """Oracle for `expected_ops`: G(0) = 1, G(k) = (2/P) G(k-1) + ratio, iterated."""
+    g = 1.0
+    for _ in range(rounds):
+        g = (2.0 / params.success_probability) * g + params.measurement_ratio
+    return g
+
 
 def test_expected_operation_counts():
     for rounds, want in ((0, 1.0), (1, 8.0), (2, 50.0), (3, 302.0)):
@@ -315,6 +336,16 @@ def test_decoherent_contamination_monte_carlo():
     se_f = math.sqrt(f * (1.0 - f) / reported_plus)
     se_alpha = 3.0 * se_f / (1.0 - f) ** 2
     assert abs(alpha_hat - 0.39814459640777067) <= 4.0 * se_alpha
+
+
+def parity_bias_enumerated(channel):
+    """Oracle for `parity_bias`: sum over all 2^n flip patterns of sign times probability."""
+    n = channel.n
+    masks = np.arange(2**n, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    probs = np.prod(np.where(bits == 1, channel.p, 1.0 - channel.p), axis=1)
+    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+    return float(signs @ probs)
 
 
 def test_parity_bias_matches_enumeration():

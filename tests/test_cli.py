@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from toffsim import cli
 from toffsim.cli import main
-from toffsim.core import QuantumState
+from toffsim.core import QuantumState, fidelity
+from toffsim.distill import MixedAncilla, combine_states
 from toffsim.error_models import PauliChannel
 from toffsim.noisy_meas import measure_cphase_noisy
 from toffsim.rng import trial_rng
@@ -91,6 +93,9 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     ("distill", {"alpha3": float("inf")}),
     ("distill", {"alpha3": float("nan")}),
     ("distill", {"alpha3": float("-inf")}),
+    ("noisy-meas", {"q": float("nan")}),
+    ("noisy-meas", {"p": float("nan")}),
+    ("ensemble", {"model": "unitary", "p": float("nan")}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -108,6 +113,20 @@ def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
     assert rc == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("toffsim: error:") and "seed" in err
+
+
+@pytest.mark.parametrize("levels", [9, 40])
+def test_distill_too_deep_for_the_combine_budget_is_one_line_error(tmp_path, capsys,
+                                                                  levels):
+    # the circuit tree takes one state per level, and sampling stops at the
+    # per-tree budget of combine attempts
+    cfg = write_config(tmp_path, "deep.json", {"levels": levels})
+    started = time.perf_counter()
+    rc, _, err = run_cli(["distill", "--config", cfg], capsys)
+    assert time.perf_counter() - started < 10.0
+    assert rc == 1
+    assert err == (f"toffsim: error: levels {levels} is too deep to sample: "
+                   "purification exceeded 100000 combine attempts\n")
 
 
 def test_largest_seed_runs(capsys):
@@ -151,6 +170,22 @@ def test_distill_passes_checks(tmp_path, capsys):
     report = json.loads(out)
     assert all(c["passed"] for c in report["checks"])
     assert report["parameters"]["trials"] == 60
+
+
+@pytest.mark.parametrize("alpha3", [-0.9, 0.1, 0.5, 2.0])
+def test_distill_circuit_tree_equals_the_pairwise_tree(tmp_path, capsys, alpha3):
+    raw = MixedAncilla.from_excess_weight(alpha3)
+    for levels in range(5):
+        # reference: all 2^levels leaves, combined pairwise level by level
+        states = [raw.to_state((f"x{i}", f"y{i}")) for i in range(2**levels)]
+        while len(states) > 1:
+            states = [combine_states(states[i], states[i + 1])[0]
+                      for i in range(0, len(states), 2)]
+        target = QuantumState.from_vector(states[0].labels, [1.0, 1.0, 1.0, 0.0])
+        cfg = write_config(tmp_path, "d.json", {"alpha3": alpha3, "levels": levels})
+        rc, out, _ = run_cli(["distill", "--config", cfg, "--trials", "1"], capsys)
+        assert rc == 0
+        assert json.loads(out)["results"]["fidelity_circuit"] == fidelity(states[0], target)
 
 
 def test_noisy_meas_passes_checks(capsys):
@@ -367,6 +402,21 @@ def test_estimate_csv_golden_first_rows(capsys):
                         "failure_log10,gate_failure_log10")
     assert lines[1] == ("progressive,-9.0,1,1000,"
                         "-8.838826932936374,-6.178074899639857")
+
+
+def test_distill_csv_golden_first_rows(capsys):
+    rc, out, _ = run_cli(["distill", "--trials", "2", "--format", "csv"], capsys)
+    assert rc == 0
+    assert out.splitlines()[1:] == ["0,314,75,554", "1,226,45,408"]
+
+
+def test_ensemble_csv_golden_first_rows(capsys):
+    rc, out, _ = run_cli(["ensemble", "--trials", "2", "--format", "csv"], capsys)
+    assert rc == 0
+    assert out.splitlines()[1:] == [
+        "0,0.9989401693581276,-5.7499734741139585,0.999677543353294",
+        "1,0.9998580192276855,-7.761064636245475,0.9991661623699613",
+    ]
 
 
 # -- console entry point ------------------------------------------------------------------------

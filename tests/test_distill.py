@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toffsim import distill
 from toffsim.core import QuantumState, fidelity, tensor
 from toffsim.distill import (
     PAIR_VECTOR,
@@ -13,9 +14,9 @@ from toffsim.distill import (
     combine,
     combine_states,
     combined_after_rounds,
+    DistillOutcome,
     distill_tree,
     expected_ops,
-    expected_ops_recurrence,
     fidelity_after_rounds,
     measurement_majority_repeats,
     pair_supply,
@@ -217,6 +218,129 @@ def test_distill_tree_attempt_budget():
         distill_tree(pair_supply(raw), 3, rng=master_rng(2), max_attempts=3)
 
 
+def recursive_distill_tree(supply, level, *, rng=None, max_attempts=100_000):
+    """Reference: the tree built by plain recursion, one `rng.random()` per attempt."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    if level > 0 and rng is None:
+        raise ValueError("rng is required to sample parity-check outcomes")
+    if callable(supply):
+        draw = supply
+    else:
+        iterator = iter(supply)
+
+        def draw():
+            try:
+                return next(iterator)
+            except StopIteration:
+                raise RuntimeError("ancilla supply exhausted mid-tree") from None
+
+    counters = {"attempts": 0, "successes": 0, "leaves": 0}
+
+    def build(lvl):
+        if lvl == 0:
+            counters["leaves"] += 1
+            return draw()
+        while True:
+            left = build(lvl - 1)
+            right = build(lvl - 1)
+            out, prob = combine(left, right)
+            counters["attempts"] += 1
+            if counters["attempts"] > max_attempts:
+                raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+            if rng.random() < prob:
+                counters["successes"] += 1
+                return out
+
+    ancilla = build(level)
+    return DistillOutcome(ancilla, level, counters["attempts"],
+                          counters["successes"], counters["leaves"])
+
+
+def outcome_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except RuntimeError as exc:
+        return ("RuntimeError", str(exc))
+
+
+def alternating_supply():
+    """Two distinct ancillas in turn, so consecutive combines see new inputs."""
+    values = [MixedAncilla(0.1 + 0.2j, 0.1 - 0.2j, 0.6),
+              MixedAncilla.from_excess_weight(0.3)]
+    count = [0]
+
+    def draw():
+        count[0] += 1
+        return values[count[0] % 2]
+    return draw
+
+
+def fresh_supply(seed):
+    """A new ancilla object on every call, with seeded random contamination."""
+    values = master_rng(seed)
+    return lambda: MixedAncilla.from_excess_weight(float(values.random()))
+
+
+@pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 1.0, 2.0])
+def test_distill_tree_matches_recursive_reference(a3):
+    raw = MixedAncilla.from_excess_weight(a3)
+    for level in range(5):
+        for t in range(40 if level < 4 else 10):
+            got = distill_tree(pair_supply(raw), level, rng=trial_rng(t, level))
+            want = recursive_distill_tree(pair_supply(raw), level,
+                                          rng=trial_rng(t, level))
+            assert got == want
+
+
+@pytest.mark.parametrize("make_supply", [alternating_supply, lambda: fresh_supply(8)],
+                         ids=["alternating", "fresh"])
+def test_distill_tree_matches_reference_on_varying_supplies(make_supply):
+    for level in range(1, 5):
+        for t in range(25):
+            got = distill_tree(make_supply(), level, rng=trial_rng(17, t))
+            want = recursive_distill_tree(make_supply(), level, rng=trial_rng(17, t))
+            assert got == want
+
+
+def test_finite_supply_runs_out_where_the_reference_does():
+    values = [MixedAncilla.from_excess_weight(a) for a in np.linspace(0.0, 1.0, 120)]
+    outcomes = set()
+    for size in range(0, 120, 3):
+        got = outcome_or_error(distill_tree, values[:size], 2, rng=trial_rng(4, size))
+        want = outcome_or_error(recursive_distill_tree, values[:size], 2,
+                                rng=trial_rng(4, size))
+        assert got == want
+        outcomes.add(type(got))
+    assert outcomes == {tuple, DistillOutcome}  # both ends of the range are covered
+
+
+def test_attempt_budget_runs_out_where_the_reference_does():
+    raw = MixedAncilla.from_excess_weight(0.5)
+    needed = distill_tree(pair_supply(raw), 3, rng=trial_rng(9, 0)).combine_attempts
+    assert needed > 64  # the budget falls in more than one block of uniforms
+    for budget in range(1, needed + 2):
+        got = outcome_or_error(distill_tree, pair_supply(raw), 3, rng=trial_rng(9, 0),
+                               max_attempts=budget)
+        want = outcome_or_error(recursive_distill_tree, pair_supply(raw), 3,
+                                rng=trial_rng(9, 0), max_attempts=budget)
+        assert got == want
+        if budget < needed:
+            assert got == ("RuntimeError",
+                           f"purification exceeded {budget} combine attempts")
+        else:
+            assert got.combine_attempts == needed
+
+
+def test_distill_tree_draws_uniforms_in_whole_blocks():
+    rng = trial_rng(2, 0)
+    out = distill_tree(pair_supply(), 2, rng=rng)
+    used_blocks = -(-out.combine_attempts // distill._UNIFORM_BLOCK)
+    follower = trial_rng(2, 0)
+    follower.random(distill._UNIFORM_BLOCK * used_blocks)
+    assert rng.random() == follower.random()
+
+
 def test_distill_tree_mean_leaves():
     # ideal inputs: every combine succeeds w.p. 1/3, so a level-2 tree
     # consumes 36 leaves on average ((2/P)^2)
@@ -233,6 +357,14 @@ def test_expected_ops_frozen_values():
     assert expected_ops(1) == pytest.approx(8.0)
     assert expected_ops(2) == pytest.approx(50.0)
     assert expected_ops(3) == pytest.approx(302.0)
+
+
+def expected_ops_recurrence(rounds, params=CostParams()):
+    """Oracle for `expected_ops`: G(0) = 1, G(k) = (2/P) G(k-1) + ratio, iterated."""
+    g = 1.0
+    for _ in range(rounds):
+        g = (2.0 / params.success_probability) * g + params.measurement_ratio
+    return g
 
 
 @pytest.mark.parametrize("rounds", range(9))

@@ -8,6 +8,7 @@ import pytest
 from toffsim.error_models import (
     Alpha3Reading,
     BlockEnsemble,
+    EnsembleFidelity,
     PauliChannel,
     UnitaryErrorSet,
     accumulated_flip_angle,
@@ -20,7 +21,6 @@ from toffsim.error_models import (
     max_block_size,
     nominal_cos_moment,
     parity_bias,
-    parity_bias_enumerated,
 )
 from toffsim.rng import master_rng, trial_rng
 
@@ -38,6 +38,13 @@ def test_channel_validation():
         PauliChannel(np.array([]))
 
 
+def test_channel_rejects_nan_probabilities():
+    with pytest.raises(ValueError, match="p entries"):
+        PauliChannel([math.nan])
+    with pytest.raises(ValueError, match="q entries"):
+        PauliChannel([0.1, 0.2], [0.0, math.nan])
+
+
 def test_uniform_channel():
     ch = PauliChannel.uniform(4, 0.05, 0.01)
     assert ch.n == 4
@@ -48,6 +55,18 @@ def test_uniform_channel():
 def test_parity_bias_product_form():
     ch = PauliChannel(np.array([0.1, 0.25, 0.0]))
     assert parity_bias(ch) == pytest.approx(0.8 * 0.5 * 1.0)
+
+
+def parity_bias_enumerated(channel):
+    """Oracle for `parity_bias`: sum over all 2^n flip patterns of sign times probability."""
+    n = channel.n
+    if n > 16:
+        raise ValueError("enumeration limited to n <= 16 bits")
+    masks = np.arange(2**n, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    probs = np.prod(np.where(bits == 1, channel.p, 1.0 - channel.p), axis=1)
+    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+    return float(signs @ probs)
 
 
 def test_parity_bias_matches_enumeration_on_random_channels():
@@ -256,6 +275,68 @@ def test_cascade_fidelity_defect_free_is_deterministic():
     assert fid.empirical == pytest.approx(3.0 / (3.0 + alpha**32), abs=1e-12)
     assert 0.0 < fid.analytic < 1.0
     assert fid.analytic_marginal == pytest.approx(fid.analytic, abs=1e-6)
+
+
+def per_block_distill_fidelity(ensemble, rng):
+    """Reference cascade: one `rng.random(n)` draw and one PauliChannel per block."""
+    log_alpha = 0.0
+    p_matrix = np.empty((ensemble.block_count, ensemble.n))
+    for i in range(ensemble.block_count):
+        p = np.full(ensemble.n, ensemble.p)
+        if ensemble.defect_fraction > 0.0:
+            p[rng.random(ensemble.n) < ensemble.defect_fraction] = ensemble.defect_p
+        block = PauliChannel(p, np.full(ensemble.n, ensemble.q))
+        log_alpha += math.log(alpha3_decoherent(block).value)
+        p_matrix[i] = block.p
+    alpha_product = math.exp(log_alpha)
+    scale = float(2 ** (ensemble.levels + 1))
+    mean_per_position = p_matrix.mean(axis=0)
+    analytic = 1.0 - math.exp(-scale * float(np.prod(1.0 - 2.0 * mean_per_position))) / 3.0
+    marginal = ensemble.mean_flip_probability()
+    analytic_marginal = 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** ensemble.n) / 3.0
+    return EnsembleFidelity(analytic, analytic_marginal, 3.0 / (3.0 + alpha_product),
+                            alpha_product, marginal)
+
+
+@pytest.mark.parametrize("config", [
+    dict(n=50, levels=6, p=0.01, defect_fraction=0.02, defect_p=0.9),
+    dict(n=9, levels=4, p=0.05, defect_fraction=0.3, defect_p=0.9),
+    dict(n=1, levels=3, p=0.2, defect_fraction=0.5, defect_p=0.6),
+    dict(n=17, levels=2, p=0.0, defect_fraction=1.0, defect_p=0.7, q=0.3),
+    dict(n=50, levels=6, p=0.01, defect_fraction=0.0),
+    dict(n=3, levels=0, p=0.1, defect_fraction=0.1),
+])
+def test_cascade_fidelity_matches_per_block_reference(config):
+    ens = BlockEnsemble(model="decoherent", **config)
+    for t in range(30):
+        got_rng, want_rng = trial_rng(t, 1), trial_rng(t, 1)
+        assert ensemble_distill_fidelity(ens, rng=got_rng) == \
+            per_block_distill_fidelity(ens, want_rng)
+        assert got_rng.random() == want_rng.random()  # same uniforms consumed
+
+
+def test_cascade_fidelity_bias_minus_one_is_the_reference_error():
+    # one bit that always flips: every block reports the wrong parity
+    ens = BlockEnsemble(n=1, levels=2, model="decoherent", p=0.0,
+                        defect_fraction=1.0, defect_p=1.0)
+    with pytest.raises(ValueError) as want:
+        per_block_distill_fidelity(ens, master_rng(0))
+    with pytest.raises(ValueError) as got:
+        ensemble_distill_fidelity(ens, rng=master_rng(0))
+    assert str(got.value) == str(want.value) == \
+        "bias -1: the reported outcome is deterministic and wrong"
+
+
+def test_draw_block_is_one_block_of_the_cascade_draw():
+    ens = BlockEnsemble(n=12, levels=3, model="decoherent", p=0.02, q=0.01,
+                        defect_fraction=0.25, defect_p=0.8)
+    rng, reference = master_rng(21), master_rng(21)
+    for _ in range(20):
+        block = ens.draw_block(rng)
+        p = np.full(12, 0.02)
+        p[reference.random(12) < 0.25] = 0.8
+        np.testing.assert_array_equal(block.p, p)
+        np.testing.assert_array_equal(block.q, np.full(12, 0.01))
 
 
 def test_cascade_fidelity_rejects_unitary_ensembles():
