@@ -5,10 +5,11 @@ configuration (built-in defaults, then an optional JSON config file, then
 flags), runs seeded trials, and emits a machine-readable report.  All
 sampling uses counter-based per-trial substreams, so trial results are
 independent of evaluation order and a run is reproducible bit-for-bit from
-its seed.  Trials run serially in trial order; decoherent noisy-meas samples
-them in blocks of `_TRIAL_CHUNK`, and a test checks that its report does not
-depend on the block size.  No worker pool exists: that test is the only
-evidence that one handing out blocks of trials would reproduce the report.
+its seed.  Trials run serially in trial order; noisy-meas, in either mode and
+under either error model, samples them in blocks of `_TRIAL_CHUNK`, and a
+test checks that its report does not depend on the block size.  No worker
+pool exists: that test is the only evidence that one handing out blocks of
+trials would reproduce the report.
 
 Reports are JSON by default (schema `toffsim-report/1`, keys sorted, one
 wall_time_seconds field that reproducibility comparisons must ignore) or
@@ -69,17 +70,18 @@ from .noisy_meas import (
     cat_readout_distribution,
     eigenstring_state,
     eigenstring_weight,
-    measure_cphase_noisy,
+    exact_uniform_count,
     prepare_even_cat,
     prepare_raw_ancilla,
     sample_effective,
+    sample_exact,
 )
 from .rng import trial_rng, trial_uniforms
 
 SCHEMA = "toffsim-report/1"
 
-# trials per sampled block of decoherent noisy-meas: bounds the block's
-# arrays; every trial keeps its own substream, so reports do not depend on it
+# trials per sampled block of noisy-meas: bounds the block's arrays; every
+# trial keeps its own substream, so reports do not depend on it
 _TRIAL_CHUNK = 512
 
 _BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
@@ -276,8 +278,12 @@ def _cmd_distill(cfg: dict, seed: int):
         raise ValueError("trials must be >= 1")
     raw = MixedAncilla.from_excess_weight(alpha3)
 
-    trajectory = [alpha3 ** (2**k) for k in range(levels + 1)]
-    formula = fidelity_after_rounds(alpha3, levels)
+    try:
+        trajectory = [alpha3 ** (2**k) for k in range(levels + 1)]
+        formula = fidelity_after_rounds(alpha3, levels)
+    except OverflowError:
+        raise ValueError(f"alpha3 ** (2 ** levels) is out of floating-point range at "
+                         f"alpha3 {alpha3!r}, levels {levels}") from None
 
     # postselected circuit tree: every node of a level holds the same state,
     # so each level combines one state with a relabelled copy of itself
@@ -392,27 +398,24 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
         errors = UnitaryErrorSet.uniform_ratio(n, _number(cfg["ratio"], "ratio"))
 
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
+    # controlled-phase shots are CNOT shots of the pair conjugated by H on "b",
+    # as in measure_cphase_noisy
+    cnot_frame = apply_gate(plus_plus, "H", "b")
+    columns = 2 * n + 1 if mode == "effective" else exact_uniform_count(errors)
     rows = []
     n_plus = n_minus_true_given_plus = 0
     corr_sum = 0.0
     alpha_readings = []
-    if model == "decoherent":
-        # controlled-phase shots are CNOT shots of the pair conjugated by H on
-        # "b", as in measure_cphase_noisy; only the eigenvalues are kept
-        cnot_frame = apply_gate(plus_plus, "H", "b")
-        for start in range(0, trials, _TRIAL_CHUNK):
-            stop = min(start + _TRIAL_CHUNK, trials)
-            if mode == "effective":
-                uniforms = trial_uniforms(seed, start, stop, 2 * n + 1)
-                shots = sample_effective(cnot_frame, errors, uniforms)
-                reported, true = shots.reported_outcomes, shots.true_eigenvalues
-            else:
-                runs = [measure_cphase_noisy(plus_plus, errors, mode=mode,
-                                             rng=trial_rng(seed, t))
-                        for t in range(start, stop)]
-                reported = np.array([r.reported_outcome for r in runs])
-                true = np.array([r.true_eigenvalue for r in runs])
-            plus = reported == 1
+    for start in range(0, trials, _TRIAL_CHUNK):
+        stop = min(start + _TRIAL_CHUNK, trials)
+        uniforms = trial_uniforms(seed, start, stop, columns)
+        if mode == "effective":
+            shots = sample_effective(cnot_frame, errors, uniforms)
+        else:
+            shots = sample_exact(cnot_frame, errors, uniforms)
+        reported, true = shots.reported_outcomes, shots.true_eigenvalues
+        plus = reported == 1
+        if model == "decoherent":
             plus_run = n_plus + np.cumsum(plus)
             minus_run = n_minus_true_given_plus + np.cumsum(plus & (true == -1))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -423,28 +426,32 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
                         for t, r, tr, e, ok in zip(range(start, stop), reported.tolist(),
                                                    true.tolist(), est_run.tolist(),
                                                    has_est.tolist()))
-            n_plus, n_minus_true_given_plus = int(plus_run[-1]), int(minus_run[-1])
+            n_minus_true_given_plus = int(minus_run[-1])
             corr_sum += int(np.dot(reported, true))
-    else:
-        for t in range(trials):
-            res = measure_cphase_noisy(plus_plus, errors, mode=mode,
-                                       rng=trial_rng(seed, t))
-            reported = res.reported_outcome
-            true = res.true_eigenvalue
-            estimate: object = ""
-            if reported == +1:
-                reading, _ = MixedAncilla.from_state(res.logical_state)
-                estimate = float(complex(reading.a3).real)
-                alpha_readings.append(estimate)
-            rows.append((t, n, model, reported, "" if true is None else true, estimate))
+        else:
+            # one contamination reading per distinct +1 pair state, taken in
+            # the controlled-phase frame
+            readings = {}
+            for t, r, tr, index in zip(range(start, stop), reported.tolist(),
+                                       true.tolist(), shots.state_index.tolist()):
+                estimate: object = ""
+                if r == 1:
+                    if index not in readings:
+                        logical = apply_gate(shots.logical_states[index], "H", "b")
+                        reading, _ = MixedAncilla.from_state(logical)
+                        readings[index] = float(complex(reading.a3).real)
+                    estimate = readings[index]
+                    alpha_readings.append(estimate)
+                # a true eigenvalue of 0: the readout left a superposition
+                rows.append((t, n, model, r, tr or "", estimate))
+        n_plus += int(np.count_nonzero(plus))
 
     results = {
         "n": n,
         "model": model,
         "mode": mode,
         "trials": trials,
-        "reported_plus_frequency": n_plus / trials if model == "decoherent" else
-            sum(1 for r in rows if r[3] == 1) / trials,
+        "reported_plus_frequency": n_plus / trials,
     }
     checks = _Check()
     if model == "decoherent":

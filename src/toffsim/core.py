@@ -17,6 +17,7 @@ state against an array of uniforms, by the same rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -357,34 +358,42 @@ class MeasurementRecord:
     probability: float    # Born probability of that outcome
 
 
-def _diag_eigenvalues(state: QuantumState, zlabels: Sequence[str]) -> np.ndarray:
-    """(-1)^(parity of the Z-measured bits) for every basis index."""
+def _minus_mask(state: QuantumState, zlabels: Sequence[str]) -> np.ndarray:
+    """True at the basis indices where the Z product on `zlabels` reads -1."""
     n = state.n_qubits
     mask = 0
     for label in zlabels:
         mask |= 1 << (n - 1 - state.axis(label))
-    idx = np.arange(state.dim)
+    return _cached_minus_mask(n, mask)
+
+
+# the protocols measure a few dozen distinct Z products; at 14 qubits a mask
+# is 16 KiB, so the cache holds at most 1 MiB
+@functools.lru_cache(maxsize=64)
+def _cached_minus_mask(n_qubits: int, mask: int) -> np.ndarray:
+    idx = np.arange(2**n_qubits)
     # popcount parity of the masked bits
-    par = np.zeros(state.dim, dtype=np.int64)
+    minus = np.zeros(2**n_qubits, dtype=bool)
     while mask:
         lsb = mask & -mask
-        par ^= (idx & lsb) != 0
+        minus ^= (idx & lsb) != 0
         mask ^= lsb
-    return np.where(par, -1.0, 1.0)
+    minus.flags.writeable = False
+    return minus
 
 
-def _project_diag(state: QuantumState, eigs: np.ndarray, outcome: int):
-    keep = eigs == outcome
+def _project_diag(state: QuantumState, minus: np.ndarray, outcome: int, pin: float):
+    # the indices outside the outcome's eigenspace: the -1 mask for +1, and
+    # its complement for -1
+    drop = minus if outcome == +1 else ~minus
     if state.is_density:
-        pin = state.trace
         mat = state.data.copy()
-        mat[~keep, :] = 0.0
-        mat[:, ~keep] = 0.0
+        mat[drop, :] = 0.0
+        mat[:, drop] = 0.0
         prob = float(np.real(np.trace(mat))) / pin
         return state._derived(mat), prob
     vec = state.data.copy()
-    pin = state.trace
-    vec[~keep] = 0.0
+    vec[drop] = 0.0
     prob = float(np.real(np.vdot(vec, vec))) / pin
     return state._derived(vec), prob
 
@@ -399,30 +408,34 @@ _GATE_PROJECTORS = {(k, outcome): _projector(GATE_MATRICES[k], outcome)
                     for k in INVOLUTORY_GATES for outcome in (+1, -1)}
 
 
-def _project_dense(state: QuantumState, proj: np.ndarray, axes: Sequence[int]):
+def _project_dense(state: QuantumState, proj: np.ndarray, axes: Sequence[int], pin: float):
     projected = _apply_matrix_to_axes(state, proj, axes)
-    prob = projected.trace / state.trace
+    prob = projected.trace / pin
     return projected, prob
 
 
-def _operator_parts(state: QuantumState, op: MeasOperator):
-    """Returns (description, projector applier) for a two-valued operator."""
+def _operator_parts(state: QuantumState, op: MeasOperator, pin: float):
+    """Returns (description, projector applier) for a two-valued operator.
+
+    `pin` is `state.trace`, the weight every branch probability divides by.
+    """
     if isinstance(op, PauliOperator):
         if op.is_diagonal:
-            eigs = _diag_eigenvalues(state, op.support)
-            return str(op), lambda outcome: _project_diag(state, eigs, outcome)
+            minus = _minus_mask(state, op.support)
+            return str(op), lambda outcome: _project_diag(state, minus, outcome, pin)
         mats = [_PAULI_MATRICES[axis] for _, axis in op.factors]
         m = mats[0]
         for extra in mats[1:]:
             m = np.kron(m, extra)
         axes = [state.axis(l) for l in op.support]
-        return str(op), lambda outcome: _project_dense(state, _projector(m, outcome), axes)
+        return str(op), lambda outcome: _project_dense(state, _projector(m, outcome), axes,
+                                                       pin)
     if isinstance(op, GateSpec):
         if op.kind not in INVOLUTORY_GATES:
             raise ValueError(f"{op.kind} is not an involution; cannot measure it as a +-1 operator")
         axes = [state.axis(l) for l in op.targets]
         return str(op), lambda outcome: _project_dense(
-            state, _GATE_PROJECTORS[op.kind, outcome], axes)
+            state, _GATE_PROJECTORS[op.kind, outcome], axes, pin)
     raise TypeError(f"cannot measure operator of type {type(op).__name__}")
 
 
@@ -439,10 +452,11 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
         raise ValueError("pass exactly one of rng= (sampling) or postselect=")
     if postselect is not None and postselect not in (+1, -1):
         raise ValueError("postselect must be +1 or -1")
-    if state.trace <= 0.0:
+    pin = state.trace
+    if pin <= 0.0:
         raise ValueError("cannot measure a zero-norm state")
 
-    desc, project = _operator_parts(state, op)
+    desc, project = _operator_parts(state, op, pin)
 
     if postselect is not None:
         projected, prob = project(postselect)
@@ -458,8 +472,10 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
     return out, MeasurementRecord(desc, outcome, prob)
 
 
-def _renormalized(state: QuantumState, prob: float) -> QuantumState:
-    return state._derived(state.data / (prob if state.is_density else math.sqrt(prob)))
+def _renormalized(projected: QuantumState, prob: float) -> QuantumState:
+    """A fresh projection divided in place by the weight of its branch."""
+    projected.data /= prob if projected.is_density else math.sqrt(prob)
+    return projected
 
 
 def _sample_branches(desc: str, project, uniforms):
@@ -488,9 +504,10 @@ def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
     outcomes that occur; the -1 projection is computed only when some shot
     hits it.
     """
-    if state.trace <= 0.0:
+    pin = state.trace
+    if pin <= 0.0:
         raise ValueError("cannot measure a zero-norm state")
-    desc, project = _operator_parts(state, op)
+    desc, project = _operator_parts(state, op, pin)
     return _sample_branches(desc, project, uniforms)
 
 
@@ -498,7 +515,7 @@ def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> f
     """Born probability of one outcome, without touching the state."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
-    _, project = _operator_parts(state, op)
+    _, project = _operator_parts(state, op, state.trace)
     _, prob = project(outcome)
     return prob
 

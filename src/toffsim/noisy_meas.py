@@ -22,7 +22,12 @@ because only the flip parity ever touches the outcome.  In effective mode a
 shot of a fixed pair state is one Born draw plus 2n Bernoulli draws, and it
 leaves the pair in one of just two states, so `sample_effective` runs any
 number of shots from one array of uniforms; the per-shot measurement is that
-sampler on a single row.
+sampler on a single row.  `sample_exact` does the same for exact mode: shots
+that drew the same readout errors share one pre-measurement state, the
+readout bits are measured as a tree of outcome prefixes, each node once for
+all the shots that reached it, and each bit-identical pair state left at the
+leaves is tested for its eigenvalue once; the per-shot exact measurement is
+again the sampler on one row.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .core import (
     branch_probability,
     discard,
     gate,
-    measure_operator,
     sample_outcomes,
     tensor,
     z_product,
@@ -222,11 +226,8 @@ def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
         return sample_effective(state, errors, rng.random((1, 2 * n + 1))).shot(0)
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'effective'")
-    inject = _validate_inject(inject, n)
-    cap = MAX_DENSITY_QUBITS if state.is_density else MAX_PURE_QUBITS
-    if n + 2 > cap:
-        raise ValueError(f"exact mode with this state caps the cat at {cap - 2} bits")
-    return _measure_exact(state, errors, rng, inject)
+    uniforms = rng.random((1, exact_uniform_count(errors)))
+    return sample_exact(state, errors, uniforms, inject).shot(0)
 
 
 @dataclass(frozen=True)
@@ -285,55 +286,179 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
                           {outcome: post for outcome, (post, _) in branches.items()})
 
 
-def _measure_exact(state: QuantumState, errors: ErrorModel,
-                   rng: np.random.Generator,
-                   inject: Tuple[Tuple[str, int], ...]) -> RawPrepResult:
-    a, b = state.labels
+def exact_uniform_count(errors: ErrorModel) -> int:
+    """Uniforms one exact-mode shot draws: n bit-flip, n phase-flip and n
+    readout draws under a Pauli channel, the n readout draws alone under
+    coherent errors."""
+    return 3 * errors.n if isinstance(errors, PauliChannel) else errors.n
+
+
+@dataclass(frozen=True)
+class ExactShots:
+    """Shots of one exact-mode parity measurement of a fixed pair state.
+
+    The arrays hold one entry per shot; a true eigenvalue of 0 marks a shot
+    whose readout left the pair in a superposition of the eigenspaces.
+    `logical_states` holds each distinct (bit-identical) post-measurement
+    pair state once; shot i ended in `logical_states[state_index[i]]`.
+    """
+
+    n: int
+    true_eigenvalues: np.ndarray
+    reported_outcomes: np.ndarray
+    bit_flips: np.ndarray
+    phase_flips: np.ndarray
+    state_index: np.ndarray
+    logical_states: Tuple[QuantumState, ...]
+
+    def shot(self, i: int) -> RawPrepResult:
+        """Shot i as the per-shot measurement result."""
+        true = int(self.true_eigenvalues[i]) or None
+        bit_flips = int(self.bit_flips[i])
+        cat = CatBlock(self.n, "exact", parity=-1 if bit_flips % 2 else +1,
+                       bit_flips=bit_flips, phase_flips=int(self.phase_flips[i]))
+        return RawPrepResult(self.logical_states[self.state_index[i]],
+                             int(self.reported_outcomes[i]), true, None, cat=cat)
+
+
+def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
+                 inject: Sequence[Tuple[str, int]] = ()) -> ExactShots:
+    """Exact-mode noisy parity measurement of one pair state, one shot per row.
+
+    `uniforms` is a (shots, `exact_uniform_count(errors)`) array of draws
+    from [0, 1).  Under a Pauli channel columns 0..n-1 are the bit flips
+    (u < p), columns n..2n-1 the phase flips (u < q) and the last n columns
+    the readouts of c1..cn; under coherent errors every column is a readout.
+    A readout column is used as `measure_operator` uses its draw, so a row
+    `rng.random((1, count))` is exactly what the per-shot `measure_cnot_noisy`
+    draws.  `inject` adds X/Z errors on given readout bits after the noise.
+
+    Shots with the same error pattern share one pre-measurement joint state,
+    and the readout is walked as a tree of outcome prefixes: each node is
+    measured once, by one `core.sample_outcomes` call over every shot that
+    reached it, each leaf is reduced to the pair once, and each distinct pair
+    state gets its eigenvalue test once.  These are the per-shot operations
+    on the per-shot inputs, so every shot equals the per-shot measurement bit
+    for bit.
+    """
+    if state.n_qubits != 2:
+        raise ValueError("the measured pair must be exactly two qubits")
     n = errors.n
+    inject = _validate_inject(inject, n)
+    cap = MAX_DENSITY_QUBITS if state.is_density else MAX_PURE_QUBITS
+    if n + 2 > cap:
+        raise ValueError(f"exact mode with this state caps the cat at {cap - 2} bits")
+    a, b = state.labels
     labels = cat_labels(n)
     if set(labels) & {a, b}:
         raise ValueError("pair labels collide with readout labels c1..cn")
-    cat = prepare_even_cat(n, "exact", labels)
-    joint = tensor(state, cat.state)
-    joint = apply_gate(joint, "PROBE", a, b, labels[0])
+    count = exact_uniform_count(errors)
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != count:
+        raise ValueError(f"uniforms must have shape (shots, {count}), got {u.shape}")
+    shots = u.shape[0]
 
-    bit_flips = phase_flips = 0
     if isinstance(errors, PauliChannel):
-        flips = rng.random(n) < errors.p
-        phases = rng.random(n) < errors.q
-        for i in range(n):
-            if flips[i]:
-                joint = apply_gate(joint, "X", labels[i])
-            if phases[i]:
-                joint = apply_gate(joint, "Z", labels[i])
-        bit_flips, phase_flips = int(flips.sum()), int(phases.sum())
+        flips, phases, readout = u[:, :n] < errors.p, u[:, n:2 * n] < errors.q, u[:, 2 * n:]
     else:
-        for i, matrix in enumerate(errors.matrices()):
-            joint = apply_matrix(joint, matrix, labels[i])
+        flips = phases = np.zeros((shots, n), dtype=bool)
+        readout = u
+    injected_x = sum(kind == "X" for kind, _ in inject)
+    bit_flips = np.count_nonzero(flips, axis=1) + injected_x
+    phase_flips = np.count_nonzero(phases, axis=1) + (len(inject) - injected_x)
+    # one integer per error pattern: bit i is flip i, bit n + i phase flip i
+    codes = np.concatenate((flips, phases), axis=1) @ (1 << np.arange(2 * n, dtype=np.int64))
+    _, first_rows, groups = np.unique(codes, return_index=True, return_inverse=True)
+
+    reported = np.zeros(shots, dtype=np.int64)
+    state_index = np.zeros(shots, dtype=np.intp)
+    logical_states, state_true = [], []
+    index_of = {}  # bytes of a pair state -> its index in logical_states
+    cnot = gate("CNOT", a, b)
+    for group, row in enumerate(first_rows):
+        # the walk holds the only reference to the pre-measurement state, so
+        # it is freed once the first readout bit is measured
+        leaves = _readout_leaves(
+            _pre_measurement(state, errors, labels, flips[row], phases[row], inject),
+            labels, readout, np.flatnonzero(groups == group))
+        for path, rows, post in leaves:
+            logical = discard(post, *labels)
+            # many readout paths leave bit-identical pair states; those share
+            # one entry and one eigenvalue test
+            index = index_of.setdefault(logical.data.tobytes(), len(logical_states))
+            if index == len(logical_states):
+                p_plus = branch_probability(logical, cnot, +1)
+                # 0: a coherent superposition of the eigenspaces
+                state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
+                logical_states.append(logical)
+            state_index[rows] = index
+            # a -1 readout is a set bit of `path`
+            reported[rows] = -1 if bin(path).count("1") % 2 else +1
+    true = np.array(state_true, dtype=np.int64)[state_index]
+    return ExactShots(n, true, reported, bit_flips, phase_flips, state_index,
+                      tuple(logical_states))
+
+
+def _pre_measurement(state: QuantumState, errors: ErrorModel, labels: Tuple[str, ...],
+                     flips: np.ndarray, phases: np.ndarray,
+                     inject: Tuple[Tuple[str, int], ...]) -> QuantumState:
+    """The pair probed into an even cat block, then the readout errors."""
+    a, b = state.labels
+    cat = prepare_even_cat(len(labels), "exact", labels)
+    joint = apply_gate(tensor(state, cat.state), "PROBE", a, b, labels[0])
+    if isinstance(errors, PauliChannel):
+        for i, label in enumerate(labels):
+            if flips[i]:
+                joint = apply_gate(joint, "X", label)
+            if phases[i]:
+                joint = apply_gate(joint, "Z", label)
+    else:
+        for label, matrix in zip(labels, errors.matrices()):
+            joint = apply_matrix(joint, matrix, label)
     for kind, idx in inject:
         joint = apply_gate(joint, kind, labels[idx])
-        if kind == "X":
-            bit_flips += 1
-        else:
-            phase_flips += 1
+    return joint
 
-    reported = 1
-    for label in labels:
-        joint, rec = measure_operator(joint, z_product(label), rng=rng)
-        reported *= rec.outcome
-    logical = discard(joint, *labels)
 
-    p_plus = branch_probability(logical, gate("CNOT", a, b), +1)
-    if p_plus > 1.0 - 1e-9:
-        true: Optional[int] = +1
-    elif p_plus < 1e-9:
-        true = -1
-    else:
-        true = None  # coherent superposition of the eigenspaces
-    parity = -1 if bit_flips % 2 else +1
-    out_cat = replace(cat, state=None, parity=parity,
-                      bit_flips=bit_flips, phase_flips=phase_flips)
-    return RawPrepResult(logical, reported, true, None, cat=out_cat)
+def _readout_leaves(state: QuantumState, labels: Tuple[str, ...],
+                    readout: np.ndarray, rows: np.ndarray):
+    """Measure Z on c1..cn in turn for the shots `rows`, sharing equal prefixes.
+
+    Walks the outcome tree depth first: each node's state is measured once,
+    by one `sample_outcomes` call on the node's shots' uniforms in that
+    bit's column.  Yields (path, rows, post-measurement state) per leaf,
+    where bit n-1-k of `path` is set when readout k+1 came out -1.  A state
+    measured along a path is exactly zero outside that path's block, so a
+    branch waiting its turn is held as the block alone: the pending blocks
+    add up to less than one full state, and one full state is alive between
+    measurements.
+    """
+    n = len(labels)
+    pending = [(0, 0, rows, None)]
+    while pending:
+        depth, path, rows, block = pending.pop()
+        if block is not None:
+            state = state._derived(np.zeros_like(state.data))
+            _path_block(state.data, depth, path)[...] = block
+        while depth < n:
+            outcomes, branches = sample_outcomes(state, z_product(labels[depth]),
+                                                 readout[rows, depth])
+            depth += 1
+            if len(branches) == 2:
+                pending.append((depth, 2 * path + 1, rows[outcomes == -1],
+                                _path_block(branches.pop(-1)[0].data, depth,
+                                            2 * path + 1).copy()))
+            (outcome, (state, _)), = branches.items()
+            path = 2 * path + (outcome == -1)
+            rows = rows[outcomes == outcome]
+        yield path, rows, state
+
+
+def _path_block(data: np.ndarray, depth: int, path: int) -> np.ndarray:
+    """View of the entries of a (a, b, c1..cn) state or density matrix whose
+    first `depth` readout bits spell `path`, most significant bit first."""
+    side = (4, 2**depth, data.shape[0] >> (depth + 2))
+    return data.reshape(side * data.ndim)[(slice(None), path, slice(None)) * data.ndim]
 
 
 def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,
@@ -383,15 +508,18 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
 __all__ = [
     "CatBlock",
     "EffectiveShots",
+    "ExactShots",
     "RawPrepResult",
     "apply_bitwise_probe",
     "cat_labels",
     "cat_readout_distribution",
     "eigenstring_state",
     "eigenstring_weight",
+    "exact_uniform_count",
     "measure_cnot_noisy",
     "measure_cphase_noisy",
     "prepare_even_cat",
     "prepare_raw_ancilla",
     "sample_effective",
+    "sample_exact",
 ]

@@ -105,12 +105,15 @@ def test_pair_merge_produces_the_three_qubit_ancilla():
     joint = tensor(prepare_pair_ancilla(("a", "b")),
                    prepare_pair_ancilla(("c", "d")))
     op = z_product("b", "c")
-    rng = master_rng(SEED + 1)
     trials = 100_000
-    hits = 0
-    for _ in range(trials):
-        _, rec = measure_operator(joint, op, rng=rng)
-        hits += rec.outcome == -1
+    outcomes, _ = sample_outcomes(joint, op, master_rng(SEED + 1).random(trials))
+    hits = int(np.count_nonzero(outcomes == -1))
+
+    # the first trials again, measured shot by shot on the same stream
+    rng = master_rng(SEED + 1)
+    per_shot = [measure_operator(joint, op, rng=rng)[1].outcome for _ in range(2_000)]
+    assert per_shot == outcomes[:2_000].tolist()
+    assert per_shot.count(-1) == np.count_nonzero(outcomes[:2_000] == -1)
     p = 4.0 / 9.0
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(hits / trials - p) <= 4.0 * se

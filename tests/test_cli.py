@@ -13,7 +13,7 @@ from toffsim import cli
 from toffsim.cli import main
 from toffsim.core import QuantumState, fidelity
 from toffsim.distill import MixedAncilla, combine_states
-from toffsim.error_models import PauliChannel
+from toffsim.error_models import PauliChannel, UnitaryErrorSet
 from toffsim.noisy_meas import measure_cphase_noisy
 from toffsim.rng import trial_rng
 
@@ -96,6 +96,8 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     ("noisy-meas", {"q": float("nan")}),
     ("noisy-meas", {"p": float("nan")}),
     ("ensemble", {"model": "unitary", "p": float("nan")}),
+    ("distill", {"levels": 1100}),
+    ("distill", {"alpha3": 2.0, "levels": 11}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -298,6 +300,7 @@ def test_json_reports_identical_up_to_timing(tmp_path, capsys):
 @pytest.mark.parametrize("payload, mode, trials, checked", [
     ({}, "effective", 600, (0, 1, 511, 512, 513, 599)),
     ({"n": 3, "mode": "exact"}, "exact", 20, (0, 6, 7, 13, 19)),
+    ({"model": "unitary", "n": 3, "mode": "exact"}, "exact", 20, (0, 6, 7, 13, 19)),
 ])
 def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeypatch,
                                                        payload, mode, trials, checked):
@@ -315,12 +318,21 @@ def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeyp
     # every row is the trial's own per-shot measurement
     rows = read_csv(reports[0][0].decode())[1:]
     n = payload.get("n", 8)
-    errors = PauliChannel.uniform(n, 0.05)
+    model = payload.get("model", "decoherent")
+    errors = (UnitaryErrorSet.uniform_ratio(n, 0.05) if model == "unitary"
+              else PauliChannel.uniform(n, 0.05))
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
     for t in checked:
         res = measure_cphase_noisy(plus_plus, errors, mode=mode, rng=trial_rng(5, t))
-        assert rows[t][:5] == [str(t), str(n), "decoherent", str(res.reported_outcome),
-                               str(res.true_eigenvalue)]
+        true = "" if res.true_eigenvalue is None else str(res.true_eigenvalue)
+        assert rows[t][:5] == [str(t), str(n), model, str(res.reported_outcome), true]
+        if model == "unitary":
+            # the trial's own contamination reading on a +1 report
+            estimate = ""
+            if res.reported_outcome == +1:
+                reading, _ = MixedAncilla.from_state(res.logical_state)
+                estimate = str(float(complex(reading.a3).real))
+            assert rows[t][5] == estimate
 
 
 def test_csv_reports_byte_identical(tmp_path, capsys):
@@ -408,6 +420,21 @@ def test_distill_csv_golden_first_rows(capsys):
     rc, out, _ = run_cli(["distill", "--trials", "2", "--format", "csv"], capsys)
     assert rc == 0
     assert out.splitlines()[1:] == ["0,314,75,554", "1,226,45,408"]
+
+
+def test_noisy_meas_exact_csv_golden_first_rows(tmp_path, capsys):
+    # the config of the readout-exact benchmark workload
+    cfg = write_config(tmp_path, "exact.json", {"n": 12, "model": "unitary",
+                                                "mode": "exact", "ratio": 0.05})
+    rc, out, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "4",
+                          "--format", "csv"], capsys)
+    assert rc == 0
+    assert out.splitlines()[1:] == [
+        "0,12,unitary,-1,,",
+        "1,12,unitary,1,,0.4670412131202331",
+        "2,12,unitary,1,,0.4670412131202331",
+        "3,12,unitary,1,,0.4670412131202331",
+    ]
 
 
 def test_ensemble_csv_golden_first_rows(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toffsim import core
 from toffsim.core import (
     ATOL,
     GATE_MATRICES,
@@ -194,6 +195,26 @@ def test_measuring_gate_operator_on_density_matrix():
 
 
 # -- composition and reduction ---------------------------------------------------
+
+def test_z_product_masks_are_cached_read_only():
+    state = QuantumState.from_vector(("a", "b", "c"), np.ones(8))
+    minus = core._minus_mask(state, ("a", "c"))
+    # index bits (a, b, c), a most significant: -1 where a xor c is set
+    want = [bin(i & 0b101).count("1") % 2 == 1 for i in range(8)]
+    assert minus.tolist() == want
+    assert core._minus_mask(state, ("c", "a")) is minus  # one entry per bit mask
+    with pytest.raises(ValueError):
+        minus[0] = True
+
+
+def test_z_product_mask_cache_stays_within_its_bound():
+    masks = [(n, 1 << bit) for n in range(1, 13) for bit in range(n)]
+    info = core._cached_minus_mask.cache_info()
+    assert info.maxsize is not None and len(masks) > info.maxsize
+    for n, mask in masks:
+        core._cached_minus_mask(n, mask)
+    assert core._cached_minus_mask.cache_info().currsize <= info.maxsize
+
 
 def test_tensor_label_collision():
     a = QuantumState.basis(("x",), "0")

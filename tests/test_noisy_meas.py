@@ -5,15 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toffsim.core import (
     QuantumState,
     apply_gate,
+    apply_matrix,
     branch_probability,
+    discard,
     fidelity,
     gate,
     measure_operator,
     tensor,
+    z_product,
 )
 from toffsim.distill import MixedAncilla
 from toffsim.error_models import (
@@ -29,11 +34,13 @@ from toffsim.noisy_meas import (
     cat_readout_distribution,
     eigenstring_state,
     eigenstring_weight,
+    exact_uniform_count,
     measure_cnot_noisy,
     measure_cphase_noisy,
     prepare_even_cat,
     prepare_raw_ancilla,
     sample_effective,
+    sample_exact,
 )
 from toffsim.rng import master_rng, trial_rng
 
@@ -240,6 +247,165 @@ def test_batched_effective_input_validation():
                          np.zeros((4, 7)))
     empty = sample_effective(PLUS_PLUS, errors, np.zeros((0, 7)))
     assert empty.reported_outcomes.shape == (0,) and empty.branches == {}
+
+
+def exact_per_shot_reference(state, errors, rng, inject=()):
+    """One exact shot simulated qubit by qubit, as before shot batching.
+
+    Returns (true eigenvalue, reported outcome, bit flips, phase flips,
+    logical pair state).
+    """
+    a, b = state.labels
+    n = errors.n
+    labels = cat_labels(n)
+    cat = prepare_even_cat(n, "exact", labels)
+    joint = tensor(state, cat.state)
+    joint = apply_gate(joint, "PROBE", a, b, labels[0])
+
+    bit_flips = phase_flips = 0
+    if isinstance(errors, PauliChannel):
+        flips = rng.random(n) < errors.p
+        phases = rng.random(n) < errors.q
+        for i in range(n):
+            if flips[i]:
+                joint = apply_gate(joint, "X", labels[i])
+            if phases[i]:
+                joint = apply_gate(joint, "Z", labels[i])
+        bit_flips, phase_flips = int(flips.sum()), int(phases.sum())
+    else:
+        for i, matrix in enumerate(errors.matrices()):
+            joint = apply_matrix(joint, matrix, labels[i])
+    for kind, idx in inject:
+        joint = apply_gate(joint, kind, labels[idx])
+        if kind == "X":
+            bit_flips += 1
+        else:
+            phase_flips += 1
+
+    reported = 1
+    for label in labels:
+        joint, rec = measure_operator(joint, z_product(label), rng=rng)
+        reported *= rec.outcome
+    logical = discard(joint, *labels)
+
+    p_plus = branch_probability(logical, gate("CNOT", a, b), +1)
+    if p_plus > 1.0 - 1e-9:
+        true = +1
+    elif p_plus < 1e-9:
+        true = -1
+    else:
+        true = None  # coherent superposition of the eigenspaces
+    return true, reported, bit_flips, phase_flips, logical
+
+
+def assert_shot_equals(res, ref):
+    fields = (res.true_eigenvalue, res.reported_outcome,
+              res.cat.bit_flips, res.cat.phase_flips)
+    assert fields == ref[:4]
+    assert res.cat.mode == "exact" and res.cat.state is None
+    assert res.cat.parity == (-1 if ref[2] % 2 else +1)
+    assert res.logical_state.labels == ref[4].labels
+    assert np.array_equal(res.logical_state.data, ref[4].data)
+
+
+# both eigenspaces of the controlled-NOT are populated
+SKEWED_PAIR = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
+
+
+@pytest.mark.parametrize("errors, inject", [
+    (UnitaryErrorSet.uniform_ratio(4, 0.05), ()),
+    (UnitaryErrorSet.uniform_ratio(3, 0.2), (("X", 2),)),
+    (PauliChannel.uniform(4, 0.2, q=0.15), ()),
+    (PauliChannel.uniform(3, 0.1, q=0.1), (("X", 1), ("Z", 0))),
+])
+def test_batched_exact_shots_equal_per_shot_calls(errors, inject):
+    shots_n = 300
+    count = exact_uniform_count(errors)
+    shots = sample_exact(SKEWED_PAIR, errors, master_rng(41).random((shots_n, count)),
+                         inject)
+    rng, ref_rng = master_rng(41), master_rng(41)
+    for i in range(shots_n):
+        ref = exact_per_shot_reference(SKEWED_PAIR, errors, ref_rng, inject)
+        assert_shot_equals(shots.shot(i), ref)
+        assert shots.reported_outcomes[i] == ref[1]
+        assert shots.true_eigenvalues[i] == (ref[0] or 0)
+        single = measure_cnot_noisy(SKEWED_PAIR, errors, mode="exact", rng=rng,
+                                    inject=inject)
+        assert_shot_equals(single, ref)
+    # shots that end in bit-identical pair states share one entry
+    assert len(shots.logical_states) == len({s.data.tobytes() for s in shots.logical_states})
+    assert len(shots.logical_states) < shots_n
+
+
+class ReplayRng:
+    """Hands out the entries of one row of uniforms, as `rng.random` would."""
+
+    def __init__(self, row):
+        self.row, self.used = np.asarray(row, dtype=np.float64), 0
+
+    def random(self, size=None):
+        start = self.used
+        self.used += 1 if size is None else size
+        return self.row[start] if size is None else self.row[start:self.used]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_batched_exact_shots_equal_reference_on_any_uniforms(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    if data.draw(st.booleans(), label="pauli"):
+        errors = PauliChannel.uniform(n, data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                                      q=data.draw(st.sampled_from([0.0, 0.3])))
+    else:
+        errors = UnitaryErrorSet.uniform_ratio(n, data.draw(st.sampled_from([0.0, 0.05, 0.4])))
+    count = exact_uniform_count(errors)
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    rows = data.draw(st.lists(st.lists(uniform, min_size=count, max_size=count),
+                              min_size=1, max_size=8), label="rows")
+    shots = sample_exact(SKEWED_PAIR, errors, np.array(rows))
+    for i, row in enumerate(rows):
+        replay = ReplayRng(row)
+        assert_shot_equals(shots.shot(i),
+                           exact_per_shot_reference(SKEWED_PAIR, errors, replay))
+        assert replay.used == count
+
+
+def test_batched_exact_input_validation():
+    pauli = PauliChannel.uniform(3, 0.1)
+    unitary = UnitaryErrorSet.uniform_ratio(3, 0.05)
+    assert exact_uniform_count(pauli) == 9 and exact_uniform_count(unitary) == 3
+    with pytest.raises(ValueError, match="shape"):
+        sample_exact(PLUS_PLUS, pauli, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        sample_exact(PLUS_PLUS, unitary, np.zeros((4, 9)))
+    with pytest.raises(ValueError, match="shape"):
+        sample_exact(PLUS_PLUS, unitary, np.zeros(3))
+    with pytest.raises(ValueError, match="cap"):
+        sample_exact(PLUS_PLUS, UnitaryErrorSet.uniform_ratio(13, 0.01), np.zeros((1, 13)))
+    with pytest.raises(ValueError, match="collide"):
+        sample_exact(QuantumState.from_vector(("c1", "b"), [1, 1, 1, 1]), pauli,
+                     np.zeros((1, 9)))
+    with pytest.raises(ValueError, match="two qubits"):
+        sample_exact(QuantumState.basis(("a",), "0"), pauli, np.zeros((1, 9)))
+    with pytest.raises(ValueError, match="outside"):
+        sample_exact(PLUS_PLUS, pauli, np.zeros((1, 9)), inject=[("X", 3)])
+    for errors in (pauli, unitary):
+        empty = sample_exact(PLUS_PLUS, errors, np.zeros((0, exact_uniform_count(errors))))
+        for column in (empty.reported_outcomes, empty.true_eigenvalues,
+                       empty.bit_flips, empty.phase_flips, empty.state_index):
+            assert column.shape == (0,)
+        assert empty.logical_states == ()
+
+
+def test_batched_exact_density_state_equals_per_shot_reference():
+    # a mixed pair: the readout tree holds pending branches of a density matrix
+    rho = (SKEWED_PAIR.to_density().data + np.diag([0.3, 0.1, 0.2, 0.4])) / 2.0
+    state = QuantumState.from_density(("a", "b"), rho)
+    errors = PauliChannel.uniform(3, 0.2, q=0.1)
+    shots = sample_exact(state, errors, master_rng(43).random((60, 9)))
+    ref_rng = master_rng(43)
+    for i in range(60):
+        assert_shot_equals(shots.shot(i), exact_per_shot_reference(state, errors, ref_rng))
 
 
 def test_measurement_requires_rng():
