@@ -83,6 +83,11 @@ SCHEMA = "toffsim-report/1"
 # trials per sampled block of noisy-meas: bounds the block's arrays; every
 # trial keeps its own substream, so reports do not depend on it
 _TRIAL_CHUNK = 512
+# noisy-meas limits, checked before anything of size n is allocated: n keeps
+# one block's uniforms (at most 3n a trial) within 2**22, 32 MiB; trials x n
+# keeps a run to about a minute of sampling
+_MAX_CAT_BITS = 2**22 // (3 * _TRIAL_CHUNK)
+_MAX_TRIAL_BITS = 10**8
 
 _BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
 
@@ -391,6 +396,11 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
               else _number(trials, "trials", int))
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n > _MAX_CAT_BITS:
+        raise ValueError(f"n {n} exceeds the limit of {_MAX_CAT_BITS} readout bits")
+    if trials * n > _MAX_TRIAL_BITS:
+        raise ValueError(f"trials x n = {trials * n} exceeds the work budget of "
+                         f"{_MAX_TRIAL_BITS}")
 
     if model == "decoherent":
         errors = PauliChannel.uniform(n, _number(cfg["p"], "p"), _number(cfg["q"], "q"))

@@ -255,6 +255,9 @@ class GateSpec:
         return f"{self.kind}({','.join(self.targets)})"
 
 
+# the protocols apply a few dozen distinct (kind, targets) gates over and over;
+# a GateSpec is frozen, so one is shared by every caller
+@functools.lru_cache(maxsize=256)
 def gate(kind: str, *targets: LabelLike) -> GateSpec:
     return GateSpec(kind, tuple(targets))
 
@@ -283,7 +286,7 @@ def apply_gate(state: QuantumState, gate_or_kind, *targets: LabelLike) -> Quantu
             raise TypeError("targets are taken from the GateSpec")
         spec = gate_or_kind
     else:
-        spec = GateSpec(gate_or_kind, tuple(targets))
+        spec = gate(gate_or_kind, *targets)
     axes = [state.axis(t) for t in spec.targets]
     return _apply_matrix_to_axes(state, spec.matrix, axes)
 

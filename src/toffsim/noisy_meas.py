@@ -15,19 +15,20 @@ outcome statistics at all.  Small coherent rotations instead leave the pair
 in a superposition of the two eigenspaces whose amplitude ratio follows the
 accumulated flip angle of the block.
 
-Two execution scales are provided: `exact` keeps every readout bit as a
-simulated qubit (small n), while `effective` measures the pair directly and
-samples the readout-error parity classically (any n), which is faithful
-because only the flip parity ever touches the outcome.  In effective mode a
-shot of a fixed pair state is one Born draw plus 2n Bernoulli draws, and it
-leaves the pair in one of just two states, so `sample_effective` runs any
-number of shots from one array of uniforms; the per-shot measurement is that
-sampler on a single row.  `sample_exact` does the same for exact mode: shots
-that drew the same readout errors share one pre-measurement state, the
-readout bits are measured as a tree of outcome prefixes, each node once for
-all the shots that reached it, and each bit-identical pair state left at the
-leaves is tested for its eigenvalue once; the per-shot exact measurement is
-again the sampler on one row.
+Two execution scales are provided, both at any n.  `exact` samples every
+readout bit and keeps the pair's post-measurement state, so it takes
+coherent errors and deliberate injections; `effective` measures the pair
+directly and samples the readout-error parity classically, which is
+faithful for Pauli errors because only the flip parity ever touches the
+outcome.  In effective mode a shot of a fixed pair state is one Born draw
+plus 2n Bernoulli draws, and it leaves the pair in one of just two states,
+so `sample_effective` runs any number of shots from one array of uniforms.
+`sample_exact` does the same for exact mode without ever building the
+readout block: after the probe the joint state is a sum of two product
+terms, one per eigenvalue of the readout bits' X, so each shot carries just
+two complex weights from bit to bit, and each bit-identical pair state left
+at the end is tested for its eigenvalue once.  In both modes the per-shot
+measurement is the sampler on a single row.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    MAX_DENSITY_QUBITS,
+    GATE_MATRICES,
     MAX_PURE_QUBITS,
     QuantumState,
     apply_gate,
-    apply_matrix,
     branch_probability,
     discard,
     gate,
     sample_outcomes,
     tensor,
-    z_product,
 )
 from .distill import MixedAncilla
 from .error_models import PauliChannel, UnitaryErrorSet, alpha3_decoherent
@@ -329,34 +328,35 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     from [0, 1).  Under a Pauli channel columns 0..n-1 are the bit flips
     (u < p), columns n..2n-1 the phase flips (u < q) and the last n columns
     the readouts of c1..cn; under coherent errors every column is a readout.
-    A readout column is used as `measure_operator` uses its draw, so a row
+    Readout k reports +1 when its draw lies below the clamped Born
+    probability p(+1), the rule `measure_operator` applies, so a row
     `rng.random((1, count))` is exactly what the per-shot `measure_cnot_noisy`
     draws.  `inject` adds X/Z errors on given readout bits after the noise.
 
-    Shots with the same error pattern share one pre-measurement joint state,
-    and the readout is walked as a tree of outcome prefixes: each node is
-    measured once, by one `core.sample_outcomes` call over every shot that
-    reached it, each leaf is reduced to the pair once, and each distinct pair
-    state gets its eigenvalue test once.  These are the per-shot operations
-    on the per-shot inputs, so every shot equals the per-shot measurement bit
-    for bit.
+    The readout block is never built.  After the probe the joint state is
+    A_+ (x) U_1|+>..U_n|+> + A_- (x) U_1|->..U_n|->, with A_+ the pair, A_- the
+    pair under the controlled-NOT and U_i bit i's error.  A readout prefix s
+    leaves each shot two weights c_sigma = prod_i <s_i|U_i|sigma>, kept at unit
+    norm.  As <U_i +|U_i -> = 0, a bit read before the last has the two-term
+    mixture sum_sigma |c_sigma <s|U|sigma>|^2 as its weights; the last bit
+    interferes, and leaves the pair sum_sigma c_sigma A_sigma.  Each bit is one
+    numpy step over every shot.
     """
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
     n = errors.n
     inject = _validate_inject(inject, n)
-    cap = MAX_DENSITY_QUBITS if state.is_density else MAX_PURE_QUBITS
-    if n + 2 > cap:
-        raise ValueError(f"exact mode with this state caps the cat at {cap - 2} bits")
     a, b = state.labels
-    labels = cat_labels(n)
-    if set(labels) & {a, b}:
+    if {a, b} & set(cat_labels(n)):
         raise ValueError("pair labels collide with readout labels c1..cn")
     count = exact_uniform_count(errors)
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != count:
         raise ValueError(f"uniforms must have shape (shots, {count}), got {u.shape}")
     shots = u.shape[0]
+    pin = state.trace
+    if pin <= 0.0:
+        raise ValueError("cannot measure a zero-norm state")
 
     if isinstance(errors, PauliChannel):
         flips, phases, readout = u[:, :n] < errors.p, u[:, n:2 * n] < errors.q, u[:, 2 * n:]
@@ -366,99 +366,84 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     injected_x = sum(kind == "X" for kind, _ in inject)
     bit_flips = np.count_nonzero(flips, axis=1) + injected_x
     phase_flips = np.count_nonzero(phases, axis=1) + (len(inject) - injected_x)
-    # one integer per error pattern: bit i is flip i, bit n + i phase flip i
-    codes = np.concatenate((flips, phases), axis=1) @ (1 << np.arange(2 * n, dtype=np.int64))
-    _, first_rows, groups = np.unique(codes, return_index=True, return_inverse=True)
+    draws = flips + np.uint8(2) * phases  # per bit: which entry of its error table
 
-    reported = np.zeros(shots, dtype=np.int64)
+    # the pair as G G^dagger: the vector itself, or a density matrix's
+    # eigenvectors scaled by the square roots of their eigenvalues
+    if state.is_density:
+        eigenvalues, eigenvectors = np.linalg.eigh(state.data)
+        g = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    else:
+        g = state.data[:, None]
+    cnot_g = GATE_MATRICES["CNOT"] @ g
+    tables = _error_tables(errors, inject)
+    c = np.ones((shots, 2), dtype=np.complex128)  # (c_+, c_-) per shot
+    minus_reads = np.zeros(shots, dtype=np.int64)
+    for k in range(n):
+        # amps[i, s, sigma] = c_sigma <s|U_k|sigma> sqrt 2, if bit k reads s
+        amps = c[:, None, :] * tables[k, draws[:, k]]
+        if k < n - 1:
+            weight = amps.real**2 + amps.imag**2
+            weight = weight[..., 0] + weight[..., 1]
+        else:
+            # the last bit interferes: pairs[i, s] = (amps_+ + amps_- CNOT) G
+            pairs = amps[..., 0, None, None] * g + amps[..., 1, None, None] * cnot_g
+            weight = np.sum((pairs.real**2 + pairs.imag**2).reshape(shots, 2, g.size), axis=2)
+        plus = readout[:, k] < np.clip(weight[:, 0] / (weight[:, 0] + weight[:, 1]), 0.0, 1.0)
+        if np.any(~plus & (weight[:, 1] <= 0.0)):
+            raise ValueError(f"sampled an empty branch of Z(c{k + 1}); "
+                             "state is numerically degenerate")
+        minus_reads += ~plus
+        kept = np.where(plus, weight[:, 0], weight[:, 1])
+        if k < n - 1:
+            # unit norm, or the products underflow over thousands of bits
+            c = np.where(plus[:, None], amps[:, 0], amps[:, 1]) / np.sqrt(kept)[:, None]
+    # the pair left behind, V V^dagger at the input's trace, built from
+    # amplitudes so that a rare branch keeps its digits
+    v = np.where(plus[:, None, None], pairs[:, 0], pairs[:, 1])
+    leaves = sum(v[:, :, j, None] * np.conj(v[:, None, :, j]) for j in range(g.shape[1]))
+    leaves *= (pin / kept)[:, None, None]
     state_index = np.zeros(shots, dtype=np.intp)
     logical_states, state_true = [], []
     index_of = {}  # bytes of a pair state -> its index in logical_states
-    cnot = gate("CNOT", a, b)
-    for group, row in enumerate(first_rows):
-        # the walk holds the only reference to the pre-measurement state, so
-        # it is freed once the first readout bit is measured
-        leaves = _readout_leaves(
-            _pre_measurement(state, errors, labels, flips[row], phases[row], inject),
-            labels, readout, np.flatnonzero(groups == group))
-        for path, rows, post in leaves:
-            logical = discard(post, *labels)
-            # many readout paths leave bit-identical pair states; those share
-            # one entry and one eigenvalue test
-            index = index_of.setdefault(logical.data.tobytes(), len(logical_states))
-            if index == len(logical_states):
-                p_plus = branch_probability(logical, cnot, +1)
-                # 0: a coherent superposition of the eigenspaces
-                state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
-                logical_states.append(logical)
-            state_index[rows] = index
-            # a -1 readout is a set bit of `path`
-            reported[rows] = -1 if bin(path).count("1") % 2 else +1
+    measured = gate("CNOT", a, b)
+    for i, leaf in enumerate(leaves):
+        index = index_of.setdefault(leaf.tobytes(), len(logical_states))
+        if index == len(logical_states):
+            logical = QuantumState(state.qubits, leaf.copy())
+            p_plus = branch_probability(logical, measured, +1)
+            # 0: a coherent superposition of the eigenspaces
+            state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
+            logical_states.append(logical)
+        state_index[i] = index
     true = np.array(state_true, dtype=np.int64)[state_index]
+    reported = np.where(minus_reads % 2, -1, 1)
     return ExactShots(n, true, reported, bit_flips, phase_flips, state_index,
                       tuple(logical_states))
 
 
-def _pre_measurement(state: QuantumState, errors: ErrorModel, labels: Tuple[str, ...],
-                     flips: np.ndarray, phases: np.ndarray,
-                     inject: Tuple[Tuple[str, int], ...]) -> QuantumState:
-    """The pair probed into an even cat block, then the readout errors."""
-    a, b = state.labels
-    cat = prepare_even_cat(len(labels), "exact", labels)
-    joint = apply_gate(tensor(state, cat.state), "PROBE", a, b, labels[0])
-    if isinstance(errors, PauliChannel):
-        for i, label in enumerate(labels):
-            if flips[i]:
-                joint = apply_gate(joint, "X", label)
-            if phases[i]:
-                joint = apply_gate(joint, "Z", label)
-    else:
-        for label, matrix in zip(labels, errors.matrices()):
-            joint = apply_matrix(joint, matrix, label)
-    for kind, idx in inject:
-        joint = apply_gate(joint, kind, labels[idx])
-    return joint
+# columns |+> and |-> times sqrt 2: M times this holds <s|M|sigma> sqrt 2 at
+# [s, sigma]; without the 1/sqrt 2, a readout that is a fair coin weighs its
+# two outcomes exactly equally
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128)
 
 
-def _readout_leaves(state: QuantumState, labels: Tuple[str, ...],
-                    readout: np.ndarray, rows: np.ndarray):
-    """Measure Z on c1..cn in turn for the shots `rows`, sharing equal prefixes.
+def _error_tables(errors: ErrorModel, inject: Tuple[Tuple[str, int], ...]) -> np.ndarray:
+    """<s|U_k|sigma> sqrt 2 at [k, draw, s, sigma] for every readout bit k.
 
-    Walks the outcome tree depth first: each node's state is measured once,
-    by one `sample_outcomes` call on the node's shots' uniforms in that
-    bit's column.  Yields (path, rows, post-measurement state) per leaf,
-    where bit n-1-k of `path` is set when readout k+1 came out -1.  A state
-    measured along a path is exactly zero outside that path's block, so a
-    branch waiting its turn is held as the block alone: the pending blocks
-    add up to less than one full state, and one full state is alive between
-    measurements.
+    Under a Pauli channel U_k is X^flip, then Z^phase, with draw = flip +
+    2 * phase; under coherent errors it is bit k's unitary, at draw 0.  The
+    injected gates follow in order.
     """
-    n = len(labels)
-    pending = [(0, 0, rows, None)]
-    while pending:
-        depth, path, rows, block = pending.pop()
-        if block is not None:
-            state = state._derived(np.zeros_like(state.data))
-            _path_block(state.data, depth, path)[...] = block
-        while depth < n:
-            outcomes, branches = sample_outcomes(state, z_product(labels[depth]),
-                                                 readout[rows, depth])
-            depth += 1
-            if len(branches) == 2:
-                pending.append((depth, 2 * path + 1, rows[outcomes == -1],
-                                _path_block(branches.pop(-1)[0].data, depth,
-                                            2 * path + 1).copy()))
-            (outcome, (state, _)), = branches.items()
-            path = 2 * path + (outcome == -1)
-            rows = rows[outcomes == outcome]
-        yield path, rows, state
-
-
-def _path_block(data: np.ndarray, depth: int, path: int) -> np.ndarray:
-    """View of the entries of a (a, b, c1..cn) state or density matrix whose
-    first `depth` readout bits spell `path`, most significant bit first."""
-    side = (4, 2**depth, data.shape[0] >> (depth + 2))
-    return data.reshape(side * data.ndim)[(slice(None), path, slice(None)) * data.ndim]
+    x, z = GATE_MATRICES["X"], GATE_MATRICES["Z"]
+    tables = np.zeros((errors.n, 4, 2, 2), dtype=np.complex128)
+    if isinstance(errors, PauliChannel):
+        tables[:] = [np.eye(2), x, z, z @ x]
+    else:
+        tables[:, 0] = errors.matrices()
+    for kind, idx in inject:
+        tables[idx] = GATE_MATRICES[kind] @ tables[idx]
+    return tables @ _PLUS_MINUS
 
 
 def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,

@@ -60,9 +60,10 @@ from toffsim.noisy_meas import (
     measure_cnot_noisy,
     prepare_even_cat,
     sample_effective,
+    sample_exact,
 )
 from toffsim.cli import main as cli_main
-from toffsim.rng import master_rng, trial_rng
+from toffsim.rng import master_rng, trial_rng, trial_uniforms
 
 SEED = 20260819
 
@@ -357,6 +358,59 @@ def test_parity_bias_matches_enumeration():
         channel = PauliChannel(rng.random(n) * 0.8)
         assert parity_bias(channel) == pytest.approx(
             parity_bias_enumerated(channel), abs=1e-12)
+
+
+# 8b. Exact readout of blocks far beyond a dense register. ------------------------
+
+def cnot_frame_plus_plus():
+    # the controlled-phase measurement of |++> is the CNOT one of H_b |++>
+    return apply_gate(QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0]),
+                      "H", "b")
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_exact_unitary_readout_of_large_blocks_reads_the_flip_angle(n):
+    # sigma = n atan(0.005): 0.25 at n = 50 and 1.0 at n = 200, both below pi/2
+    errors = UnitaryErrorSet.uniform_ratio(n, 0.005)
+    tan2 = math.tan(accumulated_flip_angle(errors)) ** 2
+    shots = sample_exact(cnot_frame_plus_plus(), errors, trial_uniforms(SEED, 0, 500, n))
+    plus = shots.reported_outcomes == +1
+    assert 0 < np.count_nonzero(plus) < 500
+    assert np.all(shots.true_eigenvalues == 0)  # coherent: always a superposition
+    for index in set(shots.state_index[plus].tolist()):
+        logical = apply_gate(shots.logical_states[index], "H", "b")
+        reading, _ = MixedAncilla.from_state(logical)
+        assert abs(complex(reading.a3).real - tan2) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_exact_pauli_readout_of_large_blocks_matches_the_parity_bias(n):
+    errors = PauliChannel.uniform(n, 0.002, q=0.01)
+    bias = parity_bias(errors)
+    trials = 4000
+    shots = sample_exact(cnot_frame_plus_plus(), errors,
+                         trial_uniforms(SEED, 0, trials, 3 * n))
+    reported, true = shots.reported_outcomes, shots.true_eigenvalues
+    assert set(true.tolist()) <= {+1, -1}
+    # the pair's +1 eigenspace holds 3/4 of its weight
+    want_plus = (2.0 + bias) / 4.0
+    freq = np.count_nonzero(reported == +1) / trials
+    assert abs(freq - want_plus) <= 4.0 * math.sqrt(want_plus * (1.0 - want_plus) / trials)
+    corr = float(np.mean(reported * true))
+    assert abs(corr - bias) <= 4.0 * math.sqrt((1.0 - bias * bias) / trials)
+
+
+def test_default_exact_noisy_meas_at_200_bits_passes_its_checks_within_a_second(
+        tmp_path, capsys):
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps({"mode": "exact", "n": 200}))
+    out = tmp_path / "report.json"
+    assert cli_main(["noisy-meas", "--config", str(cfg), "--seed", str(SEED),
+                     "--check", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["results"]["trials"] == 2000
+    assert report["wall_time_seconds"] < 1.0
 
 
 # 9. Coherent readout errors: exact rotated cat, log-tangent statistics. ---------

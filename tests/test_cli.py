@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -106,6 +107,51 @@ def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payl
     assert len(err.splitlines()) == 1
     assert err.startswith("toffsim: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, trials", [
+    ({"n": 10**12}, 1),
+    ({"n": 10**12, "model": "unitary", "mode": "exact"}, 1),
+    ({"n": cli._MAX_CAT_BITS + 1, "mode": "exact"}, 1),
+    ({"n": 1000}, cli._MAX_TRIAL_BITS // 1000 + 1),
+])
+def test_noisy_meas_beyond_its_work_limits_is_one_line_error(tmp_path, capsys,
+                                                             payload, trials):
+    cfg = write_config(tmp_path, "big.json", payload)
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(["noisy-meas", "--config", cfg, "--trials", str(trials)],
+                             capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("toffsim: error:") and "exceeds" in err
+    assert peak < 2**20  # nothing of size n was allocated
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": cli._MAX_CAT_BITS},
+    {"n": cli._MAX_CAT_BITS, "mode": "exact"},
+    {"n": cli._MAX_CAT_BITS, "model": "unitary", "mode": "exact", "ratio": 0.0005},
+])
+def test_noisy_meas_at_its_bit_limit_runs(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "edge.json", payload)
+    rc, out, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "1"], capsys)
+    assert rc == 0
+    assert json.loads(out)["results"]["n"] == cli._MAX_CAT_BITS
+
+
+def test_noisy_meas_work_budget_boundary(tmp_path, capsys, monkeypatch):
+    # a budget of 40 trials of 8 bits: the at-budget run goes, one more fails
+    monkeypatch.setattr(cli, "_MAX_TRIAL_BITS", 320)
+    cfg = write_config(tmp_path, "exact.json", {"mode": "exact"})
+    rc, _, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "40"], capsys)
+    assert rc == 0
+    rc, _, err = run_cli(["noisy-meas", "--config", cfg, "--trials", "41"], capsys)
+    assert rc == 1
+    assert err == "toffsim: error: trials x n = 328 exceeds the work budget of 320\n"
 
 
 @pytest.mark.parametrize("command", ["distill", "noisy-meas", "toffoli-verify",
@@ -431,9 +477,9 @@ def test_noisy_meas_exact_csv_golden_first_rows(tmp_path, capsys):
     assert rc == 0
     assert out.splitlines()[1:] == [
         "0,12,unitary,-1,,",
-        "1,12,unitary,1,,0.4670412131202331",
-        "2,12,unitary,1,,0.4670412131202331",
-        "3,12,unitary,1,,0.4670412131202331",
+        "1,12,unitary,1,,0.4670412131202334",
+        "2,12,unitary,1,,0.4670412131202334",
+        "3,12,unitary,1,,0.4670412131202334",
     ]
 
 

@@ -9,6 +9,7 @@ from toffsim import core
 from toffsim.core import (
     ATOL,
     GATE_MATRICES,
+    GateSpec,
     MAX_DENSITY_QUBITS,
     MAX_PURE_QUBITS,
     QuantumState,
@@ -97,6 +98,33 @@ def test_probe_structure():
     h_mid = np.kron(np.kron(np.eye(2), GATE_MATRICES["H"]), np.eye(2))
     np.testing.assert_allclose(
         GATE_MATRICES["PROBE"], h_mid @ GATE_MATRICES["TOFFOLI"] @ h_mid, atol=1e-14)
+
+
+def test_apply_gate_serves_one_cached_spec_per_kind_and_targets():
+    state = QuantumState.basis(("a", "b"), "10")
+    want = apply_gate(state, GateSpec("CNOT", ("a", "b"))).data
+    assert np.array_equal(apply_gate(state, "CNOT", "a", "b").data, want)
+    spec = gate("CNOT", "a", "b")
+    hits = gate.cache_info().hits
+    assert np.array_equal(apply_gate(state, "CNOT", "a", "b").data, want)
+    assert gate.cache_info().hits == hits + 1
+    assert gate("CNOT", "a", "b") is spec
+    # invalid gates are never cached: every call raises as before
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            apply_gate(state, "FOO", "a")
+        with pytest.raises(ValueError, match="distinct"):
+            apply_gate(state, "CNOT", "a", "a")
+        with pytest.raises(ValueError, match="takes 2 targets, got 1"):
+            apply_gate(state, "CNOT", "a")
+
+
+def test_gate_spec_cache_stays_within_its_bound():
+    info = gate.cache_info()
+    assert info.maxsize is not None
+    for i in range(info.maxsize + 10):
+        gate("X", f"q{i}")
+    assert gate.cache_info().currsize <= info.maxsize
 
 
 def test_apply_matrix_matches_apply_gate():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toffsim.core import (
@@ -17,6 +17,7 @@ from toffsim.core import (
     fidelity,
     gate,
     measure_operator,
+    sample_outcomes,
     tensor,
     z_product,
 )
@@ -29,6 +30,7 @@ from toffsim.error_models import (
     parity_bias,
 )
 from toffsim.noisy_meas import (
+    ExactShots,
     apply_bitwise_probe,
     cat_labels,
     cat_readout_distribution,
@@ -305,7 +307,123 @@ def assert_shot_equals(res, ref):
     assert res.cat.mode == "exact" and res.cat.state is None
     assert res.cat.parity == (-1 if ref[2] % 2 else +1)
     assert res.logical_state.labels == ref[4].labels
-    assert np.array_equal(res.logical_state.data, ref[4].data)
+    np.testing.assert_allclose(res.logical_state.data, ref[4].data, rtol=0, atol=1e-12)
+
+
+# -- the dense readout walk: the reference for the product-form sampler ------------
+
+def dense_pre_measurement(state, errors, labels, flips, phases, inject):
+    """The pair probed into an even cat block, then the readout errors."""
+    a, b = state.labels
+    cat = prepare_even_cat(len(labels), "exact", labels)
+    joint = apply_gate(tensor(state, cat.state), "PROBE", a, b, labels[0])
+    if isinstance(errors, PauliChannel):
+        for i, label in enumerate(labels):
+            if flips[i]:
+                joint = apply_gate(joint, "X", label)
+            if phases[i]:
+                joint = apply_gate(joint, "Z", label)
+    else:
+        for label, matrix in zip(labels, errors.matrices()):
+            joint = apply_matrix(joint, matrix, label)
+    for kind, idx in inject:
+        joint = apply_gate(joint, kind, labels[idx])
+    return joint
+
+
+def path_block(data, depth, path):
+    """View of the entries of an (a, b, c1..cn) state or density matrix whose
+    first `depth` readout bits spell `path`, most significant bit first."""
+    side = (4, 2**depth, data.shape[0] >> (depth + 2))
+    return data.reshape(side * data.ndim)[(slice(None), path, slice(None)) * data.ndim]
+
+
+def dense_readout_leaves(state, labels, readout, rows):
+    """Measure Z on c1..cn in turn for the shots `rows`, sharing equal prefixes.
+
+    Walks the outcome tree depth first, one `sample_outcomes` call per node
+    over the node's shots.  Yields (path, rows, post-measurement state) per
+    leaf, where bit n-1-k of `path` is set when readout k+1 came out -1.  A
+    branch waiting its turn is held as its path's block alone.
+    """
+    n = len(labels)
+    pending = [(0, 0, rows, None)]
+    while pending:
+        depth, path, rows, block = pending.pop()
+        if block is not None:
+            state = state._derived(np.zeros_like(state.data))
+            path_block(state.data, depth, path)[...] = block
+        while depth < n:
+            outcomes, branches = sample_outcomes(state, z_product(labels[depth]),
+                                                 readout[rows, depth])
+            depth += 1
+            if len(branches) == 2:
+                pending.append((depth, 2 * path + 1, rows[outcomes == -1],
+                                path_block(branches.pop(-1)[0].data, depth,
+                                           2 * path + 1).copy()))
+            (outcome, (state, _)), = branches.items()
+            path = 2 * path + (outcome == -1)
+            rows = rows[outcomes == outcome]
+        yield path, rows, state
+
+
+def dense_sample_exact(state, errors, uniforms, inject=()):
+    """`sample_exact` by simulating the readout block qubit by qubit.
+
+    Shots with the same error pattern share one pre-measurement joint state,
+    and the readout is walked as a tree of outcome prefixes.  Returns an
+    `ExactShots`; pair states are grouped by their bytes, as the library does.
+    """
+    a, b = state.labels
+    n = errors.n
+    labels = cat_labels(n)
+    u = np.asarray(uniforms, dtype=np.float64)
+    shots = u.shape[0]
+    if isinstance(errors, PauliChannel):
+        flips, phases, readout = u[:, :n] < errors.p, u[:, n:2 * n] < errors.q, u[:, 2 * n:]
+    else:
+        flips = phases = np.zeros((shots, n), dtype=bool)
+        readout = u
+    injected_x = sum(kind == "X" for kind, _ in inject)
+    bit_flips = np.count_nonzero(flips, axis=1) + injected_x
+    phase_flips = np.count_nonzero(phases, axis=1) + (len(inject) - injected_x)
+    # one integer per error pattern: bit i is flip i, bit n + i phase flip i
+    codes = np.concatenate((flips, phases), axis=1) @ (1 << np.arange(2 * n, dtype=np.int64))
+    _, first_rows, groups = np.unique(codes, return_index=True, return_inverse=True)
+
+    reported = np.zeros(shots, dtype=np.int64)
+    state_index = np.zeros(shots, dtype=np.intp)
+    logical_states, state_true, index_of = [], [], {}
+    for group, row in enumerate(first_rows):
+        joint = dense_pre_measurement(state, errors, labels, flips[row], phases[row],
+                                      tuple(inject))
+        for path, rows, post in dense_readout_leaves(joint, labels, readout,
+                                                     np.flatnonzero(groups == group)):
+            logical = discard(post, *labels)
+            index = index_of.setdefault(logical.data.tobytes(), len(logical_states))
+            if index == len(logical_states):
+                p_plus = branch_probability(logical, gate("CNOT", a, b), +1)
+                state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
+                logical_states.append(logical)
+            state_index[rows] = index
+            reported[rows] = -1 if bin(path).count("1") % 2 else +1
+    true = np.array(state_true, dtype=np.int64)[state_index]
+    return ExactShots(n, true, reported, bit_flips, phase_flips, state_index,
+                      tuple(logical_states))
+
+
+def assert_shots_match(shots, ref):
+    """Equal integer columns and grouping, pair states equal to 1e-12."""
+    for name in ("true_eigenvalues", "reported_outcomes", "bit_flips", "phase_flips"):
+        np.testing.assert_array_equal(getattr(shots, name), getattr(ref, name), name)
+    # the product form may merge pair states that the dense walk keeps apart
+    # by rounding, never the reverse
+    merged = set(zip(ref.state_index.tolist(), shots.state_index.tolist()))
+    assert len(merged) == len(set(ref.state_index.tolist()))
+    for i in range(len(shots.true_eigenvalues)):
+        np.testing.assert_allclose(shots.logical_states[shots.state_index[i]].data,
+                                   ref.logical_states[ref.state_index[i]].data,
+                                   rtol=0, atol=1e-12)
 
 
 # both eigenspaces of the controlled-NOT are populated
@@ -335,6 +453,8 @@ def test_batched_exact_shots_equal_per_shot_calls(errors, inject):
     # shots that end in bit-identical pair states share one entry
     assert len(shots.logical_states) == len({s.data.tobytes() for s in shots.logical_states})
     assert len(shots.logical_states) < shots_n
+    assert_shots_match(shots, dense_sample_exact(
+        SKEWED_PAIR, errors, master_rng(41).random((shots_n, count)), inject))
 
 
 class ReplayRng:
@@ -349,25 +469,69 @@ class ReplayRng:
         return self.row[start] if size is None else self.row[start:self.used]
 
 
+amplitude = st.floats(-1.0, 1.0)
+angle = st.floats(0.0, 2.0 * math.pi)
+
+
+def draw_exact_case(data, n, density):
+    """A pair state, an error model on n bits, injections and rows of uniforms."""
+    if density:
+        g = np.array(data.draw(st.lists(amplitude, min_size=32, max_size=32), label="g"))
+        g = g[:16].reshape(4, 4) + 1j * g[16:].reshape(4, 4)
+        state = QuantumState.from_density(("a", "b"), g @ g.conj().T)
+    else:
+        v = np.array(data.draw(st.lists(amplitude, min_size=8, max_size=8), label="v"))
+        state = QuantumState.from_vector(("a", "b"), v[:4] + 1j * v[4:])
+    assume(state.trace > 1e-6)
+    if data.draw(st.booleans(), label="pauli"):
+        prob = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        errors = PauliChannel(data.draw(prob, label="p"), data.draw(prob, label="q"))
+    else:
+        # rows (A, B, C, D) on the unit sphere, B and D included
+        theta, phi, chi = np.array(data.draw(
+            st.lists(st.tuples(angle, angle, angle), min_size=n, max_size=n),
+            label="angles")).T
+        errors = UnitaryErrorSet(np.stack(
+            [np.cos(theta), np.sin(theta) * np.cos(phi),
+             np.sin(theta) * np.sin(phi) * np.cos(chi),
+             np.sin(theta) * np.sin(phi) * np.sin(chi)], axis=1))
+    inject = data.draw(st.lists(st.tuples(st.sampled_from("XZ"), st.integers(0, n - 1)),
+                                max_size=3), label="inject")
+    count = exact_uniform_count(errors)
+    # odd multiples of 2^-11: the generated states give Born probabilities
+    # such as 0, 1/2 and 1, which the two samplers round to different sides
+    # of a draw lying exactly on them
+    uniform = st.integers(0, 2**10 - 1).map(lambda j: (2 * j + 1) / 2**11)
+    # a density-matrix reference at n = 8 walks 2^20 entries per readout bit
+    rows = data.draw(st.lists(st.lists(uniform, min_size=count, max_size=count),
+                              min_size=1, max_size=4 if density else 8), label="rows")
+    return state, errors, inject, rows
+
+
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(data=st.data())
 def test_batched_exact_shots_equal_reference_on_any_uniforms(data):
-    n = data.draw(st.integers(1, 4), label="n")
-    if data.draw(st.booleans(), label="pauli"):
-        errors = PauliChannel.uniform(n, data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
-                                      q=data.draw(st.sampled_from([0.0, 0.3])))
-    else:
-        errors = UnitaryErrorSet.uniform_ratio(n, data.draw(st.sampled_from([0.0, 0.05, 0.4])))
-    count = exact_uniform_count(errors)
-    uniform = st.floats(0.0, 1.0, exclude_max=True)
-    rows = data.draw(st.lists(st.lists(uniform, min_size=count, max_size=count),
-                              min_size=1, max_size=8), label="rows")
-    shots = sample_exact(SKEWED_PAIR, errors, np.array(rows))
+    n = data.draw(st.integers(1, 10), label="n")
+    state, errors, inject, rows = draw_exact_case(data, n, density=False)
+    shots = sample_exact(state, errors, np.array(rows), inject)
+    assert_shots_match(shots, dense_sample_exact(state, errors, np.array(rows), inject))
     for i, row in enumerate(rows):
         replay = ReplayRng(row)
         assert_shot_equals(shots.shot(i),
-                           exact_per_shot_reference(SKEWED_PAIR, errors, replay))
-        assert replay.used == count
+                           exact_per_shot_reference(state, errors, replay, inject))
+        assert replay.used == len(row)
+
+
+# every n up to the dense reference's caps: 14 qubits for a vector, 10 for a
+# density matrix
+@pytest.mark.parametrize("density, n", [(False, n) for n in range(1, 11)]
+                         + [(True, n) for n in range(1, 9)])
+@settings(derandomize=True, deadline=None, max_examples=3, database=None)
+@given(data=st.data())
+def test_batched_exact_shots_equal_dense_reference_at_every_block_size(density, n, data):
+    state, errors, inject, rows = draw_exact_case(data, n, density)
+    assert_shots_match(sample_exact(state, errors, np.array(rows), inject),
+                       dense_sample_exact(state, errors, np.array(rows), inject))
 
 
 def test_batched_exact_input_validation():
@@ -380,8 +544,6 @@ def test_batched_exact_input_validation():
         sample_exact(PLUS_PLUS, unitary, np.zeros((4, 9)))
     with pytest.raises(ValueError, match="shape"):
         sample_exact(PLUS_PLUS, unitary, np.zeros(3))
-    with pytest.raises(ValueError, match="cap"):
-        sample_exact(PLUS_PLUS, UnitaryErrorSet.uniform_ratio(13, 0.01), np.zeros((1, 13)))
     with pytest.raises(ValueError, match="collide"):
         sample_exact(QuantumState.from_vector(("c1", "b"), [1, 1, 1, 1]), pauli,
                      np.zeros((1, 9)))
@@ -398,7 +560,7 @@ def test_batched_exact_input_validation():
 
 
 def test_batched_exact_density_state_equals_per_shot_reference():
-    # a mixed pair: the readout tree holds pending branches of a density matrix
+    # a mixed pair, against the per-shot and the dense references
     rho = (SKEWED_PAIR.to_density().data + np.diag([0.3, 0.1, 0.2, 0.4])) / 2.0
     state = QuantumState.from_density(("a", "b"), rho)
     errors = PauliChannel.uniform(3, 0.2, q=0.1)
@@ -406,6 +568,8 @@ def test_batched_exact_density_state_equals_per_shot_reference():
     ref_rng = master_rng(43)
     for i in range(60):
         assert_shot_equals(shots.shot(i), exact_per_shot_reference(state, errors, ref_rng))
+    assert_shots_match(shots, dense_sample_exact(state, errors,
+                                                 master_rng(43).random((60, 9))))
 
 
 def test_measurement_requires_rng():
@@ -450,12 +614,6 @@ def test_coherent_conditional_state_carries_the_flip_angle():
             break
     else:
         pytest.fail("never sampled a +1 report in 30 trials")
-
-
-def test_coherent_cat_cap():
-    errors = UnitaryErrorSet.uniform_ratio(13, 0.01)
-    with pytest.raises(ValueError, match="cap"):
-        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=master_rng(0))
 
 
 # -- raw ancilla preparation -----------------------------------------------------------
