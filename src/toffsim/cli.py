@@ -16,6 +16,11 @@ wall_time_seconds field that reproducibility comparisons must ignore) or
 CSV for the plot-ready trial tables.  Exit codes: 0 success, 1 for
 configuration problems, 2 when --check is passed and a built-in
 verification fails.  Column layouts are documented in docs/output-schema.md.
+
+Each call runs one subcommand in a fresh interpreter, where loading and
+compiling the library's modules costs about as much as a small run.  So this
+module imports only numpy, the standard library, `core` and `rng` at its top,
+and each subcommand imports the library modules it runs inside its own body.
 """
 
 from __future__ import annotations
@@ -34,48 +39,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import BACKEND
-from .concat import (
-    CodeParams,
-    progressive_schedule,
-    standard_concat_levels,
-)
 from .core import QuantumState, apply_gate, fidelity, tensor
-from .distill import (
-    MixedAncilla,
-    combine_states,
-    distill_tree,
-    expected_ops,
-    fidelity_after_rounds,
-    pair_supply,
-    success_probability,
-)
-from .error_models import (
-    BlockEnsemble,
-    PauliChannel,
-    UnitaryErrorSet,
-    accumulated_flip_angle,
-    alpha3_decoherent,
-    ensemble_distill_fidelity,
-    ensemble_log_tan,
-    parity_bias,
-)
-from .gadgets import (
-    DATA_LABELS,
-    default_correction_table,
-    ideal_toffoli_output,
-    toffoli_gadget,
-)
-from .noisy_meas import (
-    apply_bitwise_probe,
-    cat_readout_distribution,
-    eigenstring_state,
-    eigenstring_weight,
-    exact_uniform_count,
-    prepare_even_cat,
-    prepare_raw_ancilla,
-    sample_effective,
-    sample_exact,
-)
 from .rng import trial_rng, trial_uniforms
 
 SCHEMA = "toffsim-report/1"
@@ -201,14 +165,21 @@ def _list(cfg: dict, key: str) -> list:
     return value
 
 
-def _random_data_state(rng: np.random.Generator) -> QuantumState:
+def _random_data_state(rng: np.random.Generator, labels: Sequence[str]) -> QuantumState:
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return QuantumState.from_vector(DATA_LABELS, vec)
+    return QuantumState.from_vector(labels, vec)
 
 
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_toffoli_verify(cfg: dict, seed: int):
+    from .gadgets import (
+        DATA_LABELS,
+        default_correction_table,
+        ideal_toffoli_output,
+        toffoli_gadget,
+    )
+
     trials = _number(cfg["trials"], "trials", int)
     tol = _number(cfg["tolerance"], "tolerance")
     if trials < 1:
@@ -224,7 +195,7 @@ def _cmd_toffoli_verify(cfg: dict, seed: int):
         # prepending a stray X on the first data qubit breaks any branch
         table = table.replaced(corrupt, ("X_A",) + table[corrupt])
 
-    inputs = [_random_data_state(trial_rng(seed, t)) for t in range(trials)]
+    inputs = [_random_data_state(trial_rng(seed, t), DATA_LABELS) for t in range(trials)]
     ideals = [ideal_toffoli_output(s) for s in inputs]
     branch_rows = []
     flagged = []
@@ -274,6 +245,16 @@ def _cmd_toffoli_verify(cfg: dict, seed: int):
 
 
 def _cmd_distill(cfg: dict, seed: int):
+    from .distill import (
+        MixedAncilla,
+        combine_states,
+        distill_tree,
+        expected_ops,
+        fidelity_after_rounds,
+        pair_supply,
+        success_probability,
+    )
+
     alpha3 = _number(cfg["alpha3"], "alpha3")
     levels = _number(cfg["levels"], "levels", int)
     trials = _number(cfg["trials"], "trials", int)
@@ -315,9 +296,10 @@ def _cmd_distill(cfg: dict, seed: int):
 
     rows = []
     total_attempts = total_successes = total_leaves = 0
+    supply = pair_supply(raw)
     for t in range(trials):
         try:
-            out = distill_tree(pair_supply(raw), levels, rng=trial_rng(seed, t))
+            out = distill_tree(supply, levels, rng=trial_rng(seed, t))
         except RuntimeError as exc:  # the per-tree combine budget ran out
             raise ValueError(f"levels {levels} is too deep to sample: {exc}") from None
         total_attempts += out.combine_attempts
@@ -364,6 +346,13 @@ def _cmd_distill(cfg: dict, seed: int):
 
 def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
     """Check the parity-transfer identity on all 4^n eigenstrings; exact."""
+    from .noisy_meas import (
+        apply_bitwise_probe,
+        eigenstring_state,
+        eigenstring_weight,
+        prepare_even_cat,
+    )
+
     cat = prepare_even_cat(n)
     a_labels = tuple(f"a{i+1}" for i in range(n))
     b_labels = tuple(f"b{i+1}" for i in range(n))
@@ -382,6 +371,21 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
 
 
 def _cmd_noisy_meas(cfg: dict, seed: int):
+    from .distill import MixedAncilla
+    from .error_models import (
+        PauliChannel,
+        UnitaryErrorSet,
+        accumulated_flip_angle,
+        alpha3_decoherent,
+        parity_bias,
+    )
+    from .noisy_meas import (
+        exact_uniform_count,
+        prepare_raw_ancilla,
+        sample_effective,
+        sample_exact,
+    )
+
     n = _number(cfg["n"], "n", int)
     model = cfg["model"]
     mode = cfg["mode"]
@@ -521,7 +525,17 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
     return results, (header, rows), checks
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a 1-d array, bit for bit, without loading `numpy.ma`."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):  # NaNs sort last, and make the median NaN
+        return math.nan
+    return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
+
+
 def _cmd_ensemble(cfg: dict, seed: int):
+    from .error_models import BlockEnsemble, ensemble_distill_fidelity, ensemble_log_tan
+
     trials = _number(cfg["trials"], "trials", int)
     k_max = _number(cfg["k_max"], "k_max", int)
     if trials < 1:
@@ -556,7 +570,7 @@ def _cmd_ensemble(cfg: dict, seed: int):
         log_se = (float(log_contamination.std(ddof=1) / math.sqrt(trials))
                   if trials > 1 else 0.0)
         log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
-        median = float(np.median(empirical))
+        median = _median(empirical)
         typical = 3.0 / (3.0 + math.exp(log_expected))
         results = {
             "model": "decoherent",
@@ -620,6 +634,8 @@ def _cmd_ensemble(cfg: dict, seed: int):
 
 
 def _cmd_estimate(cfg: dict, seed: int):
+    from .concat import CodeParams, progressive_schedule, standard_concat_levels
+
     del seed  # deterministic command; seed is echoed in the report envelope
     params_kwargs = {key: _number(cfg[key], key)
                      for key in ("threshold_log10", "prefactor_log10")}

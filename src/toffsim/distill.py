@@ -211,6 +211,14 @@ def distill_tree(supply: Supply, level: int, *,
     `_UNIFORM_BLOCK`, so on return `rng` has advanced by whole blocks, up to
     one block past the last uniform used.  A level-0 tree draws one leaf and
     no uniform.
+
+    A supply made by `pair_supply` hands out one ancilla forever, so every
+    level-k combine has the same inputs and the same result.  For it the
+    tree runs on integers alone: each level's (output, probability) is
+    computed by `combine` once, when the tree first reaches that level, and
+    the walk keeps the level k, a bitmask of the held levels and the
+    counters.  It sees the same uniforms, blocks and budget error as the
+    general loop, which every other supply takes.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -229,12 +237,11 @@ def distill_tree(supply: Supply, level: int, *,
 
     if level == 0:
         return DistillOutcome(draw(), 0, 0, 0, 1)
+    if isinstance(supply, _FixedSupply):
+        return _fixed_supply_tree(supply, level, rng, max_attempts)
     uniforms = _uniform_stream(rng)
     # held[k]: a finished level-k left output awaiting its right partner
     held: List[Optional[MixedAncilla]] = [None] * level
-    # per level, the last combine as (left, right, output, probability);
-    # combine is pure, so identical input objects give the identical result
-    last: List[Optional[tuple]] = [None] * (level + 1)
     attempts = successes = leaves = 0
     k, out = 1, None
     while True:
@@ -244,10 +251,7 @@ def distill_tree(supply: Supply, level: int, *,
             leaves += 2
         else:
             left, right, held[k - 1] = held[k - 1], out, None
-        cached = last[k]
-        if cached is None or cached[0] is not left or cached[1] is not right:
-            cached = last[k] = (left, right) + combine(left, right)
-        _, _, made, prob = cached
+        made, prob = combine(left, right)
         attempts += 1
         if attempts > max_attempts:
             raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
@@ -264,6 +268,42 @@ def distill_tree(supply: Supply, level: int, *,
                 k += 1
         else:
             k = 1  # both inputs are lost; rebuild this level's input pair
+
+
+def _fixed_supply_tree(supply: "_FixedSupply", level: int, rng: np.random.Generator,
+                       max_attempts: int) -> DistillOutcome:
+    """`distill_tree` for `pair_supply`'s endless supply, on integers alone."""
+    p1 = supply.reach(1)
+    # held: bit k set while a finished level-k output awaits its partner;
+    # upper: attempts above level 1 (each level-1 attempt takes two leaves)
+    attempts = successes = upper = held = 0
+    k = 1
+    while attempts < max_attempts:
+        block = rng.random(_UNIFORM_BLOCK).tolist()
+        del block[max_attempts - attempts:]
+        for u in block:
+            attempts += 1
+            if k == 1:
+                if not u < p1:
+                    continue
+            else:
+                upper += 1
+                if not u < p:
+                    k = 1  # both inputs are lost; rebuild from level 1
+                    continue
+            successes += 1
+            if k == level:
+                return DistillOutcome(supply.made[k], level, attempts, successes,
+                                      2 * (attempts - upper))
+            bit = 1 << k
+            if held & bit:
+                held ^= bit
+                k += 1
+                p = supply.reach(k)
+            else:
+                held |= bit
+                k = 1
+    raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
 
 
 # -- operation-count calculus ---------------------------------------------------
@@ -317,9 +357,40 @@ def measurement_majority_repeats(eps: float, eps_m: float) -> int:
     return r
 
 
+class _FixedSupply:
+    """`pair_supply`'s callable: one ancilla forever, and the results of its
+    combines per level, which `distill_tree` fills as its trees first reach
+    each level.  `combine` is pure, so trees drawing on one supply share them.
+    """
+
+    __slots__ = ("noise", "made", "probs")
+
+    def __init__(self, noise: MixedAncilla):
+        self.noise = noise
+        # made[k]: a level-k output; probs[k]: the probability that its combine
+        # passes (level 0 is the leaf itself)
+        self.made: List[MixedAncilla] = [noise]
+        self.probs: List[float] = [1.0]
+
+    def __call__(self) -> MixedAncilla:
+        return self.noise
+
+    def reach(self, k: int) -> float:
+        """Level k's success probability, combining up to level k on first use."""
+        while len(self.made) <= k:
+            out, prob = combine(self.made[-1], self.made[-1])
+            self.made.append(out)
+            self.probs.append(prob)
+        return self.probs[k]
+
+
 def pair_supply(noise: MixedAncilla = MixedAncilla.ideal()) -> Callable[[], MixedAncilla]:
-    """Endless supply of identically prepared raw ancillas."""
-    return lambda: noise
+    """Endless supply of identically prepared raw ancillas.
+
+    The callable is recognized by `distill_tree`, which then runs its
+    fixed-supply loop.
+    """
+    return _FixedSupply(noise)
 
 
 __all__ = [

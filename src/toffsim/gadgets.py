@@ -128,15 +128,15 @@ _VOCAB_OPS = dict(_VOCAB)
 
 
 def _embedded(matrix: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
-    """The 2^n x 2^n matrix acting as `matrix` on `axes` and identity elsewhere."""
-    dim = 2**n
-    out = np.eye(dim, dtype=np.complex128)
+    """The 2^n x 2^n matrix acting as `matrix` on `axes` and identity elsewhere.
+
+    Every setting b of the other bits owns the block of rows and columns
+    b + offs, which holds `matrix` in the plan's `axes` order.
+    """
     base, offs = _kernels.target_plan(n, list(axes))
-    u = np.ascontiguousarray(matrix, dtype=np.complex128)
-    for col in range(dim):
-        v = np.ascontiguousarray(out[:, col])
-        _kernels.apply_dense(v, u, base, offs)
-        out[:, col] = v
+    idx = np.add.outer(base, offs)
+    out = np.zeros((2**n, 2**n), dtype=np.complex128)
+    out[idx[:, :, None], idx[:, None, :]] = matrix
     return out
 
 

@@ -12,6 +12,8 @@ arithmetic: row `t - start` is bit-identical to
 [0, 2**64).
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _KEY_LIMIT = 2**64
@@ -25,6 +27,9 @@ _BUMP1 = 0xBB67AE8584CAA73B
 _ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+# Philox blocks (4 words each) computed at once by `trial_uniforms`
+_SLAB_BLOCKS = 2**15
 
 
 def _check_key(value: int, what: str) -> None:
@@ -56,25 +61,15 @@ def _mulhilo(mul: np.uint64, x: np.ndarray):
     return high, mul * x
 
 
-def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """First `count` uniforms of the substreams of trials start..stop-1.
-
-    Returns a (stop - start, count) float64 array whose row i equals
-    `trial_rng(seed, start + i).random(count)` bit for bit: numpy's Philox
-    keys block j of a stream with the counter (j + 1, 0, 0, 0) and turns each
-    64-bit output word w into the double (w >> 11) * 2**-53.
-    """
-    _check_key(seed, "seed")
-    if not 0 <= start <= stop <= _KEY_LIMIT:
-        raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rows, blocks = stop - start, -(-count // 4)
-    if rows == 0:
-        return np.empty((0, count))
+def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
+                  blocks: int) -> np.ndarray:
+    """(rows, 4 * blocks) output words of Philox blocks first_block.. of the
+    substreams of trials first_trial..; numpy keys block j with the counter
+    (j + 1, 0, 0, 0)."""
     key0 = seed
-    key1 = (np.uint64(start) + np.arange(rows, dtype=np.uint64))[:, None]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (rows, blocks))
+    key1 = (np.uint64(first_trial) + np.arange(rows, dtype=np.uint64))[:, None]
+    c0 = np.broadcast_to(np.arange(first_block + 1, first_block + blocks + 1,
+                                   dtype=np.uint64), (rows, blocks))
     c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
     for r in range(_ROUNDS):
         if r:
@@ -87,5 +82,35 @@ def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
         hi0 ^= c3
         hi0 ^= key1
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :count]
-    return (words >> np.uint64(11)) * 2.0**-53
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+
+
+def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """First `count` uniforms of the substreams of trials start..stop-1.
+
+    Returns a (stop - start, count) float64 array whose row i equals
+    `trial_rng(seed, start + i).random(count)` bit for bit: numpy's Philox
+    turns each 64-bit output word w into the double (w >> 11) * 2**-53.  The
+    words are computed in slabs of at most `_SLAB_BLOCKS` Philox blocks and
+    written into the result, so the working arrays stay a few MiB however
+    large the result is.
+    """
+    _check_key(seed, "seed")
+    if not 0 <= start <= stop <= _KEY_LIMIT:
+        raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    rows, blocks = stop - start, -(-count // 4)
+    out = np.empty((rows, count))
+    if out.size == 0:
+        return out
+    block_step = min(blocks, _SLAB_BLOCKS)
+    row_step = max(1, _SLAB_BLOCKS // block_step)
+    for r0 in range(0, rows, row_step):
+        r1 = min(r0 + row_step, rows)
+        for b0 in range(0, blocks, block_step):
+            b1 = min(b0 + block_step, blocks)
+            lo, hi = 4 * b0, min(4 * b1, count)
+            words = _philox_words(seed, start + r0, r1 - r0, b0, b1 - b0)
+            np.multiply(words[:, :hi - lo] >> _SHIFT11, 2.0**-53, out=out[r0:r1, lo:hi])
+    return out

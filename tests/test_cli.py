@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from toffsim import cli
@@ -503,3 +505,46 @@ def test_module_invocation_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["schema"] == "toffsim-report/1"
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    rng = trial_rng(5, 0)
+    for size in list(range(1, 40)) + [199, 200, 1000]:
+        for scale in (1e-9, 1.0, 1e7):
+            values = rng.standard_normal(size) * scale
+            values[::7] = values[0]  # ties
+            assert np.float64(cli._median(values)).tobytes() == np.median(values).tobytes()
+    with_nan = np.array([0.3, np.nan, 0.1, 0.2])
+    assert math.isnan(cli._median(with_nan)) and math.isnan(np.median(with_nan))
+
+
+# each step runs in the same fresh interpreter and prints the modules loaded so far
+IMPORT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("toffsim.")
+                  or m in ("numpy.random", "numpy.ma"))
+steps = {}
+import toffsim.cli
+steps["import"] = loaded()
+toffsim.cli.main(["estimate", "--out", sys.argv[1]])
+steps["estimate"] = loaded()
+toffsim.cli.main(["ensemble", "--trials", "3", "--out", sys.argv[1]])
+steps["ensemble"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    library = {f"toffsim.{name}" for name in
+               ("concat", "distill", "error_models", "gadgets", "noisy_meas")}
+    assert not (library | {"numpy.random"}) & set(steps["import"])
+    assert {"toffsim.cli", "toffsim.core", "toffsim.rng"} <= set(steps["import"])
+    assert "toffsim.concat" in steps["estimate"]
+    assert not {"numpy.random", "numpy.ma"} & set(steps["estimate"])
+    assert "numpy.random" in steps["ensemble"]
+    assert "numpy.ma" not in steps["ensemble"]

@@ -260,8 +260,8 @@ def recursive_distill_tree(supply, level, *, rng=None, max_attempts=100_000):
 def outcome_or_error(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except RuntimeError as exc:
-        return ("RuntimeError", str(exc))
+    except (RuntimeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def alternating_supply():
@@ -339,6 +339,55 @@ def test_distill_tree_draws_uniforms_in_whole_blocks():
     follower = trial_rng(2, 0)
     follower.random(distill._UNIFORM_BLOCK * used_blocks)
     assert rng.random() == follower.random()
+
+
+def assert_fixed_loop_matches_general_loop(supply, level, seed, trial, **kwargs):
+    """`distill_tree` on a `pair_supply` against the same supply wrapped in a
+    plain callable, which takes the general loop."""
+    fixed_rng, general_rng = trial_rng(seed, trial), trial_rng(seed, trial)
+    got = outcome_or_error(distill_tree, supply, level, rng=fixed_rng, **kwargs)
+    want = outcome_or_error(distill_tree, lambda: supply(), level, rng=general_rng,
+                            **kwargs)
+    assert got == want
+    assert fixed_rng.random() == general_rng.random()  # the same blocks were drawn
+    return got
+
+
+@pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 2.0])
+def test_fixed_supply_loop_matches_the_general_loop(a3):
+    raw = MixedAncilla.from_excess_weight(a3)
+    shared = pair_supply(raw)  # its per-level combines carry over from tree to tree
+    for level in (5, 0, 1, 2, 3, 4):
+        for t in range(30 if level < 4 else 4):
+            assert_fixed_loop_matches_general_loop(pair_supply(raw), level, 23, 10 * level + t)
+            assert_fixed_loop_matches_general_loop(shared, level, 23, 10 * level + t)
+
+
+@pytest.mark.parametrize("noise, ends", [
+    (MixedAncilla.from_phase_angle(0.3), {"outcome", "RuntimeError"}),
+    (MixedAncilla(0.1 + 0.2j, 0.1 - 0.2j, 0.6), {"outcome", "RuntimeError"}),
+    # a NaN success probability: no check ever passes
+    (MixedAncilla.from_excess_weight(float("nan")), {"RuntimeError"}),
+    # level 1 passes; level 2's success probability is not real
+    (MixedAncilla(0.0, 0.0, 0.5 + 1e-8j), {"outcome", "ValueError"}),
+], ids=["coherent", "mixed", "nan", "complex"])
+def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends):
+    supply = pair_supply(noise)
+    seen = set()
+    for level in (1, 3):
+        for t in range(20):
+            got = assert_fixed_loop_matches_general_loop(supply, level, 29, t,
+                                                         max_attempts=500)
+            seen.add(got[0] if isinstance(got, tuple) else "outcome")
+    assert seen == ends
+
+
+def test_fixed_supply_budget_error_matches_the_general_loop():
+    raw = MixedAncilla.from_excess_weight(0.5)
+    for budget in (-1, 0, 1, 63, 64, 65, 128, 129, 1000):
+        got = assert_fixed_loop_matches_general_loop(pair_supply(raw), 9, 9, 1,
+                                                     max_attempts=budget)
+        assert got == ("RuntimeError", f"purification exceeded {budget} combine attempts")
 
 
 def test_distill_tree_mean_leaves():

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from toffsim import gadgets
 from toffsim.core import (
+    GATE_MATRICES,
     QuantumState,
     apply_gate,
     fidelity,
@@ -95,6 +97,38 @@ def test_synthesis_sampled_branch_frequency():
     hits = sum(prepare_toffoli_ancilla(rng=rng).attempts == 1 for _ in range(2000))
     sigma = (4 / 9 * 5 / 9 / 2000) ** 0.5
     assert abs(hits / 2000 - 4 / 9) < 4 * sigma
+
+
+# -- correction vocabulary --------------------------------------------------------
+
+def kron_embedded(matrix, axes, n):
+    """Oracle: `matrix` on `axes` of n qubits as a Kronecker product with the
+    identity, its tensor factors permuted into qubit order."""
+    k = len(axes)
+    full = np.kron(matrix, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    order = list(axes) + [q for q in range(n) if q not in axes]
+    inverse = [order.index(q) for q in range(n)]
+    return full.transpose(inverse + [n + i for i in inverse]).reshape(2**n, 2**n)
+
+
+@pytest.mark.parametrize("n, axes", [(1, (0,)), (3, (2,)), (3, (2, 0)), (3, (0, 1, 2)),
+                                     (3, (1, 2, 0)), (4, (3, 1))])
+def test_embedded_matches_the_kron_oracle(n, axes):
+    rng = master_rng(len(axes) + 10 * n)
+    dim = 2 ** len(axes)
+    matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert np.array_equal(gadgets._embedded(matrix, axes, n),
+                          kron_embedded(matrix, axes, n))
+
+
+def test_token_matrices_equal_the_kron_oracle_exactly():
+    for token in gadgets.VOCAB_TOKENS:
+        want = np.eye(8, dtype=np.complex128)
+        for kind, axes in gadgets._VOCAB_OPS[token]:
+            want = kron_embedded(GATE_MATRICES[kind], axes, 3) @ want
+        got = gadgets._token_matrix(token)
+        assert set(np.unique(got)) <= {0, 1, -1}
+        assert np.array_equal(got, want), token
 
 
 # -- correction table -------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Per-trial Philox substreams: generators and their vectorized uniforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from toffsim import rng
 from toffsim.rng import master_rng, trial_rng, trial_uniforms
 
 COUNTS = (1, 3, 4, 5, 17, 33)
@@ -49,3 +52,28 @@ def test_trial_uniforms_reach_the_last_trial_index():
 def test_keys_outside_64_bits_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_trial_uniforms_peak_memory_stays_within_twice_the_result():
+    tracemalloc.start()
+    try:
+        rows = trial_uniforms(0, 0, 512, 8190)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (512, 8190) and rows.flags.c_contiguous
+    assert peak <= 2 * rows.nbytes
+    for i in (0, 511):
+        assert np.array_equal(rows[i], trial_rng(0, i).random(8190))
+
+
+def test_trial_uniforms_slabs_meet_bit_for_bit():
+    # rows long enough to be cut into several slabs of blocks, the last one
+    # partial; then rows of just over half a slab, one row per slab
+    rows = trial_uniforms(3, 10, 14, 4 * rng._SLAB_BLOCKS + 7)
+    for i, row in enumerate(rows):
+        assert np.array_equal(row, trial_rng(3, 10 + i).random(row.size))
+    wide = rng._SLAB_BLOCKS // 2 + 1
+    rows = trial_uniforms(4, 0, 3, 4 * wide - 1)
+    for i, row in enumerate(rows):
+        assert np.array_equal(row, trial_rng(4, i).random(row.size))
