@@ -9,8 +9,8 @@ import functools
 
 import numpy as np
 
-# Reported as `toffsim.kernel_backend` and `versions.kernel_backend`.
-BACKEND = "python"
+# the package's `kernel_backend`, reported as `versions.kernel_backend`
+from .. import kernel_backend as BACKEND
 
 
 def apply_dense(vec, u, base, offs):

@@ -17,30 +17,34 @@ CSV for the plot-ready trial tables.  Exit codes: 0 success, 1 for
 configuration problems, 2 when --check is passed and a built-in
 verification fails.  Column layouts are documented in docs/output-schema.md.
 
-Each call runs one subcommand in a fresh interpreter, where loading and
-compiling the library's modules costs about as much as a small run.  So this
-module imports only numpy, the standard library, `core` and `rng` at its top,
-and each subcommand imports the library modules it runs inside its own body.
+Each call runs one subcommand in a fresh interpreter, where loading numpy
+and compiling the library's modules costs about as much as a small run.  So
+this module imports only the standard library and the numpy-free package
+constants at its top, and each subcommand imports what it runs inside its own
+body: `estimate` runs without numpy, and the report's `versions.numpy` is
+read from numpy's version file, not from an imported numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.machinery
 import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+from . import __version__, kernel_backend
 
-from . import __version__
-from ._kernels import BACKEND
-from .core import QuantumState, apply_gate, fidelity, tensor
-from .rng import trial_rng, trial_uniforms
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import QuantumState
 
 SCHEMA = "toffsim-report/1"
 
@@ -166,6 +170,8 @@ def _list(cfg: dict, key: str) -> list:
 
 
 def _random_data_state(rng: np.random.Generator, labels: Sequence[str]) -> QuantumState:
+    from .core import QuantumState
+
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     return QuantumState.from_vector(labels, vec)
 
@@ -173,12 +179,14 @@ def _random_data_state(rng: np.random.Generator, labels: Sequence[str]) -> Quant
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_toffoli_verify(cfg: dict, seed: int):
+    from .core import QuantumState, fidelity
     from .gadgets import (
         DATA_LABELS,
         default_correction_table,
         ideal_toffoli_output,
         toffoli_gadget,
     )
+    from .rng import trial_rng
 
     trials = _number(cfg["trials"], "trials", int)
     tol = _number(cfg["tolerance"], "tolerance")
@@ -245,6 +253,7 @@ def _cmd_toffoli_verify(cfg: dict, seed: int):
 
 
 def _cmd_distill(cfg: dict, seed: int):
+    from .core import QuantumState, fidelity
     from .distill import (
         MixedAncilla,
         combine_states,
@@ -254,6 +263,7 @@ def _cmd_distill(cfg: dict, seed: int):
         pair_supply,
         success_probability,
     )
+    from .rng import trial_rng
 
     alpha3 = _number(cfg["alpha3"], "alpha3")
     levels = _number(cfg["levels"], "levels", int)
@@ -346,6 +356,7 @@ def _cmd_distill(cfg: dict, seed: int):
 
 def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
     """Check the parity-transfer identity on all 4^n eigenstrings; exact."""
+    from .core import apply_gate, fidelity, tensor
     from .noisy_meas import (
         apply_bitwise_probe,
         eigenstring_state,
@@ -371,6 +382,9 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
 
 
 def _cmd_noisy_meas(cfg: dict, seed: int):
+    import numpy as np
+
+    from .core import QuantumState, apply_gate
     from .distill import MixedAncilla
     from .error_models import (
         PauliChannel,
@@ -385,6 +399,7 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
         sample_effective,
         sample_exact,
     )
+    from .rng import trial_rng, trial_uniforms
 
     n = _number(cfg["n"], "n", int)
     model = cfg["model"]
@@ -527,6 +542,8 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
 
 def _median(values: np.ndarray) -> float:
     """`np.median` of a 1-d array, bit for bit, without loading `numpy.ma`."""
+    import numpy as np
+
     s = np.sort(values)
     if np.isnan(s[-1]):  # NaNs sort last, and make the median NaN
         return math.nan
@@ -534,7 +551,10 @@ def _median(values: np.ndarray) -> float:
 
 
 def _cmd_ensemble(cfg: dict, seed: int):
+    import numpy as np
+
     from .error_models import BlockEnsemble, ensemble_distill_fidelity, ensemble_log_tan
+    from .rng import trial_rng
 
     trials = _number(cfg["trials"], "trials", int)
     k_max = _number(cfg["k_max"], "k_max", int)
@@ -562,8 +582,7 @@ def _cmd_ensemble(cfg: dict, seed: int):
             log_contamination[t] = math.log(fid.alpha_product)
             sampled_analytic[t] = fid.analytic
             rows.append((t, fid.empirical, log_contamination[t], fid.analytic))
-        marginal = ensemble_distill_fidelity(ensemble,
-                                             rng=trial_rng(seed, 0)).analytic_marginal
+        marginal = ensemble.analytic_marginal_fidelity()
         mean = float(empirical.mean())
         se = float(empirical.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         log_mean = float(log_contamination.mean())
@@ -751,6 +770,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numpy_version() -> str:
+    """numpy's `__version__`, read without importing numpy where possible.
+
+    numpy's `__init__` takes `__version__` from its `version.py`, which is
+    found by path and executed here; the path finder looks past a blocked or
+    absent `sys.modules` entry.  numpy is imported only if that file cannot
+    be read.
+    """
+    spec = importlib.machinery.PathFinder.find_spec("numpy")
+    if spec is not None and spec.origin is not None:
+        namespace: dict = {}
+        try:
+            with open(os.path.join(os.path.dirname(spec.origin), "version.py"),
+                      encoding="utf-8") as fh:
+                exec(fh.read(), namespace)
+            return namespace["__version__"]
+        # no such file, or one that imports from numpy's own modules
+        except (OSError, ImportError, KeyError):
+            pass
+    import numpy
+
+    return numpy.__version__
+
+
 def _render_csv(header: Sequence[str], rows: Sequence[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -792,8 +835,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "checks": checks.items,
             "versions": {
                 "toffsim": __version__,
-                "numpy": np.__version__,
-                "kernel_backend": BACKEND,
+                "numpy": _numpy_version(),
+                "kernel_backend": kernel_backend,
             },
             "wall_time_seconds": elapsed,
         }

@@ -19,7 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .error_models import max_block_size
+
+def max_block_size(p: float) -> float:
+    """Order-of-magnitude largest useful block at per-bit error p: (1/p) ln(1/p)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    return (1.0 / p) * math.log(1.0 / p)
+
 
 #: Sub-linear distance scaling: doubling protection costs a factor 9 in size.
 DEFAULT_SCALING_EXPONENT = math.log(2.0) / math.log(9.0)
@@ -194,6 +200,7 @@ __all__ = [
     "Schedule",
     "TARGET_SLACK_DECADES",
     "block_failure",
+    "max_block_size",
     "progressive_schedule",
     "round_to_one_significant",
     "standard_concat_levels",

@@ -102,13 +102,6 @@ def _alpha3_from_bias(bias: float) -> float:
     return (1.0 - bias) / (1.0 + bias)
 
 
-def max_block_size(p: float) -> float:
-    """Order-of-magnitude largest useful block at per-bit error p: (1/p) ln(1/p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    return (1.0 / p) * math.log(1.0 / p)
-
-
 # -- coherent (unitary) per-bit errors -------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -318,6 +311,16 @@ class BlockEnsemble:
         frac = self.defect_fraction
         return (1.0 - frac) * self.p + frac * self.defect_p
 
+    def analytic_marginal_fidelity(self) -> float:
+        """1 - exp(-2^(levels+1) (1 - 2 m)^n) / 3 at the marginal flip probability m.
+
+        The cascade fidelity predicted from the policy's exact marginal alone,
+        so it needs no draw.
+        """
+        scale = float(2 ** (self.levels + 1))
+        marginal = self.mean_flip_probability()
+        return 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** self.n) / 3.0
+
     def expected_log_alpha3(self) -> float:
         """Exact E[log alpha3] over defect draws for one block.
 
@@ -437,10 +440,8 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble,
     scale = float(2 ** (ensemble.levels + 1))
     mean_per_position = p_matrix.mean(axis=0)
     analytic = 1.0 - math.exp(-scale * float(np.prod(1.0 - 2.0 * mean_per_position))) / 3.0
-    marginal = ensemble.mean_flip_probability()
-    analytic_marginal = 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** ensemble.n) / 3.0
-    return EnsembleFidelity(analytic, analytic_marginal, empirical,
-                            alpha_product, marginal)
+    return EnsembleFidelity(analytic, ensemble.analytic_marginal_fidelity(), empirical,
+                            alpha_product, ensemble.mean_flip_probability())
 
 
 @dataclass(frozen=True)
@@ -519,6 +520,16 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
 
     bound = -2.0 * math.exp(-2.0 * pn)
     return LogTanEstimate(mean, se, series, closed, bound, trials, terms)
+
+
+def __getattr__(name):
+    # `max_block_size` lives in `concat`, which the samplers here never need,
+    # so it is served from there on access rather than imported with them
+    if name == "max_block_size":
+        from .concat import max_block_size
+
+        return max_block_size
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -206,22 +206,26 @@ class CorrectionTable:
         return "\n".join(lines)
 
 
+# reference qubits holding the input index of the Choi state
+_REFERENCE_LABELS = ("R0", "R1", "R2")
+
+
 def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
     """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
 
-    Runs the gadget on all eight basis inputs with the ideal ancilla,
-    postselecting `branch`, and factors the ancilla residual out of the
-    stacked output vectors.
+    Runs the gadget once, postselecting `branch`, with the ideal ancilla and
+    the data qubits maximally entangled with three reference qubits: on the
+    Choi state sum_x |x>_R |x>_ABC, the reference index x of the output
+    selects the output for basis input x (Choi, Linear Algebra Appl. 10,
+    285, 1975).  The ancilla residual is then factored out of the stacked
+    output vectors.
     """
-    m1, m2, mx = branch
-    columns = np.zeros((8, 8, 8), dtype=np.complex128)  # [data, ancilla, input]
-    for x in range(8):
-        bits = format(x, "03b")
-        state = tensor(QuantumState.basis(DATA_LABELS, bits),
-                       toffoli_ancilla_target(ANCILLA_LABELS))
-        state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS,
-                                    postselect=True, rng=None)[0]
-        columns[:, :, x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
+    choi = QuantumState.from_vector(_REFERENCE_LABELS + DATA_LABELS, np.eye(8).reshape(64))
+    state = tensor(choi, toffoli_ancilla_target(ANCILLA_LABELS))
+    state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS,
+                                postselect=True, rng=None)[0]
+    order = DATA_LABELS + ANCILLA_LABELS + _REFERENCE_LABELS
+    columns = state.reordered(order).data.reshape(8, 8, 8)  # [data, ancilla, input]
     stacked = columns.transpose(1, 0, 2).reshape(8, 64)  # ancilla index x (data, input)
     u, s, vh = np.linalg.svd(stacked)
     if s[1] > 1e-10 * s[0]:

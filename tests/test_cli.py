@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -522,9 +523,10 @@ def test_median_is_numpy_median_bit_for_bit():
 IMPORT_PROBE = """
 import json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("toffsim.")
-                  or m in ("numpy.random", "numpy.ma"))
+    return sorted(m for m in sys.modules if m.startswith(("toffsim.", "numpy")))
 steps = {}
+import toffsim
+steps["package"] = loaded()
 import toffsim.cli
 steps["import"] = loaded()
 toffsim.cli.main(["estimate", "--out", sys.argv[1]])
@@ -540,11 +542,41 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    library = {f"toffsim.{name}" for name in
-               ("concat", "distill", "error_models", "gadgets", "noisy_meas")}
-    assert not (library | {"numpy.random"}) & set(steps["import"])
-    assert {"toffsim.cli", "toffsim.core", "toffsim.rng"} <= set(steps["import"])
+    assert steps["package"] == []
+    assert steps["import"] == ["toffsim.cli"]
     assert "toffsim.concat" in steps["estimate"]
-    assert not {"numpy.random", "numpy.ma"} & set(steps["estimate"])
+    assert not [m for m in steps["estimate"]
+                if m.startswith("numpy") or m in ("toffsim.core", "toffsim._kernels")]
     assert "numpy.random" in steps["ensemble"]
-    assert "numpy.ma" not in steps["ensemble"]
+    assert not {"numpy.ma", "toffsim.core", "toffsim._kernels"} & set(steps["ensemble"])
+
+
+# a fresh interpreter in which numpy cannot be imported
+NO_NUMPY_ESTIMATE = """
+import sys
+sys.modules["numpy"] = None
+from toffsim.cli import main
+sys.exit(main(["estimate", "--check", "--out", sys.argv[1]]))
+"""
+
+
+def test_estimate_runs_without_numpy(tmp_path, capsys):
+    blocked = tmp_path / "blocked.json"
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_ESTIMATE, str(blocked)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = run_cli(["estimate", "--check"], capsys)
+    assert rc == 0
+    want, got = json.loads(out), json.loads(blocked.read_text())
+    del want["wall_time_seconds"], got["wall_time_seconds"]
+    assert got == want
+    assert got["versions"]["numpy"] == np.__version__
+
+
+def test_numpy_version_without_a_readable_version_file_imports_numpy(monkeypatch, tmp_path):
+    # a numpy directory without version.py
+    spec = types.SimpleNamespace(origin=str(tmp_path / "__init__.py"))
+    finder = types.SimpleNamespace(find_spec=lambda name: spec)
+    monkeypatch.setattr(cli, "importlib", types.SimpleNamespace(
+        machinery=types.SimpleNamespace(PathFinder=finder)))
+    assert cli._numpy_version() == np.__version__

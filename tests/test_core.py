@@ -29,6 +29,28 @@ from toffsim.core import (
 from toffsim.rng import master_rng
 
 
+# -- package namespace ---------------------------------------------------------------
+
+def test_package_serves_the_core_names_without_binding_them():
+    import toffsim
+
+    before = dict(vars(toffsim))
+    from toffsim import QuantumState, apply_gate, measure_operator, tensor
+    assert (QuantumState, apply_gate, measure_operator, tensor) == \
+        (core.QuantumState, core.apply_gate, core.measure_operator, core.tensor)
+    for name in toffsim.__all__:
+        if name not in ("kernel_backend", "__version__"):
+            assert getattr(toffsim, name) is getattr(core, name), name
+    assert toffsim.kernel_backend == "python"
+    with pytest.raises(AttributeError):
+        toffsim.nope
+    assert vars(toffsim) == before
+    assert sorted(toffsim.__all__) == sorted([
+        "GateSpec", "MeasurementRecord", "PauliOperator", "QuantumState", "Qubit",
+        "apply_gate", "apply_matrix", "discard", "fidelity", "gate", "kernel_backend",
+        "measure_operator", "tensor", "__version__"])
+
+
 def test_basis_state_indexing():
     s = QuantumState.basis(("a", "b", "c"), "101")
     vec = np.zeros(8)

@@ -125,6 +125,15 @@ def test_max_block_size_frozen_value():
         max_block_size(1.0)
 
 
+def test_max_block_size_is_served_from_concat():
+    from toffsim import concat, error_models
+
+    assert error_models.max_block_size is concat.max_block_size
+    assert "max_block_size" not in vars(error_models)
+    with pytest.raises(AttributeError):
+        error_models.nope
+
+
 # -- coherent error sets ---------------------------------------------------------------
 
 def test_unitary_error_set_requires_unit_rows():
@@ -313,6 +322,16 @@ def test_cascade_fidelity_matches_per_block_reference(config):
         assert ensemble_distill_fidelity(ens, rng=got_rng) == \
             per_block_distill_fidelity(ens, want_rng)
         assert got_rng.random() == want_rng.random()  # same uniforms consumed
+
+
+def test_analytic_marginal_fidelity_needs_no_draw():
+    ens = BlockEnsemble(n=50, levels=6, model="decoherent", p=0.01,
+                        defect_fraction=0.02, defect_p=0.9)
+    want = ens.analytic_marginal_fidelity()
+    for t in range(5):
+        assert ensemble_distill_fidelity(ens, rng=trial_rng(t, 0)).analytic_marginal == want
+    with pytest.raises(ValueError):
+        BlockEnsemble(n=8, levels=2, model="unitary", p=0.01).analytic_marginal_fidelity()
 
 
 def test_cascade_fidelity_bias_minus_one_is_the_reference_error():

@@ -133,6 +133,40 @@ def test_token_matrices_equal_the_kron_oracle_exactly():
 
 # -- correction table -------------------------------------------------------------
 
+def per_basis_transfer_matrix(branch):
+    """Oracle: the branch's transfer matrix from one gadget run per basis input."""
+    columns = np.zeros((8, 8, 8), dtype=np.complex128)  # [data, ancilla, input]
+    for x in range(8):
+        state = tensor(QuantumState.basis(DATA_LABELS, format(x, "03b")),
+                       toffoli_ancilla_target(ANCILLA_LABELS))
+        state = gadgets._run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS,
+                                            postselect=True, rng=None)[0]
+        columns[:, :, x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
+    stacked = columns.transpose(1, 0, 2).reshape(8, 64)
+    u, s, vh = np.linalg.svd(stacked)
+    assert s[1] <= 1e-10 * s[0]
+    return (s[0] * vh[0]).reshape(8, 8)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_choi_transfer_matrix_equals_the_per_basis_oracle_bitwise(branch):
+    assert np.array_equal(gadgets._branch_transfer_matrix(branch),
+                          per_basis_transfer_matrix(branch))
+
+
+def test_derivation_runs_the_gadget_circuit_once_per_branch(monkeypatch):
+    runs = []
+    circuit = gadgets._run_gadget_circuit
+
+    def counted(state, *args, **kwargs):
+        runs.append(state.n_qubits)
+        return circuit(state, *args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "_run_gadget_circuit", counted)
+    derive_correction_table()
+    assert runs == [9] * 8
+
+
 def test_derived_table_matches_shipped_default():
     derived = derive_correction_table()
     default = default_correction_table()
