@@ -51,11 +51,13 @@ SCHEMA = "toffsim-report/1"
 # trials per sampled block of noisy-meas: bounds the block's arrays; every
 # trial keeps its own substream, so reports do not depend on it
 _TRIAL_CHUNK = 512
-# noisy-meas limits, checked before anything of size n is allocated: n keeps
-# one block's uniforms (at most 3n a trial) within 2**22, 32 MiB; trials x n
-# keeps a run to about a minute of sampling
-_MAX_CAT_BITS = 2**22 // (3 * _TRIAL_CHUNK)
+# the most doubles one sampled array may hold, 32 MiB
+_MAX_BLOCK_DOUBLES = 2**22
+# the most readout bits a run may sample, over all its trials: about a minute
 _MAX_TRIAL_BITS = 10**8
+# noisy-meas limit, checked before anything of size n is allocated: n keeps
+# one block's uniforms (at most 3n a trial) within _MAX_BLOCK_DOUBLES
+_MAX_CAT_BITS = _MAX_BLOCK_DOUBLES // (3 * _TRIAL_CHUNK)
 
 _BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
 
@@ -367,13 +369,13 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
     cat = prepare_even_cat(n)
     a_labels = tuple(f"a{i+1}" for i in range(n))
     b_labels = tuple(f"b{i+1}" for i in range(n))
-    odd_cat = apply_gate(cat.state, "X", cat.state.labels[0])
+    odd_cat = apply_gate(cat, "X", cat.labels[0])
     passed = total = 0
     for symbols in itertools.product("1234", repeat=n):
         x = "".join(symbols)
         pairs = eigenstring_state(x, a_labels, b_labels)
-        joint = apply_bitwise_probe(pairs, a_labels, b_labels, prepare_even_cat(n))
-        want_cat = odd_cat if eigenstring_weight(x) else cat.state
+        joint = apply_bitwise_probe(pairs, a_labels, b_labels, cat)
+        want_cat = odd_cat if eigenstring_weight(x) else cat
         expected = tensor(pairs, want_cat)
         total += 1
         if fidelity(joint, expected) >= 1.0 - 1e-12:
@@ -553,7 +555,12 @@ def _median(values: np.ndarray) -> float:
 def _cmd_ensemble(cfg: dict, seed: int):
     import numpy as np
 
-    from .error_models import BlockEnsemble, ensemble_distill_fidelity, ensemble_log_tan
+    from .error_models import (
+        LOG_TAN_CHUNK,
+        BlockEnsemble,
+        ensemble_distill_fidelity,
+        ensemble_log_tan,
+    )
     from .rng import trial_rng
 
     trials = _number(cfg["trials"], "trials", int)
@@ -569,6 +576,22 @@ def _cmd_ensemble(cfg: dict, seed: int):
         p=_number(cfg["p"], "p"), q=_number(cfg["q"], "q"),
         defect_fraction=_number(defect_fraction, "defect_fraction"),
         defect_p=_number(cfg["defect_p"], "defect_p"))
+    # limits, checked before 2**levels is formed: a cascade draws 2**levels x n
+    # flip probabilities, a unitary trial n tangents, LOG_TAN_CHUNK trials at once
+    n, levels = ensemble.n, ensemble.levels
+    if ensemble.model == "decoherent":
+        if levels >= _MAX_BLOCK_DOUBLES.bit_length() or n << levels > _MAX_BLOCK_DOUBLES:
+            raise ValueError(f"2**levels x n at levels {levels}, n {n} exceeds the limit "
+                             f"of {_MAX_BLOCK_DOUBLES} draws per cascade")
+        draws = n << levels
+    else:
+        if min(trials, LOG_TAN_CHUNK) * n > _MAX_BLOCK_DOUBLES:
+            raise ValueError(f"n {n} exceeds the limit of {_MAX_BLOCK_DOUBLES} tangents "
+                             f"per block of {min(trials, LOG_TAN_CHUNK)} trials")
+        draws = n
+    if trials * draws > _MAX_TRIAL_BITS:
+        raise ValueError(f"trials x draws per trial = {trials * draws} exceeds the work "
+                         f"budget of {_MAX_TRIAL_BITS}")
     checks = _Check()
 
     if ensemble.model == "decoherent":

@@ -16,6 +16,7 @@ whose block sizes grow per level up to the (1/p) ln(1/p) usefulness bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -60,6 +61,9 @@ def block_failure(eps_log10: float, n: float,
     """
     if n < 1:
         raise ValueError("block size must be >= 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"block size above {sys.float_info.max:.6g} is out of "
+                         "floating-point range")
     if eps_log10 >= params.threshold_log10:
         raise ValueError(
             f"input exponent {eps_log10} is not below threshold "
@@ -153,6 +157,11 @@ def progressive_schedule(target_log10: float, *,
     while eps > target_log10 + TARGET_SLACK_DECADES:
         if len(levels) >= max_levels:
             return Schedule("progressive", target_log10, tuple(levels), False)
+        if eps_star >= params.threshold_log10:
+            # block_failure would refuse it, but 10.0**eps_star can overflow first
+            raise ValueError(
+                f"penalized gate exponent {eps_star:.4f} is not below threshold "
+                f"{params.threshold_log10}; encoding would amplify errors")
         n = round_to_one_significant(max_block_size(10.0**eps_star))
         eps = block_failure(eps_star, n, params)
         eps_star = eps + penalty_log10

@@ -13,14 +13,16 @@ contamination squares each round while the ideal part is untouched.
 
 Both faces are provided: the closed-form coefficient algebra (`combine`,
 `MixedAncilla`) and the explicit four-qubit circuit (`combine_states`),
-which must agree and are tested against each other.
+which must agree and are tested against each other.  `distill_tree` samples
+the retries of a whole purification tree fed by identically prepared raw
+copies (`pair_supply`), the one supply the protocol uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,9 +172,6 @@ def fidelity_after_rounds(a3: complex, rounds: int) -> float:
 
 # -- running a purification tree by sampling -----------------------------------
 
-Supply = Union[Iterable[MixedAncilla], Callable[[], MixedAncilla]]
-
-
 @dataclass(frozen=True)
 class DistillOutcome:
     ancilla: MixedAncilla
@@ -182,97 +181,71 @@ class DistillOutcome:
     leaves_used: int
 
 
+class _FixedSupply:
+    """`pair_supply`'s supply: one raw ancilla, and the results of its
+    combines per level, which `distill_tree` fills as its trees first reach
+    each level.  `combine` is pure, so trees drawing on one supply share them.
+    """
+
+    __slots__ = ("noise", "made", "probs")
+
+    def __init__(self, noise: MixedAncilla):
+        self.noise = noise
+        # made[k]: a level-k output; probs[k]: the probability that its combine
+        # passes (level 0 is the leaf itself)
+        self.made: List[MixedAncilla] = [noise]
+        self.probs: List[float] = [1.0]
+
+    def reach(self, k: int) -> float:
+        """Level k's success probability, combining up to level k on first use."""
+        while len(self.made) <= k:
+            out, prob = combine(self.made[-1], self.made[-1])
+            self.made.append(out)
+            self.probs.append(prob)
+        return self.probs[k]
+
+
+def pair_supply(noise: MixedAncilla = MixedAncilla.ideal()) -> _FixedSupply:
+    """Endless supply of identically prepared raw ancillas, for `distill_tree`."""
+    return _FixedSupply(noise)
+
+
 # uniforms drawn from the rng per block by `distill_tree`
 _UNIFORM_BLOCK = 64
 
 
-def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
-    """The uniforms of `rng`, one at a time, drawn in blocks of `_UNIFORM_BLOCK`."""
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
-
-
-def distill_tree(supply: Supply, level: int, *,
+def distill_tree(supply: _FixedSupply, level: int, *,
                  rng: Optional[np.random.Generator] = None,
                  max_attempts: int = 100_000) -> DistillOutcome:
     """Produce one level-`level` ancilla, retrying failed parity checks.
 
-    `supply` provides raw (level-0) ancillas: either a finite iterable,
-    which raises RuntimeError when exhausted, or a callable invoked per
-    leaf.  Each combine succeeds with its coefficient-form probability,
+    `supply` is made by `pair_supply`: identically prepared raw ancillas,
+    endlessly.  Each combine succeeds with its coefficient-form probability,
     decided against `rng`; on failure both inputs are discarded and rebuilt.
 
     The tree is built depth first, left subtree before right.  An attempt
-    at level 1 draws two fresh leaves from `supply`, left then right; an
-    attempt at level k > 1 pairs the finished left output of level k - 1
-    with the right one just made.  Draw contract: the j-th combine attempt
-    passes exactly when the j-th uniform of `rng` is below its success
-    probability.  Uniforms are taken from `rng` in blocks of
-    `_UNIFORM_BLOCK`, so on return `rng` has advanced by whole blocks, up to
-    one block past the last uniform used.  A level-0 tree draws one leaf and
-    no uniform.
+    at level 1 pairs two fresh leaves; an attempt at level k > 1 pairs the
+    finished left output of level k - 1 with the right one just made.  Draw
+    contract: the j-th combine attempt passes exactly when the j-th uniform
+    of `rng` is below its success probability.  Uniforms are taken from
+    `rng` in blocks of `_UNIFORM_BLOCK`, so on return `rng` has advanced by
+    whole blocks, up to one block past the last uniform used.  A level-0
+    tree is the raw ancilla itself and draws no uniform.
 
-    A supply made by `pair_supply` hands out one ancilla forever, so every
-    level-k combine has the same inputs and the same result.  For it the
-    tree runs on integers alone: each level's (output, probability) is
-    computed by `combine` once, when the tree first reaches that level, and
-    the walk keeps the level k, a bitmask of the held levels and the
-    counters.  It sees the same uniforms, blocks and budget error as the
-    general loop, which every other supply takes.
+    As all leaves are equal, every level-k combine has the same inputs and
+    the same result, so the tree runs on integers alone: each level's
+    (output, probability) is computed by `combine` once, when a tree drawing
+    on `supply` first reaches that level, and the walk keeps the level k, a
+    bitmask of the held levels and the counters.
     """
+    if not isinstance(supply, _FixedSupply):
+        raise TypeError(f"supply must be made by pair_supply, got {type(supply).__name__}")
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > 0 and rng is None:
         raise ValueError("rng is required to sample parity-check outcomes")
-    if callable(supply):
-        draw = supply
-    else:
-        iterator = iter(supply)
-
-        def draw() -> MixedAncilla:
-            try:
-                return next(iterator)
-            except StopIteration:
-                raise RuntimeError("ancilla supply exhausted mid-tree") from None
-
     if level == 0:
-        return DistillOutcome(draw(), 0, 0, 0, 1)
-    if isinstance(supply, _FixedSupply):
-        return _fixed_supply_tree(supply, level, rng, max_attempts)
-    uniforms = _uniform_stream(rng)
-    # held[k]: a finished level-k left output awaiting its right partner
-    held: List[Optional[MixedAncilla]] = [None] * level
-    attempts = successes = leaves = 0
-    k, out = 1, None
-    while True:
-        if k == 1:
-            left = draw()
-            right = draw()
-            leaves += 2
-        else:
-            left, right, held[k - 1] = held[k - 1], out, None
-        made, prob = combine(left, right)
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
-        if next(uniforms) < prob:
-            # counts every passed parity check, including ones whose output
-            # a later parent failure throws away
-            successes += 1
-            out = made
-            if k == level:
-                return DistillOutcome(out, level, attempts, successes, leaves)
-            if held[k] is None:
-                held[k], k = out, 1
-            else:
-                k += 1
-        else:
-            k = 1  # both inputs are lost; rebuild this level's input pair
-
-
-def _fixed_supply_tree(supply: "_FixedSupply", level: int, rng: np.random.Generator,
-                       max_attempts: int) -> DistillOutcome:
-    """`distill_tree` for `pair_supply`'s endless supply, on integers alone."""
+        return DistillOutcome(supply.noise, 0, 0, 0, 1)
     p1 = supply.reach(1)
     # held: bit k set while a finished level-k output awaits its partner;
     # upper: attempts above level 1 (each level-1 attempt takes two leaves)
@@ -355,42 +328,6 @@ def measurement_majority_repeats(eps: float, eps_m: float) -> int:
     if r % 2 == 0:
         r += 1
     return r
-
-
-class _FixedSupply:
-    """`pair_supply`'s callable: one ancilla forever, and the results of its
-    combines per level, which `distill_tree` fills as its trees first reach
-    each level.  `combine` is pure, so trees drawing on one supply share them.
-    """
-
-    __slots__ = ("noise", "made", "probs")
-
-    def __init__(self, noise: MixedAncilla):
-        self.noise = noise
-        # made[k]: a level-k output; probs[k]: the probability that its combine
-        # passes (level 0 is the leaf itself)
-        self.made: List[MixedAncilla] = [noise]
-        self.probs: List[float] = [1.0]
-
-    def __call__(self) -> MixedAncilla:
-        return self.noise
-
-    def reach(self, k: int) -> float:
-        """Level k's success probability, combining up to level k on first use."""
-        while len(self.made) <= k:
-            out, prob = combine(self.made[-1], self.made[-1])
-            self.made.append(out)
-            self.probs.append(prob)
-        return self.probs[k]
-
-
-def pair_supply(noise: MixedAncilla = MixedAncilla.ideal()) -> Callable[[], MixedAncilla]:
-    """Endless supply of identically prepared raw ancillas.
-
-    The callable is recognized by `distill_tree`, which then runs its
-    fixed-supply loop.
-    """
-    return _FixedSupply(noise)
 
 
 __all__ = [

@@ -165,33 +165,16 @@ class UnitaryErrorSet:
         return bool(prods[0] > factor * max(prods[1], prods[2], prods[3]))
 
 
-@dataclass(frozen=True)
-class FlipAngleReading:
-    """Accumulated flip angle and its contamination coefficients.
+def arctan_flip_angle(errors: UnitaryErrorSet) -> float:
+    """Sum of per-bit arctan(C_j / A_j), the low-error flip angle of a block.
 
-    `alpha1/2/3` follow the sign convention in which the reported-even state
-    is written with amplitude ratio i*tan(sigma) and excess -tan^2(sigma).
-    The density-operator decomposition of the actually prepared pure state
-    carries (-i tan, +i tan, +tan^2) instead (`MixedAncilla.from_phase_angle`);
-    both conventions agree on every trace and fidelity and tests pin the
-    projector one against the circuit.
+    Its contamination coefficients come from `MixedAncilla.from_phase_angle`.
     """
-
-    sigma: float
-    alpha1: complex
-    alpha2: complex
-    alpha3: complex
-
-
-def arctan_flip_angle(errors: UnitaryErrorSet) -> FlipAngleReading:
-    """Sum of per-bit arctan(C_j / A_j) plus the companion coefficients."""
     a = errors.coefficients[:, 0]
     c = errors.coefficients[:, 2]
     if np.any(a == 0.0):
         raise ValueError("arctan(C/A) undefined at A = 0; not in the low-error regime")
-    sigma = float(np.sum(np.arctan(c / a)))
-    t = math.tan(sigma)
-    return FlipAngleReading(sigma, 1j * t, 1j * t, -t * t)
+    return float(np.sum(np.arctan(c / a)))
 
 
 def accumulated_flip_angle(errors: UnitaryErrorSet) -> float:
@@ -466,10 +449,13 @@ class LogTanEstimate:
     series_terms: int
 
 
+# trials whose tangents `ensemble_log_tan` draws in one array
+LOG_TAN_CHUNK = 8_192
+
+
 def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
                      rng: Optional[np.random.Generator] = None,
-                     k_max: int = 400, term_tol: float = 1e-15,
-                     chunk: int = 8_192) -> LogTanEstimate:
+                     k_max: int = 400, term_tol: float = 1e-15) -> LogTanEstimate:
     """Average log-tangent contamination of a coherent-error block ensemble.
 
     Requires a sign-symmetric angle distribution (both built-ins are), which
@@ -487,7 +473,7 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
     total_sq = 0.0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(LOG_TAN_CHUNK, trials - done)
         tangents = ensemble._draw_tangents(rng, size=(m, ensemble.n))
         sigma = np.sum(np.arctan(tangents), axis=1)
         with np.errstate(divide="ignore"):
@@ -536,7 +522,7 @@ __all__ = [
     "Alpha3Reading",
     "BlockEnsemble",
     "EnsembleFidelity",
-    "FlipAngleReading",
+    "LOG_TAN_CHUNK",
     "LogTanEstimate",
     "PauliChannel",
     "UnitaryErrorSet",

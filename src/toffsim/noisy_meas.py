@@ -27,15 +27,17 @@ so `sample_effective` runs any number of shots from one array of uniforms.
 readout block: after the probe the joint state is a sum of two product
 terms, one per eigenvalue of the readout bits' X, so each shot carries just
 two complex weights from bit to bit, and each bit-identical pair state left
-at the end is tested for its eigenvalue once.  In both modes the per-shot
-measurement is the sampler on a single row.
+at the end is tested for its eigenvalue once.  Both samplers return one
+`ParityShots` record, and in both modes the per-shot measurement is the
+sampler on a single row.  The readout block itself, `prepare_even_cat`, is
+built only to check the probe identity against dense states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,36 +101,14 @@ def eigenstring_state(x: str,
     return state
 
 
-@dataclass(frozen=True)
-class CatBlock:
-    """An n-bit readout block.
-
-    Exact mode carries the full quantum state (even-parity cat); effective
-    mode carries only the parity (+1 even / -1 odd) and error tallies,
-    which is all the readout product can ever depend on.
-    """
-
-    n: int
-    mode: str                          # "exact" | "effective"
-    state: Optional[QuantumState] = None
-    parity: int = +1
-    bit_flips: int = 0
-    phase_flips: int = 0
-
-
 def cat_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"c{i+1}" for i in range(n))
 
 
-def prepare_even_cat(n: int, mode: str = "exact",
-                     labels: Optional[Sequence[str]] = None) -> CatBlock:
+def prepare_even_cat(n: int, labels: Optional[Sequence[str]] = None) -> QuantumState:
     """Equal superposition of all even-weight n-bit strings (normalized)."""
     if n < 1:
         raise ValueError("cat block needs at least one bit")
-    if mode == "effective":
-        return CatBlock(n, mode)
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'effective'")
     if n > MAX_PURE_QUBITS:
         raise ValueError(f"exact cat of {n} bits exceeds the {MAX_PURE_QUBITS}-qubit cap")
     labels = cat_labels(n) if labels is None else tuple(labels)
@@ -137,24 +117,22 @@ def prepare_even_cat(n: int, mode: str = "exact",
     for bit in range(n):
         parity ^= (idx >> bit) & 1
     vec = np.where(parity == 0, 1.0, 0.0) / math.sqrt(2.0 ** (n - 1))
-    return CatBlock(n, mode, QuantumState.from_vector(labels, vec))
+    return QuantumState.from_vector(labels, vec)
 
 
 def apply_bitwise_probe(pair_state: QuantumState,
                         a_labels: Sequence[str], b_labels: Sequence[str],
-                        cat: CatBlock) -> QuantumState:
+                        cat: QuantumState) -> QuantumState:
     """Couple n pairs to an n-bit cat block, one probe per (a_i, b_i, c_i).
 
     Each probe touches only its own triple, so a fault on one qubit can
     spread to at most one qubit in each of the other two blocks.
     """
-    if cat.mode != "exact" or cat.state is None:
-        raise ValueError("bitwise probe requires an exact-mode cat block")
     a_labels, b_labels = tuple(a_labels), tuple(b_labels)
-    if not len(a_labels) == len(b_labels) == cat.n:
+    if not len(a_labels) == len(b_labels) == cat.n_qubits:
         raise ValueError("label blocks must match the cat size")
-    joint = tensor(pair_state, cat.state)
-    for a, b, c in zip(a_labels, b_labels, cat.state.labels):
+    joint = tensor(pair_state, cat)
+    for a, b, c in zip(a_labels, b_labels, cat.labels):
         joint = apply_gate(joint, "PROBE", a, b, c)
     return joint
 
@@ -175,18 +153,20 @@ class RawPrepResult:
     true_eigenvalue is the eigenspace actually projected onto (None when
     coherent errors leave a superposition instead); reported_outcome is what
     the readout claimed, differing from the truth exactly when an odd number
-    of readout bit flips occurred.  alpha is the pair-basis contamination
-    reading where one is defined: the exact decomposition of the prepared
-    state for coherent errors, the channel-implied excess weight for
-    decoherent ones.
+    of readout bit flips occurred.  bit_flips and phase_flips count the
+    readout block's Pauli errors, injected ones included.  alpha is the
+    pair-basis contamination reading where one is defined: the exact
+    decomposition of the prepared state for coherent errors, the
+    channel-implied excess weight for decoherent ones.
     """
 
     logical_state: QuantumState
     reported_outcome: int
     true_eigenvalue: Optional[int]
-    alpha: Optional[MixedAncilla]
+    bit_flips: int
+    phase_flips: int
+    alpha: Optional[MixedAncilla] = None
     attempts: int = 1
-    cat: Optional[CatBlock] = None
 
 
 def _validate_inject(inject, n: int) -> Tuple[Tuple[str, int], ...]:
@@ -230,12 +210,13 @@ def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
 
 
 @dataclass(frozen=True)
-class EffectiveShots:
-    """Shots of one effective-mode parity measurement of a fixed pair state.
+class ParityShots:
+    """Shots of one noisy parity measurement of a fixed pair state.
 
-    The arrays hold one entry per shot.  `branches` maps each true
-    eigenvalue that occurred to the pair state it leaves, the same for every
-    shot with that eigenvalue, since readout errors only touch the report.
+    The arrays hold one entry per shot; a true eigenvalue of 0 marks a shot
+    whose readout left the pair in a superposition of the eigenspaces.
+    `logical_states` holds each distinct post-measurement pair state once;
+    shot i ended in `logical_states[state_index[i]]`.
     """
 
     n: int
@@ -243,20 +224,19 @@ class EffectiveShots:
     reported_outcomes: np.ndarray
     bit_flips: np.ndarray
     phase_flips: np.ndarray
-    branches: Dict[int, QuantumState]
+    state_index: np.ndarray
+    logical_states: Tuple[QuantumState, ...]
 
     def shot(self, i: int) -> RawPrepResult:
         """Shot i as the per-shot measurement result."""
-        true = int(self.true_eigenvalues[i])
-        bit_flips = int(self.bit_flips[i])
-        cat = CatBlock(self.n, "effective", parity=-1 if bit_flips % 2 else +1,
-                       bit_flips=bit_flips, phase_flips=int(self.phase_flips[i]))
-        return RawPrepResult(self.branches[true], int(self.reported_outcomes[i]),
-                             true, None, cat=cat)
+        return RawPrepResult(self.logical_states[self.state_index[i]],
+                             int(self.reported_outcomes[i]),
+                             int(self.true_eigenvalues[i]) or None,
+                             int(self.bit_flips[i]), int(self.phase_flips[i]))
 
 
 def sample_effective(state: QuantumState, channel: PauliChannel,
-                     uniforms) -> EffectiveShots:
+                     uniforms) -> ParityShots:
     """Effective-mode noisy parity measurement of one pair state, one shot per row.
 
     `uniforms` is a (shots, 2n + 1) array of draws from [0, 1).  Column 0
@@ -266,7 +246,8 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
     is exactly what the per-shot `measure_cnot_noisy` draws.  Measures the
     controlled-NOT involution; `measure_cphase_noisy`'s controlled-phase
     shots are these shots of the pair conjugated by a Hadamard on its second
-    qubit.
+    qubit.  The pair ends in one of at most two states, one per true
+    eigenvalue, since readout errors only touch the report.
     """
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
@@ -281,8 +262,11 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
     bit_flips = np.count_nonzero(u[:, 1:n + 1] < channel.p, axis=1)
     phase_flips = np.count_nonzero(u[:, n + 1:] < channel.q, axis=1)
     reported = np.where(bit_flips % 2, -true, true)
-    return EffectiveShots(n, true, reported, bit_flips, phase_flips,
-                          {outcome: post for outcome, (post, _) in branches.items()})
+    # branches holds +1 before -1
+    state_index = (true == -1) if len(branches) == 2 else np.zeros(len(true), dtype=bool)
+    return ParityShots(n, true, reported, bit_flips, phase_flips,
+                       state_index.astype(np.intp),
+                       tuple(post for post, _ in branches.values()))
 
 
 def exact_uniform_count(errors: ErrorModel) -> int:
@@ -292,36 +276,8 @@ def exact_uniform_count(errors: ErrorModel) -> int:
     return 3 * errors.n if isinstance(errors, PauliChannel) else errors.n
 
 
-@dataclass(frozen=True)
-class ExactShots:
-    """Shots of one exact-mode parity measurement of a fixed pair state.
-
-    The arrays hold one entry per shot; a true eigenvalue of 0 marks a shot
-    whose readout left the pair in a superposition of the eigenspaces.
-    `logical_states` holds each distinct (bit-identical) post-measurement
-    pair state once; shot i ended in `logical_states[state_index[i]]`.
-    """
-
-    n: int
-    true_eigenvalues: np.ndarray
-    reported_outcomes: np.ndarray
-    bit_flips: np.ndarray
-    phase_flips: np.ndarray
-    state_index: np.ndarray
-    logical_states: Tuple[QuantumState, ...]
-
-    def shot(self, i: int) -> RawPrepResult:
-        """Shot i as the per-shot measurement result."""
-        true = int(self.true_eigenvalues[i]) or None
-        bit_flips = int(self.bit_flips[i])
-        cat = CatBlock(self.n, "exact", parity=-1 if bit_flips % 2 else +1,
-                       bit_flips=bit_flips, phase_flips=int(self.phase_flips[i]))
-        return RawPrepResult(self.logical_states[self.state_index[i]],
-                             int(self.reported_outcomes[i]), true, None, cat=cat)
-
-
 def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
-                 inject: Sequence[Tuple[str, int]] = ()) -> ExactShots:
+                 inject: Sequence[Tuple[str, int]] = ()) -> ParityShots:
     """Exact-mode noisy parity measurement of one pair state, one shot per row.
 
     `uniforms` is a (shots, `exact_uniform_count(errors)`) array of draws
@@ -418,8 +374,8 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
         state_index[i] = index
     true = np.array(state_true, dtype=np.int64)[state_index]
     reported = np.where(minus_reads % 2, -1, 1)
-    return ExactShots(n, true, reported, bit_flips, phase_flips, state_index,
-                      tuple(logical_states))
+    return ParityShots(n, true, reported, bit_flips, phase_flips, state_index,
+                       tuple(logical_states))
 
 
 # columns |+> and |-> times sqrt 2: M times this holds <s|M|sigma> sqrt 2 at
@@ -491,9 +447,7 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
 
 
 __all__ = [
-    "CatBlock",
-    "EffectiveShots",
-    "ExactShots",
+    "ParityShots",
     "RawPrepResult",
     "apply_bitwise_probe",
     "cat_labels",

@@ -285,7 +285,7 @@ def test_probe_transfers_parity_onto_readout_block():
             cat = prepare_even_cat(n)
             joint = apply_bitwise_probe(pairs, a_labels, b_labels, cat)
 
-            flipped = prepare_even_cat(n).state
+            flipped = prepare_even_cat(n)
             for i, symbol in enumerate(x):
                 if symbol == "4":
                     flipped = apply_gate(flipped, "X", cat_labels(n)[i])
@@ -419,7 +419,7 @@ def test_coherent_errors_rotate_the_cat_exactly():
     n = 4
     errors = UnitaryErrorSet.uniform_ratio(n, 0.05)
     labels = cat_labels(n)
-    state = prepare_even_cat(n, labels=labels).state
+    state = prepare_even_cat(n, labels=labels)
     for label, matrix in zip(labels, errors.matrices()):
         state = apply_matrix(state, matrix, label)
 

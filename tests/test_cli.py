@@ -157,6 +157,72 @@ def test_noisy_meas_work_budget_boundary(tmp_path, capsys, monkeypatch):
     assert err == "toffsim: error: trials x n = 328 exceeds the work budget of 320\n"
 
 
+@pytest.mark.parametrize("payload, trials", [
+    ({"levels": 40}, 1),
+    ({"levels": 25}, 2),
+    ({"levels": 10**9}, 1),
+    ({"n": 10**12}, 1),
+    ({"levels": 10}, cli._MAX_TRIAL_BITS // (50 << 10) + 1),
+    ({"model": "unitary", "n": 10**7}, 200),
+    ({"model": "unitary"}, cli._MAX_TRIAL_BITS // 50 + 1),
+])
+def test_ensemble_beyond_its_work_limits_is_one_line_error(tmp_path, capsys, payload,
+                                                           trials):
+    cfg = write_config(tmp_path, "big.json", payload)
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(["ensemble", "--config", cfg, "--trials", str(trials)],
+                             capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("toffsim: error:") and "exceeds" in err
+    assert peak < 2**20  # no cascade or block of tangents was allocated
+
+
+@pytest.mark.parametrize("payload, trials, error", [
+    ({"levels": 10, "n": 64}, 1, None),
+    ({"levels": 10, "n": 65}, 1, "2**levels x n at levels 10, n 65 exceeds the limit "
+                                 "of 65536 draws per cascade"),
+    ({"levels": 9, "n": 64}, 2, None),
+    ({"levels": 9, "n": 64}, 3, "trials x draws per trial = 98304 exceeds the work "
+                                "budget of 80000"),
+    ({"model": "unitary", "n": 8}, 10_000, None),
+    ({"model": "unitary", "n": 9}, 8_192, "n 9 exceeds the limit of 65536 tangents "
+                                          "per block of 8192 trials"),
+    ({"model": "unitary", "n": 8}, 10_001, "trials x draws per trial = 80008 exceeds "
+                                           "the work budget of 80000"),
+])
+def test_ensemble_work_limit_boundaries(tmp_path, capsys, monkeypatch, payload, trials,
+                                        error):
+    monkeypatch.setattr(cli, "_MAX_BLOCK_DOUBLES", 2**16)
+    monkeypatch.setattr(cli, "_MAX_TRIAL_BITS", 80_000)
+    cfg = write_config(tmp_path, "edge.json", payload)
+    rc, _, err = run_cli(["ensemble", "--config", cfg, "--trials", str(trials)], capsys)
+    if error is None:
+        assert rc == 0
+    else:
+        assert rc == 1
+        assert err == f"toffsim: error: {error}\n"
+
+
+@pytest.mark.parametrize("payload, failing", [
+    ({"first_block": 0}, {"progressive"}),
+    ({"prefactor_log10": 400}, {"progressive", "standard"}),
+    ({"first_block": 10**340}, {"progressive"}),
+    ({"block_size": 10**340}, {"standard"}),
+])
+def test_estimate_out_of_range_schedule_is_a_per_strategy_error(tmp_path, capsys,
+                                                                payload, failing):
+    cfg = write_config(tmp_path, "range.json", payload)
+    rc, out, err = run_cli(["estimate", "--config", cfg], capsys)
+    assert rc == 0 and err == ""
+    for entry in json.loads(out)["results"]["targets"]:
+        assert {s for s in ("progressive", "standard") if "error" in entry[s]} == failing
+
+
 @pytest.mark.parametrize("command", ["distill", "noisy-meas", "toffoli-verify",
                                      "ensemble"])
 def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
@@ -484,6 +550,40 @@ def test_noisy_meas_exact_csv_golden_first_rows(tmp_path, capsys):
         "2,12,unitary,1,,0.4670412131202334",
         "3,12,unitary,1,,0.4670412131202334",
     ]
+
+
+def test_noisy_meas_effective_csv_golden_first_rows(capsys):
+    rc, out, _ = run_cli(["noisy-meas", "--format", "csv"], capsys)
+    assert rc == 0
+    assert out.splitlines()[1:9] == [
+        "0,8,decoherent,1,1,0.0",
+        "1,8,decoherent,-1,-1,",
+        "2,8,decoherent,1,-1,3.0",
+        "3,8,decoherent,-1,1,",
+        "4,8,decoherent,1,1,1.4999999999999998",
+        "5,8,decoherent,-1,1,",
+        "6,8,decoherent,1,1,1.0",
+        "7,8,decoherent,1,1,0.7500000000000001",
+    ]
+
+
+def test_noisy_meas_unitary_exact_json_golden_results(tmp_path, capsys):
+    cfg = write_config(tmp_path, "unitary.json", {"n": 3, "model": "unitary",
+                                                  "mode": "exact"})
+    rc, out, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "4"], capsys)
+    assert rc == 0
+    assert json.loads(out)["results"] == {
+        "alpha3_readings_max_deviation": 6.938893903907228e-17,
+        "eigenstring_checks": {"passed": 64, "total": 64},
+        "flip_angle": 0.14987518716582826,
+        "mode": "exact",
+        "model": "unitary",
+        "n": 3,
+        "raw_preparation": {"alpha3_reading": 0.022803282172972415, "attempts": 1},
+        "reported_plus_frequency": 1.0,
+        "tan_squared": 0.022803282172972346,
+        "trials": 4,
+    }
 
 
 def test_ensemble_csv_golden_first_rows(capsys):

@@ -206,41 +206,33 @@ def test_distill_tree_requires_rng_beyond_level_zero():
         distill_tree(pair_supply(), 1)
 
 
-def test_distill_tree_finite_supply_exhaustion():
-    supply = [MixedAncilla.ideal() for _ in range(3)]  # a level-2 tree needs >= 4
-    with pytest.raises(RuntimeError, match="exhausted"):
-        distill_tree(supply, 2, rng=master_rng(1))
-
-
 def test_distill_tree_attempt_budget():
     raw = MixedAncilla.from_excess_weight(0.5)
     with pytest.raises(RuntimeError, match="attempts"):
         distill_tree(pair_supply(raw), 3, rng=master_rng(2), max_attempts=3)
 
 
-def recursive_distill_tree(supply, level, *, rng=None, max_attempts=100_000):
-    """Reference: the tree built by plain recursion, one `rng.random()` per attempt."""
+def test_distill_tree_takes_only_a_pair_supply():
+    raw = MixedAncilla.from_excess_weight(0.5)
+    for supply in (raw, [raw] * 4, iter([raw] * 4), lambda: raw):
+        for level in (0, 1):
+            with pytest.raises(TypeError, match="pair_supply"):
+                distill_tree(supply, level, rng=master_rng(0))
+
+
+def recursive_distill_tree(raw, level, *, rng=None, max_attempts=100_000):
+    """Reference: the tree built by plain recursion from leaves all equal to
+    `raw`, one `rng.random()` per attempt."""
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > 0 and rng is None:
         raise ValueError("rng is required to sample parity-check outcomes")
-    if callable(supply):
-        draw = supply
-    else:
-        iterator = iter(supply)
-
-        def draw():
-            try:
-                return next(iterator)
-            except StopIteration:
-                raise RuntimeError("ancilla supply exhausted mid-tree") from None
-
     counters = {"attempts": 0, "successes": 0, "leaves": 0}
 
     def build(lvl):
         if lvl == 0:
             counters["leaves"] += 1
-            return draw()
+            return raw
         while True:
             left = build(lvl - 1)
             right = build(lvl - 1)
@@ -264,22 +256,26 @@ def outcome_or_error(fn, *args, **kwargs):
         return (type(exc).__name__, str(exc))
 
 
-def alternating_supply():
-    """Two distinct ancillas in turn, so consecutive combines see new inputs."""
-    values = [MixedAncilla(0.1 + 0.2j, 0.1 - 0.2j, 0.6),
-              MixedAncilla.from_excess_weight(0.3)]
-    count = [0]
-
-    def draw():
-        count[0] += 1
-        return values[count[0] % 2]
-    return draw
-
-
-def fresh_supply(seed):
-    """A new ancilla object on every call, with seeded random contamination."""
-    values = master_rng(seed)
-    return lambda: MixedAncilla.from_excess_weight(float(values.random()))
+def assert_matches_recursive_oracle(raw, level, seed, trial, supply=None, **kwargs):
+    """`distill_tree` on `supply` (default: a new `pair_supply(raw)`) against the
+    recursive oracle on the same stream.  After an outcome or a spent budget
+    the generator has advanced by the whole blocks that cover the attempts."""
+    supply = pair_supply(raw) if supply is None else supply
+    rng = trial_rng(seed, trial)
+    got = outcome_or_error(distill_tree, supply, level, rng=rng, **kwargs)
+    want = outcome_or_error(recursive_distill_tree, raw, level,
+                            rng=trial_rng(seed, trial), **kwargs)
+    assert got == want
+    if isinstance(got, DistillOutcome):
+        used = got.combine_attempts
+    elif got[1].startswith("purification exceeded"):
+        used = max(kwargs.get("max_attempts", 100_000), 0)
+    else:
+        return got
+    follower = trial_rng(seed, trial)
+    follower.random(-(-used // distill._UNIFORM_BLOCK) * distill._UNIFORM_BLOCK)
+    assert rng.random() == follower.random()
+    return got
 
 
 @pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 1.0, 2.0])
@@ -287,32 +283,7 @@ def test_distill_tree_matches_recursive_reference(a3):
     raw = MixedAncilla.from_excess_weight(a3)
     for level in range(5):
         for t in range(40 if level < 4 else 10):
-            got = distill_tree(pair_supply(raw), level, rng=trial_rng(t, level))
-            want = recursive_distill_tree(pair_supply(raw), level,
-                                          rng=trial_rng(t, level))
-            assert got == want
-
-
-@pytest.mark.parametrize("make_supply", [alternating_supply, lambda: fresh_supply(8)],
-                         ids=["alternating", "fresh"])
-def test_distill_tree_matches_reference_on_varying_supplies(make_supply):
-    for level in range(1, 5):
-        for t in range(25):
-            got = distill_tree(make_supply(), level, rng=trial_rng(17, t))
-            want = recursive_distill_tree(make_supply(), level, rng=trial_rng(17, t))
-            assert got == want
-
-
-def test_finite_supply_runs_out_where_the_reference_does():
-    values = [MixedAncilla.from_excess_weight(a) for a in np.linspace(0.0, 1.0, 120)]
-    outcomes = set()
-    for size in range(0, 120, 3):
-        got = outcome_or_error(distill_tree, values[:size], 2, rng=trial_rng(4, size))
-        want = outcome_or_error(recursive_distill_tree, values[:size], 2,
-                                rng=trial_rng(4, size))
-        assert got == want
-        outcomes.add(type(got))
-    assert outcomes == {tuple, DistillOutcome}  # both ends of the range are covered
+            assert_matches_recursive_oracle(raw, level, t, level)
 
 
 def test_attempt_budget_runs_out_where_the_reference_does():
@@ -320,11 +291,7 @@ def test_attempt_budget_runs_out_where_the_reference_does():
     needed = distill_tree(pair_supply(raw), 3, rng=trial_rng(9, 0)).combine_attempts
     assert needed > 64  # the budget falls in more than one block of uniforms
     for budget in range(1, needed + 2):
-        got = outcome_or_error(distill_tree, pair_supply(raw), 3, rng=trial_rng(9, 0),
-                               max_attempts=budget)
-        want = outcome_or_error(recursive_distill_tree, pair_supply(raw), 3,
-                                rng=trial_rng(9, 0), max_attempts=budget)
-        assert got == want
+        got = assert_matches_recursive_oracle(raw, 3, 9, 0, max_attempts=budget)
         if budget < needed:
             assert got == ("RuntimeError",
                            f"purification exceeded {budget} combine attempts")
@@ -341,17 +308,8 @@ def test_distill_tree_draws_uniforms_in_whole_blocks():
     assert rng.random() == follower.random()
 
 
-def assert_fixed_loop_matches_general_loop(supply, level, seed, trial, **kwargs):
-    """`distill_tree` on a `pair_supply` against the same supply wrapped in a
-    plain callable, which takes the general loop."""
-    fixed_rng, general_rng = trial_rng(seed, trial), trial_rng(seed, trial)
-    got = outcome_or_error(distill_tree, supply, level, rng=fixed_rng, **kwargs)
-    want = outcome_or_error(distill_tree, lambda: supply(), level, rng=general_rng,
-                            **kwargs)
-    assert got == want
-    assert fixed_rng.random() == general_rng.random()  # the same blocks were drawn
-    return got
-
+# The three tests below keep their names from when `distill_tree` also had a
+# general loop for any supply; the recursive oracle now stands in for it.
 
 @pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 2.0])
 def test_fixed_supply_loop_matches_the_general_loop(a3):
@@ -359,8 +317,8 @@ def test_fixed_supply_loop_matches_the_general_loop(a3):
     shared = pair_supply(raw)  # its per-level combines carry over from tree to tree
     for level in (5, 0, 1, 2, 3, 4):
         for t in range(30 if level < 4 else 4):
-            assert_fixed_loop_matches_general_loop(pair_supply(raw), level, 23, 10 * level + t)
-            assert_fixed_loop_matches_general_loop(shared, level, 23, 10 * level + t)
+            assert_matches_recursive_oracle(raw, level, 23, 10 * level + t)
+            assert_matches_recursive_oracle(raw, level, 23, 10 * level + t, shared)
 
 
 @pytest.mark.parametrize("noise, ends", [
@@ -376,8 +334,8 @@ def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends)
     seen = set()
     for level in (1, 3):
         for t in range(20):
-            got = assert_fixed_loop_matches_general_loop(supply, level, 29, t,
-                                                         max_attempts=500)
+            got = assert_matches_recursive_oracle(noise, level, 29, t, supply,
+                                                  max_attempts=500)
             seen.add(got[0] if isinstance(got, tuple) else "outcome")
     assert seen == ends
 
@@ -385,8 +343,7 @@ def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends)
 def test_fixed_supply_budget_error_matches_the_general_loop():
     raw = MixedAncilla.from_excess_weight(0.5)
     for budget in (-1, 0, 1, 63, 64, 65, 128, 129, 1000):
-        got = assert_fixed_loop_matches_general_loop(pair_supply(raw), 9, 9, 1,
-                                                     max_attempts=budget)
+        got = assert_matches_recursive_oracle(raw, 9, 9, 1, max_attempts=budget)
         assert got == ("RuntimeError", f"purification exceeded {budget} combine attempts")
 
 

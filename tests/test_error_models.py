@@ -167,13 +167,13 @@ def test_accumulated_angle_needs_bit_rotations():
 
 
 def test_arctan_reading_signs():
-    errors = UnitaryErrorSet.uniform_ratio(4, 0.05)
-    reading = arctan_flip_angle(errors)
-    t = math.tan(reading.sigma)
-    assert complex(reading.alpha1) == pytest.approx(1j * t)
-    assert complex(reading.alpha2) == pytest.approx(1j * t)
-    assert complex(reading.alpha3) == pytest.approx(-t * t)
-    assert reading.sigma == pytest.approx(accumulated_flip_angle(errors))
+    # per-bit angles add with their signs, as in the exact accumulated angle
+    for ratios in ([0.05] * 4, [-0.05] * 4, [0.05, -0.02, 0.03, -0.07]):
+        errors = UnitaryErrorSet.from_ratios(ratios)
+        sigma = arctan_flip_angle(errors)
+        assert type(sigma) is float
+        assert sigma == pytest.approx(accumulated_flip_angle(errors), abs=1e-15)
+        assert sigma == pytest.approx(sum(math.atan(r) for r in ratios), abs=1e-15)
 
 
 def test_low_error_regime_flag():

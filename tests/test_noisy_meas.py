@@ -30,7 +30,7 @@ from toffsim.error_models import (
     parity_bias,
 )
 from toffsim.noisy_meas import (
-    ExactShots,
+    ParityShots,
     apply_bitwise_probe,
     cat_labels,
     cat_readout_distribution,
@@ -87,16 +87,8 @@ def test_even_cat_amplitudes():
     amp = 1.0 / 2.0  # 1/sqrt(2^(n-1))
     for idx in range(8):
         want = amp if bin(idx).count("1") % 2 == 0 else 0.0
-        assert cat.state.data[idx] == pytest.approx(want)
-    assert cat.parity == +1
-    assert cat.state.labels == cat_labels(3)
-
-
-def test_effective_cat_is_bookkeeping_only():
-    cat = prepare_even_cat(6, "effective")
-    assert cat.state is None
-    assert cat.parity == +1
-    assert cat.n == 6
+        assert cat.data[idx] == pytest.approx(want)
+    assert cat.labels == cat_labels(3)
 
 
 def test_exact_cat_size_cap():
@@ -114,7 +106,7 @@ def test_parity_transfer_exhaustive(n):
         x = "".join(symbols)
         pairs = eigenstring_state(x, a_labels, b_labels)
         joint = apply_bitwise_probe(pairs, a_labels, b_labels, prepare_even_cat(n))
-        want = tensor(pairs, expected_cat_after(x, prepare_even_cat(n).state))
+        want = tensor(pairs, expected_cat_after(x, prepare_even_cat(n)))
         assert fidelity(joint, want) >= 1.0 - 1e-12, f"string {x}"
 
 
@@ -159,7 +151,7 @@ def test_phase_noise_never_corrupts_the_report():
         res = measure_cnot_noisy(PLUS_PLUS, errors, mode="effective",
                                  rng=trial_rng(3, t))
         assert res.reported_outcome == res.true_eigenvalue
-        assert res.cat.phase_flips == 5
+        assert res.phase_flips == 5
 
 
 def test_certain_bit_flip_reverses_the_report():
@@ -223,16 +215,16 @@ def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
     singles = [measure(state, errors, mode="effective", rng=rng) for _ in range(500)]
     refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
     shots = sample_effective(frame, errors, master_rng(31).random((500, 17)))
-    assert set(shots.branches) == {+1, -1}
+    assert set(shots.true_eigenvalues.tolist()) == {+1, -1}
+    assert len(shots.logical_states) == 2
     for i, (single, ref) in enumerate(zip(singles, refs)):
         batched = shots.shot(i)
         want_state = unframe(ref[4])
         for res, logical in ((single, single.logical_state),
                              (batched, unframe(batched.logical_state))):
             fields = (res.true_eigenvalue, res.reported_outcome,
-                      res.cat.bit_flips, res.cat.phase_flips)
+                      res.bit_flips, res.phase_flips)
             assert fields == ref[:4]
-            assert res.cat.parity == (-1 if ref[2] % 2 else +1)
             assert logical.labels == want_state.labels
             assert np.array_equal(logical.data, want_state.data)
         assert shots.reported_outcomes[i] == ref[1]
@@ -248,7 +240,8 @@ def test_batched_effective_input_validation():
         sample_effective(PLUS_PLUS, UnitaryErrorSet.uniform_ratio(3, 0.05),
                          np.zeros((4, 7)))
     empty = sample_effective(PLUS_PLUS, errors, np.zeros((0, 7)))
-    assert empty.reported_outcomes.shape == (0,) and empty.branches == {}
+    assert empty.reported_outcomes.shape == empty.state_index.shape == (0,)
+    assert empty.logical_states == ()
 
 
 def exact_per_shot_reference(state, errors, rng, inject=()):
@@ -260,8 +253,7 @@ def exact_per_shot_reference(state, errors, rng, inject=()):
     a, b = state.labels
     n = errors.n
     labels = cat_labels(n)
-    cat = prepare_even_cat(n, "exact", labels)
-    joint = tensor(state, cat.state)
+    joint = tensor(state, prepare_even_cat(n, labels))
     joint = apply_gate(joint, "PROBE", a, b, labels[0])
 
     bit_flips = phase_flips = 0
@@ -301,11 +293,8 @@ def exact_per_shot_reference(state, errors, rng, inject=()):
 
 
 def assert_shot_equals(res, ref):
-    fields = (res.true_eigenvalue, res.reported_outcome,
-              res.cat.bit_flips, res.cat.phase_flips)
+    fields = (res.true_eigenvalue, res.reported_outcome, res.bit_flips, res.phase_flips)
     assert fields == ref[:4]
-    assert res.cat.mode == "exact" and res.cat.state is None
-    assert res.cat.parity == (-1 if ref[2] % 2 else +1)
     assert res.logical_state.labels == ref[4].labels
     np.testing.assert_allclose(res.logical_state.data, ref[4].data, rtol=0, atol=1e-12)
 
@@ -315,8 +304,8 @@ def assert_shot_equals(res, ref):
 def dense_pre_measurement(state, errors, labels, flips, phases, inject):
     """The pair probed into an even cat block, then the readout errors."""
     a, b = state.labels
-    cat = prepare_even_cat(len(labels), "exact", labels)
-    joint = apply_gate(tensor(state, cat.state), "PROBE", a, b, labels[0])
+    cat = prepare_even_cat(len(labels), labels)
+    joint = apply_gate(tensor(state, cat), "PROBE", a, b, labels[0])
     if isinstance(errors, PauliChannel):
         for i, label in enumerate(labels):
             if flips[i]:
@@ -372,7 +361,7 @@ def dense_sample_exact(state, errors, uniforms, inject=()):
 
     Shots with the same error pattern share one pre-measurement joint state,
     and the readout is walked as a tree of outcome prefixes.  Returns an
-    `ExactShots`; pair states are grouped by their bytes, as the library does.
+    `ParityShots`; pair states are grouped by their bytes, as the library does.
     """
     a, b = state.labels
     n = errors.n
@@ -408,8 +397,8 @@ def dense_sample_exact(state, errors, uniforms, inject=()):
             state_index[rows] = index
             reported[rows] = -1 if bin(path).count("1") % 2 else +1
     true = np.array(state_true, dtype=np.int64)[state_index]
-    return ExactShots(n, true, reported, bit_flips, phase_flips, state_index,
-                      tuple(logical_states))
+    return ParityShots(n, true, reported, bit_flips, phase_flips, state_index,
+                       tuple(logical_states))
 
 
 def assert_shots_match(shots, ref):
@@ -675,19 +664,15 @@ def test_single_bit_fault_stays_in_its_triple():
     # verify its support by an operator-Schmidt decomposition: the propagated
     # fault may act anywhere inside its own (a_i, b_i, c_i) triple but must be
     # the identity on the other triple
-    import dataclasses
-
     n = 2
     a_labels, b_labels = ("a1", "a2"), ("b1", "b2")
     order = ("a1", "b1", "a2", "b2", "c1", "c2")
-    template = prepare_even_cat(n)
 
     u = np.zeros((64, 64), dtype=complex)
     for col in range(64):
         pair = QuantumState.from_vector(("a1", "b1", "a2", "b2"),
                                         np.eye(16)[col >> 2])
-        cat_state = QuantumState.from_vector(cat_labels(n), np.eye(4)[col & 3])
-        cat = dataclasses.replace(template, state=cat_state)
+        cat = QuantumState.from_vector(cat_labels(n), np.eye(4)[col & 3])
         joint = apply_bitwise_probe(pair, a_labels, b_labels, cat)
         u[:, col] = joint.reordered(order).data
 
