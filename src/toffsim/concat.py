@@ -25,7 +25,10 @@ def max_block_size(p: float) -> float:
     """Order-of-magnitude largest useful block at per-bit error p: (1/p) ln(1/p)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    return (1.0 / p) * math.log(1.0 / p)
+    size = (1.0 / p) * math.log(1.0 / p)
+    if math.isinf(size):  # below p ~ 4e-306
+        raise ValueError(f"the block size at p {p!r} is out of floating-point range")
+    return size
 
 
 #: Sub-linear distance scaling: doubling protection costs a factor 9 in size.
@@ -68,8 +71,12 @@ def block_failure(eps_log10: float, n: float,
         raise ValueError(
             f"input exponent {eps_log10} is not below threshold "
             f"{params.threshold_log10}; encoding would amplify errors")
-    return (params.prefactor_log10 +
-            n**params.scaling_exponent * (eps_log10 - params.threshold_log10))
+    exponent = (params.prefactor_log10 +
+                n**params.scaling_exponent * (eps_log10 - params.threshold_log10))
+    if not math.isfinite(exponent):
+        raise ValueError(f"the failure exponent of a block of {n} at input exponent "
+                         f"{eps_log10} is out of floating-point range")
+    return exponent
 
 
 def round_to_one_significant(x: float) -> int:

@@ -129,7 +129,12 @@ class UnitaryErrorSet:
     def from_ratios(cls, ratios) -> "UnitaryErrorSet":
         """Pure bit-axis rotations with tan(angle_j) = ratios[j] (B = D = 0)."""
         r = np.atleast_1d(np.asarray(ratios, dtype=np.float64))
-        a = 1.0 / np.sqrt(1.0 + r * r)
+        with np.errstate(over="ignore"):
+            r2 = r * r
+        a = 1.0 / np.sqrt(1.0 + r2)
+        # where r * r overflows, past |r| ~ 1.3e154, 1 / sqrt(1 + r^2) is 1 / |r|
+        overflow = np.isinf(r2)
+        a[overflow] = 1.0 / np.abs(r[overflow])
         rows = np.stack([a, np.zeros_like(a), r * a, np.zeros_like(a)], axis=1)
         return cls(rows)
 
@@ -364,26 +369,6 @@ class BlockEnsemble:
             return scale * (1.0 - 2.0 * rng.integers(0, 2, size=shape).astype(np.float64))
         return scale * rng.standard_normal(shape)
 
-    @classmethod
-    def from_config(cls, config: dict) -> "BlockEnsemble":
-        known = {"n", "levels", "model", "p", "q", "defect_fraction", "defect_p",
-                 "distribution", "seed"}
-        unknown = set(config) - known
-        if unknown:
-            raise ValueError(f"unknown ensemble config keys: {sorted(unknown)}")
-        missing = {"n", "levels", "model", "p"} - set(config)
-        if missing:
-            raise ValueError(f"ensemble config missing keys: {sorted(missing)}")
-        return cls(**config)
-
-    def to_config(self) -> dict:
-        return {
-            "n": self.n, "levels": self.levels, "model": self.model, "p": self.p,
-            "q": self.q, "defect_fraction": self.defect_fraction,
-            "defect_p": self.defect_p, "distribution": self.distribution,
-            "seed": self.seed,
-        }
-
 
 # -- ensemble-level quantities -----------------------------------------------------
 
@@ -395,6 +380,8 @@ class EnsembleFidelity:
                        per-position means estimated from the sampled blocks.
     analytic_marginal: same expression with the policy-exact marginal mean.
     empirical:         3 / (3 + prod_m alpha3^(m)) over the sampled blocks.
+    log_contamination: sum_m log alpha3^(m), finite where alpha_product, its
+                       exp, underflows to 0.
     """
 
     analytic: float
@@ -402,6 +389,7 @@ class EnsembleFidelity:
     empirical: float
     alpha_product: float
     mean_flip_probability: float
+    log_contamination: float
 
 
 def ensemble_distill_fidelity(ensemble: BlockEnsemble,
@@ -424,7 +412,7 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble,
     mean_per_position = p_matrix.mean(axis=0)
     analytic = 1.0 - math.exp(-scale * float(np.prod(1.0 - 2.0 * mean_per_position))) / 3.0
     return EnsembleFidelity(analytic, ensemble.analytic_marginal_fidelity(), empirical,
-                            alpha_product, ensemble.mean_flip_probability())
+                            alpha_product, ensemble.mean_flip_probability(), log_alpha)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,23 @@
 """Command-line harness: exit codes, report schema, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toffsim import cli
 from toffsim.cli import main
@@ -102,6 +108,16 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     ("ensemble", {"model": "unitary", "p": float("nan")}),
     ("distill", {"levels": 1100}),
     ("distill", {"alpha3": 2.0, "levels": 11}),
+    ("distill", {"trials": 2.7}),
+    ("distill", {"levels": 2.9}),
+    ("distill", {"trials": "3"}),
+    ("distill", {"alpha3": True}),
+    ("toffoli-verify", {"corrupt_branch": [True, 1, 1]}),
+    ("ensemble", {"k_max": 10**400}),
+    ("distill", {"trials": 10**400}),
+    ("toffoli-verify", {"trials": 10**400}),
+    ("estimate", {"gate_penalty": -10**400}),
+    ("estimate", {"strategies": []}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -110,6 +126,19 @@ def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payl
     assert len(err.splitlines()) == 1
     assert err.startswith("toffsim: error:")
     assert "Traceback" not in err
+    assert any(field in err for field in payload)
+
+
+def test_integral_float_runs_and_echoes_as_an_int(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"trials": 3.0, "levels": 2.0})
+    rc, out, _ = run_cli(["distill", "--config", cfg, "--format", "csv"], capsys)
+    assert rc == 0
+    assert len(read_csv(out)) == 4
+    rc, out, _ = run_cli(["distill", "--config", cfg], capsys)
+    report = json.loads(out)
+    assert [report["parameters"][k] for k in ("trials", "levels")] == [3, 2]
+    assert all(type(report["parameters"][k]) is int for k in ("trials", "levels"))
+    assert report["results"]["levels"] == 2
 
 
 @pytest.mark.parametrize("payload, trials", [
@@ -213,14 +242,36 @@ def test_ensemble_work_limit_boundaries(tmp_path, capsys, monkeypatch, payload, 
     ({"prefactor_log10": 400}, {"progressive", "standard"}),
     ({"first_block": 10**340}, {"progressive"}),
     ({"block_size": 10**340}, {"standard"}),
+    ({"physical_error_log10": -1e308}, {"progressive", "standard"}),
+    # level 2 of the progressive schedule would need 1/p at p ~ 1e-308
+    ({"physical_error_log10": -310, "first_block": 1, "targets": [-1000]},
+     {"progressive"}),
 ])
 def test_estimate_out_of_range_schedule_is_a_per_strategy_error(tmp_path, capsys,
                                                                 payload, failing):
     cfg = write_config(tmp_path, "range.json", payload)
     rc, out, err = run_cli(["estimate", "--config", cfg], capsys)
     assert rc == 0 and err == ""
-    for entry in json.loads(out)["results"]["targets"]:
+    for entry in json.loads(out, parse_constant=refuse_constant)["results"]["targets"]:
         assert {s for s in ("progressive", "standard") if "error" in entry[s]} == failing
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("levels", [13, 16])
+def test_ensemble_whose_contamination_product_underflows_runs(tmp_path, capsys, levels):
+    # 2**levels blocks of log alpha3 ~ -0.6 sum below the smallest float's log
+    cfg = write_config(tmp_path, "deep.json", {"levels": levels, "n": 50})
+    rc, out, _ = run_cli(["ensemble", "--config", cfg, "--trials", "2"], capsys)
+    assert rc == 0
+    results = json.loads(out, parse_constant=refuse_constant)["results"]
+    assert results["log_contamination_mean"] < -745.0
+    rc, out, _ = run_cli(["ensemble", "--config", cfg, "--trials", "2", "--format",
+                          "csv"], capsys)
+    assert rc == 0
+    assert all(math.isfinite(float(v)) for row in read_csv(out)[1:] for v in row)
 
 
 @pytest.mark.parametrize("command", ["distill", "noisy-meas", "toffoli-verify",
@@ -321,6 +372,28 @@ def test_ensemble_passes_checks(tmp_path, capsys):
     assert rc == 0
     report = json.loads(out)
     assert all(c["passed"] for c in report["checks"])
+
+
+def median_check(capsys, seed):
+    rc, out, _ = run_cli(["ensemble", "--seed", str(seed)], capsys)
+    assert rc == 0
+    (check,) = [c for c in json.loads(out)["checks"]
+                if c["name"] == "median fidelity vs typical prediction"]
+    return check["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 29, 107])
+def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypatch, seed):
+    # seeds 29 and 107 sit 3.2 and 2.6 standard errors from the prediction
+    assert median_check(capsys, seed)
+    # negative control: a prediction 1.5 decades of infidelity off fails
+    from toffsim.error_models import BlockEnsemble
+
+    expected_log_alpha3 = BlockEnsemble.expected_log_alpha3
+    for decades in (-1.5, 1.5):
+        monkeypatch.setattr(BlockEnsemble, "expected_log_alpha3", lambda self, d=decades:
+                            expected_log_alpha3(self) + d * math.log(10) / self.block_count)
+        assert not median_check(capsys, seed)
 
 
 def test_estimate_passes_checks(capsys):
@@ -680,3 +753,85 @@ def test_numpy_version_without_a_readable_version_file_imports_numpy(monkeypatch
     monkeypatch.setattr(cli, "importlib", types.SimpleNamespace(
         machinery=types.SimpleNamespace(PathFinder=finder)))
     assert cli._numpy_version() == np.__version__
+
+
+# -- the config table ------------------------------------------------------------------------
+
+# values of the wrong kind, or beyond any range, for one field or another
+JUNK = (None, True, False, "", "3", "exact", [], [1, -1, 1], ["standard"], {}, {"n": 1},
+        math.nan, math.inf, -math.inf, 10**400, -10**400, 2.7, -0.5)
+
+
+def field_values(name, kind, limits):
+    """In-range values, and boundaries in and out, of one config table field."""
+    if kind == "int":
+        low, high = limits or (None, None)
+        base = 1 if low is None else low
+        # a run's time grows with its trials: no in-range top edge for them
+        ints = st.integers(base, base + (2 if name == "trials" else 8))
+        edges = [base - 2, base - 1]
+        if high is not None:
+            edges += [high + 1] if name == "trials" else [high, high + 1]
+        return ints | ints.map(float) | st.sampled_from(edges)
+    if kind == "float":
+        edges = [0.0, -0.0, 5e-324, 1e-310, -1e308, 1e308] + list(limits or ())
+        return (st.floats(0.0, 1.0) | st.floats(-2.0, 2.0)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(edges))
+    if kind == "choice":
+        return st.sampled_from(limits)
+    if kind == "branch":
+        outcomes = (st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3)
+                    | st.lists(st.sampled_from([1, -1, 0, 2, True]), min_size=2, max_size=4))
+        return outcomes | outcomes.map(lambda b: ",".join(f"{m:+d}" for m in b))
+    items = field_values(name, kind.split()[0], limits)
+    return (st.lists(items, min_size=1, max_size=3)
+            | st.lists(items | st.sampled_from(JUNK), max_size=3))
+
+
+@pytest.mark.parametrize("command", sorted(cli._FIELDS))
+@settings(derandomize=True, database=None, max_examples=100,
+          deadline=30_000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_exits_0_1_or_2_with_a_one_line_error(tmp_path, command, data):
+    fields = cli._FIELDS[command]
+    payload = data.draw(st.fixed_dictionaries({}, optional={
+        name: field_values(name, kind, limits)
+        for name, (kind, _, limits) in fields.items()}), label="config")
+    if data.draw(st.booleans(), label="junk"):
+        payload[data.draw(st.sampled_from(sorted(fields)))] = data.draw(st.sampled_from(JUNK))
+    argv = [command, "--config", write_config(tmp_path, "fuzz.json", payload)]
+    if "trials" in fields:
+        trials = data.draw(st.sampled_from([None, 1, 2, 3, 0]), label="--trials")
+        if trials is None and "trials" not in payload:
+            trials = 1  # the default trial counts take up to seconds a run
+        if trials is not None:
+            argv.append(f"--trials={trials}")
+    if command == "toffoli-verify":
+        branch = data.draw(st.sampled_from([None, "-1,1,-1", "+1,+1,+1", "2,1,1", "1,1"]),
+                           label="--corrupt-branch")
+        if branch is not None:
+            argv.append(f"--corrupt-branch={branch}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    # a warning would print one more stderr line
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert len(lines) == 1 and lines[0].startswith("toffsim: error:"), lines
+    assert "Traceback" not in err.getvalue()
+
+
+def test_documented_config_fields_are_the_table():
+    doc = (Path(__file__).parents[1] / "docs" / "output-schema.md").read_text()
+    section = doc.split("\n## Configuration\n")[1].split("\n## ")[0]
+    documented = {}
+    for command, name, kind, default in re.findall(
+            r"^\| (\S+) \| `(\w+)` \| ([a-z ]+) \| `([^`]*)` \|", section, re.M):
+        documented.setdefault(command, {})[name] = (kind, json.loads(default))
+    assert documented == {
+        command: {name: (kind, default) for name, (kind, default, _) in fields.items()}
+        for command, fields in cli._FIELDS.items()}
