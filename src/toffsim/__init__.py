@@ -1,11 +1,12 @@
 """toffsim: dense simulation and resource calculus for measurement-based
 Toffoli gates built from distilled two-qubit ancillas.
 
-Subpackages split along the pipeline: `core` (labeled-qubit simulator),
-`gadgets` (ancilla synthesis and the Toffoli measurement gadget), `distill`
-(ancilla purification algebra and costs), `noisy_meas` (cat-state mediated
-transversal measurements under errors), `error_models` (decoherent and
-coherent error statistics), `concat` (log-space concatenation estimates).
+Subpackages split along the pipeline: `core` (simulator of qubits named by
+plain string labels), `gadgets` (ancilla synthesis and the Toffoli
+measurement gadget), `distill` (ancilla purification algebra and costs),
+`noisy_meas` (cat-state mediated transversal measurements under errors),
+`error_models` (decoherent and coherent error statistics), `concat`
+(log-space concatenation estimates).
 
 Importing the package loads no numpy.  `__version__` and `kernel_backend`
 are plain constants; the `core` names of `__all__` are looked up in `core`
@@ -25,7 +26,6 @@ __all__ = [
     "MeasurementRecord",
     "PauliOperator",
     "QuantumState",
-    "Qubit",
     "apply_gate",
     "apply_matrix",
     "discard",

@@ -9,9 +9,6 @@ import functools
 
 import numpy as np
 
-# the package's `kernel_backend`, reported as `versions.kernel_backend`
-from .. import kernel_backend as BACKEND
-
 
 def apply_dense(vec, u, base, offs):
     """In-place: vec[b+offs] <- u @ vec[b+offs] for every b in base."""

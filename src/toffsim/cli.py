@@ -28,6 +28,7 @@ read from numpy's version file, not from an imported numpy.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import importlib.machinery
 import io
@@ -58,6 +59,11 @@ _MAX_TRIAL_BITS = 10**8
 # noisy-meas limit, checked before anything of size n is allocated: n keeps
 # one block's uniforms (at most 3n a trial) within _MAX_BLOCK_DOUBLES
 _MAX_CAT_BITS = _MAX_BLOCK_DOUBLES // (3 * _TRIAL_CHUNK)
+# the combine attempts one distill tree may make before the run is refused
+_TREE_ATTEMPTS = 100_000
+# the most expected combine attempts a distill run may sample, over all its
+# trials: about a minute at the 3-4.5 million attempts a second measured
+_MAX_COMBINE_ATTEMPTS = 2 * 10**8
 
 # the eight measurement outcome triples, by the name a config gives them
 _BRANCHES = {",".join(map(str, b)): b for b in itertools.product((1, -1), repeat=3)}
@@ -213,7 +219,7 @@ def _random_data_state(rng: np.random.Generator, labels: Sequence[str]) -> Quant
 
 # -- subcommands -------------------------------------------------------------------
 
-def _cmd_toffoli_verify(cfg: dict, seed: int):
+def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
     from .core import QuantumState, fidelity
     from .gadgets import (
         DATA_LABELS,
@@ -273,13 +279,12 @@ def _cmd_toffoli_verify(cfg: dict, seed: int):
     else:
         checks.add("negative control", flagged == [_branch_key(corrupt)],
                    f"flagged branches {flagged}, corrupted {_branch_key(corrupt)}")
-    header = ("branch", "min_fidelity", "mean_fidelity", "corrections")
-    rows = [(r["branch"], r["min_fidelity"], r["mean_fidelity"],
-             " ".join(r["corrections"])) for r in branch_rows]
-    return results, (header, rows), checks
+    rows.extend((r["branch"], r["min_fidelity"], r["mean_fidelity"],
+                 " ".join(r["corrections"])) for r in branch_rows)
+    return results, ("branch", "min_fidelity", "mean_fidelity", "corrections"), checks
 
 
-def _cmd_distill(cfg: dict, seed: int):
+def _cmd_distill(cfg: dict, seed: int, rows):
     from .core import QuantumState, fidelity
     from .distill import (
         MixedAncilla,
@@ -324,13 +329,19 @@ def _cmd_distill(cfg: dict, seed: int):
         exp_successes += needed
         needed = 2.0 * attempts_here
     expected_leaves = needed  # demand leaving the bottom level
+    # a tree stops at its cap; an expectation that is not finite and positive
+    # (0 at levels 0) counts as the cap too
+    per_tree = exp_attempts if 0.0 < exp_attempts < _TREE_ATTEMPTS else _TREE_ATTEMPTS
+    if trials * per_tree > _MAX_COMBINE_ATTEMPTS:
+        raise ValueError(f"trials x expected combine attempts = {trials * per_tree:.6g} "
+                         f"exceeds the work budget of {_MAX_COMBINE_ATTEMPTS}")
 
-    rows = []
     total_attempts = total_successes = total_leaves = 0
     supply = pair_supply(raw)
     for t in range(trials):
         try:
-            out = distill_tree(supply, levels, rng=trial_rng(seed, t))
+            out = distill_tree(supply, levels, rng=trial_rng(seed, t),
+                               max_attempts=_TREE_ATTEMPTS)
         except RuntimeError as exc:  # the per-tree combine budget ran out
             raise ValueError(f"levels {levels} is too deep to sample: {exc}") from None
         total_attempts += out.combine_attempts
@@ -371,8 +382,7 @@ def _cmd_distill(cfg: dict, seed: int):
         checks.add("combine success frequency", gap <= 4.0 * freq_se,
                    f"observed {freq:.6f}, expected {expected_freq:.6f}, "
                    f"4se {4 * freq_se:.6f}")
-    return results, (("trial", "combine_attempts", "combine_successes",
-                      "leaves_used"), rows), checks
+    return results, ("trial", "combine_attempts", "combine_successes", "leaves_used"), checks
 
 
 def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
@@ -402,7 +412,7 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
     return passed, total
 
 
-def _cmd_noisy_meas(cfg: dict, seed: int):
+def _cmd_noisy_meas(cfg: dict, seed: int, rows):
     import numpy as np
 
     from .core import QuantumState, apply_gate
@@ -443,7 +453,6 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
     # as in measure_cphase_noisy
     cnot_frame = apply_gate(plus_plus, "H", "b")
     columns = 2 * n + 1 if mode == "effective" else exact_uniform_count(errors)
-    rows = []
     n_plus = n_minus_true_given_plus = 0
     corr_sum = 0.0
     alpha_readings = []
@@ -548,8 +557,7 @@ def _cmd_noisy_meas(cfg: dict, seed: int):
         "attempts": raw.attempts,
         "alpha3_reading": float(complex(raw.alpha.a3).real),
     }
-    header = ("trial", "n", "model", "reported", "true", "alpha3_estimate")
-    return results, (header, rows), checks
+    return results, ("trial", "n", "model", "reported", "true", "alpha3_estimate"), checks
 
 
 def _median(values: np.ndarray) -> float:
@@ -562,7 +570,7 @@ def _median(values: np.ndarray) -> float:
     return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
 
 
-def _cmd_ensemble(cfg: dict, seed: int):
+def _cmd_ensemble(cfg: dict, seed: int, rows):
     import numpy as np
 
     from .error_models import (
@@ -578,7 +586,7 @@ def _cmd_ensemble(cfg: dict, seed: int):
     if defect_fraction is None:
         defect_fraction = 0.02 if cfg["model"] == "decoherent" else 0.0
     ensemble = BlockEnsemble(
-        seed=seed, model=cfg["model"], distribution=cfg["distribution"],
+        model=cfg["model"], distribution=cfg["distribution"],
         n=cfg["n"], levels=cfg["levels"], p=cfg["p"], q=cfg["q"],
         defect_fraction=defect_fraction, defect_p=cfg["defect_p"])
     # limits, checked before 2**levels is formed: a cascade draws 2**levels x n
@@ -603,7 +611,6 @@ def _cmd_ensemble(cfg: dict, seed: int):
         empirical = np.empty(trials)
         log_contamination = np.empty(trials)
         sampled_analytic = np.empty(trials)
-        rows = []
         for t in range(trials):
             fid = ensemble_distill_fidelity(ensemble, rng=trial_rng(seed, t))
             empirical[t] = fid.empirical
@@ -653,9 +660,8 @@ def _cmd_ensemble(cfg: dict, seed: int):
                    f"median infidelity 1e{med_decades:.2f}, "
                    f"predicted 1e{typ_decades:.2f} (4se {4 * med_se_decades:.2f} "
                    f"decades)")
-        header = ("trial", "empirical_fidelity", "log_contamination",
-                  "analytic_sampled")
-        return results, (header, rows), checks
+        return results, ("trial", "empirical_fidelity", "log_contamination",
+                         "analytic_sampled"), checks
 
     est = ensemble_log_tan(ensemble, trials=trials, rng=trial_rng(seed, 0),
                            k_max=cfg["k_max"])
@@ -681,13 +687,13 @@ def _cmd_ensemble(cfg: dict, seed: int):
                f"mc {est.monte_carlo:.6g} +- {est.standard_error:.2g}")
     checks.add("below coarse bound", ok_bound,
                f"mc {est.monte_carlo:.6g} vs bound {est.bound:.6g}")
-    rows = [("monte_carlo", est.monte_carlo), ("monte_carlo_se", est.standard_error),
-            ("series", est.series), ("closed_form", est.closed_form),
-            ("bound", est.bound)]
-    return results, (("method", "value"), rows), checks
+    rows.extend([("monte_carlo", est.monte_carlo), ("monte_carlo_se", est.standard_error),
+                 ("series", est.series), ("closed_form", est.closed_form),
+                 ("bound", est.bound)])
+    return results, ("method", "value"), checks
 
 
-def _cmd_estimate(cfg: dict, seed: int):
+def _cmd_estimate(cfg: dict, seed: int, rows):
     from .concat import CodeParams, progressive_schedule, standard_concat_levels
 
     del seed  # deterministic command; seed is echoed in the report envelope
@@ -696,7 +702,6 @@ def _cmd_estimate(cfg: dict, seed: int):
         params_kwargs["scaling_exponent"] = cfg["scaling_exponent"]
     params = CodeParams(**params_kwargs)
 
-    rows = []
     out_targets = []
     for target in cfg["targets"]:
         entry = {"target_log10": target}
@@ -741,9 +746,8 @@ def _cmd_estimate(cfg: dict, seed: int):
         expf = two["levels"][-1]["failure_log10"]
         checks.add("two-level exponent", two["depth"] == 2 and -850.0 <= expf <= -810.0,
                    f"depth {two['depth']}, exponent {expf!r}")
-    header = ("strategy", "target_log10", "level", "block_size",
-              "failure_log10", "gate_failure_log10")
-    return results, (header, rows), checks
+    return results, ("strategy", "target_log10", "level", "block_size",
+                     "failure_log10", "gate_failure_log10"), checks
 
 
 _COMMANDS = {
@@ -826,6 +830,18 @@ def _render_csv(header: Sequence[str], rows: Sequence[tuple]) -> str:
     return buf.getvalue()
 
 
+def _finite_or_null(value):
+    """`value` with every NaN or infinite float in it as None, which JSON
+    writes as null: RFC 8259 has no token for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -836,24 +852,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("toffsim: error: seed must be >= 0", file=sys.stderr)
         return 1
 
+    # the per-trial rows of a CSV report; a JSON report keeps none, and a
+    # deque of length 0 drops each row as it comes
+    rows = [] if args.format == "csv" else collections.deque(maxlen=0)
     try:
         cfg = _resolve_config(args.command, args)
         started = time.perf_counter()
-        results, table, checks = _COMMANDS[args.command](cfg, args.seed)
+        results, header, checks = _COMMANDS[args.command](cfg, args.seed, rows)
         elapsed = time.perf_counter() - started
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"toffsim: error: {exc}", file=sys.stderr)
         return 1
 
     if args.format == "csv":
-        text = _render_csv(*table)
+        text = _render_csv(header, rows)
     else:
         report = {
             "schema": SCHEMA,
             "command": args.command,
             "seed": args.seed,
             "parameters": cfg,
-            "results": results,
+            "results": _finite_or_null(results),
             "checks": checks.items,
             "versions": {
                 "toffsim": __version__,

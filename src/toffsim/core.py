@@ -1,10 +1,12 @@
 """Dense exact simulation of small registers of labeled qubits.
 
-A state is a numpy array over an ordered tuple of labeled qubits: either a
-2^n amplitude vector or a 2^n x 2^n density matrix.  Norms are tracked, never
-enforced -- the protocols in this package habitually work with unnormalized
-states (postselection keeps the raw projection), and every probability or
-fidelity divides by the appropriate traces instead.
+A state is a numpy array over an ordered tuple of qubit labels, which are
+plain strings: either a 2^n amplitude vector or a 2^n x 2^n density matrix.
+Its one size is `trace`, the squared norm of a vector or the trace of a
+density matrix.  Norms are tracked, never enforced -- the protocols in this
+package habitually work with unnormalized states (postselection keeps the
+raw projection), and every probability or fidelity divides by the
+appropriate traces instead.
 
 Measurement is of Hermitian involutions (Pauli products, or two-valued gate
 operators such as the controlled-NOT), with two modes: sampling against a
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,43 +37,14 @@ MAX_PURE_QUBITS = 14
 MAX_DENSITY_QUBITS = 10
 
 
-@dataclass(frozen=True)
-class Qubit:
-    """An opaque qubit identity plus a role annotation.
-
-    Roles ("data", "ancilla", "cat") are bookkeeping for readability of
-    transcripts; they never affect the dynamics.
-    """
-
-    id: str
-    role: str = "data"
-
-    def __str__(self):
-        return self.id
-
-
-LabelLike = Union[Qubit, str]
-
-
-def as_qubit(label: LabelLike, role: str = "data") -> Qubit:
-    if isinstance(label, Qubit):
-        return label
-    return Qubit(str(label), role)
-
-
-def _label_id(label: LabelLike) -> str:
-    return label.id if isinstance(label, Qubit) else str(label)
-
-
 class QuantumState:
-    """Vector or density-matrix state over an ordered tuple of labeled qubits."""
+    """Vector or density-matrix state over an ordered tuple of qubit labels."""
 
-    def __init__(self, qubits: Sequence[LabelLike], data: np.ndarray):
-        qubits = tuple(as_qubit(q) for q in qubits)
-        ids = [q.id for q in qubits]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate qubit labels: {ids}")
-        n = len(qubits)
+    def __init__(self, labels: Sequence[str], data: np.ndarray):
+        labels = tuple(map(str, labels))
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate qubit labels: {list(labels)}")
+        n = len(labels)
         data = np.asarray(data, dtype=np.complex128)
         if data.ndim == 1:
             if n > MAX_PURE_QUBITS:
@@ -85,15 +58,15 @@ class QuantumState:
                 raise ValueError(f"matrix of shape {data.shape} does not match {n} qubits")
         else:
             raise ValueError("state data must be a vector or a square matrix")
-        self.qubits = qubits
+        self.labels = labels
         self.data = data
-        self._index = {q.id: i for i, q in enumerate(qubits)}
+        self._index = {label: i for i, label in enumerate(labels)}
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def n_qubits(self) -> int:
-        return len(self.qubits)
+        return len(self.labels)
 
     @property
     def dim(self) -> int:
@@ -104,41 +77,30 @@ class QuantumState:
         return self.data.ndim == 2
 
     @property
-    def labels(self) -> tuple:
-        return tuple(q.id for q in self.qubits)
-
-    @property
-    def norm(self) -> float:
-        """Vector 2-norm for pure states, trace for density matrices."""
-        if self.is_density:
-            return float(np.real(np.trace(self.data)))
-        return float(np.sqrt(np.real(np.vdot(self.data, self.data))))
-
-    @property
     def trace(self) -> float:
         """Probability weight: trace of the density matrix, squared norm of a vector."""
         if self.is_density:
             return float(np.real(np.trace(self.data)))
         return float(np.real(np.vdot(self.data, self.data)))
 
-    def axis(self, label: LabelLike) -> int:
-        key = _label_id(label)
+    def axis(self, label: str) -> int:
+        key = str(label)
         try:
             return self._index[key]
         except KeyError:
             raise KeyError(f"no qubit labeled {key!r} in state over {self.labels}") from None
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.qubits, self.data.copy())
+        return QuantumState(self.labels, self.data.copy())
 
     def _derived(self, data: np.ndarray) -> "QuantumState":
         """State over this register holding `data`, skipping validation.
 
         Only for complex128 data of this state's shape computed by the
-        library itself; the new state shares `qubits` and the label index.
+        library itself; the new state shares `labels` and the label index.
         """
         state = QuantumState.__new__(QuantumState)
-        state.qubits = self.qubits
+        state.labels = self.labels
         state.data = data
         state._index = self._index
         return state
@@ -150,28 +112,28 @@ class QuantumState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_vector(cls, qubits: Sequence[LabelLike], amplitudes) -> "QuantumState":
-        return cls(qubits, np.asarray(amplitudes, dtype=np.complex128))
+    def from_vector(cls, labels: Sequence[str], amplitudes) -> "QuantumState":
+        return cls(labels, np.asarray(amplitudes, dtype=np.complex128))
 
     @classmethod
-    def from_density(cls, qubits: Sequence[LabelLike], matrix) -> "QuantumState":
-        return cls(qubits, np.asarray(matrix, dtype=np.complex128))
+    def from_density(cls, labels: Sequence[str], matrix) -> "QuantumState":
+        return cls(labels, np.asarray(matrix, dtype=np.complex128))
 
     @classmethod
-    def basis(cls, qubits: Sequence[LabelLike], bits) -> "QuantumState":
+    def basis(cls, labels: Sequence[str], bits) -> "QuantumState":
         """Computational basis state; `bits` is a string like "010" or ints."""
-        qubits = tuple(qubits)
+        labels = tuple(labels)
         bits = [int(b) for b in bits]
-        if len(bits) != len(qubits):
+        if len(bits) != len(labels):
             raise ValueError("one bit per qubit required")
         idx = 0
         for b in bits:
             if b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
             idx = (idx << 1) | b
-        vec = np.zeros(2 ** len(qubits), dtype=np.complex128)
+        vec = np.zeros(2 ** len(labels), dtype=np.complex128)
         vec[idx] = 1.0
-        return cls(qubits, vec)
+        return cls(labels, vec)
 
     # -- representation changes --------------------------------------------
 
@@ -179,9 +141,9 @@ class QuantumState:
         if self.is_density:
             return self.copy()
         v = self.data
-        return QuantumState(self.qubits, np.outer(v, v.conj()))
+        return QuantumState(self.labels, np.outer(v, v.conj()))
 
-    def reordered(self, new_order: Sequence[LabelLike]) -> "QuantumState":
+    def reordered(self, new_order: Sequence[str]) -> "QuantumState":
         """Same state with qubit axes permuted into `new_order`."""
         order = [self.axis(q) for q in new_order]
         if sorted(order) != list(range(self.n_qubits)):
@@ -193,7 +155,7 @@ class QuantumState:
             data = t.reshape(self.dim, self.dim)
         else:
             data = self.data.reshape((2,) * n).transpose(order).reshape(self.dim)
-        return QuantumState([self.qubits[ax] for ax in order], data.copy())
+        return QuantumState([self.labels[ax] for ax in order], data.copy())
 
 
 # -- gates -------------------------------------------------------------------
@@ -241,7 +203,7 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATE_MATRICES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(_label_id(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(map(str, self.targets)))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("gate targets must be distinct")
         if len(self.targets) != GATE_ARITY[self.kind]:
@@ -258,7 +220,7 @@ class GateSpec:
 # the protocols apply a few dozen distinct (kind, targets) gates over and over;
 # a GateSpec is frozen, so one is shared by every caller
 @functools.lru_cache(maxsize=256)
-def gate(kind: str, *targets: LabelLike) -> GateSpec:
+def gate(kind: str, *targets: str) -> GateSpec:
     return GateSpec(kind, tuple(targets))
 
 
@@ -279,7 +241,7 @@ def _apply_matrix_to_axes(state: QuantumState, matrix: np.ndarray, axes: Sequenc
     return state._derived(vec)
 
 
-def apply_gate(state: QuantumState, gate_or_kind, *targets: LabelLike) -> QuantumState:
+def apply_gate(state: QuantumState, gate_or_kind, *targets: str) -> QuantumState:
     """Apply a GateSpec (or a kind plus targets) and return the new state."""
     if isinstance(gate_or_kind, GateSpec):
         if targets:
@@ -291,7 +253,7 @@ def apply_gate(state: QuantumState, gate_or_kind, *targets: LabelLike) -> Quantu
     return _apply_matrix_to_axes(state, spec.matrix, axes)
 
 
-def apply_matrix(state: QuantumState, matrix, *targets: LabelLike) -> QuantumState:
+def apply_matrix(state: QuantumState, matrix, *targets: str) -> QuantumState:
     """Apply an arbitrary 2^k x 2^k matrix to the k target qubits."""
     m = np.ascontiguousarray(matrix, dtype=np.complex128)
     if not targets:
@@ -324,7 +286,7 @@ class PauliOperator:
             axis = axis.upper()
             if axis not in _PAULI_MATRICES:
                 raise ValueError(f"unknown Pauli axis {axis!r}")
-            norm.append((_label_id(label), axis))
+            norm.append((str(label), axis))
         if len({l for l, _ in norm}) != len(norm):
             raise ValueError("repeated qubit in Pauli product")
         if not norm:
@@ -343,11 +305,11 @@ class PauliOperator:
         return "".join(f"{axis}({label})" for label, axis in self.factors)
 
 
-def z_product(*labels: LabelLike) -> PauliOperator:
+def z_product(*labels: str) -> PauliOperator:
     return PauliOperator(tuple((l, "Z") for l in labels))
 
 
-def x_product(*labels: LabelLike) -> PauliOperator:
+def x_product(*labels: str) -> PauliOperator:
     return PauliOperator(tuple((l, "X") for l in labels))
 
 
@@ -533,11 +495,11 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     if a.is_density or b.is_density:
         am = a.to_density().data if not a.is_density else a.data
         bm = b.to_density().data if not b.is_density else b.data
-        return QuantumState(a.qubits + b.qubits, np.kron(am, bm))
-    return QuantumState(a.qubits + b.qubits, np.kron(a.data, b.data))
+        return QuantumState(a.labels + b.labels, np.kron(am, bm))
+    return QuantumState(a.labels + b.labels, np.kron(a.data, b.data))
 
 
-def discard(state: QuantumState, *labels: LabelLike) -> QuantumState:
+def discard(state: QuantumState, *labels: str) -> QuantumState:
     """Trace out the given qubits; always returns a density-matrix state."""
     drop_axes = sorted(state.axis(l) for l in labels)
     if not drop_axes:
@@ -558,10 +520,10 @@ def discard(state: QuantumState, *labels: LabelLike) -> QuantumState:
         v = state.data.reshape((2,) * state.n_qubits)
         v = v.transpose(keep_axes + drop_axes).reshape(2**kq, 2**dq)
         reduced = v @ v.conj().T
-    return QuantumState([state.qubits[ax] for ax in keep_axes], reduced)
+    return QuantumState([state.labels[ax] for ax in keep_axes], reduced)
 
 
-def drop_qubit(state: QuantumState, label: LabelLike, expected_bit: Optional[int] = None) -> QuantumState:
+def drop_qubit(state: QuantumState, label: str, expected_bit: Optional[int] = None) -> QuantumState:
     """Remove a qubit that sits in a definite computational basis state.
 
     Unlike `discard` this keeps the representation (a vector stays a vector)
@@ -582,18 +544,18 @@ def drop_qubit(state: QuantumState, label: LabelLike, expected_bit: Optional[int
         off = max(np.max(np.abs(t[0, :, 1, :])), np.max(np.abs(t[1, :, 0, :])),
                   np.max(np.abs(t[1 - bit, :, 1 - bit, :])))
         if total <= 0 or off > ATOL * max(total, 1.0):
-            raise ValueError(f"qubit {_label_id(label)!r} is not in a definite basis state")
+            raise ValueError(f"qubit {str(label)!r} is not in a definite basis state")
         reduced = t[bit, :, bit, :]
     else:
         v = state.data.reshape((2,) * state.n_qubits).transpose([ax] + keep).reshape(2, -1)
         norms = np.sqrt(np.real(np.sum(np.abs(v) ** 2, axis=1)))
         bit = int(norms[1] > norms[0])
-        if norms[1 - bit] > ATOL * max(state.norm, 1.0):
-            raise ValueError(f"qubit {_label_id(label)!r} is not in a definite basis state")
+        if norms[1 - bit] > ATOL * max(math.sqrt(state.trace), 1.0):
+            raise ValueError(f"qubit {str(label)!r} is not in a definite basis state")
         reduced = v[bit].copy()
     if expected_bit is not None and bit != expected_bit:
-        raise ValueError(f"qubit {_label_id(label)!r} is |{bit}>, expected |{expected_bit}>")
-    return QuantumState([state.qubits[i] for i in keep], reduced)
+        raise ValueError(f"qubit {str(label)!r} is |{bit}>, expected |{expected_bit}>")
+    return QuantumState([state.labels[i] for i in keep], reduced)
 
 
 def fidelity(state: QuantumState, target: QuantumState) -> float:

@@ -39,6 +39,9 @@ PAIR_VECTOR = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.complex128)
 _ELEVEN = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
 _BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
 _BASIS_PINV = np.linalg.pinv(_BASIS)                       # 2 x 4
+# the largest residual, relative to the state's largest entry, that
+# `MixedAncilla.from_state` accepts inside the pair/|11> span
+_SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,7 @@ class MixedAncilla:
         return QuantumState.from_density(labels, rho)
 
     @classmethod
-    def from_state(cls, state: QuantumState, tol: float = 1e-9
-                   ) -> Tuple["MixedAncilla", complex]:
+    def from_state(cls, state: QuantumState) -> Tuple["MixedAncilla", complex]:
         """Decompose a two-qubit state back into (coefficients, overall scale).
 
         The scale is the coefficient on the ideal-pair projector, so a noisy
@@ -103,7 +105,7 @@ class MixedAncilla:
         rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
         coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
         residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
-        if residual > tol * max(1.0, float(np.max(np.abs(rho)))):
+        if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
             raise ValueError("state has support outside the pair/|11> span")
         scale = coeff[0, 0]
         if abs(scale) < 1e-14:

@@ -23,11 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
 
 import numpy as np
-
-from .rng import master_rng
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -164,29 +161,12 @@ class UnitaryErrorSet:
         out[:, 1, 1] = a - 1j * b
         return out
 
-    def in_low_error_regime(self, factor: float = 10.0) -> bool:
-        """prod|A| dominates prod|B|, prod|C|, prod|D| by at least `factor`."""
-        prods = np.exp(np.sum(np.log(np.abs(self.coefficients) + 1e-300), axis=0))
-        return bool(prods[0] > factor * max(prods[1], prods[2], prods[3]))
-
-
-def arctan_flip_angle(errors: UnitaryErrorSet) -> float:
-    """Sum of per-bit arctan(C_j / A_j), the low-error flip angle of a block.
-
-    Its contamination coefficients come from `MixedAncilla.from_phase_angle`.
-    """
-    a = errors.coefficients[:, 0]
-    c = errors.coefficients[:, 2]
-    if np.any(a == 0.0):
-        raise ValueError("arctan(C/A) undefined at A = 0; not in the low-error regime")
-    return float(np.sum(np.arctan(c / a)))
-
 
 def accumulated_flip_angle(errors: UnitaryErrorSet) -> float:
     """Exact flip angle of the whole block: sum of atan2(C_j, A_j).
 
     Exact only for pure bit-axis rotations, where per-bit angles add; raises
-    otherwise.  Agrees with `arctan_flip_angle` whenever all A_j > 0.
+    otherwise.
     """
     if not errors.is_bit_rotation:
         raise ValueError("accumulated angle is only additive when all B = D = 0")
@@ -197,8 +177,12 @@ def accumulated_flip_angle(errors: UnitaryErrorSet) -> float:
 
 # -- per-bit angle distributions and their cosine moments ------------------------
 
-def characteristic_cos_moment(distribution: str, p: float, m: int, *,
-                              span: float = 12.0, points: int = 200_001) -> float:
+# the gaussian moment's quadrature: points on [-span, span] standard deviations
+_QUADRATURE_SPAN = 12.0
+_QUADRATURE_POINTS = 200_001
+
+
+def characteristic_cos_moment(distribution: str, p: float, m: int) -> float:
     """Literal E[cos(m * theta)] for the per-bit flip-angle distribution.
 
     `p` is the mean squared tangent E[tan^2 theta] for both supported
@@ -211,21 +195,11 @@ def characteristic_cos_moment(distribution: str, p: float, m: int, *,
     if distribution == "two_point":
         return float(math.cos(m * math.atan(math.sqrt(p))))
     if distribution == "gaussian":
-        z = np.linspace(-span, span, points)
+        z = np.linspace(-_QUADRATURE_SPAN, _QUADRATURE_SPAN, _QUADRATURE_POINTS)
         density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
         vals = np.cos(m * np.arctan(math.sqrt(p) * z))
         return float(np.trapezoid(vals * density, z))
     raise ValueError(f"unknown distribution {distribution!r}")
-
-
-def nominal_cos_moment(p: float, m: int) -> float:
-    """The replacement value cos(m * sqrt(p)) used by the closed approximations."""
-    return float(math.cos(m * math.sqrt(p)))
-
-
-def exponential_cos_moment(p: float, m: int) -> float:
-    """The Gaussian-decay stand-in exp(-m^2 p / 2) for the same moment."""
-    return float(math.exp(-0.5 * m * m * p))
 
 
 # -- block ensembles --------------------------------------------------------------
@@ -257,7 +231,6 @@ class BlockEnsemble:
     defect_fraction: float = 0.0
     defect_p: float = 0.9
     distribution: str = "two_point"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -282,15 +255,10 @@ class BlockEnsemble:
                 raise ValueError(f"distribution must be one of {_DISTRIBUTIONS}")
             if self.defect_fraction != 0.0:
                 raise ValueError("defective bits are a decoherent-model feature")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     @property
     def block_count(self) -> int:
         return 2**self.levels
-
-    def rng(self) -> np.random.Generator:
-        return master_rng(self.seed)
 
     def mean_flip_probability(self) -> float:
         """Exact marginal of p_i under the independent-defect policy."""
@@ -342,13 +310,6 @@ class BlockEnsemble:
             total += weight * math.log(alpha)
         return total
 
-    def draw_block(self, rng: np.random.Generator
-                   ) -> Union[PauliChannel, UnitaryErrorSet]:
-        if self.model == "decoherent":
-            return PauliChannel(self._draw_flip_probabilities(rng, 1)[0],
-                                np.full(self.n, self.q))
-        return UnitaryErrorSet.from_ratios(self._draw_tangents(rng))
-
     def _draw_flip_probabilities(self, rng: np.random.Generator,
                                  blocks: int) -> np.ndarray:
         """Per-bit flip probabilities of `blocks` decoherent blocks, shape (blocks, n).
@@ -362,8 +323,7 @@ class BlockEnsemble:
             p[rng.random((blocks, self.n)) < self.defect_fraction] = self.defect_p
         return p
 
-    def _draw_tangents(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        shape = (self.n,) if size is None else size
+    def _draw_tangents(self, rng: np.random.Generator, shape) -> np.ndarray:
         scale = math.sqrt(self.p)
         if self.distribution == "two_point":
             return scale * (1.0 - 2.0 * rng.integers(0, 2, size=shape).astype(np.float64))
@@ -393,12 +353,10 @@ class EnsembleFidelity:
 
 
 def ensemble_distill_fidelity(ensemble: BlockEnsemble,
-                              rng: Optional[np.random.Generator] = None
-                              ) -> EnsembleFidelity:
+                              rng: np.random.Generator) -> EnsembleFidelity:
     """Fidelity after a full cascade fed by independently drawn blocks."""
     if ensemble.model != "decoherent":
         raise ValueError("the fidelity cascade formula applies to decoherent ensembles")
-    rng = ensemble.rng() if rng is None else rng
     p_matrix = ensemble._draw_flip_probabilities(rng, ensemble.block_count)
     # each block's bias as `parity_bias` computes it; math.log, not np.log,
     # summed in block order, keeps the result bit-identical to block-by-block
@@ -439,11 +397,12 @@ class LogTanEstimate:
 
 # trials whose tangents `ensemble_log_tan` draws in one array
 LOG_TAN_CHUNK = 8_192
+# `ensemble_log_tan` ends each series at its first term below this
+_TERM_TOL = 1e-15
 
 
 def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
-                     rng: Optional[np.random.Generator] = None,
-                     k_max: int = 400, term_tol: float = 1e-15) -> LogTanEstimate:
+                     rng: np.random.Generator, k_max: int = 400) -> LogTanEstimate:
     """Average log-tangent contamination of a coherent-error block ensemble.
 
     Requires a sign-symmetric angle distribution (both built-ins are), which
@@ -455,14 +414,13 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
         raise ValueError("log-tangent statistics apply to unitary ensembles")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    rng = ensemble.rng() if rng is None else rng
 
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         m = min(LOG_TAN_CHUNK, trials - done)
-        tangents = ensemble._draw_tangents(rng, size=(m, ensemble.n))
+        tangents = ensemble._draw_tangents(rng, (m, ensemble.n))
         sigma = np.sum(np.arctan(tangents), axis=1)
         with np.errstate(divide="ignore"):
             vals = np.log(np.abs(np.tan(sigma)))
@@ -482,28 +440,18 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
         term = -(2.0 / (2 * k + 1)) * moment**ensemble.n
         series += term
         terms = k + 1
-        if abs(term) < term_tol:
+        if abs(term) < _TERM_TOL:
             break
 
     closed = 0.0
     for k in range(k_max + 1):
         term = -(2.0 / (2 * k + 1)) * math.exp(-2.0 * (2 * k + 1) ** 2 * pn)
         closed += term
-        if abs(term) < term_tol:
+        if abs(term) < _TERM_TOL:
             break
 
     bound = -2.0 * math.exp(-2.0 * pn)
     return LogTanEstimate(mean, se, series, closed, bound, trials, terms)
-
-
-def __getattr__(name):
-    # `max_block_size` lives in `concat`, which the samplers here never need,
-    # so it is served from there on access rather than imported with them
-    if name == "max_block_size":
-        from .concat import max_block_size
-
-        return max_block_size
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -516,12 +464,8 @@ __all__ = [
     "UnitaryErrorSet",
     "accumulated_flip_angle",
     "alpha3_decoherent",
-    "arctan_flip_angle",
     "characteristic_cos_moment",
     "ensemble_distill_fidelity",
     "ensemble_log_tan",
-    "exponential_cos_moment",
-    "max_block_size",
-    "nominal_cos_moment",
     "parity_bias",
 ]

@@ -15,7 +15,6 @@ each candidate against the exact branch transfer matrix of the gadget.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -178,33 +177,6 @@ class CorrectionTable:
         new[tuple(key)] = tuple(seq)
         return CorrectionTable(new)
 
-    def to_json(self) -> str:
-        payload = {
-            "format": "toffoli-correction-table/1",
-            "entries": {
-                ",".join(f"{m:+d}" for m in key): list(seq)
-                for key, seq in sorted(self.entries.items(), reverse=True)
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorrectionTable":
-        payload = json.loads(text)
-        entries = {}
-        for key, seq in payload["entries"].items():
-            parts = tuple(int(p) for p in key.split(","))
-            entries[parts] = tuple(seq)
-        return cls(entries)
-
-    def as_text(self) -> str:
-        lines = ["m1  m2  mX  corrections", "--  --  --  -----------"]
-        for key in sorted(self.entries, reverse=True):
-            seq = self.entries[key]
-            lines.append("  ".join(f"{m:+d}" for m in key) + "  " +
-                         (" . ".join(seq) if seq else "(none)"))
-        return "\n".join(lines)
-
 
 # reference qubits holding the input index of the Choi state
 _REFERENCE_LABELS = ("R0", "R1", "R2")
@@ -264,7 +236,13 @@ def _run_gadget_circuit(state: QuantumState, branch: Optional[BranchKey],
     return state, records
 
 
-def derive_correction_table(max_len: int = 4, tol: float = 1e-10) -> CorrectionTable:
+# derive_correction_table's longest sequence searched, and the relative
+# tolerance of a match
+_MAX_LEN = 4
+_TOL = 1e-10
+
+
+def derive_correction_table() -> CorrectionTable:
     """Search short correction sequences making every gadget branch a Toffoli.
 
     For each outcome triple, the branch transfer matrix M is computed exactly
@@ -279,20 +257,20 @@ def derive_correction_table(max_len: int = 4, tol: float = 1e-10) -> CorrectionT
     for branch in itertools.product((1, -1), (1, -1), (1, -1)):
         m = _branch_transfer_matrix(branch)
         found = None
-        for length in range(max_len + 1):
+        for length in range(_MAX_LEN + 1):
             for seq in itertools.product(VOCAB_TOKENS, repeat=length):
                 corr = np.eye(8, dtype=np.complex128)
                 for token in seq:
                     corr = token_mats[token] @ corr
                 cand = corr @ m
                 lam = np.trace(toffoli.conj().T @ cand) / 8.0
-                if abs(lam) > 1e-12 and np.max(np.abs(cand - lam * toffoli)) <= tol * abs(lam):
+                if abs(lam) > 1e-12 and np.max(np.abs(cand - lam * toffoli)) <= _TOL * abs(lam):
                     found = seq
                     break
             if found is not None:
                 break
         if found is None:
-            raise RuntimeError(f"no correction of length <= {max_len} fixes branch {branch}")
+            raise RuntimeError(f"no correction of length <= {_MAX_LEN} fixes branch {branch}")
         entries[branch] = found
     return CorrectionTable(entries)
 

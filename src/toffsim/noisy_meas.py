@@ -366,7 +366,7 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     for i, leaf in enumerate(leaves):
         index = index_of.setdefault(leaf.tobytes(), len(logical_states))
         if index == len(logical_states):
-            logical = QuantumState(state.qubits, leaf.copy())
+            logical = QuantumState(state.labels, leaf.copy())
             p_plus = branch_probability(logical, measured, +1)
             # 0: a coherent superposition of the eigenspaces
             state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)

@@ -125,7 +125,7 @@ def test_pair_merge_produces_the_three_qubit_ancilla():
 def _oracle_combine(rho_x: np.ndarray, rho_y: np.ndarray):
     """Re-derive one purification step with nothing but numpy.
 
-    Qubit order (a, b, c, d), most significant bit first; both cross
+    Qubits in order (a, b, c, d), most significant bit first; both cross
     parities postselected at +1, the survivor copied out with two
     controlled-NOTs, then the second pair removed as the |00> slice.
     """

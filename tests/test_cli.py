@@ -186,6 +186,24 @@ def test_noisy_meas_work_budget_boundary(tmp_path, capsys, monkeypatch):
     assert err == "toffsim: error: trials x n = 328 exceeds the work budget of 320\n"
 
 
+def test_json_report_keeps_no_per_trial_rows(tmp_path):
+    # a CSV table holds ~190 bytes a trial; a JSON report's memory must not grow
+    # with the trial count
+    cfg = write_config(tmp_path, "one.json", {"n": 1})
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["noisy-meas", "--config", cfg, "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # loads the modules the run imports
+    assert peak(50_000) - peak(5_000) <= 2**20
+
+
 @pytest.mark.parametrize("payload, trials", [
     ({"levels": 40}, 1),
     ({"levels": 25}, 2),
@@ -260,6 +278,21 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+@pytest.mark.parametrize("command, payload, nulls", [
+    # no combine attempt at levels 0, so no success frequency
+    ("distill", {"levels": 0}, ("success_frequency", "success_frequency_expected")),
+    # every flip angle is 0: log |tan 0| is -inf, and its spread NaN
+    ("ensemble", {"model": "unitary", "p": 0.0}, ("monte_carlo", "monte_carlo_se")),
+])
+def test_non_finite_results_are_null(tmp_path, capsys, command, payload, nulls):
+    cfg = write_config(tmp_path, "edge.json", payload)
+    rc, out, _ = run_cli([command, "--config", cfg], capsys)
+    assert rc == 0
+    results = json.loads(out, parse_constant=refuse_constant)["results"]
+    results = results.get("sampled", results)
+    assert [results[key] for key in nulls] == [None, None]
+
+
 @pytest.mark.parametrize("levels", [13, 16])
 def test_ensemble_whose_contamination_product_underflows_runs(tmp_path, capsys, levels):
     # 2**levels blocks of log alpha3 ~ -0.6 sum below the smallest float's log
@@ -281,6 +314,37 @@ def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
     assert rc == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("toffsim: error:") and "seed" in err
+
+
+def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
+    from toffsim import distill
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a tree past the work budget")
+
+    # levels 0 makes no attempt, and counts as the per-tree cap of 100000
+    monkeypatch.setattr(cli, "_MAX_COMBINE_ATTEMPTS", 400_000)
+    cfg = write_config(tmp_path, "flat.json", {"levels": 0})
+    rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "4"], capsys)
+    assert rc == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(distill, "distill_tree", no_sampling)
+        rc, out, err = run_cli(["distill", "--config", cfg, "--trials", "5"], capsys)
+    assert rc == 1 and out == ""
+    assert err == ("toffsim: error: trials x expected combine attempts = 500000 "
+                   "exceeds the work budget of 400000\n")
+    # at levels 2, the Wald expectation of a tree's attempts
+    cfg = write_config(tmp_path, "two.json", {"levels": 2})
+    rc, out, _ = run_cli(["distill", "--config", cfg, "--trials", "1"], capsys)
+    expected = json.loads(out)["results"]["sampled"]["expected_attempts"]
+    monkeypatch.setattr(cli, "_MAX_COMBINE_ATTEMPTS", 10 * expected)
+    rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "10"], capsys)
+    assert rc == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(distill, "distill_tree", no_sampling)
+        rc, _, err = run_cli(["distill", "--config", cfg, "--trials", "11"], capsys)
+    assert rc == 1
+    assert err.startswith("toffsim: error: trials x expected combine attempts")
 
 
 @pytest.mark.parametrize("levels", [9, 40])
@@ -822,6 +886,8 @@ def test_any_config_exits_0_1_or_2_with_a_one_line_error(tmp_path, command, data
     assert rc in (0, 1, 2)
     if rc == 1:
         assert len(lines) == 1 and lines[0].startswith("toffsim: error:"), lines
+    else:
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
     assert "Traceback" not in err.getvalue()
 
 

@@ -10,11 +10,11 @@ from toffsim.concat import (
     CodeParams,
     Schedule,
     block_failure,
+    max_block_size,
     progressive_schedule,
     round_to_one_significant,
     standard_concat_levels,
 )
-from toffsim.error_models import max_block_size
 
 
 def test_default_scaling_exponent():

@@ -13,13 +13,9 @@ from toffsim.error_models import (
     UnitaryErrorSet,
     accumulated_flip_angle,
     alpha3_decoherent,
-    arctan_flip_angle,
     characteristic_cos_moment,
     ensemble_distill_fidelity,
     ensemble_log_tan,
-    exponential_cos_moment,
-    max_block_size,
-    nominal_cos_moment,
     parity_bias,
 )
 from toffsim.rng import master_rng, trial_rng
@@ -118,20 +114,14 @@ def test_alpha3_large_n_approximation_field():
 
 
 def test_max_block_size_frozen_value():
+    from toffsim.concat import max_block_size
+
+
     assert max_block_size(1e-3) == pytest.approx(1000.0 * math.log(1000.0))
     with pytest.raises(ValueError):
         max_block_size(0.0)
     with pytest.raises(ValueError):
         max_block_size(1.0)
-
-
-def test_max_block_size_is_served_from_concat():
-    from toffsim import concat, error_models
-
-    assert error_models.max_block_size is concat.max_block_size
-    assert "max_block_size" not in vars(error_models)
-    with pytest.raises(AttributeError):
-        error_models.nope
 
 
 # -- coherent error sets ---------------------------------------------------------------
@@ -178,18 +168,11 @@ def test_accumulated_angle_needs_bit_rotations():
 
 
 def test_arctan_reading_signs():
-    # per-bit angles add with their signs, as in the exact accumulated angle
+    # per-bit angles add with their signs
     for ratios in ([0.05] * 4, [-0.05] * 4, [0.05, -0.02, 0.03, -0.07]):
-        errors = UnitaryErrorSet.from_ratios(ratios)
-        sigma = arctan_flip_angle(errors)
+        sigma = accumulated_flip_angle(UnitaryErrorSet.from_ratios(ratios))
         assert type(sigma) is float
-        assert sigma == pytest.approx(accumulated_flip_angle(errors), abs=1e-15)
         assert sigma == pytest.approx(sum(math.atan(r) for r in ratios), abs=1e-15)
-
-
-def test_low_error_regime_flag():
-    assert UnitaryErrorSet.uniform_ratio(4, 0.01).in_low_error_regime()
-    assert not UnitaryErrorSet.uniform_ratio(4, 0.9).in_low_error_regime()
 
 
 # -- cosine moments ----------------------------------------------------------------------
@@ -205,12 +188,7 @@ def test_gaussian_moment_nears_exponential_form_at_small_p():
         for k in range(4):
             m = 2 * (2 * k + 1)
             char = characteristic_cos_moment("gaussian", p, m)
-            assert abs(char - exponential_cos_moment(p, m)) <= 0.1
-
-
-def test_nominal_and_exponential_forms():
-    assert nominal_cos_moment(0.01, 2) == pytest.approx(math.cos(0.2))
-    assert exponential_cos_moment(0.01, 2) == pytest.approx(math.exp(-0.02))
+            assert abs(char - math.exp(-0.5 * m * m * p)) <= 0.1
 
 
 def test_moment_distribution_validation():
@@ -242,11 +220,11 @@ def test_mean_flip_probability_marginal():
     assert ens.mean_flip_probability() == pytest.approx(0.98 * 0.01 + 0.02 * 0.9)
 
 
-def test_draw_block_defect_statistics():
+def test_drawn_block_defect_statistics():
     ens = BlockEnsemble(n=200, levels=1, model="decoherent", p=0.01,
                         defect_fraction=0.1, defect_p=0.9)
     rng = master_rng(15)
-    counts = [int(np.sum(ens.draw_block(rng).p > 0.5)) for _ in range(300)]
+    counts = np.sum(ens._draw_flip_probabilities(rng, 300) > 0.5, axis=1).tolist()
     mean = sum(counts) / len(counts)
     sigma = math.sqrt(200 * 0.1 * 0.9 / 300)
     assert abs(mean - 20.0) < 4 * sigma
@@ -263,8 +241,8 @@ def test_expected_log_alpha3_matches_sampling():
     ens = BlockEnsemble(n=30, levels=1, model="decoherent", p=0.02,
                         defect_fraction=0.05, defect_p=0.75)
     rng = master_rng(99)
-    vals = [math.log(alpha3_decoherent(ens.draw_block(rng)).value)
-            for _ in range(4000)]
+    vals = [math.log(alpha3_decoherent(PauliChannel(p)).value)
+            for p in ens._draw_flip_probabilities(rng, 4000)]
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - ens.expected_log_alpha3()) < 4 * se
@@ -348,16 +326,15 @@ def test_cascade_fidelity_bias_minus_one_is_the_reference_error():
         "bias -1: the reported outcome is deterministic and wrong"
 
 
-def test_draw_block_is_one_block_of_the_cascade_draw():
+def test_one_drawn_block_is_one_block_of_the_cascade_draw():
     ens = BlockEnsemble(n=12, levels=3, model="decoherent", p=0.02, q=0.01,
                         defect_fraction=0.25, defect_p=0.8)
     rng, reference = master_rng(21), master_rng(21)
     for _ in range(20):
-        block = ens.draw_block(rng)
+        block = ens._draw_flip_probabilities(rng, 1)[0]
         p = np.full(12, 0.02)
         p[reference.random(12) < 0.25] = 0.8
-        np.testing.assert_array_equal(block.p, p)
-        np.testing.assert_array_equal(block.q, np.full(12, 0.01))
+        np.testing.assert_array_equal(block, p)
 
 
 def test_cascade_fidelity_rejects_unitary_ensembles():
@@ -366,25 +343,17 @@ def test_cascade_fidelity_rejects_unitary_ensembles():
         ensemble_distill_fidelity(ens, rng=master_rng(0))
 
 
-def test_cascade_uses_its_own_seed_when_rng_omitted():
-    ens = BlockEnsemble(n=20, levels=3, model="decoherent", p=0.02,
-                        defect_fraction=0.1, defect_p=0.8, seed=5)
-    a = ensemble_distill_fidelity(ens)
-    b = ensemble_distill_fidelity(ens)
-    assert a.empirical == b.empirical  # same seed, same draws
-
-
 # -- log-tangent statistics --------------------------------------------------------------------
 
 def test_log_tan_requires_unitary_model():
     ens = BlockEnsemble(n=8, levels=2, model="decoherent", p=0.01)
     with pytest.raises(ValueError):
-        ensemble_log_tan(ens)
+        ensemble_log_tan(ens, rng=master_rng(0))
 
 
 def test_log_tan_gaussian_three_way_consistency():
     ens = BlockEnsemble(n=100, levels=1, model="unitary", p=0.01,
-                        distribution="gaussian", seed=8)
+                        distribution="gaussian")
     est = ensemble_log_tan(ens, trials=20_000, rng=master_rng(8))
     assert abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
     assert abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
@@ -404,13 +373,13 @@ def test_log_tan_two_point_against_lattice_enumeration():
         weight = math.comb(n, k) / 2.0**n
         exact += weight * math.log(abs(math.tan((n - 2 * k) * theta)))
     ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p,
-                        distribution="two_point", seed=3)
+                        distribution="two_point")
     est = ensemble_log_tan(ens, trials=60_000, rng=master_rng(3))
     assert abs(est.monte_carlo - exact) < 4.0 * est.standard_error
 
 
 def test_log_tan_bound_is_the_coarse_envelope():
     ens = BlockEnsemble(n=200, levels=1, model="unitary", p=0.005,
-                        distribution="gaussian", seed=1)
+                        distribution="gaussian")
     est = ensemble_log_tan(ens, trials=5_000, rng=master_rng(1))
     assert est.bound == pytest.approx(-2.0 * math.exp(-2.0 * 0.005 * 200), abs=1e-12)

@@ -1,7 +1,6 @@
 """Ancilla synthesis and the measurement-based Toffoli gadget."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -179,23 +178,6 @@ def test_correction_table_requires_all_branches():
     del entries[(1, 1, -1)]
     with pytest.raises(ValueError):
         CorrectionTable(entries)
-
-
-def test_correction_table_json_round_trip(tmp_path):
-    table = default_correction_table()
-    blob = table.to_json()
-    parsed = json.loads(blob)
-    assert parsed["format"] == "toffoli-correction-table/1"
-    again = CorrectionTable.from_json(blob)
-    for branch in BRANCHES:
-        assert again[branch] == table[branch]
-
-
-def test_correction_table_as_text_lists_every_branch():
-    lines = default_correction_table().as_text().splitlines()
-    branch_lines = [ln for ln in lines if ln.startswith(("+1", "-1"))]
-    assert len(branch_lines) == 8
-    assert "(none)" in lines[2]  # the all-plus branch needs no correction
 
 
 def test_replaced_changes_exactly_one_entry():
