@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import importlib.machinery
 import io
 import itertools
@@ -227,7 +226,7 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
         ideal_toffoli_output,
         toffoli_gadget,
     )
-    from .rng import trial_rng
+    from .rng import rekey, trial_rng
 
     trials, tol = cfg["trials"], cfg["tolerance"]
     corrupt = None if cfg["corrupt_branch"] is None else _BRANCHES[cfg["corrupt_branch"]]
@@ -236,7 +235,8 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
         # prepending a stray X on the first data qubit breaks any branch
         table = table.replaced(corrupt, ("X_A",) + table[corrupt])
 
-    inputs = [_random_data_state(trial_rng(seed, t), DATA_LABELS) for t in range(trials)]
+    gen = trial_rng(seed, 0)
+    inputs = [_random_data_state(rekey(gen, seed, t), DATA_LABELS) for t in range(trials)]
     ideals = [ideal_toffoli_output(s) for s in inputs]
     branch_rows = []
     flagged = []
@@ -260,7 +260,7 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
     truth_passed = 0
     for i, bits in enumerate(itertools.product("01", repeat=3)):
         state = QuantumState.basis(DATA_LABELS, "".join(bits))
-        res = toffoli_gadget(state, rng=trial_rng(seed, 100_000 + i))
+        res = toffoli_gadget(state, rng=rekey(gen, seed, 100_000 + i))
         if fidelity(res.output, ideal_toffoli_output(state)) >= 1.0 - tol:
             truth_passed += 1
 
@@ -295,7 +295,7 @@ def _cmd_distill(cfg: dict, seed: int, rows):
         pair_supply,
         success_probability,
     )
-    from .rng import trial_rng
+    from .rng import rekey, trial_rng
 
     alpha3, levels, trials = cfg["alpha3"], cfg["levels"], cfg["trials"]
     raw = MixedAncilla.from_excess_weight(alpha3)
@@ -338,9 +338,10 @@ def _cmd_distill(cfg: dict, seed: int, rows):
 
     total_attempts = total_successes = total_leaves = 0
     supply = pair_supply(raw)
+    gen = trial_rng(seed, 0)
     for t in range(trials):
         try:
-            out = distill_tree(supply, levels, rng=trial_rng(seed, t),
+            out = distill_tree(supply, levels, rng=rekey(gen, seed, t),
                                max_attempts=_TREE_ATTEMPTS)
         except RuntimeError as exc:  # the per-tree combine budget ran out
             raise ValueError(f"levels {levels} is too deep to sample: {exc}") from None
@@ -579,7 +580,7 @@ def _cmd_ensemble(cfg: dict, seed: int, rows):
         ensemble_distill_fidelity,
         ensemble_log_tan,
     )
-    from .rng import trial_rng
+    from .rng import rekey, trial_rng
 
     trials = cfg["trials"]
     defect_fraction = cfg["defect_fraction"]
@@ -607,12 +608,13 @@ def _cmd_ensemble(cfg: dict, seed: int, rows):
                          f"budget of {_MAX_TRIAL_BITS}")
     checks = _Check()
 
+    gen = trial_rng(seed, 0)
     if ensemble.model == "decoherent":
         empirical = np.empty(trials)
         log_contamination = np.empty(trials)
         sampled_analytic = np.empty(trials)
         for t in range(trials):
-            fid = ensemble_distill_fidelity(ensemble, rng=trial_rng(seed, t))
+            fid = ensemble_distill_fidelity(ensemble, rng=rekey(gen, seed, t))
             empirical[t] = fid.empirical
             # the log of the product keeps the reports' bits; the summed log
             # stands in where the product underflows to 0
@@ -663,7 +665,7 @@ def _cmd_ensemble(cfg: dict, seed: int, rows):
         return results, ("trial", "empirical_fidelity", "log_contamination",
                          "analytic_sampled"), checks
 
-    est = ensemble_log_tan(ensemble, trials=trials, rng=trial_rng(seed, 0),
+    est = ensemble_log_tan(ensemble, trials=trials, rng=gen,
                            k_max=cfg["k_max"])
     results = {
         "model": "unitary",
@@ -823,6 +825,8 @@ def _numpy_version() -> str:
 
 
 def _render_csv(header: Sequence[str], rows: Sequence[tuple]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -884,8 +888,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"toffsim: error: cannot write the report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
 

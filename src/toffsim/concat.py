@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
 def max_block_size(p: float) -> float:
@@ -35,8 +34,13 @@ def max_block_size(p: float) -> float:
 DEFAULT_SCALING_EXPONENT = math.log(2.0) / math.log(9.0)
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class _CodeFields(NamedTuple):
+    threshold_log10: float = -2.0
+    scaling_exponent: float = DEFAULT_SCALING_EXPONENT
+    prefactor_log10: float = 0.0
+
+
+class CodeParams(_CodeFields):
     """Log-space code family parameters.
 
     threshold_log10: log10 of the accuracy threshold (default 1e-2).
@@ -44,15 +48,15 @@ class CodeParams:
     prefactor_log10: log10 of the multiplicative prefactor (default 1).
     """
 
-    threshold_log10: float = -2.0
-    scaling_exponent: float = DEFAULT_SCALING_EXPONENT
-    prefactor_log10: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.threshold_log10 >= 0.0:
             raise ValueError("threshold must be a probability below 1 (log10 < 0)")
         if not 0.0 < self.scaling_exponent < 1.0:
             raise ValueError("scaling exponent must lie in (0, 1)")
+        return self
 
 
 def block_failure(eps_log10: float, n: float,
@@ -90,8 +94,7 @@ def round_to_one_significant(x: float) -> int:
     return int(mantissa * 10**exponent)
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class LevelSpec(NamedTuple):
     """One concatenation level: its block size and failure exponents.
 
     failure_log10 is the block failure; gate_failure_log10 is the effective
@@ -105,8 +108,7 @@ class LevelSpec:
     gate_failure_log10: float
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """A concatenation schedule down to a target failure exponent."""
 
     strategy: str

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -193,21 +192,25 @@ INVOLUTORY_GATES = frozenset(
     if np.allclose(m @ m, np.eye(m.shape[0]), atol=ATOL))
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """A named gate bound to an ordered tuple of target labels."""
-
+class _GateFields(NamedTuple):
     kind: str
     targets: tuple
 
-    def __post_init__(self):
-        if self.kind not in GATE_MATRICES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(map(str, self.targets)))
-        if len(set(self.targets)) != len(self.targets):
+
+class GateSpec(_GateFields):
+    """A named gate bound to an ordered tuple of target labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, targets):
+        if kind not in GATE_MATRICES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        targets = tuple(map(str, targets))
+        if len(set(targets)) != len(targets):
             raise ValueError("gate targets must be distinct")
-        if len(self.targets) != GATE_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {GATE_ARITY[self.kind]} targets, got {len(self.targets)}")
+        if len(targets) != GATE_ARITY[kind]:
+            raise ValueError(f"{kind} takes {GATE_ARITY[kind]} targets, got {len(targets)}")
+        return super().__new__(cls, kind, targets)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -274,15 +277,18 @@ _PAULI_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """A product of single-qubit Pauli factors, e.g. Z(a)Z(b) or X(a)."""
-
+class _PauliFields(NamedTuple):
     factors: tuple  # ((label, axis), ...) with axis in {"X","Y","Z"}
 
-    def __post_init__(self):
+
+class PauliOperator(_PauliFields):
+    """A product of single-qubit Pauli factors, e.g. Z(a)Z(b) or X(a)."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors):
         norm = []
-        for label, axis in self.factors:
+        for label, axis in factors:
             axis = axis.upper()
             if axis not in _PAULI_MATRICES:
                 raise ValueError(f"unknown Pauli axis {axis!r}")
@@ -291,7 +297,7 @@ class PauliOperator:
             raise ValueError("repeated qubit in Pauli product")
         if not norm:
             raise ValueError("empty Pauli product")
-        object.__setattr__(self, "factors", tuple(norm))
+        return super().__new__(cls, tuple(norm))
 
     @property
     def support(self) -> tuple:
@@ -316,8 +322,7 @@ def x_product(*labels: str) -> PauliOperator:
 MeasOperator = Union[PauliOperator, GateSpec]
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     operator: str
     outcome: int          # +1 or -1
     probability: float    # Born probability of that outcome

@@ -21,8 +21,7 @@ copies (`pair_supply`), the one supply the protocol uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ _BASIS_PINV = np.linalg.pinv(_BASIS)                       # 2 x 4
 _SPAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MixedAncilla:
+class MixedAncilla(NamedTuple):
     """Coefficients (a1, a2, a3) of a noisy pair ancilla in operator form."""
 
     a1: complex
@@ -174,8 +172,7 @@ def fidelity_after_rounds(a3: complex, rounds: int) -> float:
 
 # -- running a purification tree by sampling -----------------------------------
 
-@dataclass(frozen=True)
-class DistillOutcome:
+class DistillOutcome(NamedTuple):
     ancilla: MixedAncilla
     level: int
     combine_attempts: int
@@ -283,8 +280,12 @@ def distill_tree(supply: _FixedSupply, level: int, *,
 
 # -- operation-count calculus ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CostParams:
+class _CostFields(NamedTuple):
+    success_probability: float = 1.0 / 3.0
+    measurement_ratio: float = 2.0
+
+
+class CostParams(_CostFields):
     """Knobs of the expected-operations recurrence.
 
     success_probability: chance one combine's parity checks both pass.
@@ -293,14 +294,15 @@ class CostParams:
         working accuracy (log target error / log per-measurement error).
     """
 
-    success_probability: float = 1.0 / 3.0
-    measurement_ratio: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.success_probability <= 1.0:
             raise ValueError("success probability must be in (0, 1]")
         if self.measurement_ratio < 0.0:
             raise ValueError("measurement ratio must be >= 0")
+        return self
 
 
 def expected_ops(rounds: int, params: CostParams = CostParams()) -> float:

@@ -22,17 +22,33 @@ cascade converges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class _ArrayRecord:
+    """Base of the records that hold arrays: each field is set once, in
+    `__init__`, and a record compares and hashes by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # -- decoherent channels ---------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PauliChannel:
+class PauliChannel(_ArrayRecord):
     """Independent per-bit flip probabilities: p bit flips, q phase flips.
 
     Phase flips are tracked because they land on the readout bits too, but
@@ -40,8 +56,7 @@ class PauliChannel:
     readouts), so every outcome statistic here depends on p alone.
     """
 
-    p: np.ndarray
-    q: np.ndarray
+    __slots__ = ("p", "q")
 
     def __init__(self, p, q=None):
         p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -72,8 +87,7 @@ def parity_bias(channel: PauliChannel) -> float:
     return float(np.prod(1.0 - 2.0 * channel.p))
 
 
-@dataclass(frozen=True)
-class Alpha3Reading:
+class Alpha3Reading(NamedTuple):
     """|11> contamination implied by a reported-even noisy parity measurement."""
 
     value: float            # (1 - bias) / (1 + bias), exact
@@ -101,8 +115,7 @@ def _alpha3_from_bias(bias: float) -> float:
 
 # -- coherent (unitary) per-bit errors -------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class UnitaryErrorSet:
+class UnitaryErrorSet(_ArrayRecord):
     """Per-bit single-qubit unitaries, rows (A, B, C, D) with A^2+B^2+C^2+D^2 = 1.
 
     The matrix of row j is [[A+iB, D+iC], [-D+iC, A-iB]]: A carries the
@@ -111,7 +124,7 @@ class UnitaryErrorSet:
     rotations by angle arctan(C/A), which accumulate additively over a block.
     """
 
-    coefficients: np.ndarray  # shape (n, 4)
+    __slots__ = ("coefficients",)  # shape (n, 4)
 
     def __init__(self, coefficients):
         coeff = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
@@ -208,8 +221,18 @@ _MODELS = ("decoherent", "unitary")
 _DISTRIBUTIONS = ("two_point", "gaussian")
 
 
-@dataclass(frozen=True)
-class BlockEnsemble:
+class _EnsembleFields(NamedTuple):
+    n: int
+    levels: int
+    model: str
+    p: float
+    q: float = 0.0
+    defect_fraction: float = 0.0
+    defect_p: float = 0.9
+    distribution: str = "two_point"
+
+
+class BlockEnsemble(_EnsembleFields):
     """Independent per-block error draws feeding one purification cascade.
 
     A cascade of `levels` rounds consumes 2**levels raw blocks.  Decoherent
@@ -223,16 +246,10 @@ class BlockEnsemble:
     sign-symmetric `distribution`.
     """
 
-    n: int
-    levels: int
-    model: str
-    p: float
-    q: float = 0.0
-    defect_fraction: float = 0.0
-    defect_p: float = 0.9
-    distribution: str = "two_point"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.levels < 0:
@@ -255,6 +272,7 @@ class BlockEnsemble:
                 raise ValueError(f"distribution must be one of {_DISTRIBUTIONS}")
             if self.defect_fraction != 0.0:
                 raise ValueError("defective bits are a decoherent-model feature")
+        return self
 
     @property
     def block_count(self) -> int:
@@ -332,8 +350,7 @@ class BlockEnsemble:
 
 # -- ensemble-level quantities -----------------------------------------------------
 
-@dataclass(frozen=True)
-class EnsembleFidelity:
+class EnsembleFidelity(NamedTuple):
     """Purified-ancilla fidelity, predicted and sampled.
 
     analytic:          1 - (1/3) exp(-2^(levels+1) * prod_i(1 - 2 <p_i>)) with
@@ -373,8 +390,7 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble,
                             alpha_product, ensemble.mean_flip_probability(), log_alpha)
 
 
-@dataclass(frozen=True)
-class LogTanEstimate:
+class LogTanEstimate(NamedTuple):
     """<log |tan(block flip angle)|> computed three ways, plus its upper bound.
 
     monte_carlo:    sample mean over `trials` independent blocks (+- standard_error).

@@ -15,8 +15,7 @@ each candidate against the exact branch transfer matrix of the gadget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def toffoli_ancilla_target(labels: Sequence[str] = ANCILLA_LABELS) -> QuantumSta
     return QuantumState.from_vector(labels, vec)
 
 
-@dataclass(frozen=True)
-class AncillaSynthesis:
+class AncillaSynthesis(NamedTuple):
     """Outcome of merging two pair ancillas into the three-qubit ancilla."""
 
     state: QuantumState
@@ -152,21 +150,24 @@ def _token_matrix(token: str) -> np.ndarray:
 BranchKey = Tuple[int, int, int]  # (m1, m2, mx), each +-1
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
-    """Outcome-triple -> sequence of correction tokens applied to the data qubits."""
-
+class _TableFields(NamedTuple):
     entries: dict
 
-    def __post_init__(self):
-        keys = set(self.entries)
+
+class CorrectionTable(_TableFields):
+    """Outcome-triple -> sequence of correction tokens applied to the data qubits."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: dict):
         expected = {(m1, m2, mx) for m1 in (1, -1) for m2 in (1, -1) for mx in (1, -1)}
-        if keys != expected:
+        if set(entries) != expected:
             raise ValueError("correction table must cover all 8 outcome triples")
-        for seq in self.entries.values():
+        for seq in entries.values():
             for token in seq:
                 if token not in _VOCAB_OPS:
                     raise ValueError(f"unknown correction token {token!r}")
+        return super().__new__(cls, entries)
 
     def __getitem__(self, key: BranchKey) -> Tuple[str, ...]:
         return self.entries[key]
@@ -287,8 +288,7 @@ def default_correction_table() -> CorrectionTable:
 
 # -- the gadget ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GadgetResult:
+class GadgetResult(NamedTuple):
     output: QuantumState                  # density matrix on the data labels
     records: Tuple[MeasurementRecord, ...]
     branch: BranchKey

@@ -36,8 +36,7 @@ built only to check the probe identity against dense states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,8 +145,7 @@ def cat_readout_distribution(state: QuantumState,
     return diag / diag.sum()
 
 
-@dataclass(frozen=True)
-class RawPrepResult:
+class RawPrepResult(NamedTuple):
     """One noisy parity measurement (or full raw preparation) of a qubit pair.
 
     true_eigenvalue is the eigenspace actually projected onto (None when
@@ -209,8 +207,7 @@ def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
     return sample_exact(state, errors, uniforms, inject).shot(0)
 
 
-@dataclass(frozen=True)
-class ParityShots:
+class ParityShots(NamedTuple):
     """Shots of one noisy parity measurement of a fixed pair state.
 
     The arrays hold one entry per shot; a true eigenvalue of 0 marks a shot
@@ -414,7 +411,7 @@ def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,
     res = measure_cnot_noisy(apply_gate(state, "H", b), errors,
                              mode=mode, rng=rng, inject=inject)
     logical = apply_gate(res.logical_state, "H", b)
-    return replace(res, logical_state=logical)
+    return res._replace(logical_state=logical)
 
 
 def prepare_raw_ancilla(errors: ErrorModel, *,
@@ -442,7 +439,7 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
                 MixedAncilla.from_excess_weight(alpha3_decoherent(errors).value)
         else:
             alpha, _ = MixedAncilla.from_state(res.logical_state)
-        return replace(res, alpha=alpha, attempts=attempt)
+        return res._replace(alpha=alpha, attempts=attempt)
     raise RuntimeError(f"no +1 report within {max_retries} preparation attempts")
 
 

@@ -316,6 +316,16 @@ def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
     assert err.startswith("toffsim: error:") and "seed" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_path_is_one_line_error(tmp_path, capsys, fmt):
+    # a file in a directory that does not exist, and a directory
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        rc, stdout, err = run_cli(["estimate", "--format", fmt, "--out", str(out)], capsys)
+        assert rc == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("toffsim: error: cannot write the report:") and str(out) in err
+
+
 def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
     from toffsim import distill
 
@@ -760,7 +770,8 @@ def test_median_is_numpy_median_bit_for_bit():
 IMPORT_PROBE = """
 import json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith(("toffsim.", "numpy")))
+    return sorted(m for m in sys.modules
+                  if m.startswith(("toffsim.", "numpy")) or m in ("dataclasses", "inspect", "csv"))
 steps = {}
 import toffsim
 steps["package"] = loaded()
@@ -770,6 +781,12 @@ toffsim.cli.main(["estimate", "--out", sys.argv[1]])
 steps["estimate"] = loaded()
 toffsim.cli.main(["ensemble", "--trials", "3", "--out", sys.argv[1]])
 steps["ensemble"] = loaded()
+for argv in (["toffoli-verify", "--trials", "1"], ["distill", "--trials", "3"],
+             ["noisy-meas", "--trials", "3"]):
+    toffsim.cli.main(argv + ["--out", sys.argv[1]])
+steps["every subcommand"] = loaded()
+toffsim.cli.main(["estimate", "--format", "csv", "--out", sys.argv[1]])
+steps["csv"] = loaded()
 print(json.dumps(steps))
 """
 
@@ -784,8 +801,14 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert "toffsim.concat" in steps["estimate"]
     assert not [m for m in steps["estimate"]
                 if m.startswith("numpy") or m in ("toffsim.core", "toffsim._kernels")]
+    assert "inspect" not in steps["estimate"]
     assert "numpy.random" in steps["ensemble"]
     assert not {"numpy.ma", "toffsim.core", "toffsim._kernels"} & set(steps["ensemble"])
+    # records are built without dataclasses, and JSON reports without csv
+    assert {"toffsim.core", "toffsim.gadgets", "toffsim.noisy_meas"} <= \
+        set(steps["every subcommand"])
+    assert not {"dataclasses", "csv"} & set(steps["every subcommand"])
+    assert "csv" in steps["csv"]
 
 
 # a fresh interpreter in which numpy cannot be imported

@@ -336,7 +336,7 @@ def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends)
         for t in range(20):
             got = assert_matches_recursive_oracle(noise, level, 29, t, supply,
                                                   max_attempts=500)
-            seen.add(got[0] if isinstance(got, tuple) else "outcome")
+            seen.add("outcome" if isinstance(got, DistillOutcome) else got[0])
     assert seen == ends
 
 
