@@ -5,15 +5,17 @@ configuration (built-in defaults, then an optional JSON config file, then
 flags), runs seeded trials, and emits a machine-readable report.  All
 sampling uses counter-based per-trial substreams, so trial results are
 independent of evaluation order and a run is reproducible bit-for-bit from
-its seed.  Trials run serially in trial order; noisy-meas, in either mode and
-under either error model, samples them in blocks of `_TRIAL_CHUNK`, and a
-test checks that its report does not depend on the block size.  No worker
-pool exists: that test is the only evidence that one handing out blocks of
-trials would reproduce the report.
+its seed.  Trials run serially in trial order, two commands in blocks:
+noisy-meas, in either mode and under either error model, samples blocks of
+`_TRIAL_CHUNK`, and toffoli-verify carries up to `gadgets.BLOCK_ROWS` trials
+through one gadget run per branch.  Tests check that neither report depends
+on the block size.  No worker pool exists: those tests are the only evidence
+that one handing out blocks of trials would reproduce the reports.
 
 Reports are JSON by default (schema `toffsim-report/1`, keys sorted, one
 wall_time_seconds field that reproducibility comparisons must ignore) or
-CSV for the plot-ready trial tables.  Exit codes: 0 success, 1 for
+CSV for the plot-ready trial tables, whose rows stream through a temporary
+file rather than memory.  Exit codes: 0 success, 1 for
 configuration problems, 2 when --check is passed and a built-in
 verification fails.  Column layouts are documented in docs/output-schema.md.
 
@@ -29,22 +31,24 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import importlib.machinery
 import io
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
+import types
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import __version__, kernel_backend
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .core import QuantumState
 
 SCHEMA = "toffsim-report/1"
 
@@ -93,7 +97,8 @@ class _Check:
 # docs/output-schema.md, "Configuration", states the kinds' rules; a field
 # whose default is None also takes null, which its command resolves.
 _FIELDS = {
-    # the trial caps of toffoli-verify and distill: about a minute at their defaults
+    # the trial caps: distill's about a minute at its defaults, toffoli-verify's
+    # 10^4 trials about 6 s (2-vCPU host)
     "toffoli-verify": {
         "trials": ("int", 20, (1, 10**4)),
         "tolerance": ("float", 1e-10, (0, None)),
@@ -209,19 +214,15 @@ def _scalar(name: str, value, kind: str):
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _random_data_state(rng: np.random.Generator, labels: Sequence[str]) -> QuantumState:
-    from .core import QuantumState
-
-    vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return QuantumState.from_vector(labels, vec)
-
-
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
-    from .core import QuantumState, fidelity
+    from .core import QuantumState, discard, fidelity
     from .gadgets import (
+        ANCILLA_LABELS,
+        BLOCK_ROWS,
         DATA_LABELS,
+        branch_outputs,
         default_correction_table,
         ideal_toffoli_output,
         toffoli_gadget,
@@ -235,27 +236,26 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
         # prepending a stray X on the first data qubit breaks any branch
         table = table.replaced(corrupt, ("X_A",) + table[corrupt])
 
+    # one gadget run per branch carries a block of trials; each trial's
+    # output is then traced down to the data and compared on its own
     gen = trial_rng(seed, 0)
-    inputs = [_random_data_state(rekey(gen, seed, t), DATA_LABELS) for t in range(trials)]
-    ideals = [ideal_toffoli_output(s) for s in inputs]
-    branch_rows = []
-    flagged = []
-    worst = 1.0
-    for branch in _BRANCHES.values():
-        fids = []
-        for inp, ideal in zip(inputs, ideals):
-            res = toffoli_gadget(inp, postselect=branch, table=table)
-            fids.append(fidelity(res.output, ideal))
-        lo, mean = min(fids), sum(fids) / len(fids)
-        worst = min(worst, lo)
-        if lo < 1.0 - tol:
-            flagged.append(_branch_key(branch))
-        branch_rows.append({
-            "branch": _branch_key(branch),
-            "min_fidelity": lo,
-            "mean_fidelity": mean,
-            "corrections": list(table[branch]),
-        })
+    fids = {branch: [] for branch in _BRANCHES.values()}
+    for start in range(0, trials, BLOCK_ROWS):
+        inputs = []
+        for t in range(start, min(start + BLOCK_ROWS, trials)):
+            rng = rekey(gen, seed, t)
+            inputs.append(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        ideals = [ideal_toffoli_output(QuantumState(DATA_LABELS, v)) for v in inputs]
+        for branch, branch_fids in fids.items():
+            for out, ideal in zip(branch_outputs(inputs, branch, table[branch]), ideals):
+                output = discard(QuantumState(DATA_LABELS + ANCILLA_LABELS, out),
+                                 *ANCILLA_LABELS)
+                branch_fids.append(fidelity(output, ideal))
+    branch_rows = [{"branch": _branch_key(branch), "min_fidelity": min(f),
+                    "mean_fidelity": sum(f) / len(f), "corrections": list(table[branch])}
+                   for branch, f in fids.items()]
+    worst = min([1.0] + [r["min_fidelity"] for r in branch_rows])
+    flagged = [r["branch"] for r in branch_rows if r["min_fidelity"] < 1.0 - tol]
 
     truth_passed = 0
     for i, bits in enumerate(itertools.product("01", repeat=3)):
@@ -824,16 +824,6 @@ def _numpy_version() -> str:
     return numpy.__version__
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[tuple]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _finite_or_null(value):
     """`value` with every NaN or infinite float in it as None, which JSON
     writes as null: RFC 8259 has no token for them."""
@@ -856,46 +846,53 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("toffsim: error: seed must be >= 0", file=sys.stderr)
         return 1
 
-    # the per-trial rows of a CSV report; a JSON report keeps none, and a
-    # deque of length 0 drops each row as it comes
-    rows = [] if args.format == "csv" else collections.deque(maxlen=0)
-    try:
-        cfg = _resolve_config(args.command, args)
-        started = time.perf_counter()
-        results, header, checks = _COMMANDS[args.command](cfg, args.seed, rows)
-        elapsed = time.perf_counter() - started
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"toffsim: error: {exc}", file=sys.stderr)
-        return 1
-
+    # a JSON report keeps no per-trial rows: a deque of length 0 drops each as it
+    # comes.  A CSV report's rows go through csv.writer into an unnamed temporary
+    # file, which is copied out behind the header once the run is done.
+    rows, spool = collections.deque(maxlen=0), io.StringIO()
     if args.format == "csv":
-        text = _render_csv(header, rows)
-    else:
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "seed": args.seed,
-            "parameters": cfg,
-            "results": _finite_or_null(results),
-            "checks": checks.items,
-            "versions": {
-                "toffsim": __version__,
-                "numpy": _numpy_version(),
-                "kernel_backend": kernel_backend,
-            },
-            "wall_time_seconds": elapsed,
-        }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        import csv
 
-    if args.out:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        writer = csv.writer(spool, lineterminator="\n")
+        rows = types.SimpleNamespace(append=writer.writerow, extend=writer.writerows)
+    with spool:
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            cfg = _resolve_config(args.command, args)
+            started = time.perf_counter()
+            results, header, checks = _COMMANDS[args.command](cfg, args.seed, rows)
+            elapsed = time.perf_counter() - started
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            print(f"toffsim: error: {exc}", file=sys.stderr)
+            return 1
+
+        if args.format == "csv":
+            text = ",".join(header) + "\n"  # plain names, which csv.writer leaves unquoted
+        else:
+            report = {
+                "schema": SCHEMA,
+                "command": args.command,
+                "seed": args.seed,
+                "parameters": cfg,
+                "results": _finite_or_null(results),
+                "checks": checks.items,
+                "versions": {
+                    "toffsim": __version__,
+                    "numpy": _numpy_version(),
+                    "kernel_backend": kernel_backend,
+                },
+                "wall_time_seconds": elapsed,
+            }
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        spool.seek(0)
+        try:
+            with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+                  else contextlib.nullcontext(sys.stdout)) as fh:
                 fh.write(text)
+                shutil.copyfileobj(spool, fh)
         except OSError as exc:
             print(f"toffsim: error: cannot write the report: {exc}", file=sys.stderr)
             return 1
-    else:
-        sys.stdout.write(text)
 
     if args.check and not checks.all_passed:
         for item in checks.items:

@@ -19,15 +19,13 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .core import (
-    GateSpec,
+    MAX_PURE_QUBITS,
     MeasurementRecord,
     QuantumState,
     apply_gate,
     discard,
     drop_qubit,
-    gate,
     measure_operator,
     tensor,
     x_product,
@@ -124,25 +122,10 @@ VOCAB_TOKENS = tuple(token for token, _ in _VOCAB)
 _VOCAB_OPS = dict(_VOCAB)
 
 
-def _embedded(matrix: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
-    """The 2^n x 2^n matrix acting as `matrix` on `axes` and identity elsewhere.
-
-    Every setting b of the other bits owns the block of rows and columns
-    b + offs, which holds `matrix` in the plan's `axes` order.
-    """
-    base, offs = _kernels.target_plan(n, list(axes))
-    idx = np.add.outer(base, offs)
-    out = np.zeros((2**n, 2**n), dtype=np.complex128)
-    out[idx[:, :, None], idx[:, None, :]] = matrix
-    return out
-
-
 def _token_matrix(token: str) -> np.ndarray:
-    from .core import GATE_MATRICES
-    total = np.eye(8, dtype=np.complex128)
-    for kind, axes in _VOCAB_OPS[token]:
-        total = _embedded(GATE_MATRICES[kind], axes, 3) @ total
-    return total
+    """The token's 8x8 matrix on A, B, C: its images of the 8 basis rows, transposed."""
+    basis = QuantumState(("R0", "R1", "R2") + DATA_LABELS, np.eye(8).reshape(64))
+    return _corrected(basis, (token,), DATA_LABELS).data.reshape(8, 8).T.copy()
 
 
 # -- correction table ----------------------------------------------------------
@@ -179,48 +162,70 @@ class CorrectionTable(_TableFields):
         return CorrectionTable(new)
 
 
-# reference qubits holding the input index of the Choi state
-_REFERENCE_LABELS = ("R0", "R1", "R2")
+# the trials one gadget run carries: the data and ancilla qubits take 6 of
+# the pure-state cap, the reference register of `branch_outputs` the rest
+BLOCK_ROWS = 2 ** (MAX_PURE_QUBITS - len(DATA_LABELS) - len(ANCILLA_LABELS))
+
+
+def branch_outputs(inputs: Sequence[np.ndarray], branch: BranchKey,
+                   corrections: Sequence[str] = ()) -> np.ndarray:
+    """Outputs of one postselected gadget branch for a block of input vectors.
+
+    One run of the gadget with the ideal ancilla, postselecting `branch`, on
+    sum_t |t>_R |psi_t>_ABC (zero rows pad R to a power of two; at most
+    BLOCK_ROWS rows), then `corrections` on the data qubits.  The gadget is
+    linear, so row t of the (rows, 64) result is the unnormalized output over
+    A, B, C, a, b, c for `inputs[t]` alone.  Every matrix applied has entries
+    in {0, +-1, +-1/2}, so each amplitude is a correctly rounded sum of at
+    most two exact products: a row equals a one-input `toffoli_gadget` run's
+    output bit for bit.
+    """
+    rows = len(inputs)
+    ref = tuple(f"R{i}" for i in range((rows - 1).bit_length()))
+    block = np.zeros((2 ** len(ref), 8), dtype=np.complex128)
+    block[:rows] = inputs
+    state = tensor(QuantumState(ref + DATA_LABELS, block.reshape(-1)),
+                   toffoli_ancilla_target(ANCILLA_LABELS))
+    state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
+    return _corrected(state, corrections, DATA_LABELS).data.reshape(-1, 64)[:rows]
 
 
 def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
     """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
 
-    Runs the gadget once, postselecting `branch`, with the ideal ancilla and
-    the data qubits maximally entangled with three reference qubits: on the
-    Choi state sum_x |x>_R |x>_ABC, the reference index x of the output
-    selects the output for basis input x (Choi, Linear Algebra Appl. 10,
-    285, 1975).  The ancilla residual is then factored out of the stacked
-    output vectors.
+    `branch_outputs` of the 8 basis rows, the Choi state (Choi, Linear Algebra
+    Appl. 10, 285, 1975), with the ancilla residual factored out.
     """
-    choi = QuantumState.from_vector(_REFERENCE_LABELS + DATA_LABELS, np.eye(8).reshape(64))
-    state = tensor(choi, toffoli_ancilla_target(ANCILLA_LABELS))
-    state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS,
-                                postselect=True, rng=None)[0]
-    order = DATA_LABELS + ANCILLA_LABELS + _REFERENCE_LABELS
-    columns = state.reordered(order).data.reshape(8, 8, 8)  # [data, ancilla, input]
-    stacked = columns.transpose(1, 0, 2).reshape(8, 64)  # ancilla index x (data, input)
+    outputs = branch_outputs(np.eye(8), branch).reshape(8, 8, 8)  # [input, data, ancilla]
+    stacked = outputs.transpose(2, 1, 0).reshape(8, 64)  # ancilla x (data, input)
     u, s, vh = np.linalg.svd(stacked)
     if s[1] > 1e-10 * s[0]:
         raise RuntimeError(f"ancillas fail to factor out on branch {branch}")
     return (s[0] * vh[0]).reshape(8, 8)
 
 
+def _corrected(state: QuantumState, corrections: Sequence[str],
+               data: Sequence[str]) -> QuantumState:
+    """`state` with the correction tokens applied, in order, to the `data` qubits."""
+    for token in corrections:
+        for kind, axes in _VOCAB_OPS[token]:
+            state = apply_gate(state, kind, *(data[ax] for ax in axes))
+    return state
+
+
 def _run_gadget_circuit(state: QuantumState, branch: Optional[BranchKey],
                         data: Sequence[str], anc: Sequence[str],
-                        postselect: bool, rng: Optional[np.random.Generator]):
-    """Steps of the gadget up to (and including) the X measurement."""
+                        rng: Optional[np.random.Generator] = None):
+    """Steps of the gadget up to (and including) the X measurement; the three
+    outcomes are postselected as `branch`, or sampled from `rng` where it is None."""
     A, B, C = data
     a, b, c = anc
     state = apply_gate(state, "CNOT", A, a)
     state = apply_gate(state, "CNOT", B, b)
+    want = branch or (None, None, None)
     records = []
-    for op, want in ((z_product(a, b), branch[0] if branch else None),
-                     (z_product(b, c), branch[1] if branch else None)):
-        if postselect:
-            state, rec = measure_operator(state, op, postselect=want)
-        else:
-            state, rec = measure_operator(state, op, rng=rng)
+    for op, outcome in ((z_product(a, b), want[0]), (z_product(b, c), want[1])):
+        state, rec = measure_operator(state, op, rng=rng, postselect=outcome)
         records.append(rec)
     m1, m2 = records[0].outcome, records[1].outcome
     odd_one_out = {(1, 1): None, (-1, 1): a, (1, -1): c, (-1, -1): b}[(m1, m2)]
@@ -229,10 +234,7 @@ def _run_gadget_circuit(state: QuantumState, branch: Optional[BranchKey],
     state = apply_gate(state, "CNOT", c, C)
     state = apply_gate(state, "CNOT", a, b)
     state = apply_gate(state, "CNOT", a, c)
-    if postselect:
-        state, rec = measure_operator(state, x_product(a), postselect=branch[2])
-    else:
-        state, rec = measure_operator(state, x_product(a), rng=rng)
+    state, rec = measure_operator(state, x_product(a), rng=rng, postselect=want[2])
     records.append(rec)
     return state, records
 
@@ -322,14 +324,10 @@ def toffoli_gadget(input_state: QuantumState, *,
     if table is None:
         table = default_correction_table()
     state = tensor(input_state, ancilla)
-    state, records = _run_gadget_circuit(state, postselect, data_labels, ancilla_labels,
-                                         postselect is not None, rng)
+    state, records = _run_gadget_circuit(state, postselect, data_labels, ancilla_labels, rng)
     branch = tuple(rec.outcome for rec in records)
     corrections = table[branch]
-    for token in corrections:
-        for kind, axes in _VOCAB_OPS[token]:
-            state = apply_gate(state, kind, *(data_labels[ax] for ax in axes))
-    output = discard(state, *ancilla_labels)
+    output = discard(_corrected(state, corrections, data_labels), *ancilla_labels)
     prob = float(np.prod([rec.probability for rec in records]))
     return GadgetResult(output, tuple(records), branch, prob, corrections)
 

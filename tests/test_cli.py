@@ -204,6 +204,30 @@ def test_json_report_keeps_no_per_trial_rows(tmp_path):
     assert peak(50_000) - peak(5_000) <= 2**20
 
 
+# a fresh interpreter runs one report and prints its peak RSS, in KiB
+PEAK_RSS = """
+import resource, sys
+from toffsim.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_csv_report_streams_its_rows(tmp_path):
+    # a CSV table of 2 x 10^5 trials is ~7.8 MB, and its row tuples ~40 MB
+    cfg = write_config(tmp_path, "one.json", {"n": 1})
+    peaks = {}
+    for fmt in ("json", "csv"):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, "noisy-meas", "--config", cfg,
+                               "--trials", "200000", "--format", fmt,
+                               "--out", str(tmp_path / f"report.{fmt}")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks[fmt] = int(proc.stdout)
+    assert peaks["csv"] <= 1.1 * peaks["json"]
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 200_001
+
+
 @pytest.mark.parametrize("payload, trials", [
     ({"levels": 40}, 1),
     ({"levels": 25}, 2),
@@ -595,6 +619,68 @@ def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeyp
                 reading, _ = MixedAncilla.from_state(res.logical_state)
                 estimate = str(float(complex(reading.a3).real))
             assert rows[t][5] == estimate
+
+
+@pytest.mark.parametrize("corrupt", [None, "-1,+1,-1"])
+def test_toffoli_verify_reports_independent_of_block_size(tmp_path, capsys, monkeypatch,
+                                                          corrupt):
+    from toffsim import gadgets
+
+    reports = []
+    for block in (gadgets.BLOCK_ROWS, 1, 7):
+        monkeypatch.setattr(gadgets, "BLOCK_ROWS", block)
+        csv_out, json_out = tmp_path / f"{block}.csv", tmp_path / f"{block}.json"
+        argv = ["toffoli-verify", "--seed", "5", "--check"]
+        if corrupt is not None:
+            argv.append(f"--corrupt-branch={corrupt}")
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+    # the negative control flags its own branch and no other
+    assert reports[0][1]["results"]["flagged_branches"] == ([corrupt] if corrupt else [])
+
+
+@pytest.mark.parametrize("trials", [1, 7, 20, 256, 257])
+def test_toffoli_verify_block_rows_equal_one_gadget_run_each(capsys, monkeypatch, trials):
+    from toffsim import gadgets
+    from toffsim.core import discard
+
+    branch_outputs, toffoli_gadget = gadgets.branch_outputs, gadgets.toffoli_gadget
+    blocks, truth_runs = [], []
+
+    def recorded(inputs, branch, corrections=()):
+        outputs = branch_outputs(inputs, branch, corrections)
+        blocks.append((np.array(inputs), branch, outputs))
+        return outputs
+
+    def counted(*args, **kwargs):
+        truth_runs.append(kwargs)
+        return toffoli_gadget(*args, **kwargs)
+
+    gadgets.default_correction_table()  # its derivation runs the Choi state once a branch
+    monkeypatch.setattr(gadgets, "branch_outputs", recorded)
+    monkeypatch.setattr(gadgets, "toffoli_gadget", counted)
+    rc, _, _ = run_cli(["toffoli-verify", "--trials", str(trials), "--check"], capsys)
+    assert rc == 0
+    assert len(blocks) == 8 * math.ceil(trials / gadgets.BLOCK_ROWS)
+    assert len(truth_runs) == 8
+    # each branch sees every trial once, in trial order, drawn from its own substream
+    for branch in {branch for _, branch, _ in blocks}:
+        rows = np.concatenate([inputs for inputs, b, _ in blocks if b == branch])
+        draws = [trial_rng(0, t) for t in range(trials)]
+        assert np.array_equal(rows, [r.standard_normal(8) + 1j * r.standard_normal(8)
+                                     for r in draws])
+    labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
+    for inputs, branch, outputs in blocks:
+        for vec, row in zip(inputs, outputs):
+            inp = QuantumState(gadgets.DATA_LABELS, vec)
+            want = toffoli_gadget(inp, postselect=branch).output
+            got = discard(QuantumState(labels, row), *gadgets.ANCILLA_LABELS)
+            assert np.array_equal(got.data, want.data)
+            # the ancilla's squared norm 4, and the branch's probability 1/8
+            assert np.vdot(row, row).real == pytest.approx(inp.trace * 4 / 8, rel=1e-12)
 
 
 def test_csv_reports_byte_identical(tmp_path, capsys):

@@ -10,6 +10,7 @@ from toffsim.core import (
     GATE_MATRICES,
     QuantumState,
     apply_gate,
+    apply_matrix,
     fidelity,
     gate,
     measure_operator,
@@ -110,14 +111,22 @@ def kron_embedded(matrix, axes, n):
     return full.transpose(inverse + [n + i for i in inverse]).reshape(2**n, 2**n)
 
 
+def basis_row_matrix(matrix, axes, n):
+    """`matrix` on `axes` of n qubits, read off its images of the 2^n basis rows
+    of a reference register, the way gadgets reads a correction token's."""
+    ref, qubits = tuple(f"R{i}" for i in range(n)), tuple(f"q{i}" for i in range(n))
+    basis = QuantumState(ref + qubits, np.eye(2**n).reshape(-1))
+    images = apply_matrix(basis, matrix, *(qubits[ax] for ax in axes))
+    return images.data.reshape(2**n, 2**n).T
+
+
 @pytest.mark.parametrize("n, axes", [(1, (0,)), (3, (2,)), (3, (2, 0)), (3, (0, 1, 2)),
                                      (3, (1, 2, 0)), (4, (3, 1))])
 def test_embedded_matches_the_kron_oracle(n, axes):
     rng = master_rng(len(axes) + 10 * n)
     dim = 2 ** len(axes)
     matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    assert np.array_equal(gadgets._embedded(matrix, axes, n),
-                          kron_embedded(matrix, axes, n))
+    assert np.array_equal(basis_row_matrix(matrix, axes, n), kron_embedded(matrix, axes, n))
 
 
 def test_token_matrices_equal_the_kron_oracle_exactly():
@@ -138,8 +147,7 @@ def per_basis_transfer_matrix(branch):
     for x in range(8):
         state = tensor(QuantumState.basis(DATA_LABELS, format(x, "03b")),
                        toffoli_ancilla_target(ANCILLA_LABELS))
-        state = gadgets._run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS,
-                                            postselect=True, rng=None)[0]
+        state = gadgets._run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
         columns[:, :, x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
     stacked = columns.transpose(1, 0, 2).reshape(8, 64)
     u, s, vh = np.linalg.svd(stacked)
