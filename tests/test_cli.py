@@ -828,6 +828,47 @@ def test_ensemble_csv_golden_first_rows(capsys):
     ]
 
 
+TOFFOLI_CORRECTIONS = {
+    "+1,+1,+1": [],
+    "+1,+1,-1": ["CZ_AB"],
+    "+1,-1,+1": ["CX_BC", "CX_AC"],
+    "+1,-1,-1": ["CX_BC", "CX_AC", "X_AX_B*CZ_AB*X_BX_A"],
+    "-1,+1,+1": ["CX_BC"],
+    "-1,+1,-1": ["CX_BC", "X_A*CZ_AB*X_A"],
+    "-1,-1,+1": ["CX_AC"],
+    "-1,-1,-1": ["CX_AC", "X_B*CZ_AB*X_B"],
+}
+
+
+@pytest.mark.parametrize("corrupt", [None, "-1,1,-1"])
+def test_toffoli_verify_csv_golden_rows(capsys, corrupt):
+    argv = ["toffoli-verify", "--format", "csv"]
+    if corrupt is not None:
+        argv.append(f"--corrupt-branch={corrupt}")
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    want = {branch: f'"{branch}",0.9999999999999998,1.0,{" ".join(seq)}'
+            for branch, seq in TOFFOLI_CORRECTIONS.items()}
+    if corrupt is not None:
+        want["-1,+1,-1"] = ('"-1,+1,-1",0.0008805446278348376,0.1129232198856835,'
+                            "X_A CX_BC X_A*CZ_AB*X_A")
+    assert out.splitlines()[1:] == list(want.values())
+
+
+def test_toffoli_verify_json_golden_results(capsys):
+    rc, out, _ = run_cli(["toffoli-verify", "--trials", "300", "--seed", "2"], capsys)
+    assert rc == 0
+    assert json.loads(out)["results"] == {
+        "branches": [{"branch": branch, "corrections": seq, "mean_fidelity": 1.0,
+                      "min_fidelity": 0.9999999999999996}
+                     for branch, seq in TOFFOLI_CORRECTIONS.items()],
+        "flagged_branches": [],
+        "truth_table_passed": 8,
+        "truth_table_total": 8,
+        "worst_fidelity": 0.9999999999999996,
+    }
+
+
 # -- console entry point ------------------------------------------------------------------------
 
 def test_module_invocation_end_to_end(tmp_path):
