@@ -5,12 +5,11 @@ configuration (built-in defaults, then an optional JSON config file, then
 flags), runs seeded trials, and emits a machine-readable report.  All
 sampling uses counter-based per-trial substreams, so trial results are
 independent of evaluation order and a run is reproducible bit-for-bit from
-its seed.  Trials run serially in trial order, two commands in blocks:
-noisy-meas, in either mode and under either error model, samples blocks of
-`_TRIAL_CHUNK`, and toffoli-verify carries up to `gadgets.BLOCK_ROWS` trials
-through one gadget run per branch.  Tests check that neither report depends
-on the block size.  No worker pool exists: those tests are the only evidence
-that one handing out blocks of trials would reproduce the reports.
+its seed.  Trials run serially in trial order; noisy-meas, in either mode
+and under either error model, samples them in blocks of `_TRIAL_CHUNK`, and
+tests check that its reports do not depend on the block size.  No worker
+pool exists: those tests are the only evidence that one handing out blocks
+of trials would reproduce the reports.
 
 Reports are JSON by default (schema `toffsim-report/1`, keys sorted, one
 wall_time_seconds field that reproducibility comparisons must ignore) or
@@ -98,7 +97,7 @@ class _Check:
 # whose default is None also takes null, which its command resolves.
 _FIELDS = {
     # the trial caps: distill's about a minute at its defaults, toffoli-verify's
-    # 10^4 trials about 6 s (2-vCPU host)
+    # 10^4 trials about 3 s (2-vCPU host)
     "toffoli-verify": {
         "trials": ("int", 20, (1, 10**4)),
         "tolerance": ("float", 1e-10, (0, None)),
@@ -220,9 +219,8 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
     from .core import QuantumState, discard, fidelity
     from .gadgets import (
         ANCILLA_LABELS,
-        BLOCK_ROWS,
         DATA_LABELS,
-        branch_outputs,
+        branch_map,
         default_correction_table,
         ideal_toffoli_output,
         toffoli_gadget,
@@ -236,21 +234,19 @@ def _cmd_toffoli_verify(cfg: dict, seed: int, rows):
         # prepending a stray X on the first data qubit breaks any branch
         table = table.replaced(corrupt, ("X_A",) + table[corrupt])
 
-    # one gadget run per branch carries a block of trials; each trial's
-    # output is then traced down to the data and compared on its own
+    # each corrected branch is a fixed linear map, read off once; each trial's
+    # output on a branch is then traced down to the data and compared on its own
+    maps = {branch: branch_map(branch, table[branch]) for branch in _BRANCHES.values()}
+    labels = DATA_LABELS + ANCILLA_LABELS
     gen = trial_rng(seed, 0)
-    fids = {branch: [] for branch in _BRANCHES.values()}
-    for start in range(0, trials, BLOCK_ROWS):
-        inputs = []
-        for t in range(start, min(start + BLOCK_ROWS, trials)):
-            rng = rekey(gen, seed, t)
-            inputs.append(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        ideals = [ideal_toffoli_output(QuantumState(DATA_LABELS, v)) for v in inputs]
-        for branch, branch_fids in fids.items():
-            for out, ideal in zip(branch_outputs(inputs, branch, table[branch]), ideals):
-                output = discard(QuantumState(DATA_LABELS + ANCILLA_LABELS, out),
-                                 *ANCILLA_LABELS)
-                branch_fids.append(fidelity(output, ideal))
+    fids = {branch: [] for branch in maps}
+    for t in range(trials):
+        rng = rekey(gen, seed, t)
+        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        ideal = ideal_toffoli_output(QuantumState(DATA_LABELS, vec))
+        for branch, m in maps.items():
+            output = discard(QuantumState(labels, vec @ m), *ANCILLA_LABELS)
+            fids[branch].append(fidelity(output, ideal))
     branch_rows = [{"branch": _branch_key(branch), "min_fidelity": min(f),
                     "mean_fidelity": sum(f) / len(f), "corrections": list(table[branch])}
                    for branch, f in fids.items()]

@@ -143,11 +143,14 @@ class QuantumState:
         return QuantumState(self.labels, np.outer(v, v.conj()))
 
     def reordered(self, new_order: Sequence[str]) -> "QuantumState":
-        """Same state with qubit axes permuted into `new_order`."""
-        order = [self.axis(q) for q in new_order]
-        if sorted(order) != list(range(self.n_qubits)):
-            raise ValueError("new order must be a permutation of the state's qubits")
+        """Same state with qubit axes permuted into `new_order`; the state
+        itself when that is already its order, else a fresh copy."""
         n = self.n_qubits
+        order = [self.axis(q) for q in new_order]
+        if order == list(range(n)):
+            return self
+        if sorted(order) != list(range(n)):
+            raise ValueError("new order must be a permutation of the state's qubits")
         if self.is_density:
             t = self.data.reshape((2,) * (2 * n))
             t = t.transpose(tuple(order) + tuple(n + ax for ax in order))

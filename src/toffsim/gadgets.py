@@ -20,7 +20,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    MAX_PURE_QUBITS,
     MeasurementRecord,
     QuantumState,
     apply_gate,
@@ -122,10 +121,15 @@ VOCAB_TOKENS = tuple(token for token, _ in _VOCAB)
 _VOCAB_OPS = dict(_VOCAB)
 
 
+def _choi_state() -> QuantumState:
+    """sum_j |j>_R |j>_ABC, the Choi state (Choi, Linear Algebra Appl. 10, 285,
+    1975): a linear map run on it leaves the image of input |j> in row j."""
+    return QuantumState(("R0", "R1", "R2") + DATA_LABELS, np.eye(8).reshape(64))
+
+
 def _token_matrix(token: str) -> np.ndarray:
     """The token's 8x8 matrix on A, B, C: its images of the 8 basis rows, transposed."""
-    basis = QuantumState(("R0", "R1", "R2") + DATA_LABELS, np.eye(8).reshape(64))
-    return _corrected(basis, (token,), DATA_LABELS).data.reshape(8, 8).T.copy()
+    return _corrected(_choi_state(), (token,), DATA_LABELS).data.reshape(8, 8).T.copy()
 
 
 # -- correction table ----------------------------------------------------------
@@ -162,41 +166,28 @@ class CorrectionTable(_TableFields):
         return CorrectionTable(new)
 
 
-# the trials one gadget run carries: the data and ancilla qubits take 6 of
-# the pure-state cap, the reference register of `branch_outputs` the rest
-BLOCK_ROWS = 2 ** (MAX_PURE_QUBITS - len(DATA_LABELS) - len(ANCILLA_LABELS))
+def branch_map(branch: BranchKey, corrections: Sequence[str] = ()) -> np.ndarray:
+    """The linear map of one postselected gadget branch, as an (8, 64) array.
 
-
-def branch_outputs(inputs: Sequence[np.ndarray], branch: BranchKey,
-                   corrections: Sequence[str] = ()) -> np.ndarray:
-    """Outputs of one postselected gadget branch for a block of input vectors.
-
-    One run of the gadget with the ideal ancilla, postselecting `branch`, on
-    sum_t |t>_R |psi_t>_ABC (zero rows pad R to a power of two; at most
-    BLOCK_ROWS rows), then `corrections` on the data qubits.  The gadget is
-    linear, so row t of the (rows, 64) result is the unnormalized output over
-    A, B, C, a, b, c for `inputs[t]` alone.  Every matrix applied has entries
-    in {0, +-1, +-1/2}, so each amplitude is a correctly rounded sum of at
-    most two exact products: a row equals a one-input `toffoli_gadget` run's
+    One run of the gadget with the ideal ancilla on the Choi state,
+    postselecting `branch`, then `corrections` on the data qubits.  Row j is
+    the unnormalized output over A, B, C, a, b, c for the input |j>, so an
+    input vector `vec` leaves as `vec @ map`.  With the table's corrections,
+    every entry is 0 or +-1/2 and each column holds at most one nonzero, so
+    that product is exact: it equals a one-input `toffoli_gadget` run's
     output bit for bit.
     """
-    rows = len(inputs)
-    ref = tuple(f"R{i}" for i in range((rows - 1).bit_length()))
-    block = np.zeros((2 ** len(ref), 8), dtype=np.complex128)
-    block[:rows] = inputs
-    state = tensor(QuantumState(ref + DATA_LABELS, block.reshape(-1)),
-                   toffoli_ancilla_target(ANCILLA_LABELS))
+    state = tensor(_choi_state(), toffoli_ancilla_target(ANCILLA_LABELS))
     state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
-    return _corrected(state, corrections, DATA_LABELS).data.reshape(-1, 64)[:rows]
+    return _corrected(state, corrections, DATA_LABELS).data.reshape(8, 64)
 
 
 def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
     """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
 
-    `branch_outputs` of the 8 basis rows, the Choi state (Choi, Linear Algebra
-    Appl. 10, 285, 1975), with the ancilla residual factored out.
+    The uncorrected `branch_map`, with the ancilla residual factored out.
     """
-    outputs = branch_outputs(np.eye(8), branch).reshape(8, 8, 8)  # [input, data, ancilla]
+    outputs = branch_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
     stacked = outputs.transpose(2, 1, 0).reshape(8, 64)  # ancilla x (data, input)
     u, s, vh = np.linalg.svd(stacked)
     if s[1] > 1e-10 * s[0]:
@@ -317,8 +308,7 @@ def toffoli_gadget(input_state: QuantumState, *,
     """
     if (rng is None) == (postselect is None):
         raise ValueError("pass exactly one of rng= or postselect=(m1, m2, mx)")
-    if tuple(input_state.labels) != tuple(data_labels):
-        input_state = input_state.reordered(data_labels)
+    input_state = input_state.reordered(data_labels)
     if ancilla is None:
         ancilla = toffoli_ancilla_target(ancilla_labels)
     if table is None:
@@ -335,6 +325,4 @@ def toffoli_gadget(input_state: QuantumState, *,
 def ideal_toffoli_output(input_state: QuantumState,
                          data_labels: Sequence[str] = DATA_LABELS) -> QuantumState:
     """Reference: TOFFOLI applied directly (controls = first two labels)."""
-    state = input_state if tuple(input_state.labels) == tuple(data_labels) \
-        else input_state.reordered(data_labels)
-    return apply_gate(state, "TOFFOLI", *data_labels)
+    return apply_gate(input_state.reordered(data_labels), "TOFFOLI", *data_labels)

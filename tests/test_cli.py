@@ -621,64 +621,48 @@ def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeyp
             assert rows[t][5] == estimate
 
 
-@pytest.mark.parametrize("corrupt", [None, "-1,+1,-1"])
-def test_toffoli_verify_reports_independent_of_block_size(tmp_path, capsys, monkeypatch,
-                                                          corrupt):
-    from toffsim import gadgets
-
-    reports = []
-    for block in (gadgets.BLOCK_ROWS, 1, 7):
-        monkeypatch.setattr(gadgets, "BLOCK_ROWS", block)
-        csv_out, json_out = tmp_path / f"{block}.csv", tmp_path / f"{block}.json"
-        argv = ["toffoli-verify", "--seed", "5", "--check"]
-        if corrupt is not None:
-            argv.append(f"--corrupt-branch={corrupt}")
-        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
-        assert main(argv + ["--out", str(json_out)]) == 0
-        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
-    capsys.readouterr()
-    assert reports[0] == reports[1] == reports[2]
-    # the negative control flags its own branch and no other
-    assert reports[0][1]["results"]["flagged_branches"] == ([corrupt] if corrupt else [])
-
-
-@pytest.mark.parametrize("trials", [1, 7, 20, 256, 257])
+@pytest.mark.parametrize("trials", [1, 7, 20, 300])
 def test_toffoli_verify_block_rows_equal_one_gadget_run_each(capsys, monkeypatch, trials):
-    from toffsim import gadgets
-    from toffsim.core import discard
+    from toffsim import core, gadgets
 
-    branch_outputs, toffoli_gadget = gadgets.branch_outputs, gadgets.toffoli_gadget
-    blocks, truth_runs = [], []
+    circuit, branch_map, discard = gadgets._run_gadget_circuit, gadgets.branch_map, core.discard
+    runs, maps, outputs = [], [], []
 
-    def recorded(inputs, branch, corrections=()):
-        outputs = branch_outputs(inputs, branch, corrections)
-        blocks.append((np.array(inputs), branch, outputs))
-        return outputs
+    def counted(state, *args, **kwargs):
+        runs.append(state.n_qubits)
+        return circuit(state, *args, **kwargs)
 
-    def counted(*args, **kwargs):
-        truth_runs.append(kwargs)
-        return toffoli_gadget(*args, **kwargs)
+    def recorded_map(branch, corrections=()):
+        maps.append((branch, branch_map(branch, corrections)))
+        return maps[-1][1]
+
+    def recorded_discard(state, *labels):
+        outputs.append(state.data)
+        return discard(state, *labels)
 
     gadgets.default_correction_table()  # its derivation runs the Choi state once a branch
-    monkeypatch.setattr(gadgets, "branch_outputs", recorded)
-    monkeypatch.setattr(gadgets, "toffoli_gadget", counted)
+    monkeypatch.setattr(gadgets, "_run_gadget_circuit", counted)
+    monkeypatch.setattr(gadgets, "branch_map", recorded_map)
+    monkeypatch.setattr(core, "discard", recorded_discard)
     rc, _, _ = run_cli(["toffoli-verify", "--trials", str(trials), "--check"], capsys)
     assert rc == 0
-    assert len(blocks) == 8 * math.ceil(trials / gadgets.BLOCK_ROWS)
-    assert len(truth_runs) == 8
-    # each branch sees every trial once, in trial order, drawn from its own substream
-    for branch in {branch for _, branch, _ in blocks}:
-        rows = np.concatenate([inputs for inputs, b, _ in blocks if b == branch])
-        draws = [trial_rng(0, t) for t in range(trials)]
-        assert np.array_equal(rows, [r.standard_normal(8) + 1j * r.standard_normal(8)
-                                     for r in draws])
+    # the 8 maps on the Choi state, then the 8 truth-table runs, whatever the trial count
+    assert runs == [9] * 8 + [6] * 8
+    assert len(outputs) == 8 * trials
+    # trial t's inputs come from its own substream, in trial order, and its row on
+    # each branch is the map's image of them, bit for bit a one-input gadget run
     labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
-    for inputs, branch, outputs in blocks:
-        for vec, row in zip(inputs, outputs):
-            inp = QuantumState(gadgets.DATA_LABELS, vec)
-            want = toffoli_gadget(inp, postselect=branch).output
-            got = discard(QuantumState(labels, row), *gadgets.ANCILLA_LABELS)
-            assert np.array_equal(got.data, want.data)
+    rows = iter(outputs)
+    for t in range(trials):
+        draw = trial_rng(0, t)
+        vec = draw.standard_normal(8) + 1j * draw.standard_normal(8)
+        inp = QuantumState(gadgets.DATA_LABELS, vec)
+        for branch, m in maps:
+            row = next(rows)
+            assert np.array_equal(row, vec @ m)
+            want = gadgets.toffoli_gadget(inp, postselect=branch).output
+            assert np.array_equal(discard(QuantumState(labels, row), *gadgets.ANCILLA_LABELS).data,
+                                  want.data)
             # the ancilla's squared norm 4, and the branch's probability 1/8
             assert np.vdot(row, row).real == pytest.approx(inp.trace * 4 / 8, rel=1e-12)
 

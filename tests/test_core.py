@@ -91,6 +91,18 @@ def test_reordered_round_trip():
         s.reordered(("a", "b"))
 
 
+def test_reordered_copies_only_for_a_real_permutation():
+    s = QuantumState.from_vector(("a", "b"), [1.0, 2.0, 3.0, 4.0])
+    assert s.reordered(("a", "b")) is s
+    swapped = s.reordered(("b", "a"))
+    assert swapped.labels == ("b", "a")
+    assert np.array_equal(swapped.data, [1.0, 3.0, 2.0, 4.0])
+    assert not np.shares_memory(swapped.data, s.data)
+    rho = s.to_density()
+    assert rho.reordered(("a", "b")) is rho
+    assert not np.shares_memory(rho.reordered(("b", "a")).data, rho.data)
+
+
 @pytest.mark.parametrize("kind", sorted(GATE_MATRICES))
 def test_named_gates_are_unitary(kind):
     u = GATE_MATRICES[kind]

@@ -161,6 +161,15 @@ def test_choi_transfer_matrix_equals_the_per_basis_oracle_bitwise(branch):
                           per_basis_transfer_matrix(branch))
 
 
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_corrected_branch_map_takes_one_input_amplitude_at_half_weight(branch):
+    # so `vec @ map` is exact whatever order the product sums in
+    m = gadgets.branch_map(branch, default_correction_table()[branch])
+    assert m.shape == (8, 64)
+    assert set(np.unique(m)) <= {0, 0.5, -0.5}
+    assert np.count_nonzero(m, axis=0).max() == 1
+
+
 def test_derivation_runs_the_gadget_circuit_once_per_branch(monkeypatch):
     runs = []
     circuit = gadgets._run_gadget_circuit
