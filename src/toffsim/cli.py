@@ -23,7 +23,11 @@ and compiling the library's modules costs about as much as a small run.  So
 this module imports only the standard library and the numpy-free package
 constants at its top, and each subcommand imports what it runs inside its own
 body: `estimate` runs without numpy, and the report's `versions.numpy` is
-read from numpy's version file, not from an imported numpy.
+read from numpy's version file, not from an imported numpy.  noisy-meas
+samples its trials and its raw preparation through `rng.trial_uniforms`
+alone, so a readout process loads no `numpy.random` (nor the `secrets` and
+OpenSSL modules it pulls in), and `distill` defers its one import-time LAPACK
+call to the first state it decomposes.
 """
 
 from __future__ import annotations
@@ -427,7 +431,7 @@ def _cmd_noisy_meas(cfg: dict, seed: int, rows):
         sample_effective,
         sample_exact,
     )
-    from .rng import trial_rng, trial_uniforms
+    from .rng import trial_uniforms
 
     n, model, mode, trials = cfg["n"], cfg["model"], cfg["mode"], cfg["trials"]
     if model == "unitary" and mode != "exact":
@@ -549,7 +553,7 @@ def _cmd_noisy_meas(cfg: dict, seed: int, rows):
         checks.add("eigenstring parity transfer", passed == total,
                    f"{passed}/{total} strings")
 
-    raw = prepare_raw_ancilla(errors, mode=mode, rng=trial_rng(seed, trials))
+    raw = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trials)
     results["raw_preparation"] = {
         "attempts": raw.attempts,
         "alpha3_reading": float(complex(raw.alpha.a3).real),

@@ -20,6 +20,7 @@ copies (`pair_supply`), the one supply the protocol uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -37,10 +38,17 @@ from .core import (
 PAIR_VECTOR = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.complex128)
 _ELEVEN = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
 _BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
-_BASIS_PINV = np.linalg.pinv(_BASIS)                       # 2 x 4
 # the largest residual, relative to the state's largest entry, that
 # `MixedAncilla.from_state` accepts inside the pair/|11> span
 _SPAN_TOL = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_pinv() -> np.ndarray:
+    """The 2 x 4 pseudo-inverse of `_BASIS`, computed on the first
+    `MixedAncilla.from_state` call, so that importing this module makes no
+    LAPACK call."""
+    return np.linalg.pinv(_BASIS)
 
 
 class MixedAncilla(NamedTuple):
@@ -101,7 +109,8 @@ class MixedAncilla(NamedTuple):
         if state.n_qubits != 2:
             raise ValueError("expected a two-qubit state")
         rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
-        coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
+        pinv = _basis_pinv()
+        coeff = pinv @ rho @ pinv.conj().T
         residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
         if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
             raise ValueError("state has support outside the pair/|11> span")

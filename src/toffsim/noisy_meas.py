@@ -29,7 +29,11 @@ terms, one per eigenvalue of the readout bits' X, so each shot carries just
 two complex weights from bit to bit, and each bit-identical pair state left
 at the end is tested for its eigenvalue once.  Both samplers return one
 `ParityShots` record, and in both modes the per-shot measurement is the
-sampler on a single row.  The readout block itself, `prepare_even_cat`, is
+sampler on a single row.  `prepare_raw_ancilla` runs its retried attempts
+through the samplers too, a block of rows at a time, read from its (seed,
+trial) substream by `rng.trial_uniforms`; so it builds no numpy `Generator`,
+while `measure_cnot_noisy` and `measure_cphase_noisy` keep taking one as the
+per-shot reference.  The readout block itself, `prepare_even_cat`, is
 built only to check the probe identity against dense states.
 """
 
@@ -53,6 +57,7 @@ from .core import (
 )
 from .distill import MixedAncilla
 from .error_models import PauliChannel, UnitaryErrorSet, alpha3_decoherent
+from .rng import trial_uniforms
 
 ErrorModel = Union[PauliChannel, UnitaryErrorSet]
 
@@ -414,9 +419,15 @@ def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,
     return res._replace(logical_state=logical)
 
 
+# attempts of `prepare_raw_ancilla` sampled at once: a block of rows nearly
+# always holds the first +1 report, and one row is at most 3n uniforms
+_ATTEMPT_ROWS = 8
+
+
 def prepare_raw_ancilla(errors: ErrorModel, *,
                         mode: str = "effective",
-                        rng: Optional[np.random.Generator] = None,
+                        seed: int,
+                        trial: int,
                         max_retries: int = 10_000,
                         labels: Sequence[str] = ("a", "b")) -> RawPrepResult:
     """Prepare a raw pair ancilla: both qubits in |0>+|1>, then a noisy
@@ -426,20 +437,44 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
     of readout bit flips lets a true -1 (the |11> branch) slip through as a
     false +1, which is precisely the contamination the `alpha` reading and
     the downstream purification quantify.
+
+    The attempts read the substream (seed, trial) through `trial_uniforms`,
+    cut into rows of one shot's uniforms: 2n + 1 in effective mode,
+    `exact_uniform_count(errors)` in exact mode.  Attempt j takes row j, the
+    draws a loop of `measure_cphase_noisy` calls on `trial_rng(seed, trial)`
+    takes, and `sample_effective` or `sample_exact` runs `_ATTEMPT_ROWS`
+    attempts at a time, each block from where the last one ended, until the
+    first +1 report.  At most `max_retries` rows are examined.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
+    if mode == "effective":
+        sample, columns = sample_effective, 2 * errors.n + 1
+    elif mode == "exact":
+        sample, columns = sample_exact, exact_uniform_count(errors)
+    else:
+        raise ValueError("mode must be 'exact' or 'effective'")
     plus_plus = QuantumState.from_vector(labels, [1.0, 1.0, 1.0, 1.0])
-    for attempt in range(1, max_retries + 1):
-        res = measure_cphase_noisy(plus_plus, errors, mode=mode, rng=rng)
-        if res.reported_outcome != +1:
+    b = plus_plus.labels[1]
+    # controlled-phase shots are CNOT shots of the pair conjugated by H on b
+    cnot_frame = apply_gate(plus_plus, "H", b)
+    for first in range(0, max_retries, _ATTEMPT_ROWS):
+        rows = min(_ATTEMPT_ROWS, max_retries - first)
+        uniforms = trial_uniforms(seed, trial, trial + 1, rows * columns,
+                                  first * columns).reshape(rows, columns)
+        shots = sample(cnot_frame, errors, uniforms)
+        accepted = np.flatnonzero(shots.reported_outcomes == 1)
+        if accepted.size == 0:
             continue
+        res = shots.shot(accepted[0])
+        logical = apply_gate(res.logical_state, "H", b)
         if isinstance(errors, PauliChannel):
             alpha: Optional[MixedAncilla] = \
                 MixedAncilla.from_excess_weight(alpha3_decoherent(errors).value)
         else:
-            alpha, _ = MixedAncilla.from_state(res.logical_state)
-        return res._replace(alpha=alpha, attempts=attempt)
+            alpha, _ = MixedAncilla.from_state(logical)
+        return res._replace(logical_state=logical, alpha=alpha,
+                            attempts=first + int(accepted[0]) + 1)
     raise RuntimeError(f"no +1 report within {max_retries} preparation attempts")
 
 

@@ -12,11 +12,14 @@ substream (seed, t) instead, in ~1 us: a counter-based Philox stream is
 reached by setting its key and a zero counter (Salmon et al., SC 2011).  So
 a loop over trials builds one generator and re-keys it per trial.
 
-`trial_uniforms(seed, start, stop, count)` computes the first `count`
-uniforms of every substream t in [start, stop) at once, in numpy array
-arithmetic: row `t - start` is bit-identical to
-`trial_rng(seed, t).random(count)`.  Seeds and trial indices lie in
-[0, 2**64).
+`trial_uniforms(seed, start, stop, count, first)` computes `count`
+uniforms, from uniform `first` of the stream on, of every substream t in
+[start, stop) at once, in numpy array arithmetic: row `t - start` is
+bit-identical to `trial_rng(seed, t).random(first + count)[first:]`.  It
+never builds a `Generator`, so a process that samples only through it does
+not load `numpy.random`.  Reading from an offset lets one stream be consumed
+a block of draws at a time, as the raw pair preparation reads its attempts.
+Seeds and trial indices lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -114,22 +117,28 @@ def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
 
 
-def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """First `count` uniforms of the substreams of trials start..stop-1.
+def trial_uniforms(seed: int, start: int, stop: int, count: int,
+                   first: int = 0) -> np.ndarray:
+    """`count` uniforms, from uniform `first` on, of the substreams of trials
+    start..stop-1.
 
     Returns a (stop - start, count) float64 array whose row i equals
-    `trial_rng(seed, start + i).random(count)` bit for bit: numpy's Philox
-    turns each 64-bit output word w into the double (w >> 11) * 2**-53.  The
-    words are computed in slabs of at most `_SLAB_BLOCKS` Philox blocks and
-    written into the result, so the working arrays stay a few MiB however
-    large the result is.
+    `trial_rng(seed, start + i).random(first + count)[first:]` bit for bit:
+    numpy's Philox turns each 64-bit output word w into the double
+    (w >> 11) * 2**-53, one word a uniform.  The words are computed in slabs
+    of at most `_SLAB_BLOCKS` Philox blocks and written into the result, so
+    the working arrays stay a few MiB however large the result is.
     """
     _check_key(seed, "seed")
     if not 0 <= start <= stop <= _KEY_LIMIT:
         raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
     if count < 0:
         raise ValueError("count must be >= 0")
-    rows, blocks = stop - start, -(-count // 4)
+    if not 0 <= first <= _KEY_LIMIT - count:
+        raise ValueError(f"uniforms [{first}, {first + count}) must lie in [0, 2**64)")
+    # the words before `first` in its Philox block are skipped
+    lead = first % 4
+    rows, blocks = stop - start, -(-(lead + count) // 4)
     out = np.empty((rows, count))
     if out.size == 0:
         return out
@@ -139,7 +148,9 @@ def trial_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
         r1 = min(r0 + row_step, rows)
         for b0 in range(0, blocks, block_step):
             b1 = min(b0 + block_step, blocks)
-            lo, hi = 4 * b0, min(4 * b1, count)
-            words = _philox_words(seed, start + r0, r1 - r0, b0, b1 - b0)
-            np.multiply(words[:, :hi - lo] >> _SHIFT11, 2.0**-53, out=out[r0:r1, lo:hi])
+            lo, hi = max(4 * b0 - lead, 0), min(4 * b1 - lead, count)
+            skip = lo - (4 * b0 - lead)
+            words = _philox_words(seed, start + r0, r1 - r0, first // 4 + b0, b1 - b0)
+            np.multiply(words[:, skip:skip + hi - lo] >> _SHIFT11, 2.0**-53,
+                        out=out[r0:r1, lo:hi])
     return out

@@ -922,6 +922,53 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert "csv" in steps["csv"]
 
 
+# a fresh interpreter that runs noisy-meas, effective then exact, before any
+# other subcommand, counting `numpy.linalg.pinv` calls from before the first
+# import of toffsim.distill on; a unitary run last decomposes its states
+READOUT_PROBE = """
+import json, sys
+import numpy.linalg
+pinv_calls = []
+pinv = numpy.linalg.pinv
+def counting_pinv(*args, **kwargs):
+    pinv_calls.append(1)
+    return pinv(*args, **kwargs)
+numpy.linalg.pinv = counting_pinv
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("numpy.random", "toffsim.")) or m in ("secrets", "hmac"))
+steps = {}
+import toffsim.distill
+steps["import distill"] = [len(pinv_calls), loaded()]
+import toffsim.cli
+for name, config in (("effective", {"mode": "effective"}), ("exact", {"mode": "exact"}),
+                     ("unitary", {"mode": "exact", "model": "unitary"})):
+    with open(sys.argv[1], "w") as f:
+        json.dump(config, f)
+    assert toffsim.cli.main(["noisy-meas", "--trials", "3", "--config", sys.argv[1],
+                             "--out", sys.argv[2]]) == 0
+    steps[name] = [len(pinv_calls), loaded()]
+print(json.dumps(steps))
+"""
+
+
+def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", READOUT_PROBE, str(tmp_path / "c.json"),
+                           str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps["import distill"][0] == 0
+    for mode in ("effective", "exact"):
+        pinv_calls, modules = steps[mode]
+        assert pinv_calls == 0, mode
+        assert "toffsim.noisy_meas" in modules
+        assert not [m for m in modules if m.startswith("numpy.random") or m == "secrets"], mode
+    # the counter sees the pseudo-inverse once a state is decomposed
+    assert steps["unitary"][0] == 1
+    assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
+
+
 # a fresh interpreter in which numpy cannot be imported
 NO_NUMPY_ESTIMATE = """
 import sys

@@ -21,6 +21,7 @@ from toffsim.core import (
     tensor,
     z_product,
 )
+from toffsim import noisy_meas
 from toffsim.distill import MixedAncilla
 from toffsim.error_models import (
     PauliChannel,
@@ -44,7 +45,7 @@ from toffsim.noisy_meas import (
     sample_effective,
     sample_exact,
 )
-from toffsim.rng import master_rng, trial_rng
+from toffsim.rng import master_rng, trial_rng, trial_uniforms
 
 PLUS_PLUS = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
 
@@ -611,7 +612,7 @@ def test_coherent_conditional_state_carries_the_flip_angle():
 
 def test_raw_preparation_zero_noise():
     errors = PauliChannel.uniform(3, 0.0)
-    res = prepare_raw_ancilla(errors, rng=master_rng(14))
+    res = prepare_raw_ancilla(errors, seed=14, trial=0)
     assert res.reported_outcome == +1
     assert res.true_eigenvalue == +1
     pair = QuantumState.from_vector(res.logical_state.labels, [1, 1, 1, 0])
@@ -623,7 +624,7 @@ def test_raw_preparation_surfaces_attempts():
     errors = PauliChannel.uniform(2, 0.3)
     seen_retry = False
     for t in range(60):
-        res = prepare_raw_ancilla(errors, rng=trial_rng(29, t))
+        res = prepare_raw_ancilla(errors, seed=29, trial=t)
         assert res.reported_outcome == +1
         seen_retry = seen_retry or res.attempts > 1
     assert seen_retry  # P(report -1) is about 1/4 here; retries must occur
@@ -631,7 +632,7 @@ def test_raw_preparation_surfaces_attempts():
 
 def test_raw_preparation_alpha_matches_channel_formula():
     errors = PauliChannel.uniform(8, 0.05)
-    res = prepare_raw_ancilla(errors, rng=master_rng(2))
+    res = prepare_raw_ancilla(errors, seed=2, trial=0)
     assert complex(res.alpha.a3).real == pytest.approx(
         alpha3_decoherent(errors).value, abs=1e-12)
 
@@ -641,20 +642,86 @@ def test_raw_preparation_budget():
     # first report came out -1 is easy to find; then starve the retry budget
     errors = PauliChannel.uniform(1, 0.45)
     for seed in range(50):
-        if prepare_raw_ancilla(errors, rng=master_rng(seed)).attempts > 1:
+        if prepare_raw_ancilla(errors, seed=seed, trial=0).attempts > 1:
             with pytest.raises(RuntimeError):
-                prepare_raw_ancilla(errors, rng=master_rng(seed), max_retries=1)
+                prepare_raw_ancilla(errors, seed=seed, trial=0, max_retries=1)
             return
     pytest.fail("no retry found")
 
 
 def test_raw_preparation_unitary_reading():
     errors = UnitaryErrorSet.uniform_ratio(4, 0.05)
-    res = prepare_raw_ancilla(errors, mode="exact", rng=master_rng(33))
+    res = prepare_raw_ancilla(errors, mode="exact", seed=33, trial=0)
     sigma = accumulated_flip_angle(errors)
     assert res.true_eigenvalue is None
     assert complex(res.alpha.a3).real == pytest.approx(math.tan(sigma) ** 2,
                                                        abs=1e-9)
+
+
+def per_attempt_raw_preparation(errors, mode, seed, trial):
+    """The raw preparation as one `measure_cphase_noisy` call per attempt on
+    `trial_rng(seed, trial)`, until the first +1 report."""
+    rng = trial_rng(seed, trial)
+    for attempt in range(1, 10_001):
+        res = measure_cphase_noisy(PLUS_PLUS, errors, mode=mode, rng=rng)
+        if res.reported_outcome == +1:
+            return res, attempt
+    pytest.fail("no +1 report")
+
+
+# a seed per config at which some of 24 trials retry past one default block
+RAW_PREP_CONFIGS = [
+    (PauliChannel.uniform(1, 0.45), "effective", 0),
+    (PauliChannel.uniform(3, 0.4, 0.2), "exact", 1),
+    (UnitaryErrorSet.uniform_ratio(3, 0.4), "exact", 0),
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("errors, mode, seed", RAW_PREP_CONFIGS)
+def test_raw_preparation_takes_the_per_attempt_draws(errors, mode, seed, block_rows,
+                                                     monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(noisy_meas, "_ATTEMPT_ROWS", block_rows)
+    rows = noisy_meas._ATTEMPT_ROWS
+    most = 0
+    for t in range(24):
+        want, attempts = per_attempt_raw_preparation(errors, mode, seed, t)
+        got = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=t)
+        assert got.attempts == attempts
+        assert (got.reported_outcome, got.true_eigenvalue, got.bit_flips, got.phase_flips) == \
+            (want.reported_outcome, want.true_eigenvalue, want.bit_flips, want.phase_flips)
+        assert got.logical_state.labels == want.logical_state.labels
+        assert got.logical_state.data.tobytes() == want.logical_state.data.tobytes()
+        most = max(most, attempts)
+    assert most > rows  # some preparation ran past its first block of attempts
+
+
+@pytest.mark.parametrize("block_rows", [3, None])
+@pytest.mark.parametrize("errors, mode, seed", RAW_PREP_CONFIGS)
+def test_raw_preparation_examines_exactly_max_retries_rows(errors, mode, seed, block_rows,
+                                                           monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(noisy_meas, "_ATTEMPT_ROWS", block_rows)
+    trial = next(t for t in range(24)
+                 if prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=t).attempts > 8)
+    attempts = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trial).attempts
+    columns = 2 * errors.n + 1 if mode == "effective" else exact_uniform_count(errors)
+    read = []
+
+    def recording(*args):
+        uniforms = trial_uniforms(*args)
+        read.append(uniforms.size // columns)
+        return uniforms
+
+    monkeypatch.setattr(noisy_meas, "trial_uniforms", recording)
+    for k in range(1, attempts):
+        read.clear()
+        with pytest.raises(RuntimeError, match=f"no \\+1 report within {k} preparation attempts"):
+            prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trial, max_retries=k)
+        assert sum(read) == k
+    assert prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trial,
+                               max_retries=attempts).attempts == attempts
 
 
 # -- fault containment ------------------------------------------------------------------

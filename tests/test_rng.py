@@ -48,6 +48,8 @@ def test_trial_uniforms_reach_the_last_trial_index():
     lambda: trial_uniforms(0, -1, 2, 3),
     lambda: trial_uniforms(0, 4, 2, 3),
     lambda: trial_uniforms(0, 0, 2, -1),
+    lambda: trial_uniforms(0, 0, 2, 3, -1),
+    lambda: trial_uniforms(0, 0, 2, 3, 2**64 - 2),
 ])
 def test_keys_outside_64_bits_are_value_errors(call):
     with pytest.raises(ValueError):
@@ -78,6 +80,29 @@ def test_trial_uniforms_slabs_meet_bit_for_bit():
     for i, row in enumerate(rows):
         assert np.array_equal(row, trial_rng(4, i).random(row.size))
 
+
+
+@pytest.mark.parametrize("seed, start", [(7, 3), (2**64 - 1, 2**64 - 3)])
+@pytest.mark.parametrize("first", [0, 1, 2, 3, 4, 5, 10, 4 * 33 + 3])
+def test_trial_uniforms_read_from_an_offset(seed, start, first, monkeypatch):
+    # slabs of two blocks, so that rows of a few dozen uniforms span several
+    monkeypatch.setattr(rng, "_SLAB_BLOCKS", 2)
+    for count in (0,) + COUNTS:
+        rows = trial_uniforms(seed, start, start + 3, count, first)
+        assert rows.shape == (3, count)
+        for i, row in enumerate(rows):
+            want = trial_rng(seed, start + i).random(first + count)[first:]
+            assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("seed, start", [(3, 10), (2**64 - 1, 2**64 - 2)])
+def test_trial_uniforms_offset_rows_span_full_slabs(seed, start):
+    # an offset three words short of a slab's end, and rows over two slabs
+    first, count = 4 * rng._SLAB_BLOCKS - 3, 4 * rng._SLAB_BLOCKS + 6
+    rows = trial_uniforms(seed, start, start + 2, count, first)
+    for i, row in enumerate(rows):
+        want = trial_rng(seed, start + i).random(first + count)[first:]
+        assert np.array_equal(row, want)
 
 # (seed, trial) keys at both ends of the 64-bit range
 KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (9, 3)]
