@@ -1,0 +1,143 @@
+"""The `ensemble` subcommand: block-ensemble fidelity or log-tangent statistics."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .. import commands
+from . import _Check
+
+
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a 1-d array, bit for bit, without loading `numpy.ma`."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):  # NaNs sort last, and make the median NaN
+        return math.nan
+    return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
+
+
+def run(cfg: dict, seed: int, rows):
+    from ..error_models import (
+        LOG_TAN_CHUNK,
+        BlockEnsemble,
+        ensemble_distill_fidelity,
+        ensemble_log_tan,
+    )
+    from ..rng import rekey, trial_rng
+
+    trials = cfg["trials"]
+    defect_fraction = cfg["defect_fraction"]
+    if defect_fraction is None:
+        defect_fraction = 0.02 if cfg["model"] == "decoherent" else 0.0
+    ensemble = BlockEnsemble(
+        model=cfg["model"], distribution=cfg["distribution"],
+        n=cfg["n"], levels=cfg["levels"], p=cfg["p"], q=cfg["q"],
+        defect_fraction=defect_fraction, defect_p=cfg["defect_p"])
+    # limits, checked before 2**levels is formed: a cascade draws 2**levels x n
+    # flip probabilities, a unitary trial n tangents, LOG_TAN_CHUNK trials at once
+    n, levels = ensemble.n, ensemble.levels
+    block_doubles, trial_bits = commands._MAX_BLOCK_DOUBLES, commands._MAX_TRIAL_BITS
+    if ensemble.model == "decoherent":
+        if levels >= block_doubles.bit_length() or n << levels > block_doubles:
+            raise ValueError(f"2**levels x n at levels {levels}, n {n} exceeds the limit "
+                             f"of {block_doubles} draws per cascade")
+        draws = n << levels
+    else:
+        if min(trials, LOG_TAN_CHUNK) * n > block_doubles:
+            raise ValueError(f"n {n} exceeds the limit of {block_doubles} tangents "
+                             f"per block of {min(trials, LOG_TAN_CHUNK)} trials")
+        draws = n
+    if trials * draws > trial_bits:
+        raise ValueError(f"trials x draws per trial = {trials * draws} exceeds the work "
+                         f"budget of {trial_bits}")
+    checks = _Check()
+
+    gen = trial_rng(seed, 0)
+    if ensemble.model == "decoherent":
+        empirical = np.empty(trials)
+        log_contamination = np.empty(trials)
+        sampled_analytic = np.empty(trials)
+        for t in range(trials):
+            fid = ensemble_distill_fidelity(ensemble, rng=rekey(gen, seed, t))
+            empirical[t] = fid.empirical
+            # the log of the product keeps the reports' bits; the summed log
+            # stands in where the product underflows to 0
+            log_contamination[t] = (math.log(fid.alpha_product) if fid.alpha_product
+                                    else fid.log_contamination)
+            sampled_analytic[t] = fid.analytic
+            if rows is not None:
+                rows.append((t, fid.empirical, log_contamination[t], fid.analytic))
+        marginal = ensemble.analytic_marginal_fidelity()
+        mean = float(empirical.mean())
+        se = float(empirical.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        log_mean = float(log_contamination.mean())
+        log_se = (float(log_contamination.std(ddof=1) / math.sqrt(trials))
+                  if trials > 1 else 0.0)
+        log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
+        median = _median(empirical)
+        typical = 3.0 / (3.0 + math.exp(log_expected))
+        results = {
+            "model": "decoherent",
+            "trials": trials,
+            "blocks_per_cascade": ensemble.block_count,
+            "empirical_mean": mean,
+            "empirical_se": se,
+            "empirical_median": median,
+            "log_contamination_mean": log_mean,
+            "log_contamination_se": log_se,
+            "log_contamination_expected": log_expected,
+            "typical_fidelity_predicted": typical,
+            "analytic_marginal": marginal,
+            "analytic_sampled_mean": float(sampled_analytic.mean()),
+            "mean_flip_probability": ensemble.mean_flip_probability(),
+        }
+        # summed log-contamination concentrates, so a plain 4-sigma gate is sound
+        checks.add("log contamination vs exact expectation",
+                   abs(log_mean - log_expected) <= max(4.0 * log_se, 1e-9),
+                   f"mean {log_mean:.4f} vs expected {log_expected:.4f} "
+                   f"(4se {4 * log_se:.4f})")
+        # the fidelity prediction is typical-case: compare infidelity decades,
+        # which log contamination sets, within 4 standard errors of its median,
+        # sqrt(pi/2) sd / sqrt(N)
+        med_decades = math.log10(max(1.0 - median, 1e-300))
+        typ_decades = math.log10(max(1.0 - typical, 1e-300))
+        med_se_decades = math.sqrt(math.pi / 2.0) * log_se / math.log(10.0)
+        checks.add("median fidelity vs typical prediction",
+                   abs(med_decades - typ_decades) <= 4.0 * med_se_decades,
+                   f"median infidelity 1e{med_decades:.2f}, "
+                   f"predicted 1e{typ_decades:.2f} (4se {4 * med_se_decades:.2f} "
+                   f"decades)")
+        return results, ("trial", "empirical_fidelity", "log_contamination",
+                         "analytic_sampled"), checks
+
+    est = ensemble_log_tan(ensemble, trials=trials, rng=gen,
+                           k_max=cfg["k_max"])
+    results = {
+        "model": "unitary",
+        "distribution": ensemble.distribution,
+        "trials": trials,
+        "p_times_n": ensemble.p * ensemble.n,
+        "monte_carlo": est.monte_carlo,
+        "monte_carlo_se": est.standard_error,
+        "series": est.series,
+        "closed_form": est.closed_form,
+        "bound": est.bound,
+        "series_terms": est.series_terms,
+    }
+    ok_sc = abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
+    ok_mc = abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
+                                                     4.0 * est.standard_error)
+    ok_bound = est.monte_carlo <= est.bound + 4.0 * est.standard_error
+    checks.add("series vs closed form", ok_sc,
+               f"series {est.series:.6g}, closed {est.closed_form:.6g}")
+    checks.add("Monte Carlo vs series", ok_mc,
+               f"mc {est.monte_carlo:.6g} +- {est.standard_error:.2g}")
+    checks.add("below coarse bound", ok_bound,
+               f"mc {est.monte_carlo:.6g} vs bound {est.bound:.6g}")
+    if rows is not None:
+        rows.extend([("monte_carlo", est.monte_carlo), ("monte_carlo_se", est.standard_error),
+                     ("series", est.series), ("closed_form", est.closed_form),
+                     ("bound", est.bound)])
+    return results, ("method", "value"), checks

@@ -1,0 +1,190 @@
+"""The `noisy-meas` subcommand: noisy cat-block parity readout statistics."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Optional, Tuple
+
+import numpy as np
+
+from .. import commands
+from . import _Check
+
+
+def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
+    """Check the parity-transfer identity on all 4^n eigenstrings; exact."""
+    from ..core import apply_gate, fidelity, tensor
+    from ..noisy_meas import (
+        apply_bitwise_probe,
+        eigenstring_state,
+        eigenstring_weight,
+        prepare_even_cat,
+    )
+
+    cat = prepare_even_cat(n)
+    a_labels = tuple(f"a{i+1}" for i in range(n))
+    b_labels = tuple(f"b{i+1}" for i in range(n))
+    odd_cat = apply_gate(cat, "X", cat.labels[0])
+    passed = total = 0
+    for symbols in itertools.product("1234", repeat=n):
+        x = "".join(symbols)
+        pairs = eigenstring_state(x, a_labels, b_labels)
+        joint = apply_bitwise_probe(pairs, a_labels, b_labels, cat)
+        want_cat = odd_cat if eigenstring_weight(x) else cat
+        expected = tensor(pairs, want_cat)
+        total += 1
+        if fidelity(joint, expected) >= 1.0 - 1e-12:
+            passed += 1
+    return passed, total
+
+
+def run(cfg: dict, seed: int, rows):
+    from ..core import QuantumState, apply_gate
+    from ..distill import MixedAncilla
+    from ..error_models import (
+        PauliChannel,
+        UnitaryErrorSet,
+        accumulated_flip_angle,
+        alpha3_decoherent,
+        parity_bias,
+    )
+    from ..noisy_meas import (
+        exact_uniform_count,
+        prepare_raw_ancilla,
+        sample_effective,
+        sample_exact,
+    )
+    from ..rng import trial_uniforms
+
+    n, model, mode, trials = cfg["n"], cfg["model"], cfg["mode"], cfg["trials"]
+    if model == "unitary" and mode != "exact":
+        raise ValueError("the unitary model requires exact mode")
+    if trials is None:
+        trials = 20_000 if mode == "effective" else 2_000
+    cat_bits, trial_bits = commands._MAX_CAT_BITS, commands._MAX_TRIAL_BITS
+    if n > cat_bits:
+        raise ValueError(f"n {n} exceeds the limit of {cat_bits} readout bits")
+    if trials * n > trial_bits:
+        raise ValueError(f"trials x n = {trials * n} exceeds the work budget of "
+                         f"{trial_bits}")
+
+    if model == "decoherent":
+        errors = PauliChannel.uniform(n, cfg["p"], cfg["q"])
+    else:
+        errors = UnitaryErrorSet.uniform_ratio(n, cfg["ratio"])
+
+    plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
+    # controlled-phase shots are CNOT shots of the pair conjugated by H on "b",
+    # as in measure_cphase_noisy
+    cnot_frame = apply_gate(plus_plus, "H", "b")
+    columns = 2 * n + 1 if mode == "effective" else exact_uniform_count(errors)
+    n_plus = n_minus_true_given_plus = 0
+    corr_sum = 0.0
+    alpha_readings = []
+    chunk = commands._TRIAL_CHUNK
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        uniforms = trial_uniforms(seed, start, stop, columns)
+        if mode == "effective":
+            shots = sample_effective(cnot_frame, errors, uniforms)
+        else:
+            shots = sample_exact(cnot_frame, errors, uniforms)
+        reported, true = shots.reported_outcomes, shots.true_eigenvalues
+        plus = reported == 1
+        if model == "decoherent":
+            false_plus = plus & (true == -1)
+            if rows is not None:
+                plus_run = n_plus + np.cumsum(plus)
+                minus_run = n_minus_true_given_plus + np.cumsum(false_plus)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    f_run = minus_run / plus_run
+                    est_run = 3.0 * f_run / (1.0 - f_run)
+                has_est = plus & (f_run < 1.0)
+                rows.extend((t, n, model, r, tr, e if ok else "")
+                            for t, r, tr, e, ok in zip(range(start, stop), reported.tolist(),
+                                                       true.tolist(), est_run.tolist(),
+                                                       has_est.tolist()))
+            n_minus_true_given_plus += int(np.count_nonzero(false_plus))
+            corr_sum += int(np.dot(reported, true))
+        else:
+            # one contamination reading per distinct +1 pair state, taken in
+            # the controlled-phase frame
+            readings = {}
+            for t, r, tr, index in zip(range(start, stop), reported.tolist(),
+                                       true.tolist(), shots.state_index.tolist()):
+                estimate: object = ""
+                if r == 1:
+                    if index not in readings:
+                        logical = apply_gate(shots.logical_states[index], "H", "b")
+                        reading, _ = MixedAncilla.from_state(logical)
+                        readings[index] = float(complex(reading.a3).real)
+                    estimate = readings[index]
+                    alpha_readings.append(estimate)
+                if rows is not None:
+                    # a true eigenvalue of 0: the readout left a superposition
+                    rows.append((t, n, model, r, tr or "", estimate))
+        n_plus += int(np.count_nonzero(plus))
+
+    results = {
+        "n": n,
+        "model": model,
+        "mode": mode,
+        "trials": trials,
+        "reported_plus_frequency": n_plus / trials,
+    }
+    checks = _Check()
+    if model == "decoherent":
+        bias = parity_bias(errors)
+        alpha = alpha3_decoherent(errors)
+        corr = corr_sum / trials
+        se_corr = math.sqrt(max(1.0 - bias * bias, 0.0) / trials)
+        f = n_minus_true_given_plus / n_plus if n_plus else float("nan")
+        if f < 1.0:
+            se_f = math.sqrt(f * (1.0 - f) / n_plus)
+            est: Optional[float] = 3.0 * f / (1.0 - f)
+            se_est: Optional[float] = 3.0 * se_f / (1.0 - f) ** 2
+            est_passed = abs(est - alpha.value) <= 4.0 * se_est
+            est_detail = f"estimate {est:.5f} +- {se_est:.5f}, formula {alpha.value:.5f}"
+        else:
+            # no +1 report, or every one was a false +1: 3f/(1-f) has no value
+            est = se_est = None
+            est_passed = False
+            est_detail = (f"no estimate: {n_minus_true_given_plus} false of {n_plus} "
+                          f"+1 reports, formula {alpha.value:.5f}")
+        results.update({
+            "alpha3_estimate": est,
+            "alpha3_estimate_se": se_est,
+            "alpha3_formula": alpha.value,
+            "mean_reported_times_true": corr,
+            "parity_bias": bias,
+        })
+        checks.add("alpha3 Monte Carlo vs closed form", est_passed, est_detail)
+        checks.add("reported-true correlation vs parity bias",
+                   abs(corr - bias) <= 4.0 * se_corr,
+                   f"mean {corr:.5f} vs bias {bias:.5f} (4se {4 * se_corr:.5f})")
+    else:
+        sigma = accumulated_flip_angle(errors)
+        tan2 = math.tan(sigma) ** 2
+        spread = max(abs(a - tan2) for a in alpha_readings) if alpha_readings else 0.0
+        results.update({
+            "flip_angle": sigma,
+            "tan_squared": tan2,
+            "alpha3_readings_max_deviation": spread,
+        })
+        checks.add("coherent contamination reading",
+                   bool(alpha_readings) and spread <= 1e-9,
+                   f"max |a3 - tan^2 sigma| = {spread!r} over {len(alpha_readings)} runs")
+
+    if mode == "exact" and n <= 3:
+        passed, total = _eigenstring_exhaustive(n)
+        results["eigenstring_checks"] = {"passed": passed, "total": total}
+        checks.add("eigenstring parity transfer", passed == total,
+                   f"{passed}/{total} strings")
+
+    raw = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trials)
+    results["raw_preparation"] = {
+        "attempts": raw.attempts,
+        "alpha3_reading": float(complex(raw.alpha.a3).real),
+    }
+    return results, ("trial", "n", "model", "reported", "true", "alpha3_estimate"), checks

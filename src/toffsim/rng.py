@@ -19,6 +19,10 @@ bit-identical to `trial_rng(seed, t).random(first + count)[first:]`.  It
 never builds a `Generator`, so a process that samples only through it does
 not load `numpy.random`.  Reading from an offset lets one stream be consumed
 a block of draws at a time, as the raw pair preparation reads its attempts.
+Its Philox kernel computes a slab of blocks in place: the counter words, the
+output and the scratch for the 32-bit limb products are allocated once a
+slab, each round reads one set of counter words and writes the other, and
+the 64x64-bit high word takes four limb products (Hacker's Delight §8-2).
 Seeds and trial indices lie in [0, 2**64).
 """
 
@@ -81,40 +85,66 @@ def rekey(gen: np.random.Generator, seed: int, trial: int) -> np.random.Generato
     return gen
 
 
-def _mulhilo(mul: np.uint64, x: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit products mul * x, via 32-bit limbs."""
+def _mulhilo(mul: np.uint64, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+             scratch) -> None:
+    """Write the high and low 64-bit words of the 128-bit products mul * x
+    into `hi` and `lo`; `x` and the two `scratch` arrays, all shaped like `x`,
+    are overwritten.
+
+    The high word is summed from four 32-bit limb products as in Hacker's
+    Delight §8-2, where no partial sum exceeds 64 bits: 15 array operations.
+    """
     m_lo, m_hi = mul & _LOW32, mul >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo = m_lo * x_lo
-    hi_lo = m_hi * x_lo
-    lo_hi = m_lo * x_hi
-    carry = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    high = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (carry >> _SHIFT32)
-    return high, mul * x
+    x_lo, t = scratch
+    np.multiply(x, mul, out=lo)
+    np.bitwise_and(x, _LOW32, out=x_lo)
+    x_hi = np.right_shift(x, _SHIFT32, out=x)
+    np.multiply(x_lo, m_hi, out=t)
+    x_lo *= m_lo
+    x_lo >>= _SHIFT32
+    t += x_lo  # t = x_lo m_hi + (x_lo m_lo >> 32)
+    w = np.multiply(x_hi, m_lo, out=x_lo)
+    np.bitwise_and(t, _LOW32, out=hi)
+    w += hi  # w = x_hi m_lo + (t & (2**32 - 1))
+    x_hi *= m_hi
+    t >>= _SHIFT32
+    x_hi += t
+    w >>= _SHIFT32
+    np.add(x_hi, w, out=hi)  # x_hi m_hi + (t >> 32) + (w >> 32)
 
 
 def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
                   blocks: int) -> np.ndarray:
     """(rows, 4 * blocks) output words of Philox blocks first_block.. of the
     substreams of trials first_trial..; numpy keys block j with the counter
-    (j + 1, 0, 0, 0)."""
+    (j + 1, 0, 0, 0).
+
+    Every array is allocated once, at the full (rows, blocks) shape, so that
+    each operation runs over one contiguous array or with a scalar: two sets
+    of four counter words, of which a round reads one and writes the other
+    and the two are then swapped, not copied; the per-trial key; and the
+    scratch of `_mulhilo`.
+    """
+    words = np.zeros((4, rows, blocks), dtype=np.uint64)
+    words[0] = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
+    c, nxt = tuple(words), tuple(np.empty_like(words))
+    scratch = tuple(np.empty((2, rows, blocks), dtype=np.uint64))
     key0 = seed
-    key1 = (np.uint64(first_trial) + np.arange(rows, dtype=np.uint64))[:, None]
-    c0 = np.broadcast_to(np.arange(first_block + 1, first_block + blocks + 1,
-                                   dtype=np.uint64), (rows, blocks))
-    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
+    key1 = np.empty((rows, blocks), dtype=np.uint64)
+    key1[:] = (np.uint64(first_trial) + np.arange(rows, dtype=np.uint64))[:, None]
     for r in range(_ROUNDS):
         if r:
             key0 = (key0 + _BUMP0) % _KEY_LIMIT
-            key1 = key1 + np.uint64(_BUMP1)
-        hi0, lo0 = _mulhilo(_MUL0, c0)
-        hi1, lo1 = _mulhilo(_MUL1, c2)
-        hi1 ^= c1
-        hi1 ^= np.uint64(key0)
-        hi0 ^= c3
-        hi0 ^= key1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+            key1 += np.uint64(_BUMP1)
+        (c0, c1, c2, c3), (n0, n1, n2, n3) = c, nxt
+        _mulhilo(_MUL1, c2, n0, n1, scratch)
+        _mulhilo(_MUL0, c0, n2, n3, scratch)
+        n0 ^= c1
+        n0 ^= np.uint64(key0)
+        n2 ^= c3
+        n2 ^= key1
+        c, nxt = nxt, c
+    return np.stack(c, axis=-1).reshape(rows, 4 * blocks)
 
 
 def trial_uniforms(seed: int, start: int, stop: int, count: int,
@@ -151,6 +181,7 @@ def trial_uniforms(seed: int, start: int, stop: int, count: int,
             lo, hi = max(4 * b0 - lead, 0), min(4 * b1 - lead, count)
             skip = lo - (4 * b0 - lead)
             words = _philox_words(seed, start + r0, r1 - r0, first // 4 + b0, b1 - b0)
-            np.multiply(words[:, skip:skip + hi - lo] >> _SHIFT11, 2.0**-53,
-                        out=out[r0:r1, lo:hi])
+            words >>= _SHIFT11
+            np.multiply(words[:, skip:skip + hi - lo], 2.0**-53, out=out[r0:r1, lo:hi])
+            del words  # freed before the next slab's words are computed
     return out

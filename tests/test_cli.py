@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toffsim import cli
+from toffsim import cli, commands
 from toffsim.cli import main
 from toffsim.core import QuantumState, fidelity
 from toffsim.distill import MixedAncilla, combine_states
@@ -177,7 +179,7 @@ def test_noisy_meas_at_its_bit_limit_runs(tmp_path, capsys, payload):
 
 def test_noisy_meas_work_budget_boundary(tmp_path, capsys, monkeypatch):
     # a budget of 40 trials of 8 bits: the at-budget run goes, one more fails
-    monkeypatch.setattr(cli, "_MAX_TRIAL_BITS", 320)
+    monkeypatch.setattr(commands, "_MAX_TRIAL_BITS", 320)
     cfg = write_config(tmp_path, "exact.json", {"mode": "exact"})
     rc, _, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "40"], capsys)
     assert rc == 0
@@ -268,8 +270,8 @@ def test_ensemble_beyond_its_work_limits_is_one_line_error(tmp_path, capsys, pay
 ])
 def test_ensemble_work_limit_boundaries(tmp_path, capsys, monkeypatch, payload, trials,
                                         error):
-    monkeypatch.setattr(cli, "_MAX_BLOCK_DOUBLES", 2**16)
-    monkeypatch.setattr(cli, "_MAX_TRIAL_BITS", 80_000)
+    monkeypatch.setattr(commands, "_MAX_BLOCK_DOUBLES", 2**16)
+    monkeypatch.setattr(commands, "_MAX_TRIAL_BITS", 80_000)
     cfg = write_config(tmp_path, "edge.json", payload)
     rc, _, err = run_cli(["ensemble", "--config", cfg, "--trials", str(trials)], capsys)
     if error is None:
@@ -357,7 +359,7 @@ def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
         raise AssertionError("sampled a tree past the work budget")
 
     # levels 0 makes no attempt, and counts as the per-tree cap of 100000
-    monkeypatch.setattr(cli, "_MAX_COMBINE_ATTEMPTS", 400_000)
+    monkeypatch.setattr(commands, "_MAX_COMBINE_ATTEMPTS", 400_000)
     cfg = write_config(tmp_path, "flat.json", {"levels": 0})
     rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "4"], capsys)
     assert rc == 0
@@ -371,7 +373,7 @@ def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "two.json", {"levels": 2})
     rc, out, _ = run_cli(["distill", "--config", cfg, "--trials", "1"], capsys)
     expected = json.loads(out)["results"]["sampled"]["expected_attempts"]
-    monkeypatch.setattr(cli, "_MAX_COMBINE_ATTEMPTS", 10 * expected)
+    monkeypatch.setattr(commands, "_MAX_COMBINE_ATTEMPTS", 10 * expected)
     rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "10"], capsys)
     assert rc == 0
     with monkeypatch.context() as patched:
@@ -592,8 +594,8 @@ def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeyp
                                                        payload, mode, trials, checked):
     cfg = write_config(tmp_path, "cfg.json", payload)
     reports = []
-    for chunk in (cli._TRIAL_CHUNK, 1, 7):
-        monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
+    for chunk in (commands._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
         csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
         argv = ["noisy-meas", "--config", cfg, "--trials", str(trials), "--seed", "5"]
         assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
@@ -866,15 +868,65 @@ def test_module_invocation_end_to_end(tmp_path):
     assert report["schema"] == "toffsim-report/1"
 
 
+# -- what the benchmark rebinds ---------------------------------------------------------------
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_rebinds_exists():
+    import toffsim
+
+    tracer = load_tracer()
+    for targets in tracer.TRACED.values():
+        for module_name, attr in targets:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+                f"{module_name}.{attr}"
+    assert sorted(cli._COMMANDS) == ["distill", "ensemble", "estimate", "noisy-meas",
+                                     "toffoli-verify"]
+    assert all(callable(fn) for fn in cli._COMMANDS.values())
+    assert isinstance(toffsim.kernel_backend, str)
+    assert "__init__" in QuantumState.__dict__
+
+
+@pytest.mark.parametrize("argv", [
+    ["toffoli-verify", "--trials", "1"],
+    ["distill", "--trials", "3"],
+    ["noisy-meas", "--trials", "3"],
+    ["ensemble", "--trials", "3"],
+    ["estimate"],
+])
+def test_a_traced_fresh_process_leaves_no_wrapper_behind(tmp_path, argv):
+    # a command module that bound a library function at its import, while the
+    # tracer was installed, would keep the tracer's wrapper after it is removed
+    out = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(TRACER), "cli", str(out), "--"] + argv
+                          + ["--check", "--out", str(tmp_path / "report.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text())
+    assert trace["exit"] == 0
+    assert trace["leftover_wrappers"] == []
+    assert trace["layers"]["cli.command"]["calls"] == 1
+
+
 def test_median_is_numpy_median_bit_for_bit():
+    from toffsim.commands.ensemble import _median
+
     rng = trial_rng(5, 0)
     for size in list(range(1, 40)) + [199, 200, 1000]:
         for scale in (1e-9, 1.0, 1e7):
             values = rng.standard_normal(size) * scale
             values[::7] = values[0]  # ties
-            assert np.float64(cli._median(values)).tobytes() == np.median(values).tobytes()
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
     with_nan = np.array([0.3, np.nan, 0.1, 0.2])
-    assert math.isnan(cli._median(with_nan)) and math.isnan(np.median(with_nan))
+    assert math.isnan(_median(with_nan)) and math.isnan(np.median(with_nan))
 
 
 # each step runs in the same fresh interpreter and prints the modules loaded so far
@@ -888,14 +940,10 @@ import toffsim
 steps["package"] = loaded()
 import toffsim.cli
 steps["import"] = loaded()
-toffsim.cli.main(["estimate", "--out", sys.argv[1]])
-steps["estimate"] = loaded()
-toffsim.cli.main(["ensemble", "--trials", "3", "--out", sys.argv[1]])
-steps["ensemble"] = loaded()
-for argv in (["toffoli-verify", "--trials", "1"], ["distill", "--trials", "3"],
-             ["noisy-meas", "--trials", "3"]):
+for argv in (["estimate"], ["ensemble", "--trials", "3"], ["toffoli-verify", "--trials", "1"],
+             ["distill", "--trials", "3"], ["noisy-meas", "--trials", "3"]):
     toffsim.cli.main(argv + ["--out", sys.argv[1]])
-steps["every subcommand"] = loaded()
+    steps[argv[0]] = loaded()
 toffsim.cli.main(["estimate", "--format", "csv", "--out", sys.argv[1]])
 steps["csv"] = loaded()
 print(json.dumps(steps))
@@ -908,7 +956,16 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     assert steps["package"] == []
-    assert steps["import"] == ["toffsim.cli"]
+    # the CLI and the pieces its commands share, and no command module
+    assert steps["import"] == ["toffsim.cli", "toffsim.commands"]
+    # each subcommand adds its own command module, and no other
+    previous = steps["import"]
+    for command in ("estimate", "ensemble", "toffoli-verify", "distill", "noisy-meas"):
+        added = [m for m in steps[command] if m.startswith("toffsim.commands.")
+                 and m not in previous]
+        own = [] if command == "estimate" else ["toffsim.commands." + command.replace("-", "_")]
+        assert added == own, command
+        previous = steps[command]
     assert "toffsim.concat" in steps["estimate"]
     assert not [m for m in steps["estimate"]
                 if m.startswith("numpy") or m in ("toffsim.core", "toffsim._kernels")]
@@ -917,9 +974,36 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert not {"numpy.ma", "toffsim.core", "toffsim._kernels"} & set(steps["ensemble"])
     # records are built without dataclasses, and JSON reports without csv
     assert {"toffsim.core", "toffsim.gadgets", "toffsim.noisy_meas"} <= \
-        set(steps["every subcommand"])
-    assert not {"dataclasses", "csv"} & set(steps["every subcommand"])
+        set(steps["noisy-meas"])
+    assert not {"dataclasses", "csv"} & set(steps["noisy-meas"])
     assert "csv" in steps["csv"]
+
+
+# `python -m toffsim.cli` runs the CLI's module as __main__; a command module
+# that imported toffsim.cli would compile and run it a second time
+MODULE_RUN_PROBE = """
+import json, runpy, sys
+sys.argv = ["toffsim"] + sys.argv[1:]
+try:
+    runpy.run_module("toffsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("toffsim"))]))
+"""
+
+
+def test_module_run_of_noisy_meas_compiles_the_cli_once(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", MODULE_RUN_PROBE, "noisy-meas", "--trials",
+                           "3", "--check", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert json.loads(out.read_text())["command"] == "noisy-meas"
+    assert "toffsim.cli" not in modules
+    assert [m for m in modules if m.startswith("toffsim.commands")] == \
+        ["toffsim.commands", "toffsim.commands.noisy_meas"]
 
 
 # a fresh interpreter that runs noisy-meas, effective then exact, before any

@@ -65,6 +65,9 @@ def test_trial_uniforms_peak_memory_stays_within_twice_the_result():
         tracemalloc.stop()
     assert rows.shape == (512, 8190) and rows.flags.c_contiguous
     assert peak <= 2 * rows.nbytes
+    # the in-place Philox kernel holds no more than the one that allocated a
+    # fresh array per operation, 36.50 MiB, did
+    assert peak <= 1.01 * 36.50 * 2**20
     for i in (0, 511):
         assert np.array_equal(rows[i], trial_rng(0, i).random(8190))
 
@@ -103,6 +106,51 @@ def test_trial_uniforms_offset_rows_span_full_slabs(seed, start):
     for i, row in enumerate(rows):
         want = trial_rng(seed, start + i).random(first + count)[first:]
         assert np.array_equal(row, want)
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+MASK64 = 2**64 - 1
+
+
+def philox4x64_10(key, counter):
+    """The four output words of one Philox4x64-10 block, in Python ints."""
+    (k0, k1), (c0, c1, c2, c3) = key, counter
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + PHILOX_W[0]) & MASK64, (k1 + PHILOX_W[1]) & MASK64
+        p0, p1 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & MASK64
+    return c0, c1, c2, c3
+
+
+def reference_words(seed, trial, blocks, first_block=0):
+    # numpy's Philox keys block j of a stream with the counter (j + 1, 0, 0, 0)
+    return [w for j in range(first_block, first_block + blocks)
+            for w in philox4x64_10((seed, trial), (j + 1, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("first_trial, first_block", [
+    (0, 0), (2**64 - 3, 1), (7, 2**40 + 5), (2**63, 2**64 - 6)])
+def test_philox_words_match_a_python_int_philox(seed, first_trial, first_block):
+    words = rng._philox_words(seed, first_trial, 3, first_block, 5)
+    assert words.shape == (3, 20) and words.dtype == np.uint64
+    for i, row in enumerate(words):
+        assert row.tolist() == reference_words(seed, first_trial + i, 5, first_block)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_trial_uniforms_over_several_slabs_match_a_python_int_philox(seed, monkeypatch):
+    # slabs of two blocks: rows of 18 words span three slabs, and rows of one
+    # block go two to a slab, the last slab holding one
+    monkeypatch.setattr(rng, "_SLAB_BLOCKS", 2)
+    for first, count, trials in ((5, 13, 3), (0, 3, 5)):
+        rows = trial_uniforms(seed, 4, 4 + trials, count, first)
+        for i, row in enumerate(rows):
+            words = reference_words(seed, 4 + i, -(-(first + count) // 4))
+            assert row.tolist() == [(w >> 11) * 2.0**-53 for w in words[first:first + count]]
+
 
 # (seed, trial) keys at both ends of the 64-bit range
 KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (9, 3)]
