@@ -756,6 +756,35 @@ def test_distill_csv_golden_first_rows(capsys):
     assert out.splitlines()[1:] == ["0,314,75,554", "1,226,45,408"]
 
 
+def test_distill_json_golden_results(tmp_path, capsys):
+    # 0.37 is not dyadic, so `fidelity_circuit` (two Z-product postselections
+    # per combine, on density matrices) shows every last bit of the projection
+    cfg = write_config(tmp_path, "distill.json", {"alpha3": 0.37, "levels": 4})
+    rc, out, _ = run_cli(["distill", "--config", cfg, "--trials", "50", "--seed", "3"], capsys)
+    assert rc == 0
+    assert json.loads(out)["results"] == {
+        "alpha3": 0.37,
+        "alpha_trajectory": [0.37, 0.1369, 0.01874161, 0.00035124794539209995,
+                             1.2337511914217163e-07],
+        "expected_ops_default_params": 1814.0,
+        "fidelity_circuit": 0.9999999588749621,
+        "fidelity_formula": 0.9999999588749621,
+        "level_success_probabilities": [0.27621093784395384, 0.30677826901720784,
+                                        0.32924578055133463, 0.3332553056457013],
+        "levels": 4,
+        "sampled": {
+            "expected_attempts": 1000.5148792467784,
+            "expected_leaves": 1720.9063107178458,
+            "mean_combine_attempts": 1133.92,
+            "mean_leaves_used": 1950.08,
+            "success_frequency": 0.2811133060533371,
+            "success_frequency_expected": 0.28097877763432183,
+            "success_frequency_se": 0.0018879683700576163,
+            "trials": 50,
+        },
+    }
+
+
 def test_noisy_meas_exact_csv_golden_first_rows(tmp_path, capsys):
     # the config of the readout-exact benchmark workload
     cfg = write_config(tmp_path, "exact.json", {"n": 12, "model": "unitary",
