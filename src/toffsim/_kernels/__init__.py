@@ -1,8 +1,9 @@
-"""Gate-application kernel: a numpy gather / matmul / scatter over index plans.
+"""The kernel that applies gates and measurement projections: a numpy
+gather / matmul / scatter over index plans.
 
-The protocols apply gates to a few dozen distinct (register size, target axes)
-pairs over and over, so the index plans are memoized and handed out
-read-only.
+The protocols apply gates and project measurements on a few dozen distinct
+(register size, target axes) pairs over and over, so the index plans are
+memoized and handed out read-only.
 """
 
 import functools
@@ -27,7 +28,8 @@ def target_plan(n_axes, axes):
     return _cached_plan(n_axes, tuple(axes))
 
 
-# the CLI workloads use at most a few dozen distinct plans
+# a CLI subcommand at its defaults uses at most 28 distinct plans (toffoli-verify,
+# with its correction-table derivation); tests/test_cli.py holds each within maxsize
 @functools.lru_cache(maxsize=64)
 def _cached_plan(n_axes, axes):
     k = len(axes)

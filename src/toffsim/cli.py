@@ -2,10 +2,14 @@
 
 Every subcommand is a thin orchestration over the library: it resolves a
 configuration (built-in defaults, then an optional JSON config file, then
-flags), runs seeded trials, and emits a machine-readable report.  All
-sampling uses counter-based per-trial substreams, so trial results are
-independent of evaluation order and a run is reproducible bit-for-bit from
-its seed.  Trials run serially in trial order; noisy-meas, in either mode
+flags), runs seeded trials, and emits a machine-readable report.  Sampling
+reads counter-based Philox substreams, and a run is reproducible bit for bit
+from its seed.  Trial t of toffoli-verify, distill, noisy-meas and the
+decoherent ensemble reads its own substream (seed, t), so its results do not
+depend on evaluation order.  The unitary ensemble instead draws every
+trial's tangents from the one substream (seed, 0), in blocks of
+`error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
+order; noisy-meas, in either mode
 and under either error model, samples them in blocks of
 `commands._TRIAL_CHUNK`, and tests check that its reports do not depend on
 the block size.  No worker pool exists: those tests are the only evidence

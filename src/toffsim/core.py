@@ -15,6 +15,15 @@ divides the projected state by the branch probability, so the norm of the
 input is preserved; postselection returns the bare projection and the caller
 tracks the norm.  `sample_outcomes` repeats a sampled measurement of one
 state against an array of uniforms, by the same rule.
+
+Every measurement projects by one formula: the branch of outcome s of an
+operator O is (psi + s O psi) / 2.  The gate kernel applies O, one pass per
+Pauli factor or one pass of the measured gate, and a density matrix is
+projected on its rows, then on its columns with conj(O).  When O has entries
+in {0, +-1, +-i}, as every Pauli product and the X, Z, CNOT, CPHASE and
+TOFFOLI gates do, O psi is exact, and the branch equals the product of psi
+with the projector (I + s O) / 2 bit for bit.  H and PROBE have other
+entries; for them the two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -306,10 +315,6 @@ class PauliOperator(_PauliFields):
     def support(self) -> tuple:
         return tuple(l for l, _ in self.factors)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(axis == "Z" for _, axis in self.factors)
-
     def __str__(self):
         return "".join(f"{axis}({label})" for label, axis in self.factors)
 
@@ -331,85 +336,43 @@ class MeasurementRecord(NamedTuple):
     probability: float    # Born probability of that outcome
 
 
-def _minus_mask(state: QuantumState, zlabels: Sequence[str]) -> np.ndarray:
-    """True at the basis indices where the Z product on `zlabels` reads -1."""
-    n = state.n_qubits
-    mask = 0
-    for label in zlabels:
-        mask |= 1 << (n - 1 - state.axis(label))
-    return _cached_minus_mask(n, mask)
-
-
-# the protocols measure a few dozen distinct Z products; at 14 qubits a mask
-# is 16 KiB, so the cache holds at most 1 MiB
-@functools.lru_cache(maxsize=64)
-def _cached_minus_mask(n_qubits: int, mask: int) -> np.ndarray:
-    idx = np.arange(2**n_qubits)
-    # popcount parity of the masked bits
-    minus = np.zeros(2**n_qubits, dtype=bool)
-    while mask:
-        lsb = mask & -mask
-        minus ^= (idx & lsb) != 0
-        mask ^= lsb
-    minus.flags.writeable = False
-    return minus
-
-
-def _project_diag(state: QuantumState, minus: np.ndarray, outcome: int, pin: float):
-    # the indices outside the outcome's eigenspace: the -1 mask for +1, and
-    # its complement for -1
-    drop = minus if outcome == +1 else ~minus
-    if state.is_density:
-        mat = state.data.copy()
-        mat[drop, :] = 0.0
-        mat[:, drop] = 0.0
-        prob = float(np.real(np.trace(mat))) / pin
-        return state._derived(mat), prob
-    vec = state.data.copy()
-    vec[drop] = 0.0
-    prob = float(np.real(np.vdot(vec, vec))) / pin
-    return state._derived(vec), prob
-
-
-def _projector(op_matrix: np.ndarray, outcome: int) -> np.ndarray:
-    d = op_matrix.shape[0]
-    return 0.5 * (np.eye(d, dtype=np.complex128) + outcome * op_matrix)
-
-
-# (kind, outcome) -> projector onto that eigenspace of an involutory gate
-_GATE_PROJECTORS = {(k, outcome): _projector(GATE_MATRICES[k], outcome)
-                    for k in INVOLUTORY_GATES for outcome in (+1, -1)}
-
-
-def _project_dense(state: QuantumState, proj: np.ndarray, axes: Sequence[int], pin: float):
-    projected = _apply_matrix_to_axes(state, proj, axes)
-    prob = projected.trace / pin
-    return projected, prob
-
-
-def _operator_parts(state: QuantumState, op: MeasOperator, pin: float):
-    """Returns (description, projector applier) for a two-valued operator.
-
-    `pin` is `state.trace`, the weight every branch probability divides by.
-    """
+def _operator_gates(state: QuantumState, op: MeasOperator):
+    """(description, [(matrix, axes), ...]): `op` as gates on `state`'s axes,
+    one per Pauli factor or the one measured gate."""
     if isinstance(op, PauliOperator):
-        if op.is_diagonal:
-            minus = _minus_mask(state, op.support)
-            return str(op), lambda outcome: _project_diag(state, minus, outcome, pin)
-        mats = [_PAULI_MATRICES[axis] for _, axis in op.factors]
-        m = mats[0]
-        for extra in mats[1:]:
-            m = np.kron(m, extra)
-        axes = [state.axis(l) for l in op.support]
-        return str(op), lambda outcome: _project_dense(state, _projector(m, outcome), axes,
-                                                       pin)
+        return str(op), [(_PAULI_MATRICES[axis], (state.axis(label),))
+                         for label, axis in op.factors]
     if isinstance(op, GateSpec):
         if op.kind not in INVOLUTORY_GATES:
             raise ValueError(f"{op.kind} is not an involution; cannot measure it as a +-1 operator")
-        axes = [state.axis(l) for l in op.targets]
-        return str(op), lambda outcome: _project_dense(
-            state, _GATE_PROJECTORS[op.kind, outcome], axes, pin)
+        return str(op), [(op.matrix, tuple(state.axis(l) for l in op.targets))]
     raise TypeError(f"cannot measure operator of type {type(op).__name__}")
+
+
+def _project(state: QuantumState, gates, outcome: int, pin: float):
+    """(projection (psi + outcome * O psi) / 2 of `state`, its weight / `pin`).
+
+    O is the product of `gates`; a density matrix is projected on its rows,
+    then on its columns with conj(O).  `pin` is `state.trace`, the weight
+    every branch probability divides by.  The projection equals the product
+    with the projector (I + outcome * O) / 2 bit for bit when O's entries lie
+    in {0, +-1, +-i}.
+    """
+    n = state.n_qubits
+    n_axes = 2 * n if state.is_density else n
+    flat = state.data.reshape(-1)
+    # the row axes, then a density matrix's column axes, which follow them
+    for shift in ((0, n) if state.is_density else (0,)):
+        image = flat.copy()
+        for matrix, axes in gates:
+            base, offs = _kernels.target_plan(n_axes, [shift + ax for ax in axes])
+            _kernels.apply_dense(image, np.conj(matrix) if shift else matrix, base, offs)
+        image *= outcome
+        image += flat
+        image *= 0.5
+        flat = image
+    projected = state._derived(flat.reshape(state.data.shape))
+    return projected, projected.trace / pin
 
 
 def measure_operator(state: QuantumState, op: MeasOperator, *,
@@ -429,17 +392,17 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
     if pin <= 0.0:
         raise ValueError("cannot measure a zero-norm state")
 
-    desc, project = _operator_parts(state, op, pin)
+    desc, gates = _operator_gates(state, op)
 
     if postselect is not None:
-        projected, prob = project(postselect)
+        projected, prob = _project(state, gates, postselect, pin)
         if prob < MIN_BRANCH_PROBABILITY:
             raise ValueError(
                 f"postselected branch {postselect:+d} of {desc} has probability {prob:.3e} "
                 f"< {MIN_BRANCH_PROBABILITY}")
         return projected, MeasurementRecord(desc, postselect, prob)
 
-    outcomes, branches = _sample_branches(desc, project, [rng.random()])
+    outcomes, branches = _sample_branches(state, desc, gates, pin, [rng.random()])
     outcome = int(outcomes[0])
     out, prob = branches[outcome]
     return out, MeasurementRecord(desc, outcome, prob)
@@ -451,8 +414,8 @@ def _renormalized(projected: QuantumState, prob: float) -> QuantumState:
     return projected
 
 
-def _sample_branches(desc: str, project, uniforms):
-    plus, p_plus = project(+1)
+def _sample_branches(state: QuantumState, desc: str, gates, pin: float, uniforms):
+    plus, p_plus = _project(state, gates, +1, pin)
     p_plus = min(max(p_plus, 0.0), 1.0)
     hit_plus = np.asarray(uniforms, dtype=np.float64) < p_plus
     n_plus = np.count_nonzero(hit_plus)
@@ -460,7 +423,7 @@ def _sample_branches(desc: str, project, uniforms):
     if n_plus:
         branches[+1] = (_renormalized(plus, p_plus), p_plus)
     if n_plus < hit_plus.size:
-        minus, p_minus = project(-1)
+        minus, p_minus = _project(state, gates, -1, pin)
         if p_minus <= 0.0:
             raise ValueError(f"sampled an empty branch of {desc}; state is numerically degenerate")
         branches[-1] = (_renormalized(minus, p_minus), p_minus)
@@ -480,16 +443,16 @@ def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
     pin = state.trace
     if pin <= 0.0:
         raise ValueError("cannot measure a zero-norm state")
-    desc, project = _operator_parts(state, op, pin)
-    return _sample_branches(desc, project, uniforms)
+    desc, gates = _operator_gates(state, op)
+    return _sample_branches(state, desc, gates, pin, uniforms)
 
 
 def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> float:
     """Born probability of one outcome, without touching the state."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
-    _, project = _operator_parts(state, op, state.trace)
-    _, prob = project(outcome)
+    _, gates = _operator_gates(state, op)
+    _, prob = _project(state, gates, outcome, state.trace)
     return prob
 
 

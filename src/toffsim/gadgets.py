@@ -14,6 +14,7 @@ each candidate against the exact branch transfer matrix of the gadget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -269,14 +270,10 @@ def derive_correction_table() -> CorrectionTable:
     return CorrectionTable(entries)
 
 
-_DERIVED_TABLE: Optional[CorrectionTable] = None
-
-
+@functools.lru_cache(maxsize=None)
 def default_correction_table() -> CorrectionTable:
-    global _DERIVED_TABLE
-    if _DERIVED_TABLE is None:
-        _DERIVED_TABLE = derive_correction_table()
-    return _DERIVED_TABLE
+    """The table `derive_correction_table` finds, derived on the first call."""
+    return derive_correction_table()
 
 
 # -- the gadget ----------------------------------------------------------------

@@ -51,10 +51,6 @@ def _check_key(value: int, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 2**64), got {value}")
 
 
-def master_rng(seed: int) -> np.random.Generator:
-    return trial_rng(seed, 0)
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream for one trial of one seeded experiment."""
     _check_key(seed, "seed")

@@ -63,7 +63,7 @@ from toffsim.noisy_meas import (
     sample_exact,
 )
 from toffsim.cli import main as cli_main
-from toffsim.rng import master_rng, trial_rng, trial_uniforms
+from toffsim.rng import trial_rng, trial_uniforms
 
 SEED = 20260819
 
@@ -107,11 +107,11 @@ def test_pair_merge_produces_the_three_qubit_ancilla():
                    prepare_pair_ancilla(("c", "d")))
     op = z_product("b", "c")
     trials = 100_000
-    outcomes, _ = sample_outcomes(joint, op, master_rng(SEED + 1).random(trials))
+    outcomes, _ = sample_outcomes(joint, op, trial_rng(SEED + 1, 0).random(trials))
     hits = int(np.count_nonzero(outcomes == -1))
 
     # the first trials again, measured shot by shot on the same stream
-    rng = master_rng(SEED + 1)
+    rng = trial_rng(SEED + 1, 0)
     per_shot = [measure_operator(joint, op, rng=rng)[1].outcome for _ in range(2_000)]
     assert per_shot == outcomes[:2_000].tolist()
     assert per_shot.count(-1) == np.count_nonzero(outcomes[:2_000] == -1)
@@ -157,7 +157,7 @@ def _coefficients(rho4: np.ndarray):
 
 
 def test_purification_circuit_matches_raw_matrix_oracle():
-    rng = master_rng(SEED + 2)
+    rng = trial_rng(SEED + 2, 0)
 
     def random_tuple(physical: bool) -> MixedAncilla:
         a1 = complex(*(rng.uniform(-0.7, 0.7, 2)))
@@ -191,7 +191,7 @@ def test_purification_circuit_matches_raw_matrix_oracle():
 @pytest.mark.parametrize("levels", [0, 1, 2, 3])
 def test_tree_fidelity_matches_closed_form(a3, levels):
     supply = pair_supply(MixedAncilla.from_excess_weight(a3))
-    outcome = distill_tree(supply, levels, rng=master_rng(SEED + levels))
+    outcome = distill_tree(supply, levels, rng=trial_rng(SEED + levels, 0))
     want = fidelity_after_rounds(a3, levels)
     assert outcome.ancilla.fidelity_to_pair() == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(3.0 / (3.0 + a3 ** (2**levels)), abs=1e-15)
@@ -209,7 +209,7 @@ def test_parity_check_success_probabilities():
                    prepare_pair_ancilla(("c", "d")))
     op1, op2 = z_product("a", "c"), z_product("b", "d")
     trials = 100_000
-    uniforms = master_rng(SEED + 3).random(2 * trials)
+    uniforms = trial_rng(SEED + 3, 0).random(2 * trials)
     first, branches = sample_outcomes(joint, op1, uniforms)
     second, _ = sample_outcomes(branches[+1][0], op2, uniforms)
     first, second = first.tolist(), second.tolist()
@@ -225,7 +225,7 @@ def test_parity_check_success_probabilities():
     successes = sum(passed)
 
     # the first trials again, measured shot by shot on the same stream
-    rng = master_rng(SEED + 3)
+    rng = trial_rng(SEED + 3, 0)
     for t in range(2_000):
         state, rec1 = measure_operator(joint, op1, rng=rng)
         ok = rec1.outcome == +1 and measure_operator(state, op2, rng=rng)[1].outcome == +1
@@ -327,7 +327,7 @@ def test_decoherent_contamination_monte_carlo():
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
     # the controlled-phase measurement is the CNOT one conjugated by H on b
     cnot_frame = apply_gate(plus_plus, "H", "b")
-    rng = master_rng(SEED)
+    rng = trial_rng(SEED, 0)
     trials, block = 100_000, 10_000
     reported_plus = false_plus = 0
     for _ in range(trials // block):
@@ -353,7 +353,7 @@ def parity_bias_enumerated(channel):
 
 
 def test_parity_bias_matches_enumeration():
-    rng = master_rng(SEED + 4)
+    rng = trial_rng(SEED + 4, 0)
     for n in (1, 2, 5, 8, 12):
         channel = PauliChannel(rng.random(n) * 0.8)
         assert parity_bias(channel) == pytest.approx(
@@ -438,7 +438,7 @@ def test_coherent_errors_rotate_the_cat_exactly():
 def test_log_tangent_statistics_three_ways(n):
     ensemble = BlockEnsemble(n=n, levels=1, model="unitary", p=0.005,
                              distribution="gaussian")
-    est = ensemble_log_tan(ensemble, trials=400_000, rng=master_rng(SEED))
+    est = ensemble_log_tan(ensemble, trials=400_000, rng=trial_rng(SEED, 0))
     assert abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
     assert abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
                                                     4.0 * est.standard_error)

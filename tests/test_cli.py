@@ -945,6 +945,29 @@ def test_a_traced_fresh_process_leaves_no_wrapper_behind(tmp_path, argv):
     assert trace["layers"]["cli.command"]["calls"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["toffoli-verify"],
+    ["distill"],
+    ["noisy-meas"],
+    ["ensemble"],
+    ["estimate"],
+    ["noisy-meas", "--trials", "200"],  # with the readout-exact workload's config
+], ids=["toffoli-verify", "distill", "noisy-meas", "ensemble", "estimate", "readout-exact"])
+def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys, argv):
+    from toffsim import _kernels, gadgets
+
+    if argv[-1] == "200":
+        argv = argv + ["--config", write_config(tmp_path, "exact.json", {
+            "n": 12, "model": "unitary", "mode": "exact", "ratio": 0.05})]
+    # as in a fresh process, toffoli-verify derives its correction table too
+    gadgets.default_correction_table.cache_clear()
+    _kernels._cached_plan.cache_clear()
+    rc, _, _ = run_cli(argv, capsys)
+    assert rc == 0
+    info = _kernels._cached_plan.cache_info()
+    assert info.misses <= info.maxsize
+
+
 def test_median_is_numpy_median_bit_for_bit():
     from toffsim.commands.ensemble import _median
 

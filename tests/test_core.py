@@ -25,7 +25,7 @@ from toffsim.core import (
     x_product,
     z_product,
 )
-from toffsim.rng import master_rng
+from toffsim.rng import trial_rng
 
 
 # -- package namespace ---------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_norm_and_trace_conventions():
 
 
 def test_reordered_round_trip():
-    rng = master_rng(5)
+    rng = trial_rng(5, 0)
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     s = QuantumState.from_vector(("a", "b", "c"), vec)
     back = s.reordered(("c", "a", "b")).reordered(("a", "b", "c"))
@@ -167,7 +167,7 @@ def test_gate_spec_cache_stays_within_its_bound():
 
 
 def test_apply_matrix_matches_apply_gate():
-    rng = master_rng(11)
+    rng = trial_rng(11, 0)
     vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     s = QuantumState.from_vector(("q0", "q1", "q2", "q3"), vec)
     via_gate = apply_gate(s, "CNOT", "q2", "q0")
@@ -178,7 +178,7 @@ def test_apply_matrix_matches_apply_gate():
 
 
 def test_apply_gate_on_density_matrix():
-    rng = master_rng(12)
+    rng = trial_rng(12, 0)
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     s = QuantumState.from_vector(("a", "b", "c"), vec)
     pure = apply_gate(s, "TOFFOLI", "a", "b", "c").to_density()
@@ -213,14 +213,14 @@ def test_postselect_keeps_raw_projection():
 
 def test_sampling_preserves_norm():
     s = QuantumState.from_vector(("a", "b"), [2, 2, 2, 0])  # unnormalized on purpose
-    out, rec = measure_operator(s, z_product("a", "b"), rng=master_rng(3))
+    out, rec = measure_operator(s, z_product("a", "b"), rng=trial_rng(3, 0))
     assert out.trace == pytest.approx(s.trace)
     assert rec.outcome in (+1, -1)
 
 
 def test_sampled_outcome_frequencies():
     s = QuantumState.from_vector(("a", "b"), [1, 1, 1, 0])
-    rng = master_rng(17)
+    rng = trial_rng(17, 0)
     hits = sum(measure_operator(s, z_product("a", "b"), rng=rng)[1].outcome == -1
                for _ in range(4000))
     freq = hits / 4000
@@ -233,7 +233,7 @@ def test_measure_operator_argument_validation():
     with pytest.raises(ValueError):
         measure_operator(s, z_product("a"))  # neither rng nor postselect
     with pytest.raises(ValueError):
-        measure_operator(s, z_product("a"), rng=master_rng(0), postselect=+1)
+        measure_operator(s, z_product("a"), rng=trial_rng(0, 0), postselect=+1)
     with pytest.raises(ValueError):
         measure_operator(s, z_product("a"), postselect=0)
 
@@ -261,27 +261,88 @@ def test_measuring_gate_operator_on_density_matrix():
     assert projected.trace == pytest.approx(2.5)
 
 
+# -- one projection formula ----------------------------------------------------
+
+_PAULIS = {"X": GATE_MATRICES["X"], "Y": np.array([[0, -1j], [1j, 0]]), "Z": GATE_MATRICES["Z"]}
+# (Pauli axes of a product, or a gate kind): 1-3 factor products, and gates
+_MEASURED = ["Z", "ZZ", "ZZZ", "X", "XX", "XXX", "Y", "YY", "YYY", "XYZ",
+             "gate:CNOT", "gate:CPHASE", "gate:X", "gate:Z"]
+
+
+def _random_state(rng, labels, density):
+    d = 2 ** len(labels)
+    a = rng.normal(size=(d, d if density else 1)) + 1j * rng.normal(size=(d, d if density else 1))
+    return QuantumState(labels, a @ a.conj().T if density else a[:, 0])
+
+
+def _random_operator(rng, labels, measured):
+    picked = [labels[i] for i in rng.permutation(len(labels))]
+    if measured.startswith("gate:"):
+        kind = measured[len("gate:"):]
+        return gate(kind, *picked[:core.GATE_ARITY[kind]])
+    return core.PauliOperator(tuple(zip(picked, measured)))
+
+
+def _oracle_branch(state, op, outcome):
+    """(I + s M) / 2 applied to `state`, with M built by np.kron over the whole
+    register, the measured qubits first; returns (data, weight / trace)."""
+    if isinstance(op, GateSpec):
+        targets, m = op.targets, op.matrix
+    else:
+        targets, m = op.support, _PAULIS[op.factors[0][1]]
+        for _, axis in op.factors[1:]:
+            m = np.kron(m, _PAULIS[axis])
+    order = list(targets) + [l for l in state.labels if l not in targets]
+    full = np.kron(m, np.eye(2 ** (state.n_qubits - len(targets))))
+    proj = 0.5 * (np.eye(full.shape[0], dtype=np.complex128) + outcome * full)
+    data = state.reordered(order).data
+    data = proj @ data @ proj if state.is_density else proj @ data
+    branch = QuantumState(order, data).reordered(state.labels)
+    return branch.data, branch.trace / state.trace
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["vector", "density"])
+@pytest.mark.parametrize("measured", _MEASURED)
+def test_projection_equals_the_projector_product_bit_for_bit(measured, density):
+    rng = trial_rng(_MEASURED.index(measured), int(density))
+    for n in range(2, 6):
+        labels = tuple("abcde"[:n])
+        if not measured.startswith("gate:") and len(measured) > n:
+            continue
+        state = _random_state(rng, labels, density)
+        op = _random_operator(rng, labels, measured)
+        outcomes, branches = core.sample_outcomes(state, op, [0.0, 1.0])
+        assert outcomes.tolist() == [1, -1]
+        weights = []
+        for s in (+1, -1):
+            want, prob = _oracle_branch(state, op, s)
+            projected, rec = measure_operator(state, op, postselect=s)
+            assert np.array_equal(projected.data, want)
+            assert rec.probability == prob and rec.outcome == s
+            assert branch_probability(state, op, s) == prob
+            sampled, sampled_prob = branches[s]
+            assert sampled_prob == prob
+            assert np.array_equal(sampled.data, want / (prob if density else math.sqrt(prob)))
+            weights.append(projected.trace)
+        assert abs(sum(weights) - state.trace) <= 1e-12 * state.trace
+
+
+def test_measuring_a_long_x_product_allocates_only_state_sized_arrays():
+    import tracemalloc
+
+    labels = [f"q{i}" for i in range(10)]
+    state = QuantumState.from_vector(labels, np.ones(2**10))
+    tracemalloc.start()
+    try:
+        measure_operator(state, x_product(*labels), postselect=+1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 16 KiB state; the 4^10-entry projector of a Kronecker build is 16 MiB
+    assert peak < 2**20
+
+
 # -- composition and reduction ---------------------------------------------------
-
-def test_z_product_masks_are_cached_read_only():
-    state = QuantumState.from_vector(("a", "b", "c"), np.ones(8))
-    minus = core._minus_mask(state, ("a", "c"))
-    # index bits (a, b, c), a most significant: -1 where a xor c is set
-    want = [bin(i & 0b101).count("1") % 2 == 1 for i in range(8)]
-    assert minus.tolist() == want
-    assert core._minus_mask(state, ("c", "a")) is minus  # one entry per bit mask
-    with pytest.raises(ValueError):
-        minus[0] = True
-
-
-def test_z_product_mask_cache_stays_within_its_bound():
-    masks = [(n, 1 << bit) for n in range(1, 13) for bit in range(n)]
-    info = core._cached_minus_mask.cache_info()
-    assert info.maxsize is not None and len(masks) > info.maxsize
-    for n, mask in masks:
-        core._cached_minus_mask(n, mask)
-    assert core._cached_minus_mask.cache_info().currsize <= info.maxsize
-
 
 def test_tensor_label_collision():
     a = QuantumState.basis(("x",), "0")

@@ -22,7 +22,7 @@ from toffsim.distill import (
     pair_supply,
     success_probability,
 )
-from toffsim.rng import master_rng, trial_rng
+from toffsim.rng import trial_rng
 
 
 def physical_tuples(rng, count):
@@ -125,7 +125,7 @@ def test_success_probability_floor_on_equal_inputs():
 
 
 def test_combine_states_agrees_with_algebra():
-    rng = master_rng(42)
+    rng = trial_rng(42, 0)
     for x, y in zip(physical_tuples(rng, 8), physical_tuples(rng, 8)):
         want, want_prob = combine(x, y)
         state, prob = combine_states(x.to_state(("a", "b")), y.to_state(("c", "d")))
@@ -180,14 +180,14 @@ def test_fidelity_after_rounds_rejects_complex_residue():
 def test_distill_tree_output_is_deterministic_in_value():
     # outcome randomness affects only the attempt ledger; all leaves are equal
     raw = MixedAncilla.from_excess_weight(0.5)
-    out = distill_tree(pair_supply(raw), 2, rng=master_rng(0))
+    out = distill_tree(pair_supply(raw), 2, rng=trial_rng(0, 0))
     assert complex(out.ancilla.a3) == pytest.approx(0.5**4)
     assert out.level == 2
 
 
 def test_distill_tree_counter_consistency():
     raw = MixedAncilla.from_excess_weight(0.3)
-    out = distill_tree(pair_supply(raw), 3, rng=master_rng(5))
+    out = distill_tree(pair_supply(raw), 3, rng=trial_rng(5, 0))
     assert out.combine_attempts >= out.combine_successes >= 2**3 - 1
     assert out.leaves_used % 2 == 0
     assert out.leaves_used >= 2**3
@@ -209,7 +209,7 @@ def test_distill_tree_requires_rng_beyond_level_zero():
 def test_distill_tree_attempt_budget():
     raw = MixedAncilla.from_excess_weight(0.5)
     with pytest.raises(RuntimeError, match="attempts"):
-        distill_tree(pair_supply(raw), 3, rng=master_rng(2), max_attempts=3)
+        distill_tree(pair_supply(raw), 3, rng=trial_rng(2, 0), max_attempts=3)
 
 
 def test_distill_tree_takes_only_a_pair_supply():
@@ -217,7 +217,7 @@ def test_distill_tree_takes_only_a_pair_supply():
     for supply in (raw, [raw] * 4, iter([raw] * 4), lambda: raw):
         for level in (0, 1):
             with pytest.raises(TypeError, match="pair_supply"):
-                distill_tree(supply, level, rng=master_rng(0))
+                distill_tree(supply, level, rng=trial_rng(0, 0))
 
 
 def recursive_distill_tree(raw, level, *, rng=None, max_attempts=100_000):

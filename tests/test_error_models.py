@@ -18,7 +18,7 @@ from toffsim.error_models import (
     ensemble_log_tan,
     parity_bias,
 )
-from toffsim.rng import master_rng, trial_rng
+from toffsim.rng import trial_rng
 
 
 # -- Pauli channels and parity bias ------------------------------------------------
@@ -66,7 +66,7 @@ def parity_bias_enumerated(channel):
 
 
 def test_parity_bias_matches_enumeration_on_random_channels():
-    rng = master_rng(6021)
+    rng = trial_rng(6021, 0)
     for n in (1, 3, 7, 12):
         ch = PauliChannel(rng.random(n) * 0.8)
         assert parity_bias(ch) == pytest.approx(parity_bias_enumerated(ch), abs=1e-12)
@@ -86,7 +86,7 @@ def test_alpha3_frozen_value():
 
 def test_alpha3_bounded_for_benign_channels():
     # all flip rates at or below 1/2 keep the corner weight inside [0, 1]
-    rng = master_rng(77)
+    rng = trial_rng(77, 0)
     for _ in range(50):
         ch = PauliChannel(rng.random(6) * 0.5)
         val = alpha3_decoherent(ch).value
@@ -223,7 +223,7 @@ def test_mean_flip_probability_marginal():
 def test_drawn_block_defect_statistics():
     ens = BlockEnsemble(n=200, levels=1, model="decoherent", p=0.01,
                         defect_fraction=0.1, defect_p=0.9)
-    rng = master_rng(15)
+    rng = trial_rng(15, 0)
     counts = np.sum(ens._draw_flip_probabilities(rng, 300) > 0.5, axis=1).tolist()
     mean = sum(counts) / len(counts)
     sigma = math.sqrt(200 * 0.1 * 0.9 / 300)
@@ -240,7 +240,7 @@ def test_expected_log_alpha3_defect_free_reduces_to_point_value():
 def test_expected_log_alpha3_matches_sampling():
     ens = BlockEnsemble(n=30, levels=1, model="decoherent", p=0.02,
                         defect_fraction=0.05, defect_p=0.75)
-    rng = master_rng(99)
+    rng = trial_rng(99, 0)
     vals = [math.log(alpha3_decoherent(PauliChannel(p)).value)
             for p in ens._draw_flip_probabilities(rng, 4000)]
     mean = float(np.mean(vals))
@@ -258,7 +258,7 @@ def test_expected_log_alpha3_decoherent_only():
 
 def test_cascade_fidelity_defect_free_is_deterministic():
     ens = BlockEnsemble(n=100, levels=5, model="decoherent", p=0.01)
-    fid = ensemble_distill_fidelity(ens, rng=master_rng(0))
+    fid = ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
     alpha = alpha3_decoherent(PauliChannel.uniform(100, 0.01)).value
     assert fid.alpha_product == pytest.approx(alpha**32, rel=1e-12)
     assert fid.empirical == pytest.approx(3.0 / (3.0 + alpha**32), abs=1e-12)
@@ -319,9 +319,9 @@ def test_cascade_fidelity_bias_minus_one_is_the_reference_error():
     ens = BlockEnsemble(n=1, levels=2, model="decoherent", p=0.0,
                         defect_fraction=1.0, defect_p=1.0)
     with pytest.raises(ValueError) as want:
-        per_block_distill_fidelity(ens, master_rng(0))
+        per_block_distill_fidelity(ens, trial_rng(0, 0))
     with pytest.raises(ValueError) as got:
-        ensemble_distill_fidelity(ens, rng=master_rng(0))
+        ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
     assert str(got.value) == str(want.value) == \
         "bias -1: the reported outcome is deterministic and wrong"
 
@@ -329,7 +329,7 @@ def test_cascade_fidelity_bias_minus_one_is_the_reference_error():
 def test_one_drawn_block_is_one_block_of_the_cascade_draw():
     ens = BlockEnsemble(n=12, levels=3, model="decoherent", p=0.02, q=0.01,
                         defect_fraction=0.25, defect_p=0.8)
-    rng, reference = master_rng(21), master_rng(21)
+    rng, reference = trial_rng(21, 0), trial_rng(21, 0)
     for _ in range(20):
         block = ens._draw_flip_probabilities(rng, 1)[0]
         p = np.full(12, 0.02)
@@ -340,7 +340,7 @@ def test_one_drawn_block_is_one_block_of_the_cascade_draw():
 def test_cascade_fidelity_rejects_unitary_ensembles():
     ens = BlockEnsemble(n=8, levels=2, model="unitary", p=0.01)
     with pytest.raises(ValueError):
-        ensemble_distill_fidelity(ens, rng=master_rng(0))
+        ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
 
 
 # -- log-tangent statistics --------------------------------------------------------------------
@@ -348,13 +348,13 @@ def test_cascade_fidelity_rejects_unitary_ensembles():
 def test_log_tan_requires_unitary_model():
     ens = BlockEnsemble(n=8, levels=2, model="decoherent", p=0.01)
     with pytest.raises(ValueError):
-        ensemble_log_tan(ens, rng=master_rng(0))
+        ensemble_log_tan(ens, rng=trial_rng(0, 0))
 
 
 def test_log_tan_gaussian_three_way_consistency():
     ens = BlockEnsemble(n=100, levels=1, model="unitary", p=0.01,
                         distribution="gaussian")
-    est = ensemble_log_tan(ens, trials=20_000, rng=master_rng(8))
+    est = ensemble_log_tan(ens, trials=20_000, rng=trial_rng(8, 0))
     assert abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
     assert abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
                                                     4.0 * est.standard_error)
@@ -374,12 +374,12 @@ def test_log_tan_two_point_against_lattice_enumeration():
         exact += weight * math.log(abs(math.tan((n - 2 * k) * theta)))
     ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p,
                         distribution="two_point")
-    est = ensemble_log_tan(ens, trials=60_000, rng=master_rng(3))
+    est = ensemble_log_tan(ens, trials=60_000, rng=trial_rng(3, 0))
     assert abs(est.monte_carlo - exact) < 4.0 * est.standard_error
 
 
 def test_log_tan_bound_is_the_coarse_envelope():
     ens = BlockEnsemble(n=200, levels=1, model="unitary", p=0.005,
                         distribution="gaussian")
-    est = ensemble_log_tan(ens, trials=5_000, rng=master_rng(1))
+    est = ensemble_log_tan(ens, trials=5_000, rng=trial_rng(1, 0))
     assert est.bound == pytest.approx(-2.0 * math.exp(-2.0 * 0.005 * 200), abs=1e-12)

@@ -29,7 +29,7 @@ from toffsim.gadgets import (
     toffoli_ancilla_target,
     toffoli_gadget,
 )
-from toffsim.rng import master_rng, trial_rng
+from toffsim.rng import trial_rng
 
 BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
 
@@ -74,7 +74,7 @@ def test_synthesis_sampled_retries_until_success():
     # scan seeds for a run that needed more than one attempt, then check that
     # the surfaced count is honest and the output is still exact
     for seed in range(40):
-        syn = prepare_toffoli_ancilla(rng=master_rng(seed))
+        syn = prepare_toffoli_ancilla(rng=trial_rng(seed, 0))
         assert fidelity(syn.state, toffoli_ancilla_target()) == pytest.approx(1.0, abs=1e-12)
         if syn.attempts > 1:
             break
@@ -85,15 +85,15 @@ def test_synthesis_sampled_retries_until_success():
 def test_synthesis_retry_budget():
     # find a seed whose first parity check comes out +1, then starve the budget
     for seed in range(60):
-        if prepare_toffoli_ancilla(rng=master_rng(seed)).attempts > 1:
+        if prepare_toffoli_ancilla(rng=trial_rng(seed, 0)).attempts > 1:
             with pytest.raises(RuntimeError, match="failed 1 times"):
-                prepare_toffoli_ancilla(rng=master_rng(seed), max_retries=1)
+                prepare_toffoli_ancilla(rng=trial_rng(seed, 0), max_retries=1)
             return
     pytest.fail("no first-attempt failure in 60 seeds")
 
 
 def test_synthesis_sampled_branch_frequency():
-    rng = master_rng(91)
+    rng = trial_rng(91, 0)
     hits = sum(prepare_toffoli_ancilla(rng=rng).attempts == 1 for _ in range(2000))
     sigma = (4 / 9 * 5 / 9 / 2000) ** 0.5
     assert abs(hits / 2000 - 4 / 9) < 4 * sigma
@@ -123,7 +123,7 @@ def basis_row_matrix(matrix, axes, n):
 @pytest.mark.parametrize("n, axes", [(1, (0,)), (3, (2,)), (3, (2, 0)), (3, (0, 1, 2)),
                                      (3, (1, 2, 0)), (4, (3, 1))])
 def test_embedded_matches_the_kron_oracle(n, axes):
-    rng = master_rng(len(axes) + 10 * n)
+    rng = trial_rng(len(axes) + 10 * n, 0)
     dim = 2 ** len(axes)
     matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     assert np.array_equal(basis_row_matrix(matrix, axes, n), kron_embedded(matrix, axes, n))
@@ -215,7 +215,7 @@ def test_identity_branch_has_no_corrections():
 # -- the gadget -------------------------------------------------------------------
 
 def test_gadget_matches_toffoli_on_every_branch():
-    inp = random_data_state(master_rng(1))
+    inp = random_data_state(trial_rng(1, 0))
     ideal = ideal_toffoli_output(inp)
     for branch in BRANCHES:
         res = toffoli_gadget(inp, postselect=branch)
@@ -226,7 +226,7 @@ def test_gadget_matches_toffoli_on_every_branch():
 
 
 def test_gadget_branch_probabilities_are_uniform():
-    inp = random_data_state(master_rng(2))
+    inp = random_data_state(trial_rng(2, 0))
     total = 0.0
     for branch in BRANCHES:
         res = toffoli_gadget(inp, postselect=branch)
@@ -236,7 +236,7 @@ def test_gadget_branch_probabilities_are_uniform():
 
 
 def test_gadget_sampled_mode():
-    inp = random_data_state(master_rng(3))
+    inp = random_data_state(trial_rng(3, 0))
     ideal = ideal_toffoli_output(inp)
     seen = set()
     for t in range(40):
@@ -251,7 +251,7 @@ def test_gadget_requires_exactly_one_outcome_source():
     with pytest.raises(ValueError):
         toffoli_gadget(inp)
     with pytest.raises(ValueError):
-        toffoli_gadget(inp, rng=master_rng(0), postselect=(1, 1, 1))
+        toffoli_gadget(inp, rng=trial_rng(0, 0), postselect=(1, 1, 1))
 
 
 def test_gadget_records_expose_the_three_measurements():
@@ -265,7 +265,7 @@ def test_gadget_records_expose_the_three_measurements():
 def test_corrupted_table_breaks_only_its_branch():
     table = default_correction_table()
     bad = table.replaced((-1, 1, 1), ("X_A",) + table[(-1, 1, 1)])
-    inp = random_data_state(master_rng(4))
+    inp = random_data_state(trial_rng(4, 0))
     ideal = ideal_toffoli_output(inp)
     for branch in BRANCHES:
         res = toffoli_gadget(inp, postselect=branch, table=bad)
@@ -291,13 +291,13 @@ def test_gadget_rejects_label_collisions():
 
 def test_gadget_accepts_precomputed_ancilla():
     anc = prepare_toffoli_ancilla(postselect=-1).state
-    inp = random_data_state(master_rng(5))
+    inp = random_data_state(trial_rng(5, 0))
     res = toffoli_gadget(inp, ancilla=anc, postselect=(1, -1, 1))
     assert fidelity(res.output, ideal_toffoli_output(inp)) >= 1.0 - 1e-12
 
 
 def test_ideal_toffoli_output_is_plain_gate_application():
-    inp = random_data_state(master_rng(6))
+    inp = random_data_state(trial_rng(6, 0))
     want = apply_gate(inp, "TOFFOLI", *DATA_LABELS)
     got = ideal_toffoli_output(inp)
     assert fidelity(got, want) == pytest.approx(1.0)
@@ -307,8 +307,8 @@ def test_gadget_weight_bookkeeping():
     # the unnormalized ancilla carries weight 4; sampling renormalizes by the
     # branch probability so the output keeps input_trace * 4, while
     # postselection keeps the raw projection: input_trace * 4 * P(branch)
-    inp = random_data_state(master_rng(7))
-    sampled = toffoli_gadget(inp, rng=master_rng(8))
+    inp = random_data_state(trial_rng(7, 0))
+    sampled = toffoli_gadget(inp, rng=trial_rng(8, 0))
     assert sampled.output.trace == pytest.approx(4.0 * inp.trace)
     post = toffoli_gadget(inp, postselect=(1, -1, -1))
     assert post.output.trace == pytest.approx(

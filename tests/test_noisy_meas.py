@@ -45,7 +45,7 @@ from toffsim.noisy_meas import (
     sample_effective,
     sample_exact,
 )
-from toffsim.rng import master_rng, trial_rng, trial_uniforms
+from toffsim.rng import trial_rng, trial_uniforms
 
 PLUS_PLUS = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
 
@@ -137,7 +137,7 @@ def test_cat_readout_distribution_sums_to_one():
 def test_zero_noise_measurement_is_faithful():
     errors = PauliChannel.uniform(4, 0.0)
     for mode in ("effective", "exact"):
-        res = measure_cphase_noisy(PLUS_PLUS, errors, mode=mode, rng=master_rng(8))
+        res = measure_cphase_noisy(PLUS_PLUS, errors, mode=mode, rng=trial_rng(8, 0))
         assert res.reported_outcome == res.true_eigenvalue
         if res.reported_outcome == +1:
             want = QuantumState.from_vector(("a", "b"), [1, 1, 1, 0])
@@ -158,17 +158,17 @@ def test_phase_noise_never_corrupts_the_report():
 def test_certain_bit_flip_reverses_the_report():
     errors = PauliChannel(np.array([1.0]))  # one readout bit, always flipped
     for mode in ("effective", "exact"):
-        res = measure_cphase_noisy(PLUS_PLUS, errors, mode=mode, rng=master_rng(4))
+        res = measure_cphase_noisy(PLUS_PLUS, errors, mode=mode, rng=trial_rng(4, 0))
         assert res.reported_outcome == -res.true_eigenvalue
 
 
 def test_injected_x_flips_injected_z_does_not():
     errors = PauliChannel.uniform(3, 0.0)
-    base = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact", rng=master_rng(6))
+    base = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(6, 0))
     flipped = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact",
-                                   rng=master_rng(6), inject=[("X", 1)])
+                                   rng=trial_rng(6, 0), inject=[("X", 1)])
     dephased = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact",
-                                    rng=master_rng(6), inject=[("Z", 0), ("Z", 2)])
+                                    rng=trial_rng(6, 0), inject=[("Z", 0), ("Z", 2)])
     assert flipped.reported_outcome == -base.reported_outcome
     assert flipped.true_eigenvalue == base.true_eigenvalue
     assert dephased.reported_outcome == base.reported_outcome
@@ -212,10 +212,10 @@ def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
         return apply_gate(s, "H", "b") if controlled_phase else s
 
     frame = unframe(state)
-    rng, ref_rng = master_rng(31), master_rng(31)
+    rng, ref_rng = trial_rng(31, 0), trial_rng(31, 0)
     singles = [measure(state, errors, mode="effective", rng=rng) for _ in range(500)]
     refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
-    shots = sample_effective(frame, errors, master_rng(31).random((500, 17)))
+    shots = sample_effective(frame, errors, trial_rng(31, 0).random((500, 17)))
     assert set(shots.true_eigenvalues.tolist()) == {+1, -1}
     assert len(shots.logical_states) == 2
     for i, (single, ref) in enumerate(zip(singles, refs)):
@@ -429,9 +429,9 @@ SKEWED_PAIR = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
 def test_batched_exact_shots_equal_per_shot_calls(errors, inject):
     shots_n = 300
     count = exact_uniform_count(errors)
-    shots = sample_exact(SKEWED_PAIR, errors, master_rng(41).random((shots_n, count)),
+    shots = sample_exact(SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count)),
                          inject)
-    rng, ref_rng = master_rng(41), master_rng(41)
+    rng, ref_rng = trial_rng(41, 0), trial_rng(41, 0)
     for i in range(shots_n):
         ref = exact_per_shot_reference(SKEWED_PAIR, errors, ref_rng, inject)
         assert_shot_equals(shots.shot(i), ref)
@@ -444,7 +444,7 @@ def test_batched_exact_shots_equal_per_shot_calls(errors, inject):
     assert len(shots.logical_states) == len({s.data.tobytes() for s in shots.logical_states})
     assert len(shots.logical_states) < shots_n
     assert_shots_match(shots, dense_sample_exact(
-        SKEWED_PAIR, errors, master_rng(41).random((shots_n, count)), inject))
+        SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count)), inject))
 
 
 class ReplayRng:
@@ -556,12 +556,12 @@ def test_batched_exact_density_state_equals_per_shot_reference():
     rho = (SKEWED_PAIR.to_density().data + np.diag([0.3, 0.1, 0.2, 0.4])) / 2.0
     state = QuantumState.from_density(("a", "b"), rho)
     errors = PauliChannel.uniform(3, 0.2, q=0.1)
-    shots = sample_exact(state, errors, master_rng(43).random((60, 9)))
-    ref_rng = master_rng(43)
+    shots = sample_exact(state, errors, trial_rng(43, 0).random((60, 9)))
+    ref_rng = trial_rng(43, 0)
     for i in range(60):
         assert_shot_equals(shots.shot(i), exact_per_shot_reference(state, errors, ref_rng))
     assert_shots_match(shots, dense_sample_exact(state, errors,
-                                                 master_rng(43).random((60, 9))))
+                                                 trial_rng(43, 0).random((60, 9))))
 
 
 def test_measurement_requires_rng():
@@ -572,19 +572,19 @@ def test_measurement_requires_rng():
 def test_effective_mode_rejects_coherent_errors_and_injections():
     coherent = UnitaryErrorSet.uniform_ratio(3, 0.05)
     with pytest.raises(ValueError, match="exact"):
-        measure_cnot_noisy(PLUS_PLUS, coherent, rng=master_rng(0))
+        measure_cnot_noisy(PLUS_PLUS, coherent, rng=trial_rng(0, 0))
     with pytest.raises(ValueError, match="exact"):
         measure_cnot_noisy(PLUS_PLUS, PauliChannel.uniform(3, 0.1),
-                           rng=master_rng(0), inject=[("X", 0)])
+                           rng=trial_rng(0, 0), inject=[("X", 0)])
 
 
 def test_inject_validation():
     errors = PauliChannel.uniform(3, 0.0)
     with pytest.raises(ValueError):
-        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=master_rng(0),
+        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(0, 0),
                            inject=[("Y", 0)])
     with pytest.raises(ValueError):
-        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=master_rng(0),
+        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(0, 0),
                            inject=[("X", 3)])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toffsim import rng
-from toffsim.rng import master_rng, rekey, trial_rng, trial_uniforms
+from toffsim.rng import rekey, trial_rng, trial_uniforms
 
 COUNTS = (1, 3, 4, 5, 17, 33)
 
@@ -27,7 +27,7 @@ def test_trial_uniforms_rows_are_trial_rng_draws():
     rows = trial_uniforms(9, 3, 11, 17)
     for i, row in enumerate(rows):
         assert np.array_equal(row, trial_rng(9, 3 + i).random(17))
-    assert np.array_equal(trial_uniforms(9, 0, 1, 4)[0], master_rng(9).random(4))
+    assert np.array_equal(trial_uniforms(9, 0, 1, 4)[0], trial_rng(9, 0).random(4))
 
 
 def test_trial_uniforms_reach_the_last_trial_index():
@@ -42,7 +42,7 @@ def test_trial_uniforms_reach_the_last_trial_index():
     lambda: trial_rng(2**64, 0),
     lambda: trial_rng(0, 2**64),
     lambda: trial_rng(-1, 0),
-    lambda: master_rng(2**70),
+    lambda: trial_rng(2**70, 0),
     lambda: trial_uniforms(2**64, 0, 2, 3),
     lambda: trial_uniforms(0, 2**64 - 1, 2**64 + 1, 3),
     lambda: trial_uniforms(0, -1, 2, 3),
