@@ -945,20 +945,22 @@ def test_a_traced_fresh_process_leaves_no_wrapper_behind(tmp_path, argv):
     assert trace["layers"]["cli.command"]["calls"] == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["toffoli-verify"],
-    ["distill"],
-    ["noisy-meas"],
-    ["ensemble"],
-    ["estimate"],
-    ["noisy-meas", "--trials", "200"],  # with the readout-exact workload's config
+@pytest.mark.parametrize("command, config", [
+    ("toffoli-verify", None),
+    ("distill", None),
+    ("noisy-meas", None),
+    ("ensemble", None),
+    ("estimate", None),
+    # the readout-exact benchmark workload, at its 200 trials
+    ("noisy-meas", {"n": 12, "model": "unitary", "mode": "exact", "ratio": 0.05}),
 ], ids=["toffoli-verify", "distill", "noisy-meas", "ensemble", "estimate", "readout-exact"])
-def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys, argv):
+def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys, command,
+                                                                config):
     from toffsim import _kernels, gadgets
 
-    if argv[-1] == "200":
-        argv = argv + ["--config", write_config(tmp_path, "exact.json", {
-            "n": 12, "model": "unitary", "mode": "exact", "ratio": 0.05})]
+    argv = [command]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, "config.json", config), "--trials", "200"]
     # as in a fresh process, toffoli-verify derives its correction table too
     gadgets.default_correction_table.cache_clear()
     _kernels._cached_plan.cache_clear()

@@ -1,6 +1,7 @@
 """Simulator conventions: state containers, gates, measurement semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,8 +329,6 @@ def test_projection_equals_the_projector_product_bit_for_bit(measured, density):
 
 
 def test_measuring_a_long_x_product_allocates_only_state_sized_arrays():
-    import tracemalloc
-
     labels = [f"q{i}" for i in range(10)]
     state = QuantumState.from_vector(labels, np.ones(2**10))
     tracemalloc.start()
