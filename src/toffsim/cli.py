@@ -34,8 +34,7 @@ itself.  `estimate` runs without numpy, and the report's `versions.numpy` is
 read from numpy's version file, not from an imported numpy.  noisy-meas
 samples its trials and its raw preparation through `rng.trial_uniforms`
 alone, so a readout process loads no `numpy.random` (nor the `secrets` and
-OpenSSL modules it pulls in), and `distill` defers its one import-time LAPACK
-call to the first state it decomposes.
+OpenSSL modules it pulls in).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
 
 
 def run(cfg: dict, seed: int, rows):
-    from ..core import QuantumState, apply_gate
+    from ..core import QuantumState
     from ..distill import MixedAncilla
     from ..error_models import (
         PauliChannel,
@@ -49,12 +49,7 @@ def run(cfg: dict, seed: int, rows):
         alpha3_decoherent,
         parity_bias,
     )
-    from ..noisy_meas import (
-        exact_uniform_count,
-        prepare_raw_ancilla,
-        sample_effective,
-        sample_exact,
-    )
+    from ..noisy_meas import prepare_raw_ancilla, sample_cphase, uniform_count
     from ..rng import trial_uniforms
 
     n, model, mode, trials = cfg["n"], cfg["model"], cfg["mode"], cfg["trials"]
@@ -75,10 +70,7 @@ def run(cfg: dict, seed: int, rows):
         errors = UnitaryErrorSet.uniform_ratio(n, cfg["ratio"])
 
     plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
-    # controlled-phase shots are CNOT shots of the pair conjugated by H on "b",
-    # as in measure_cphase_noisy
-    cnot_frame = apply_gate(plus_plus, "H", "b")
-    columns = 2 * n + 1 if mode == "effective" else exact_uniform_count(errors)
+    columns = uniform_count(errors, mode)
     n_plus = n_minus_true_given_plus = 0
     corr_sum = 0.0
     alpha_readings = []
@@ -86,10 +78,7 @@ def run(cfg: dict, seed: int, rows):
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         uniforms = trial_uniforms(seed, start, stop, columns)
-        if mode == "effective":
-            shots = sample_effective(cnot_frame, errors, uniforms)
-        else:
-            shots = sample_exact(cnot_frame, errors, uniforms)
+        shots = sample_cphase(plus_plus, errors, uniforms, mode=mode)
         reported, true = shots.reported_outcomes, shots.true_eigenvalues
         plus = reported == 1
         if model == "decoherent":
@@ -108,16 +97,14 @@ def run(cfg: dict, seed: int, rows):
             n_minus_true_given_plus += int(np.count_nonzero(false_plus))
             corr_sum += int(np.dot(reported, true))
         else:
-            # one contamination reading per distinct +1 pair state, taken in
-            # the controlled-phase frame
+            # one contamination reading per distinct +1 pair state
             readings = {}
             for t, r, tr, index in zip(range(start, stop), reported.tolist(),
                                        true.tolist(), shots.state_index.tolist()):
                 estimate: object = ""
                 if r == 1:
                     if index not in readings:
-                        logical = apply_gate(shots.logical_states[index], "H", "b")
-                        reading, _ = MixedAncilla.from_state(logical)
+                        reading, _ = MixedAncilla.from_state(shots.logical_states[index])
                         readings[index] = float(complex(reading.a3).real)
                     estimate = readings[index]
                     alpha_readings.append(estimate)

@@ -375,6 +375,15 @@ def _project(state: QuantumState, gates, outcome: int, pin: float):
     return projected, projected.trace / pin
 
 
+def _measured_trace(state: QuantumState) -> float:
+    """`state.trace`, the weight a branch probability divides by; a state of
+    zero norm has no branch to measure."""
+    pin = state.trace
+    if pin <= 0.0:
+        raise ValueError("cannot measure a zero-norm state")
+    return pin
+
+
 def measure_operator(state: QuantumState, op: MeasOperator, *,
                      rng: Optional[np.random.Generator] = None,
                      postselect: Optional[int] = None):
@@ -388,10 +397,7 @@ def measure_operator(state: QuantumState, op: MeasOperator, *,
         raise ValueError("pass exactly one of rng= (sampling) or postselect=")
     if postselect is not None and postselect not in (+1, -1):
         raise ValueError("postselect must be +1 or -1")
-    pin = state.trace
-    if pin <= 0.0:
-        raise ValueError("cannot measure a zero-norm state")
-
+    pin = _measured_trace(state)
     desc, gates = _operator_gates(state, op)
 
     if postselect is not None:
@@ -440,9 +446,7 @@ def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
     outcomes that occur; the -1 projection is computed only when some shot
     hits it.
     """
-    pin = state.trace
-    if pin <= 0.0:
-        raise ValueError("cannot measure a zero-norm state")
+    pin = _measured_trace(state)
     desc, gates = _operator_gates(state, op)
     return _sample_branches(state, desc, gates, pin, uniforms)
 
@@ -452,7 +456,7 @@ def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> f
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     _, gates = _operator_gates(state, op)
-    _, prob = _project(state, gates, outcome, state.trace)
+    _, prob = _project(state, gates, outcome, _measured_trace(state))
     return prob
 
 

@@ -20,7 +20,6 @@ copies (`pair_supply`), the one supply the protocol uses.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,12 +42,12 @@ _BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
 _SPAN_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=None)
-def _basis_pinv() -> np.ndarray:
-    """The 2 x 4 pseudo-inverse of `_BASIS`, computed on the first
-    `MixedAncilla.from_state` call, so that importing this module makes no
-    LAPACK call."""
-    return np.linalg.pinv(_BASIS)
+# the 2 x 4 pseudo-inverse of `_BASIS`, as LAPACK's pinv returns it: its 1/3
+# entries lie one ulp above 1/3, and the contamination readings of
+# `MixedAncilla.from_state` depend on those bits
+_THIRD = float.fromhex("0x1.5555555555556p-2")
+_BASIS_PINV = np.array([[_THIRD, _THIRD, _THIRD, 0.0],
+                        [0.0, 0.0, 0.0, 1.0]], dtype=np.complex128)
 
 
 class MixedAncilla(NamedTuple):
@@ -109,8 +108,7 @@ class MixedAncilla(NamedTuple):
         if state.n_qubits != 2:
             raise ValueError("expected a two-qubit state")
         rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
-        pinv = _basis_pinv()
-        coeff = pinv @ rho @ pinv.conj().T
+        coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
         residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
         if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
             raise ValueError("state has support outside the pair/|11> span")

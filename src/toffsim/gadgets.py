@@ -186,14 +186,18 @@ def branch_map(branch: BranchKey, corrections: Sequence[str] = ()) -> np.ndarray
 def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
     """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
 
-    The uncorrected `branch_map`, with the ancilla residual factored out.
+    The uncorrected `branch_map`, with the ancilla residual factored out: the
+    (ancilla x data, input) matrix is rank 1, outer(anc, M), and with `anc`
+    its column of largest norm, M is its projection on `anc`.  The scale of
+    M is arbitrary, as the correction search allows.
     """
     outputs = branch_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
     stacked = outputs.transpose(2, 1, 0).reshape(8, 64)  # ancilla x (data, input)
-    u, s, vh = np.linalg.svd(stacked)
-    if s[1] > 1e-10 * s[0]:
+    anc = stacked[:, np.argmax(np.sum(np.abs(stacked) ** 2, axis=0))]
+    m = anc.conj() @ stacked / np.vdot(anc, anc)
+    if np.max(np.abs(stacked - np.outer(anc, m))) > 1e-10 * np.max(np.abs(stacked)):
         raise RuntimeError(f"ancillas fail to factor out on branch {branch}")
-    return (s[0] * vh[0]).reshape(8, 8)
+    return m.reshape(8, 8)
 
 
 def _corrected(state: QuantumState, corrections: Sequence[str],

@@ -7,7 +7,8 @@ by the probe gate (a Toffoli conjugated by Hadamard on the middle qubit,
 which flips the readout bit exactly when the pair sits in the -1
 eigenstate), and each readout bit is measured in the computational basis.
 The product of the n single-bit outcomes reports the eigenvalue while the
-pair is projected onto an eigenspace.
+pair is projected onto an eigenspace.  The controlled-phase involution is
+the same scheme conjugated by a Hadamard on the pair's second qubit.
 
 Bit-flip errors on the readout block flip the reported product without
 damaging the projection; phase errors on readout bits never reach the
@@ -17,24 +18,27 @@ accumulated flip angle of the block.
 
 Two execution scales are provided, both at any n.  `exact` samples every
 readout bit and keeps the pair's post-measurement state, so it takes
-coherent errors and deliberate injections; `effective` measures the pair
-directly and samples the readout-error parity classically, which is
-faithful for Pauli errors because only the flip parity ever touches the
-outcome.  In effective mode a shot of a fixed pair state is one Born draw
-plus 2n Bernoulli draws, and it leaves the pair in one of just two states,
-so `sample_effective` runs any number of shots from one array of uniforms.
-`sample_exact` does the same for exact mode without ever building the
-readout block: after the probe the joint state is a sum of two product
-terms, one per eigenvalue of the readout bits' X, so each shot carries just
-two complex weights from bit to bit, and each bit-identical pair state left
-at the end is tested for its eigenvalue once.  Both samplers return one
-`ParityShots` record, and in both modes the per-shot measurement is the
-sampler on a single row.  `prepare_raw_ancilla` runs its retried attempts
-through the samplers too, a block of rows at a time, read from its (seed,
-trial) substream by `rng.trial_uniforms`; so it builds no numpy `Generator`,
-while `measure_cnot_noisy` and `measure_cphase_noisy` keep taking one as the
-per-shot reference.  The readout block itself, `prepare_even_cat`, is
-built only to check the probe identity against dense states.
+coherent errors; `effective` measures the pair directly and samples the
+readout-error parity classically, which is faithful for Pauli errors
+because only the flip parity ever touches the outcome.  In effective mode a
+shot of a fixed pair state is one Born draw plus 2n Bernoulli draws, and it
+leaves the pair in one of just two states, so `sample_effective` runs any
+number of shots from one array of uniforms.  `sample_exact` does the same
+for exact mode without ever building the readout block: after the probe the
+joint state is a sum of two product terms, one per eigenvalue of the
+readout bits' X, so each shot carries just two complex weights from bit to
+bit, and each bit-identical pair state left at the end is tested for its
+eigenvalue once.  Both samplers measure the controlled-NOT and return one
+`ParityShots` record.
+
+`sample_cphase` is the one controlled-phase readout: it runs either sampler
+in the Hadamard frame and maps the pair states back, and `uniform_count`
+gives the uniforms one shot draws.  `prepare_raw_ancilla` and the
+`noisy-meas` command read their rows from `rng.trial_uniforms`, so they
+build no numpy `Generator`; `measure_cphase_noisy` is the same readout on
+one row drawn from a `Generator`, the per-shot reference.  The readout
+block itself, `prepare_even_cat`, is built only to check the probe identity
+against dense states.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .core import (
     QuantumState,
     apply_gate,
     branch_probability,
-    discard,
     gate,
     sample_outcomes,
     tensor,
@@ -141,15 +144,6 @@ def apply_bitwise_probe(pair_state: QuantumState,
     return joint
 
 
-def cat_readout_distribution(state: QuantumState,
-                             labels: Sequence[str]) -> np.ndarray:
-    """Probabilities of each readout bit string (normalized diagonal)."""
-    reduced = discard(state, *(l for l in state.labels if l not in set(labels)))
-    reduced = reduced.reordered(labels)
-    diag = np.real(np.diagonal(reduced.data)).copy()
-    return diag / diag.sum()
-
-
 class RawPrepResult(NamedTuple):
     """One noisy parity measurement (or full raw preparation) of a qubit pair.
 
@@ -157,10 +151,10 @@ class RawPrepResult(NamedTuple):
     coherent errors leave a superposition instead); reported_outcome is what
     the readout claimed, differing from the truth exactly when an odd number
     of readout bit flips occurred.  bit_flips and phase_flips count the
-    readout block's Pauli errors, injected ones included.  alpha is the
-    pair-basis contamination reading where one is defined: the exact
-    decomposition of the prepared state for coherent errors, the
-    channel-implied excess weight for decoherent ones.
+    readout block's Pauli errors.  alpha is the pair-basis contamination
+    reading where one is defined: the exact decomposition of the prepared
+    state for coherent errors, the channel-implied excess weight for
+    decoherent ones.
     """
 
     logical_state: QuantumState
@@ -170,46 +164,6 @@ class RawPrepResult(NamedTuple):
     phase_flips: int
     alpha: Optional[MixedAncilla] = None
     attempts: int = 1
-
-
-def _validate_inject(inject, n: int) -> Tuple[Tuple[str, int], ...]:
-    inject = tuple(inject)
-    for kind, idx in inject:
-        if kind not in ("X", "Z"):
-            raise ValueError("injected errors must be 'X' or 'Z'")
-        if not 0 <= idx < n:
-            raise ValueError(f"injected error index {idx} outside block of {n}")
-    return inject
-
-
-def measure_cnot_noisy(state: QuantumState, errors: ErrorModel, *,
-                       mode: str = "effective",
-                       rng: Optional[np.random.Generator] = None,
-                       inject: Sequence[Tuple[str, int]] = ()) -> RawPrepResult:
-    """Measure the controlled-NOT involution on a two-qubit state, noisily.
-
-    `errors` gives the per-readout-bit noise (bit/phase flip probabilities,
-    or coherent rotations, in which case exact mode is required).  `inject`
-    adds deliberate X/Z errors on given readout bits after the noise step,
-    exact mode only.  `rng` drives both error sampling and readout
-    collapse.  The pair is always projected onto a true eigenspace under
-    decoherent noise, whatever the report says.
-    """
-    if state.n_qubits != 2:
-        raise ValueError("the measured pair must be exactly two qubits")
-    if rng is None:
-        raise ValueError("rng is required: readout outcomes are sampled")
-    n = errors.n
-    if mode == "effective":
-        if not isinstance(errors, PauliChannel):
-            raise ValueError("coherent errors require exact mode")
-        if inject:
-            raise ValueError("deliberate injections require exact mode")
-        return sample_effective(state, errors, rng.random((1, 2 * n + 1))).shot(0)
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'effective'")
-    uniforms = rng.random((1, exact_uniform_count(errors)))
-    return sample_exact(state, errors, uniforms, inject).shot(0)
 
 
 class ParityShots(NamedTuple):
@@ -244,11 +198,8 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
     `uniforms` is a (shots, 2n + 1) array of draws from [0, 1).  Column 0
     decides the true eigenvalue by `core.sample_outcomes` (+1 when below the
     Born probability); columns 1..n are the readout bit flips (u < p) and
-    columns n+1..2n the phase flips (u < q).  A row `rng.random((1, 2n + 1))`
-    is exactly what the per-shot `measure_cnot_noisy` draws.  Measures the
-    controlled-NOT involution; `measure_cphase_noisy`'s controlled-phase
-    shots are these shots of the pair conjugated by a Hadamard on its second
-    qubit.  The pair ends in one of at most two states, one per true
+    columns n+1..2n the phase flips (u < q).  Measures the controlled-NOT
+    involution.  The pair ends in one of at most two states, one per true
     eigenvalue, since readout errors only touch the report.
     """
     if state.n_qubits != 2:
@@ -271,25 +222,15 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
                        tuple(post for post, _ in branches.values()))
 
 
-def exact_uniform_count(errors: ErrorModel) -> int:
-    """Uniforms one exact-mode shot draws: n bit-flip, n phase-flip and n
-    readout draws under a Pauli channel, the n readout draws alone under
-    coherent errors."""
-    return 3 * errors.n if isinstance(errors, PauliChannel) else errors.n
-
-
-def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
-                 inject: Sequence[Tuple[str, int]] = ()) -> ParityShots:
+def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParityShots:
     """Exact-mode noisy parity measurement of one pair state, one shot per row.
 
-    `uniforms` is a (shots, `exact_uniform_count(errors)`) array of draws
+    `uniforms` is a (shots, `uniform_count(errors, "exact")`) array of draws
     from [0, 1).  Under a Pauli channel columns 0..n-1 are the bit flips
     (u < p), columns n..2n-1 the phase flips (u < q) and the last n columns
     the readouts of c1..cn; under coherent errors every column is a readout.
     Readout k reports +1 when its draw lies below the clamped Born
-    probability p(+1), the rule `measure_operator` applies, so a row
-    `rng.random((1, count))` is exactly what the per-shot `measure_cnot_noisy`
-    draws.  `inject` adds X/Z errors on given readout bits after the noise.
+    probability p(+1), the rule `measure_operator` applies.
 
     The readout block is never built.  After the probe the joint state is
     A_+ (x) U_1|+>..U_n|+> + A_- (x) U_1|->..U_n|->, with A_+ the pair, A_- the
@@ -303,11 +244,10 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
     n = errors.n
-    inject = _validate_inject(inject, n)
     a, b = state.labels
     if {a, b} & set(cat_labels(n)):
         raise ValueError("pair labels collide with readout labels c1..cn")
-    count = exact_uniform_count(errors)
+    count = uniform_count(errors, "exact")
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != count:
         raise ValueError(f"uniforms must have shape (shots, {count}), got {u.shape}")
@@ -321,9 +261,8 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     else:
         flips = phases = np.zeros((shots, n), dtype=bool)
         readout = u
-    injected_x = sum(kind == "X" for kind, _ in inject)
-    bit_flips = np.count_nonzero(flips, axis=1) + injected_x
-    phase_flips = np.count_nonzero(phases, axis=1) + (len(inject) - injected_x)
+    bit_flips = np.count_nonzero(flips, axis=1)
+    phase_flips = np.count_nonzero(phases, axis=1)
     draws = flips + np.uint8(2) * phases  # per bit: which entry of its error table
 
     # the pair as G G^dagger: the vector itself, or a density matrix's
@@ -334,7 +273,7 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
     else:
         g = state.data[:, None]
     cnot_g = GATE_MATRICES["CNOT"] @ g
-    tables = _error_tables(errors, inject)
+    tables = _error_tables(errors)
     c = np.ones((shots, 2), dtype=np.complex128)  # (c_+, c_-) per shot
     minus_reads = np.zeros(shots, dtype=np.int64)
     for k in range(n):
@@ -386,12 +325,11 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms,
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128)
 
 
-def _error_tables(errors: ErrorModel, inject: Tuple[Tuple[str, int], ...]) -> np.ndarray:
+def _error_tables(errors: ErrorModel) -> np.ndarray:
     """<s|U_k|sigma> sqrt 2 at [k, draw, s, sigma] for every readout bit k.
 
     Under a Pauli channel U_k is X^flip, then Z^phase, with draw = flip +
-    2 * phase; under coherent errors it is bit k's unitary, at draw 0.  The
-    injected gates follow in order.
+    2 * phase; under coherent errors it is bit k's unitary, at draw 0.
     """
     x, z = GATE_MATRICES["X"], GATE_MATRICES["Z"]
     tables = np.zeros((errors.n, 4, 2, 2), dtype=np.complex128)
@@ -399,24 +337,54 @@ def _error_tables(errors: ErrorModel, inject: Tuple[Tuple[str, int], ...]) -> np
         tables[:] = [np.eye(2), x, z, z @ x]
     else:
         tables[:, 0] = errors.matrices()
-    for kind, idx in inject:
-        tables[idx] = GATE_MATRICES[kind] @ tables[idx]
     return tables @ _PLUS_MINUS
+
+
+def uniform_count(errors: ErrorModel, mode: str) -> int:
+    """Uniforms one shot draws: 2n + 1 in effective mode; in exact mode n
+    bit-flip, n phase-flip and n readout draws under a Pauli channel, the n
+    readout draws alone under coherent errors."""
+    if mode == "effective":
+        return 2 * errors.n + 1
+    if mode == "exact":
+        return 3 * errors.n if isinstance(errors, PauliChannel) else errors.n
+    raise ValueError("mode must be 'exact' or 'effective'")
+
+
+def sample_cphase(state: QuantumState, errors: ErrorModel, uniforms, *,
+                  mode: str) -> ParityShots:
+    """Noisy controlled-phase parity measurement of one pair state, one shot per row.
+
+    The controlled-NOT shots of `sample_effective` or `sample_exact`, by
+    `mode`, taken of the pair conjugated by a Hadamard on its second qubit;
+    the pair states left behind are mapped back by the same Hadamard.
+    `uniforms` is a (shots, `uniform_count(errors, mode)`) array.
+    """
+    if state.n_qubits != 2:
+        raise ValueError("the measured pair must be exactly two qubits")
+    if mode == "effective":
+        sample = sample_effective
+    elif mode == "exact":
+        sample = sample_exact
+    else:
+        raise ValueError("mode must be 'exact' or 'effective'")
+    b = state.labels[1]
+    shots = sample(apply_gate(state, "H", b), errors, uniforms)
+    return shots._replace(logical_states=tuple(apply_gate(logical, "H", b)
+                                               for logical in shots.logical_states))
 
 
 def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,
                          mode: str = "effective",
-                         rng: Optional[np.random.Generator] = None,
-                         inject: Sequence[Tuple[str, int]] = ()) -> RawPrepResult:
-    """Measure the controlled-phase involution: the same scheme conjugated
-    by a Hadamard on the second qubit."""
-    if state.n_qubits != 2:
-        raise ValueError("the measured pair must be exactly two qubits")
-    b = state.labels[1]
-    res = measure_cnot_noisy(apply_gate(state, "H", b), errors,
-                             mode=mode, rng=rng, inject=inject)
-    logical = apply_gate(res.logical_state, "H", b)
-    return res._replace(logical_state=logical)
+                         rng: Optional[np.random.Generator] = None) -> RawPrepResult:
+    """One noisy controlled-phase measurement: `sample_cphase` on the row
+    `rng.random((1, uniform_count(errors, mode)))`.  The pair is always
+    projected onto a true eigenspace under decoherent noise, whatever the
+    report says."""
+    if rng is None:
+        raise ValueError("rng is required: readout outcomes are sampled")
+    uniforms = rng.random((1, uniform_count(errors, mode)))
+    return sample_cphase(state, errors, uniforms, mode=mode).shot(0)
 
 
 # attempts of `prepare_raw_ancilla` sampled at once: a block of rows nearly
@@ -439,42 +407,31 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
     the downstream purification quantify.
 
     The attempts read the substream (seed, trial) through `trial_uniforms`,
-    cut into rows of one shot's uniforms: 2n + 1 in effective mode,
-    `exact_uniform_count(errors)` in exact mode.  Attempt j takes row j, the
-    draws a loop of `measure_cphase_noisy` calls on `trial_rng(seed, trial)`
-    takes, and `sample_effective` or `sample_exact` runs `_ATTEMPT_ROWS`
+    cut into rows of `uniform_count(errors, mode)` uniforms.  Attempt j takes
+    row j, the draws a loop of `measure_cphase_noisy` calls on
+    `trial_rng(seed, trial)` takes, and `sample_cphase` runs `_ATTEMPT_ROWS`
     attempts at a time, each block from where the last one ended, until the
     first +1 report.  At most `max_retries` rows are examined.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
-    if mode == "effective":
-        sample, columns = sample_effective, 2 * errors.n + 1
-    elif mode == "exact":
-        sample, columns = sample_exact, exact_uniform_count(errors)
-    else:
-        raise ValueError("mode must be 'exact' or 'effective'")
+    columns = uniform_count(errors, mode)
     plus_plus = QuantumState.from_vector(labels, [1.0, 1.0, 1.0, 1.0])
-    b = plus_plus.labels[1]
-    # controlled-phase shots are CNOT shots of the pair conjugated by H on b
-    cnot_frame = apply_gate(plus_plus, "H", b)
     for first in range(0, max_retries, _ATTEMPT_ROWS):
         rows = min(_ATTEMPT_ROWS, max_retries - first)
         uniforms = trial_uniforms(seed, trial, trial + 1, rows * columns,
                                   first * columns).reshape(rows, columns)
-        shots = sample(cnot_frame, errors, uniforms)
+        shots = sample_cphase(plus_plus, errors, uniforms, mode=mode)
         accepted = np.flatnonzero(shots.reported_outcomes == 1)
         if accepted.size == 0:
             continue
         res = shots.shot(accepted[0])
-        logical = apply_gate(res.logical_state, "H", b)
         if isinstance(errors, PauliChannel):
             alpha: Optional[MixedAncilla] = \
                 MixedAncilla.from_excess_weight(alpha3_decoherent(errors).value)
         else:
-            alpha, _ = MixedAncilla.from_state(logical)
-        return res._replace(logical_state=logical, alpha=alpha,
-                            attempts=first + int(accepted[0]) + 1)
+            alpha, _ = MixedAncilla.from_state(res.logical_state)
+        return res._replace(alpha=alpha, attempts=first + int(accepted[0]) + 1)
     raise RuntimeError(f"no +1 report within {max_retries} preparation attempts")
 
 
@@ -483,14 +440,13 @@ __all__ = [
     "RawPrepResult",
     "apply_bitwise_probe",
     "cat_labels",
-    "cat_readout_distribution",
     "eigenstring_state",
     "eigenstring_weight",
-    "exact_uniform_count",
-    "measure_cnot_noisy",
     "measure_cphase_noisy",
     "prepare_even_cat",
     "prepare_raw_ancilla",
+    "sample_cphase",
     "sample_effective",
     "sample_exact",
+    "uniform_count",
 ]

@@ -18,6 +18,7 @@ from toffsim.core import (
     QuantumState,
     apply_gate,
     apply_matrix,
+    discard,
     fidelity,
     measure_operator,
     sample_outcomes,
@@ -54,13 +55,12 @@ from toffsim.gadgets import (
 from toffsim.noisy_meas import (
     apply_bitwise_probe,
     cat_labels,
-    cat_readout_distribution,
     eigenstring_state,
     eigenstring_weight,
-    measure_cnot_noisy,
     prepare_even_cat,
-    sample_effective,
+    sample_cphase,
     sample_exact,
+    uniform_count,
 )
 from toffsim.cli import main as cli_main
 from toffsim.rng import trial_rng, trial_uniforms
@@ -68,6 +68,7 @@ from toffsim.rng import trial_rng, trial_uniforms
 SEED = 20260819
 
 PAIR = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.complex128)
+PLUS_PLUS = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
 ELEVEN = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
 
 
@@ -292,8 +293,8 @@ def test_probe_transfers_parity_onto_readout_block():
             want = tensor(eigenstring_state(x, a_labels, b_labels), flipped)
             assert fidelity(joint, want) >= 1.0 - 1e-12
 
-            dist = cat_readout_distribution(joint, cat_labels(n))
-            support = np.nonzero(dist > 1e-12)[0]
+            readout = discard(joint, *a_labels, *b_labels).reordered(cat_labels(n))
+            support = np.nonzero(np.real(np.diagonal(readout.data)) > 1e-12)[0]
             parities = {bin(int(i)).count("1") % 2 for i in support}
             assert parities == {eigenstring_weight(x)}
 
@@ -301,19 +302,23 @@ def test_probe_transfers_parity_onto_readout_block():
 def test_readout_bit_flips_reverse_the_report_and_phase_flips_do_nothing():
     minus = QuantumState.from_vector(("a", "b"),
                                      np.array([0, 0, 1, -1]) / math.sqrt(2.0))
-    quiet = PauliChannel.uniform(3, 0.0)
 
-    base = measure_cnot_noisy(minus, quiet, mode="exact", rng=trial_rng(SEED, 0))
+    def measure(p, q):
+        # one exact controlled-NOT shot; p[k] = 1 (q[k] = 1) flips (dephases)
+        # readout bit k with certainty
+        errors = PauliChannel(p, q)
+        row = trial_rng(SEED, 0).random((1, uniform_count(errors, "exact")))
+        return sample_exact(minus, errors, row).shot(0)
+
+    base = measure([0, 0, 0], [0, 0, 0])
     assert (base.reported_outcome, base.true_eigenvalue) == (-1, -1)
     assert fidelity(base.logical_state, minus) >= 1.0 - 1e-12
 
-    flipped = measure_cnot_noisy(minus, quiet, mode="exact",
-                                 rng=trial_rng(SEED, 0), inject=(("X", 1),))
+    flipped = measure([0, 1, 0], [0, 0, 0])
     assert (flipped.reported_outcome, flipped.true_eigenvalue) == (+1, -1)
 
-    for inject in ((("Z", 0),), (("Z", 1), ("Z", 2))):
-        phased = measure_cnot_noisy(minus, quiet, mode="exact",
-                                    rng=trial_rng(SEED, 0), inject=inject)
+    for q in ([1, 0, 0], [0, 1, 1]):
+        phased = measure([0, 0, 0], q)
         assert (phased.reported_outcome, phased.true_eigenvalue) == (-1, -1)
         assert np.allclose(phased.logical_state.data, base.logical_state.data,
                            atol=1e-12)
@@ -324,14 +329,11 @@ def test_readout_bit_flips_reverse_the_report_and_phase_flips_do_nothing():
 def test_decoherent_contamination_monte_carlo():
     # one shot draws one row of 2n+1 uniforms, as a per-shot call draws them
     errors = PauliChannel.uniform(8, 0.05)
-    plus_plus = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
-    # the controlled-phase measurement is the CNOT one conjugated by H on b
-    cnot_frame = apply_gate(plus_plus, "H", "b")
     rng = trial_rng(SEED, 0)
     trials, block = 100_000, 10_000
     reported_plus = false_plus = 0
     for _ in range(trials // block):
-        shots = sample_effective(cnot_frame, errors, rng.random((block, 17)))
+        shots = sample_cphase(PLUS_PLUS, errors, rng.random((block, 17)), mode="effective")
         plus = shots.reported_outcomes == +1
         reported_plus += int(np.count_nonzero(plus))
         false_plus += int(np.count_nonzero(plus & (shots.true_eigenvalues == -1)))
@@ -362,24 +364,17 @@ def test_parity_bias_matches_enumeration():
 
 # 8b. Exact readout of blocks far beyond a dense register. ------------------------
 
-def cnot_frame_plus_plus():
-    # the controlled-phase measurement of |++> is the CNOT one of H_b |++>
-    return apply_gate(QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0]),
-                      "H", "b")
-
-
 @pytest.mark.parametrize("n", [50, 200])
 def test_exact_unitary_readout_of_large_blocks_reads_the_flip_angle(n):
     # sigma = n atan(0.005): 0.25 at n = 50 and 1.0 at n = 200, both below pi/2
     errors = UnitaryErrorSet.uniform_ratio(n, 0.005)
     tan2 = math.tan(accumulated_flip_angle(errors)) ** 2
-    shots = sample_exact(cnot_frame_plus_plus(), errors, trial_uniforms(SEED, 0, 500, n))
+    shots = sample_cphase(PLUS_PLUS, errors, trial_uniforms(SEED, 0, 500, n), mode="exact")
     plus = shots.reported_outcomes == +1
     assert 0 < np.count_nonzero(plus) < 500
     assert np.all(shots.true_eigenvalues == 0)  # coherent: always a superposition
     for index in set(shots.state_index[plus].tolist()):
-        logical = apply_gate(shots.logical_states[index], "H", "b")
-        reading, _ = MixedAncilla.from_state(logical)
+        reading, _ = MixedAncilla.from_state(shots.logical_states[index])
         assert abs(complex(reading.a3).real - tan2) <= 1e-9
 
 
@@ -388,8 +383,8 @@ def test_exact_pauli_readout_of_large_blocks_matches_the_parity_bias(n):
     errors = PauliChannel.uniform(n, 0.002, q=0.01)
     bias = parity_bias(errors)
     trials = 4000
-    shots = sample_exact(cnot_frame_plus_plus(), errors,
-                         trial_uniforms(SEED, 0, trials, 3 * n))
+    shots = sample_cphase(PLUS_PLUS, errors, trial_uniforms(SEED, 0, trials, 3 * n),
+                          mode="exact")
     reported, true = shots.reported_outcomes, shots.true_eigenvalues
     assert set(true.tolist()) <= {+1, -1}
     # the pair's +1 eigenspace holds 3/4 of its weight

@@ -945,22 +945,31 @@ def test_a_traced_fresh_process_leaves_no_wrapper_behind(tmp_path, argv):
     assert trace["layers"]["cli.command"]["calls"] == 1
 
 
-@pytest.mark.parametrize("command, config", [
+# every subcommand at its defaults, and the readout-exact benchmark workload
+# at its 200 trials
+SUBCOMMAND_RUNS = pytest.mark.parametrize("command, config", [
     ("toffoli-verify", None),
     ("distill", None),
     ("noisy-meas", None),
     ("ensemble", None),
     ("estimate", None),
-    # the readout-exact benchmark workload, at its 200 trials
     ("noisy-meas", {"n": 12, "model": "unitary", "mode": "exact", "ratio": 0.05}),
 ], ids=["toffoli-verify", "distill", "noisy-meas", "ensemble", "estimate", "readout-exact"])
+
+
+def subcommand_argv(tmp_path, command, config):
+    argv = [command]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, "config.json", config), "--trials", "200"]
+    return argv
+
+
+@SUBCOMMAND_RUNS
 def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys, command,
                                                                 config):
     from toffsim import _kernels, gadgets
 
-    argv = [command]
-    if config is not None:
-        argv += ["--config", write_config(tmp_path, "config.json", config), "--trials", "200"]
+    argv = subcommand_argv(tmp_path, command, config)
     # as in a fresh process, toffoli-verify derives its correction table too
     gadgets.default_correction_table.cache_clear()
     _kernels._cached_plan.cache_clear()
@@ -968,6 +977,22 @@ def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys
     assert rc == 0
     info = _kernels._cached_plan.cache_info()
     assert info.misses <= info.maxsize
+
+
+@SUBCOMMAND_RUNS
+def test_no_subcommand_calls_numpy_linalg(tmp_path, capsys, monkeypatch, command, config):
+    from toffsim import gadgets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("svd", "pinv", "eigh", "eig", "inv", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    # as in a fresh process, toffoli-verify derives its correction table too
+    gadgets.default_correction_table.cache_clear()
+    argv = subcommand_argv(tmp_path, command, config)
+    rc, _, err = run_cli(argv + ["--check", "--out", str(tmp_path / "report.json")], capsys)
+    assert rc == 0, err
 
 
 def test_median_is_numpy_median_bit_for_bit():
@@ -1063,6 +1088,7 @@ def test_module_run_of_noisy_meas_compiles_the_cli_once(tmp_path):
 # a fresh interpreter that runs noisy-meas, effective then exact, before any
 # other subcommand, counting `numpy.linalg.pinv` calls from before the first
 # import of toffsim.distill on; a unitary run last decomposes its states
+# through the pseudo-inverse constant
 READOUT_PROBE = """
 import json, sys
 import numpy.linalg
@@ -1102,8 +1128,8 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
         assert pinv_calls == 0, mode
         assert "toffsim.noisy_meas" in modules
         assert not [m for m in modules if m.startswith("numpy.random") or m == "secrets"], mode
-    # the counter sees the pseudo-inverse once a state is decomposed
-    assert steps["unitary"][0] == 1
+    # decomposing a state takes no pseudo-inverse either: it is a constant
+    assert steps["unitary"][0] == 0
     assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
 
 

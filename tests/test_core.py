@@ -22,6 +22,7 @@ from toffsim.core import (
     fidelity,
     gate,
     measure_operator,
+    sample_outcomes,
     tensor,
     x_product,
     z_product,
@@ -217,6 +218,20 @@ def test_sampling_preserves_norm():
     out, rec = measure_operator(s, z_product("a", "b"), rng=trial_rng(3, 0))
     assert out.trace == pytest.approx(s.trace)
     assert rec.outcome in (+1, -1)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda s, op: measure_operator(s, op, rng=trial_rng(0, 0)),
+    lambda s, op: measure_operator(s, op, postselect=+1),
+    lambda s, op: sample_outcomes(s, op, [0.5]),
+    lambda s, op: branch_probability(s, op, +1),
+], ids=["measure_operator-sampled", "measure_operator-postselected", "sample_outcomes",
+        "branch_probability"])
+@pytest.mark.parametrize("density", [False, True])
+def test_a_zero_norm_state_cannot_be_measured(measure, density):
+    zero = QuantumState(("a",), np.zeros((2, 2)) if density else [0, 0])
+    with pytest.raises(ValueError, match="cannot measure a zero-norm state"):
+        measure(zero, z_product("a"))
 
 
 def test_sampled_outcome_frequencies():

@@ -96,6 +96,15 @@ def test_pair_vector_constant():
     np.testing.assert_array_equal(PAIR_VECTOR, [1, 1, 1, 0])
 
 
+def test_basis_pseudo_inverse_constant_is_lapacks_bit_for_bit():
+    # the reference: LAPACK's pseudo-inverse, whose 1/3 entries lie one ulp
+    # above 1/3; the contamination readings depend on those bits
+    want = np.linalg.pinv(distill._BASIS)
+    assert distill._BASIS_PINV.dtype == want.dtype
+    assert distill._BASIS_PINV.tobytes() == want.tobytes()
+    assert distill._BASIS_PINV[0, 0].real == np.nextafter(1.0 / 3.0, 1.0)
+
+
 # -- combining two ancillas ---------------------------------------------------------
 
 def test_combine_is_componentwise_product():

@@ -150,15 +150,31 @@ def per_basis_transfer_matrix(branch):
         state = gadgets._run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
         columns[:, :, x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
     stacked = columns.transpose(1, 0, 2).reshape(8, 64)
+    # rank 1: project on the ancilla column of largest norm, as the library does
+    anc = stacked[:, np.argmax(np.sum(np.abs(stacked) ** 2, axis=0))]
+    m = anc.conj() @ stacked / np.vdot(anc, anc)
+    assert np.max(np.abs(stacked - np.outer(anc, m))) <= 1e-10 * np.max(np.abs(stacked))
+    # the reference: the leading singular pair, equal up to one complex scalar
     u, s, vh = np.linalg.svd(stacked)
     assert s[1] <= 1e-10 * s[0]
-    return (s[0] * vh[0]).reshape(8, 8)
+    lead = s[0] * vh[0]
+    scalar = np.vdot(lead, m) / np.vdot(lead, lead)
+    np.testing.assert_allclose(m, scalar * lead, rtol=0, atol=1e-12 * np.max(np.abs(m)))
+    return m.reshape(8, 8)
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_choi_transfer_matrix_equals_the_per_basis_oracle_bitwise(branch):
     assert np.array_equal(gadgets._branch_transfer_matrix(branch),
                           per_basis_transfer_matrix(branch))
+
+
+def test_ancilla_factoring_rejects_a_matrix_of_rank_two(monkeypatch):
+    rank_two = np.zeros((8, 8, 8), dtype=np.complex128)
+    rank_two[0, 0, 0] = rank_two[1, 1, 1] = 1.0
+    monkeypatch.setattr(gadgets, "branch_map", lambda branch: rank_two.reshape(8, 64))
+    with pytest.raises(RuntimeError, match="fail to factor"):
+        gadgets._branch_transfer_matrix((1, 1, 1))
 
 
 @pytest.mark.parametrize("branch", BRANCHES)

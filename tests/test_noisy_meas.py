@@ -1,7 +1,9 @@
 """Noisy transversal measurement of two-qubit involutions through cat blocks."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toffsim.core import (
+    GATE_MATRICES,
     QuantumState,
     apply_gate,
     apply_matrix,
@@ -34,16 +37,15 @@ from toffsim.noisy_meas import (
     ParityShots,
     apply_bitwise_probe,
     cat_labels,
-    cat_readout_distribution,
     eigenstring_state,
     eigenstring_weight,
-    exact_uniform_count,
-    measure_cnot_noisy,
     measure_cphase_noisy,
     prepare_even_cat,
     prepare_raw_ancilla,
+    sample_cphase,
     sample_effective,
     sample_exact,
+    uniform_count,
 )
 from toffsim.rng import trial_rng, trial_uniforms
 
@@ -55,6 +57,42 @@ def expected_cat_after(x, cat_state):
     if eigenstring_weight(x):
         return apply_gate(cat_state, "X", cat_state.labels[0])
     return cat_state
+
+
+# -- the module's exports ----------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def names_used(path):
+    """Every name a module reads, binds by import or spells as a string
+    constant (as the benchmark tracer names what it rebinds), outside
+    `__all__`; a definition's own name is not a use."""
+    tree = ast.parse(path.read_text())
+    exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt.value)}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in exported:
+            used.add(node.value)
+    return used
+
+
+def test_every_readout_export_has_a_caller_outside_the_tests():
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        if not path.name.startswith("test_"):
+            used |= names_used(path)
+    unused = sorted(set(noisy_meas.__all__) - used)
+    assert not unused, f"exported for the tests alone: {unused}"
 
 
 # -- eigenstrings and cat blocks ---------------------------------------------------
@@ -121,6 +159,14 @@ def test_probe_leaves_pair_marginals_alone():
     assert fidelity(reduced, pairs) >= 1.0 - 1e-12
 
 
+def cat_readout_distribution(state, labels):
+    """Oracle: probabilities of each readout bit string (normalized diagonal)."""
+    reduced = discard(state, *(l for l in state.labels if l not in set(labels)))
+    reduced = reduced.reordered(labels)
+    diag = np.real(np.diagonal(reduced.data)).copy()
+    return diag / diag.sum()
+
+
 def test_cat_readout_distribution_sums_to_one():
     joint = apply_bitwise_probe(eigenstring_state("12"), ("a1", "a2"),
                                 ("b1", "b2"), prepare_even_cat(2))
@@ -149,8 +195,8 @@ def test_zero_noise_measurement_is_faithful():
 def test_phase_noise_never_corrupts_the_report():
     errors = PauliChannel.uniform(5, 0.0, q=1.0)  # certain phase flip on every bit
     for t in range(20):
-        res = measure_cnot_noisy(PLUS_PLUS, errors, mode="effective",
-                                 rng=trial_rng(3, t))
+        uniforms = trial_rng(3, t).random((1, uniform_count(errors, "effective")))
+        res = sample_effective(PLUS_PLUS, errors, uniforms).shot(0)
         assert res.reported_outcome == res.true_eigenvalue
         assert res.phase_flips == 5
 
@@ -162,13 +208,33 @@ def test_certain_bit_flip_reverses_the_report():
         assert res.reported_outcome == -res.true_eigenvalue
 
 
+def certain_errors(errors, inject):
+    """`errors` with a certain X or Z on each (kind, bit) of `inject`.
+
+    On a Pauli channel the bit's p (for X) or q (for Z) becomes 1.  On a
+    unitary set the bit's unitary U becomes i X U or i Z U, which keeps the
+    set's [[A+iB, D+iC], [-D+iC, A-iB]] form.
+    """
+    if isinstance(errors, PauliChannel):
+        p, q = errors.p.copy(), errors.q.copy()
+        for kind, bit in inject:
+            (p if kind == "X" else q)[bit] = 1.0
+        return PauliChannel(p, q)
+    m = errors.matrices()
+    for kind, bit in inject:
+        m[bit] = 1j * GATE_MATRICES[kind] @ m[bit]
+    return UnitaryErrorSet(np.stack([m[:, 0, 0].real, m[:, 0, 0].imag,
+                                     m[:, 0, 1].imag, m[:, 0, 1].real], axis=1))
+
+
 def test_injected_x_flips_injected_z_does_not():
+    # an injected error is a per-bit channel that applies it with certainty
     errors = PauliChannel.uniform(3, 0.0)
     base = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(6, 0))
-    flipped = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact",
-                                   rng=trial_rng(6, 0), inject=[("X", 1)])
-    dephased = measure_cphase_noisy(PLUS_PLUS, errors, mode="exact",
-                                    rng=trial_rng(6, 0), inject=[("Z", 0), ("Z", 2)])
+    flipped = measure_cphase_noisy(PLUS_PLUS, certain_errors(errors, [("X", 1)]),
+                                   mode="exact", rng=trial_rng(6, 0))
+    dephased = measure_cphase_noisy(PLUS_PLUS, certain_errors(errors, [("Z", 0), ("Z", 2)]),
+                                    mode="exact", rng=trial_rng(6, 0))
     assert flipped.reported_outcome == -base.reported_outcome
     assert flipped.true_eigenvalue == base.true_eigenvalue
     assert dephased.reported_outcome == base.reported_outcome
@@ -205,15 +271,19 @@ def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
     errors = PauliChannel.uniform(8, 0.2, q=0.1)
     # both eigenspaces of either involution are populated
     state = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
-    measure = measure_cphase_noisy if controlled_phase else measure_cnot_noisy
 
     def unframe(s):
         # the controlled-phase measurement is the CNOT one conjugated by H on b
         return apply_gate(s, "H", "b") if controlled_phase else s
 
+    def measure(rng):
+        if controlled_phase:
+            return measure_cphase_noisy(state, errors, mode="effective", rng=rng)
+        return sample_effective(state, errors, rng.random((1, 17))).shot(0)
+
     frame = unframe(state)
     rng, ref_rng = trial_rng(31, 0), trial_rng(31, 0)
-    singles = [measure(state, errors, mode="effective", rng=rng) for _ in range(500)]
+    singles = [measure(rng) for _ in range(500)]
     refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
     shots = sample_effective(frame, errors, trial_rng(31, 0).random((500, 17)))
     assert set(shots.true_eigenvalues.tolist()) == {+1, -1}
@@ -245,7 +315,7 @@ def test_batched_effective_input_validation():
     assert empty.logical_states == ()
 
 
-def exact_per_shot_reference(state, errors, rng, inject=()):
+def exact_per_shot_reference(state, errors, rng):
     """One exact shot simulated qubit by qubit, as before shot batching.
 
     Returns (true eigenvalue, reported outcome, bit flips, phase flips,
@@ -270,12 +340,6 @@ def exact_per_shot_reference(state, errors, rng, inject=()):
     else:
         for i, matrix in enumerate(errors.matrices()):
             joint = apply_matrix(joint, matrix, labels[i])
-    for kind, idx in inject:
-        joint = apply_gate(joint, kind, labels[idx])
-        if kind == "X":
-            bit_flips += 1
-        else:
-            phase_flips += 1
 
     reported = 1
     for label in labels:
@@ -302,7 +366,7 @@ def assert_shot_equals(res, ref):
 
 # -- the dense readout walk: the reference for the product-form sampler ------------
 
-def dense_pre_measurement(state, errors, labels, flips, phases, inject):
+def dense_pre_measurement(state, errors, labels, flips, phases):
     """The pair probed into an even cat block, then the readout errors."""
     a, b = state.labels
     cat = prepare_even_cat(len(labels), labels)
@@ -316,8 +380,6 @@ def dense_pre_measurement(state, errors, labels, flips, phases, inject):
     else:
         for label, matrix in zip(labels, errors.matrices()):
             joint = apply_matrix(joint, matrix, label)
-    for kind, idx in inject:
-        joint = apply_gate(joint, kind, labels[idx])
     return joint
 
 
@@ -357,7 +419,7 @@ def dense_readout_leaves(state, labels, readout, rows):
         yield path, rows, state
 
 
-def dense_sample_exact(state, errors, uniforms, inject=()):
+def dense_sample_exact(state, errors, uniforms):
     """`sample_exact` by simulating the readout block qubit by qubit.
 
     Shots with the same error pattern share one pre-measurement joint state,
@@ -374,9 +436,8 @@ def dense_sample_exact(state, errors, uniforms, inject=()):
     else:
         flips = phases = np.zeros((shots, n), dtype=bool)
         readout = u
-    injected_x = sum(kind == "X" for kind, _ in inject)
-    bit_flips = np.count_nonzero(flips, axis=1) + injected_x
-    phase_flips = np.count_nonzero(phases, axis=1) + (len(inject) - injected_x)
+    bit_flips = np.count_nonzero(flips, axis=1)
+    phase_flips = np.count_nonzero(phases, axis=1)
     # one integer per error pattern: bit i is flip i, bit n + i phase flip i
     codes = np.concatenate((flips, phases), axis=1) @ (1 << np.arange(2 * n, dtype=np.int64))
     _, first_rows, groups = np.unique(codes, return_index=True, return_inverse=True)
@@ -385,8 +446,7 @@ def dense_sample_exact(state, errors, uniforms, inject=()):
     state_index = np.zeros(shots, dtype=np.intp)
     logical_states, state_true, index_of = [], [], {}
     for group, row in enumerate(first_rows):
-        joint = dense_pre_measurement(state, errors, labels, flips[row], phases[row],
-                                      tuple(inject))
+        joint = dense_pre_measurement(state, errors, labels, flips[row], phases[row])
         for path, rows, post in dense_readout_leaves(joint, labels, readout,
                                                      np.flatnonzero(groups == group)):
             logical = discard(post, *labels)
@@ -427,24 +487,23 @@ SKEWED_PAIR = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
     (PauliChannel.uniform(3, 0.1, q=0.1), (("X", 1), ("Z", 0))),
 ])
 def test_batched_exact_shots_equal_per_shot_calls(errors, inject):
+    errors = certain_errors(errors, inject)
     shots_n = 300
-    count = exact_uniform_count(errors)
-    shots = sample_exact(SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count)),
-                         inject)
+    count = uniform_count(errors, "exact")
+    shots = sample_exact(SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count)))
     rng, ref_rng = trial_rng(41, 0), trial_rng(41, 0)
     for i in range(shots_n):
-        ref = exact_per_shot_reference(SKEWED_PAIR, errors, ref_rng, inject)
+        ref = exact_per_shot_reference(SKEWED_PAIR, errors, ref_rng)
         assert_shot_equals(shots.shot(i), ref)
         assert shots.reported_outcomes[i] == ref[1]
         assert shots.true_eigenvalues[i] == (ref[0] or 0)
-        single = measure_cnot_noisy(SKEWED_PAIR, errors, mode="exact", rng=rng,
-                                    inject=inject)
+        single = sample_exact(SKEWED_PAIR, errors, rng.random((1, count))).shot(0)
         assert_shot_equals(single, ref)
     # shots that end in bit-identical pair states share one entry
     assert len(shots.logical_states) == len({s.data.tobytes() for s in shots.logical_states})
     assert len(shots.logical_states) < shots_n
     assert_shots_match(shots, dense_sample_exact(
-        SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count)), inject))
+        SKEWED_PAIR, errors, trial_rng(41, 0).random((shots_n, count))))
 
 
 class ReplayRng:
@@ -455,8 +514,8 @@ class ReplayRng:
 
     def random(self, size=None):
         start = self.used
-        self.used += 1 if size is None else size
-        return self.row[start] if size is None else self.row[start:self.used]
+        self.used += 1 if size is None else int(np.prod(size))
+        return self.row[start] if size is None else self.row[start:self.used].reshape(size)
 
 
 amplitude = st.floats(-1.0, 1.0)
@@ -464,7 +523,7 @@ angle = st.floats(0.0, 2.0 * math.pi)
 
 
 def draw_exact_case(data, n, density):
-    """A pair state, an error model on n bits, injections and rows of uniforms."""
+    """A pair state, an error model on n bits and rows of uniforms."""
     if density:
         g = np.array(data.draw(st.lists(amplitude, min_size=32, max_size=32), label="g"))
         g = g[:16].reshape(4, 4) + 1j * g[16:].reshape(4, 4)
@@ -485,9 +544,7 @@ def draw_exact_case(data, n, density):
             [np.cos(theta), np.sin(theta) * np.cos(phi),
              np.sin(theta) * np.sin(phi) * np.cos(chi),
              np.sin(theta) * np.sin(phi) * np.sin(chi)], axis=1))
-    inject = data.draw(st.lists(st.tuples(st.sampled_from("XZ"), st.integers(0, n - 1)),
-                                max_size=3), label="inject")
-    count = exact_uniform_count(errors)
+    count = uniform_count(errors, "exact")
     # odd multiples of 2^-11: the generated states give Born probabilities
     # such as 0, 1/2 and 1, which the two samplers round to different sides
     # of a draw lying exactly on them
@@ -495,7 +552,7 @@ def draw_exact_case(data, n, density):
     # a density-matrix reference at n = 8 walks 2^20 entries per readout bit
     rows = data.draw(st.lists(st.lists(uniform, min_size=count, max_size=count),
                               min_size=1, max_size=4 if density else 8), label="rows")
-    return state, errors, inject, rows
+    return state, errors, rows
 
 
 # n is a parameter, not a draw: hypothesis feeds the literal constants of the
@@ -504,13 +561,13 @@ def draw_exact_case(data, n, density):
 @settings(derandomize=True, deadline=None, max_examples=4, database=None)
 @given(data=st.data())
 def test_batched_exact_shots_equal_reference_on_any_uniforms(n, data):
-    state, errors, inject, rows = draw_exact_case(data, n, density=False)
-    shots = sample_exact(state, errors, np.array(rows), inject)
-    assert_shots_match(shots, dense_sample_exact(state, errors, np.array(rows), inject))
+    state, errors, rows = draw_exact_case(data, n, density=False)
+    shots = sample_exact(state, errors, np.array(rows))
+    assert_shots_match(shots, dense_sample_exact(state, errors, np.array(rows)))
     for i, row in enumerate(rows):
         replay = ReplayRng(row)
         assert_shot_equals(shots.shot(i),
-                           exact_per_shot_reference(state, errors, replay, inject))
+                           exact_per_shot_reference(state, errors, replay))
         assert replay.used == len(row)
 
 
@@ -521,15 +578,18 @@ def test_batched_exact_shots_equal_reference_on_any_uniforms(n, data):
 @settings(derandomize=True, deadline=None, max_examples=3, database=None)
 @given(data=st.data())
 def test_batched_exact_shots_equal_dense_reference_at_every_block_size(density, n, data):
-    state, errors, inject, rows = draw_exact_case(data, n, density)
-    assert_shots_match(sample_exact(state, errors, np.array(rows), inject),
-                       dense_sample_exact(state, errors, np.array(rows), inject))
+    state, errors, rows = draw_exact_case(data, n, density)
+    assert_shots_match(sample_exact(state, errors, np.array(rows)),
+                       dense_sample_exact(state, errors, np.array(rows)))
 
 
 def test_batched_exact_input_validation():
     pauli = PauliChannel.uniform(3, 0.1)
     unitary = UnitaryErrorSet.uniform_ratio(3, 0.05)
-    assert exact_uniform_count(pauli) == 9 and exact_uniform_count(unitary) == 3
+    assert uniform_count(pauli, "exact") == 9 and uniform_count(unitary, "exact") == 3
+    assert uniform_count(pauli, "effective") == 7
+    with pytest.raises(ValueError, match="mode"):
+        uniform_count(pauli, "dense")
     with pytest.raises(ValueError, match="shape"):
         sample_exact(PLUS_PLUS, pauli, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="shape"):
@@ -541,10 +601,8 @@ def test_batched_exact_input_validation():
                      np.zeros((1, 9)))
     with pytest.raises(ValueError, match="two qubits"):
         sample_exact(QuantumState.basis(("a",), "0"), pauli, np.zeros((1, 9)))
-    with pytest.raises(ValueError, match="outside"):
-        sample_exact(PLUS_PLUS, pauli, np.zeros((1, 9)), inject=[("X", 3)])
     for errors in (pauli, unitary):
-        empty = sample_exact(PLUS_PLUS, errors, np.zeros((0, exact_uniform_count(errors))))
+        empty = sample_exact(PLUS_PLUS, errors, np.zeros((0, uniform_count(errors, "exact"))))
         for column in (empty.reported_outcomes, empty.true_eigenvalues,
                        empty.bit_flips, empty.phase_flips, empty.state_index):
             assert column.shape == (0,)
@@ -566,26 +624,52 @@ def test_batched_exact_density_state_equals_per_shot_reference():
 
 def test_measurement_requires_rng():
     with pytest.raises(ValueError, match="rng"):
-        measure_cnot_noisy(PLUS_PLUS, PauliChannel.uniform(2, 0.1))
+        measure_cphase_noisy(PLUS_PLUS, PauliChannel.uniform(2, 0.1))
 
 
-def test_effective_mode_rejects_coherent_errors_and_injections():
+def test_effective_mode_rejects_coherent_errors():
     coherent = UnitaryErrorSet.uniform_ratio(3, 0.05)
     with pytest.raises(ValueError, match="exact"):
-        measure_cnot_noisy(PLUS_PLUS, coherent, rng=trial_rng(0, 0))
+        measure_cphase_noisy(PLUS_PLUS, coherent, rng=trial_rng(0, 0))
     with pytest.raises(ValueError, match="exact"):
-        measure_cnot_noisy(PLUS_PLUS, PauliChannel.uniform(3, 0.1),
-                           rng=trial_rng(0, 0), inject=[("X", 0)])
+        sample_cphase(PLUS_PLUS, coherent, np.zeros((1, 7)), mode="effective")
 
 
-def test_inject_validation():
-    errors = PauliChannel.uniform(3, 0.0)
-    with pytest.raises(ValueError):
-        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(0, 0),
-                           inject=[("Y", 0)])
-    with pytest.raises(ValueError):
-        measure_cnot_noisy(PLUS_PLUS, errors, mode="exact", rng=trial_rng(0, 0),
-                           inject=[("X", 3)])
+def test_cphase_readout_validation():
+    errors = PauliChannel.uniform(3, 0.1)
+    with pytest.raises(ValueError, match="mode"):
+        sample_cphase(PLUS_PLUS, errors, np.zeros((1, 7)), mode="dense")
+    with pytest.raises(ValueError, match="two qubits"):
+        sample_cphase(QuantumState.basis(("a",), "0"), errors, np.zeros((1, 7)),
+                      mode="effective")
+    with pytest.raises(ValueError, match="mode"):
+        measure_cphase_noisy(PLUS_PLUS, errors, mode="dense", rng=trial_rng(0, 0))
+    with pytest.raises(ValueError, match="mode"):
+        prepare_raw_ancilla(errors, mode="dense", seed=0, trial=0)
+
+
+@pytest.mark.parametrize("mode, errors", [
+    ("effective", PauliChannel.uniform(3, 0.2, q=0.1)),
+    ("exact", PauliChannel.uniform(3, 0.2, q=0.1)),
+    ("exact", UnitaryErrorSet.uniform_ratio(3, 0.2)),
+])
+def test_cphase_shots_are_cnot_shots_in_the_hadamard_frame(mode, errors):
+    uniforms = trial_rng(47, 0).random((40, uniform_count(errors, mode)))
+    shots = sample_cphase(SKEWED_PAIR, errors, uniforms, mode=mode)
+    sample = sample_effective if mode == "effective" else sample_exact
+    cnot = sample(apply_gate(SKEWED_PAIR, "H", "b"), errors, uniforms)
+    for name in ("true_eigenvalues", "reported_outcomes", "bit_flips", "phase_flips",
+                 "state_index"):
+        np.testing.assert_array_equal(getattr(shots, name), getattr(cnot, name), name)
+    assert len(shots.logical_states) == len(cnot.logical_states)
+    for got, framed in zip(shots.logical_states, cnot.logical_states):
+        assert got.data.tobytes() == apply_gate(framed, "H", "b").data.tobytes()
+    # each row is one per-shot call on the same draws
+    for i in range(len(uniforms)):
+        single = measure_cphase_noisy(SKEWED_PAIR, errors, mode=mode,
+                                      rng=ReplayRng(uniforms[i]))
+        assert single.logical_state.data.tobytes() == shots.shot(i).logical_state.data.tobytes()
+        assert single[1:] == shots.shot(i)[1:]
 
 
 # -- noisy measurement: coherent model ------------------------------------------------
@@ -706,7 +790,7 @@ def test_raw_preparation_examines_exactly_max_retries_rows(errors, mode, seed, b
     trial = next(t for t in range(24)
                  if prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=t).attempts > 8)
     attempts = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trial).attempts
-    columns = 2 * errors.n + 1 if mode == "effective" else exact_uniform_count(errors)
+    columns = uniform_count(errors, mode)
     read = []
 
     def recording(*args):
