@@ -158,15 +158,6 @@ def combine_states(x: QuantumState, y: QuantumState) -> Tuple[QuantumState, floa
     return out, rec1.probability * rec2.probability
 
 
-def combined_after_rounds(x: MixedAncilla, rounds: int) -> MixedAncilla:
-    """Coefficients after `rounds` balanced purification rounds from copies of x."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    power = 2**rounds
-    return MixedAncilla(complex(x.a1) ** power, complex(x.a2) ** power,
-                        complex(x.a3) ** power)
-
-
 def fidelity_after_rounds(a3: complex, rounds: int) -> float:
     """Fidelity to the ideal pair after balanced rounds: 3 / (3 + a3^(2^rounds))."""
     if rounds < 0:
@@ -326,11 +317,14 @@ def expected_ops(rounds: int, params: CostParams = CostParams()) -> float:
 
 
 def measurement_majority_repeats(eps: float, eps_m: float) -> int:
-    """Odd repetition count making measurement error negligible at accuracy eps.
+    """Odd repetition count for a measurement that errs with probability eps_m.
 
-    A single measurement errs with probability ~eps_m; majority voting over
-    r repeats suppresses that to ~eps_m^r, so r = ceil(log eps / log eps_m),
-    bumped to the next odd integer so the vote cannot tie.
+    Returns r = ceil(log eps / log eps_m), bumped to the next odd integer so
+    that the vote cannot tie.  That count assumes a majority of r repeats
+    errs at ~eps_m^r.  It errs when (r+1)/2 of the repeats do, at
+    ~C(r, (r+1)/2) eps_m^((r+1)/2), so this r falls short of accuracy eps.
+    The count is kept as it is until it is rederived from that failure
+    probability, or the function is deleted.
     """
     if not 0.0 < eps < 1.0 or not 0.0 < eps_m < 1.0:
         raise ValueError("error rates must be in (0, 1)")
@@ -348,7 +342,6 @@ __all__ = [
     "PAIR_VECTOR",
     "combine",
     "combine_states",
-    "combined_after_rounds",
     "distill_tree",
     "expected_ops",
     "fidelity_after_rounds",

@@ -52,6 +52,7 @@ from .core import (
     GATE_MATRICES,
     MAX_PURE_QUBITS,
     QuantumState,
+    _measured_trace,
     apply_gate,
     branch_probability,
     gate,
@@ -252,9 +253,7 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
     if u.ndim != 2 or u.shape[1] != count:
         raise ValueError(f"uniforms must have shape (shots, {count}), got {u.shape}")
     shots = u.shape[0]
-    pin = state.trace
-    if pin <= 0.0:
-        raise ValueError("cannot measure a zero-norm state")
+    pin = _measured_trace(state)
 
     if isinstance(errors, PauliChannel):
         flips, phases, readout = u[:, :n] < errors.p, u[:, n:2 * n] < errors.q, u[:, 2 * n:]

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import importlib
 import importlib.util
 import io
@@ -895,6 +896,88 @@ def test_module_invocation_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["schema"] == "toffsim-report/1"
+
+
+def run_module(argv):
+    """`python -m toffsim.cli ARGV` in a fresh process: (exit code, stdout bytes)."""
+    proc = subprocess.run([sys.executable, "-m", "toffsim.cli"] + argv,
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("config, code", [
+    (None, 0),
+    ({"bogus": 1}, 1),
+    ({"physical_error_log10": -3.5}, 2),  # overshoots the single-level window
+])
+def test_module_run_exits_as_main_returns(tmp_path, capsys, config, code):
+    argv = ["estimate", "--check"]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, "cfg.json", config)]
+    assert run_cli(argv, capsys)[0] == code
+    assert run_module(argv)[0] == code
+
+
+def without_timing(text):
+    report = json.loads(text)
+    del report["wall_time_seconds"]
+    return report
+
+
+def test_module_run_writes_main_s_json_report_to_stdout(capsys):
+    rc, out, _ = run_cli(["estimate"], capsys)
+    module_rc, module_out = run_module(["estimate"])
+    assert rc == module_rc == 0
+    assert without_timing(module_out) == without_timing(out)
+
+
+def test_module_run_writes_main_s_csv_report_to_stdout_byte_for_byte(capsys):
+    argv = ["noisy-meas", "--format", "csv", "--trials", "3000"]
+    rc, out, _ = run_cli(argv, capsys)
+    module_rc, module_out = run_module(argv)
+    assert rc == module_rc == 0
+    assert module_out == out.encode("utf-8")
+
+
+# `python -m toffsim.cli` as runpy runs it: the collector's freeze count
+# before the run and after its SystemExit
+FREEZE_PROBE = """
+import gc, json, runpy, sys
+sys.argv = ["toffsim"] + sys.argv[1:]
+before = gc.get_freeze_count()
+try:
+    runpy.run_module("toffsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, before, gc.get_freeze_count()]))
+"""
+
+
+def test_a_module_run_freezes_the_collector_once_main_returns(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, "estimate", "--check",
+                           "--out", str(tmp_path / "report.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = json.loads(proc.stdout)
+    assert code == 0
+    assert before == 0
+    assert after > 0
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(["estimate", "--check"], capsys)[0] == 0
+    assert run_cli(["noisy-meas", "--trials", "3", "--check"], capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_runs_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"toffsim": "toffsim.cli:process_main"}
+    module, attr = scripts["toffsim"].split(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 # -- what the benchmark rebinds ---------------------------------------------------------------

@@ -648,6 +648,18 @@ def test_cphase_readout_validation():
         prepare_raw_ancilla(errors, mode="dense", seed=0, trial=0)
 
 
+@pytest.mark.parametrize("density", [False, True])
+@pytest.mark.parametrize("errors", [PauliChannel.uniform(3, 0.1),
+                                    UnitaryErrorSet.uniform_ratio(3, 0.2)])
+def test_an_exact_readout_of_a_zero_norm_pair_is_refused(errors, density):
+    zero = QuantumState(("a", "b"), np.zeros((4, 4)) if density else np.zeros(4))
+    uniforms = np.zeros((2, uniform_count(errors, "exact")))
+    with pytest.raises(ValueError, match="cannot measure a zero-norm state"):
+        sample_exact(zero, errors, uniforms)
+    with pytest.raises(ValueError, match="cannot measure a zero-norm state"):
+        sample_cphase(zero, errors, uniforms, mode="exact")
+
+
 @pytest.mark.parametrize("mode, errors", [
     ("effective", PauliChannel.uniform(3, 0.2, q=0.1)),
     ("exact", PauliChannel.uniform(3, 0.2, q=0.1)),
