@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import importlib.machinery
 import io
 import json
@@ -422,6 +421,8 @@ def process_main() -> int:
     walk the heap that numpy's and toffsim's imports built.  stdout is still
     flushed, and atexit handlers still run, at finalization.
     """
+    import gc  # here, not at the top: an importer of this module never needs it
+
     code = main()
     gc.freeze()
     return code
