@@ -918,7 +918,7 @@ def test_module_run_exits_as_main_returns(tmp_path, capsys, config, code):
     assert run_module(argv)[0] == code
 
 
-def test_module_run_writes_main_s_json_report_to_stdout(capsys):
+def test_module_run_prints_the_json_report_main_prints(capsys):
     rc, out, _ = run_cli(["estimate"], capsys)
     module_rc, module_out = run_module(["estimate"])
     assert rc == module_rc == 0
@@ -928,7 +928,7 @@ def test_module_run_writes_main_s_json_report_to_stdout(capsys):
     assert reports[0] == reports[1]
 
 
-def test_module_run_writes_main_s_csv_report_to_stdout_byte_for_byte(capsys):
+def test_module_run_prints_the_csv_bytes_main_prints(capsys):
     argv = ["noisy-meas", "--format", "csv", "--trials", "3000"]
     rc, out, _ = run_cli(argv, capsys)
     module_rc, module_out = run_module(argv)
