@@ -34,14 +34,25 @@ itself.  `estimate` runs without numpy, and the report's `versions.numpy` is
 read from numpy's version file, not from an imported numpy.  noisy-meas
 samples its trials and its raw preparation through `rng.trial_uniforms`
 alone, so a readout process loads no `numpy.random` (nor the `secrets` and
-OpenSSL modules it pulls in).  The interpreter's teardown is a fixed cost as
-well: with numpy loaded, its final collection and module clearing took a
-median 21 ms from the return of `main` to the process's exit (readout-exact;
-24 ms for distill; 2-vCPU host).  So the installed `toffsim` command and
-`python -m toffsim.cli` run one process entry point, `process_main`, which
-freezes the collector once `main` has returned; teardown then took 5 ms
-(7 ms for distill).  `main` itself never touches `gc`, so an in-process
-caller keeps a heap that the collector can still clear.
+OpenSSL modules it pulls in).
+
+The installed `toffsim` command and `python -m toffsim.cli` run one process
+entry point, `process_main`, which makes three settings around `main` that
+only the owner of a process may make (timings on a 2-vCPU host):
+- `OPENBLAS_NUM_THREADS` defaults to 1, before numpy loads.  numpy's bundled
+  OpenBLAS otherwise starts a helper thread per extra core at import, which
+  spins for about 60 ms of CPU; `import numpy` took 234 ms wall, and 167 ms
+  without it.  No toffsim call is large enough to hand that thread work.  A
+  value set in the environment wins.
+- The cyclic collector is off for the run.  A readout run otherwise made 34
+  collections over the import-time heap, about 5 ms, and a run leaves the
+  same cyclic garbage (the parser's graph) whatever its trial count.
+- Once `main` has returned, `gc.freeze()` spares the heap from the final
+  collection that finalization runs even with the collector off: teardown
+  took 21 ms from the return of `main` to the process's exit (readout-exact;
+  24 ms for distill), and 5 ms frozen (7 ms for distill).
+`main` itself makes none of them, so an in-process caller keeps numpy's
+default threads, its environment and a collector that can clear its heap.
 """
 
 from __future__ import annotations
@@ -352,8 +363,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed < 0:
-        print("toffsim: error: seed must be >= 0", file=sys.stderr)
+    # checked here, for every subcommand, before a command module or numpy loads
+    if not 0 <= args.seed < 2**64:
+        print(f"toffsim: error: seed must lie in [0, 2**64), got {args.seed}",
+              file=sys.stderr)
         return 1
 
     # a JSON report keeps no per-trial rows, so the command gets no sink and
@@ -416,13 +429,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def process_main() -> int:
     """`main` on the process's own argv, for a process that exits with its status.
 
-    Once the report is written, `gc.freeze()` moves every tracked object to
-    the permanent generation, so the interpreter's final collection does not
-    walk the heap that numpy's and toffsim's imports built.  stdout is still
-    flushed, and atexit handlers still run, at finalization.
+    It makes the three settings that the module docstring times (2-vCPU host):
+    - `OPENBLAS_NUM_THREADS` defaults to 1 before numpy loads, so OpenBLAS
+      starts no idle helper thread: `import numpy` 234 -> 167 ms.  A value
+      already set in the environment is kept.
+    - The collector is off for the run, which spares a readout run 34 passes
+      (~5 ms); a run's cyclic garbage does not grow with its trials.
+    - Once the report is written, `gc.freeze()` keeps the collection that
+      finalization runs anyway off the import-time heap: teardown 21 -> 5 ms.
+      stdout is still flushed, and atexit handlers still run, at finalization.
+    `main` makes none of them, so an in-process caller keeps numpy's default
+    threads, its environment and its collector.
     """
     import gc  # here, not at the top: an importer of this module never needs it
 
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
     code = main()
     gc.freeze()
     return code

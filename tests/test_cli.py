@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -335,12 +336,36 @@ def test_ensemble_whose_contamination_product_underflows_runs(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["distill", "noisy-meas", "toffoli-verify",
-                                     "ensemble"])
+                                     "ensemble", "estimate"])
 def test_seed_beyond_64_bits_is_one_line_error(capsys, command):
-    rc, _, err = run_cli([command, "--seed", str(2**64), "--trials", "2"], capsys)
-    assert rc == 1
-    assert len(err.splitlines()) == 1
-    assert err.startswith("toffsim: error:") and "seed" in err
+    rc, out, err = run_cli([command, "--seed", str(2**64)], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"toffsim: error: seed must lie in [0, 2**64), got {2**64}\n"
+
+
+# a fresh interpreter that runs every subcommand at both seeds just outside
+# [0, 2**64), then lists the numpy and command modules it loaded
+SEED_PROBE = """
+import json, sys
+from toffsim.cli import main
+codes = [main([command, "--seed", seed])
+         for command in ("toffoli-verify", "distill", "noisy-meas", "ensemble", "estimate")
+         for seed in ("-1", str(2**64))]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m == "numpy" or m.startswith("toffsim.commands."))]))
+"""
+
+
+def test_seed_is_checked_before_a_command_module_or_numpy_loads():
+    proc = subprocess.run([sys.executable, "-c", SEED_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [1] * 10
+    assert modules == []
+    assert proc.stderr.splitlines() == [
+        f"toffsim: error: seed must lie in [0, 2**64), got {seed}"
+        for _ in range(5) for seed in (-1, 2**64)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -962,10 +987,142 @@ def test_a_module_run_freezes_the_collector_once_main_returns(tmp_path):
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(capsys):
-    before = gc.get_freeze_count()
+    before, environ = gc.get_freeze_count(), dict(os.environ)
     assert run_cli(["estimate", "--check"], capsys)[0] == 0
     assert run_cli(["noisy-meas", "--trials", "3", "--check"], capsys)[0] == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+    assert dict(os.environ) == environ
+
+
+# `python -m toffsim.cli` as runpy runs it, then what the process holds once
+# numpy has loaded: its OS threads, its BLAS thread setting and its collector
+THREAD_PROBE = """
+import gc, json, os, runpy, sys
+sys.argv = ["toffsim"] + sys.argv[1:]
+try:
+    runpy.run_module("toffsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled()]))
+"""
+
+
+def run_thread_probe(tmp_path, blas_threads):
+    """THREAD_PROBE of a noisy-meas run, with OPENBLAS_NUM_THREADS unset or as given."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, "noisy-meas", "--trials", "3",
+                           "--check", "--out", str(tmp_path / "report.json")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, threads, setting, collecting = json.loads(proc.stdout)
+    assert code == 0 and numpy_loaded
+    assert not collecting
+    return threads, setting
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_a_module_run_starts_no_blas_thread(tmp_path):
+    assert run_thread_probe(tmp_path, None) == (1, "1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_a_module_run_keeps_a_blas_thread_count_set_in_the_environment(tmp_path):
+    threads, setting = run_thread_probe(tmp_path, "2")
+    assert setting == "2"
+    # OpenBLAS starts no more threads than the process may use cores
+    assert threads == min(2, len(os.sched_getaffinity(0)))
+
+
+# every subcommand, in each model and mode it runs (the unitary readout is exact
+# only), at a small trial count T; estimate scales its target list instead
+GARBAGE_RUNS = {
+    "toffoli-verify": (["toffoli-verify"], 2, None),
+    "distill": (["distill"], 20, None),
+    "noisy-meas-decoherent-effective": (["noisy-meas"], 40, {"mode": "effective"}),
+    "noisy-meas-decoherent-exact": (["noisy-meas"], 4, {"mode": "exact"}),
+    "noisy-meas-unitary-exact": (["noisy-meas"], 4, {"model": "unitary", "mode": "exact"}),
+    "ensemble-decoherent": (["ensemble"], 4, {"model": "decoherent"}),
+    "ensemble-unitary": (["ensemble"], 4, {"model": "unitary"}),
+    "estimate": (["estimate"], 0, {"targets": [-9.0, -100.0]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("run", sorted(GARBAGE_RUNS))
+def test_cyclic_garbage_of_a_warm_run_does_not_grow_with_trials(tmp_path, capsys, run, fmt):
+    # process_main runs main with the collector disabled, which holds only if
+    # what a run leaves for the collector does not grow with its work
+    argv, trials, config = GARBAGE_RUNS[run]
+
+    def garbage(scale):
+        """Objects the collector frees after one run at `scale` times the work."""
+        call = argv + ["--format", fmt]
+        if trials:
+            call += ["--trials", str(scale * trials)]
+        if config is not None:
+            scaled = dict(config)
+            if "targets" in scaled:
+                scaled["targets"] = scaled["targets"] * scale
+            call += ["--config", write_config(tmp_path, "cfg.json", scaled)]
+        gc.collect()
+        assert run_cli(call, capsys)[0] == 0
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(1)  # warm: first-call imports and caches
+        counts = [garbage(1), garbage(4)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
+# a child interpreter that calls `main` in process, so that OPENBLAS_NUM_THREADS
+# unset leaves numpy's default thread count, and writes every report to a file
+BLAS_PROBE = """
+import json, os, sys
+from toffsim.cli import main
+for name, argv in json.loads(sys.argv[2]).items():
+    assert main(argv + ["--out", os.path.join(sys.argv[1], name)]) == 0, name
+"""
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    calls = {command: [command] for command in cli._COMMANDS}
+    calls.update({config.stem: ["noisy-meas", "--config", str(config)]
+                  for config in sorted(CONFIGS.glob("readout-*.json"))})
+    assert len(calls) == 7
+    runs = {f"{name}.{fmt}": argv + ["--format", fmt]
+            for name, argv in calls.items() for fmt in ("json", "csv")}
+    reports = {}
+    for setting in (None, "1", "2"):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        out = tmp_path / str(setting)
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(out), json.dumps(runs)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for name in runs:
+            if name.endswith(".csv"):
+                reports[setting, name] = (out / name).read_bytes()
+            else:
+                report = json.loads((out / name).read_text())
+                del report["wall_time_seconds"]
+                reports[setting, name] = report
+    for name in runs:
+        assert reports["1", name] == reports[None, name], name
+        assert reports["2", name] == reports[None, name], name
 
 
 def test_the_console_script_runs_the_process_entry_point():
