@@ -1009,14 +1009,20 @@ print(json.dumps([code, "numpy" in sys.modules, len(os.listdir("/proc/self/task"
 """
 
 
-def run_thread_probe(tmp_path, blas_threads):
-    """THREAD_PROBE of a noisy-meas run, with OPENBLAS_NUM_THREADS unset or as given."""
+def blas_env(blas_threads):
+    """This environment with OPENBLAS_NUM_THREADS unset (None) or as given."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def run_thread_probe(tmp_path, blas_threads):
+    """THREAD_PROBE of a noisy-meas run under `blas_env(blas_threads)`."""
     proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, "noisy-meas", "--trials", "3",
                            "--check", "--out", str(tmp_path / "report.json")],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120,
+                          env=blas_env(blas_threads))
     assert proc.returncode == 0, proc.stderr
     code, numpy_loaded, threads, setting, collecting = json.loads(proc.stdout)
     assert code == 0 and numpy_loaded
@@ -1104,14 +1110,11 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
             for name, argv in calls.items() for fmt in ("json", "csv")}
     reports = {}
     for setting in (None, "1", "2"):
-        env = {key: value for key, value in os.environ.items()
-               if key != "OPENBLAS_NUM_THREADS"}
-        if setting is not None:
-            env["OPENBLAS_NUM_THREADS"] = setting
         out = tmp_path / str(setting)
         out.mkdir()
         proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(out), json.dumps(runs)],
-                              capture_output=True, text=True, timeout=300, env=env)
+                              capture_output=True, text=True, timeout=300,
+                              env=blas_env(setting))
         assert proc.returncode == 0, proc.stderr
         for name in runs:
             if name.endswith(".csv"):
