@@ -2,11 +2,11 @@
 Toffoli gates built from distilled two-qubit ancillas.
 
 Subpackages split along the pipeline: `core` (simulator of qubits named by
-plain string labels), `gadgets` (ancilla synthesis and the Toffoli
-measurement gadget), `distill` (ancilla purification algebra and costs),
-`noisy_meas` (cat-state mediated transversal measurements under errors),
-`error_models` (decoherent and coherent error statistics), `concat`
-(log-space concatenation estimates).
+plain string labels), `gadgets` (ancilla synthesis and the Toffoli gadget),
+`ancilla` and `distill` (the noisy pair ancilla, its purification and costs),
+`channels` and `noisy_meas` (cat-block measurements under errors),
+`error_models` (block-ensemble statistics), `concat` (log-space
+concatenation estimates).
 
 Importing the package loads no numpy.  `__version__` and `kernel_backend`
 are plain constants; the `core` names of `__all__` are looked up in `core`

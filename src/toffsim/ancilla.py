@@ -1,0 +1,108 @@
+"""The noisy pair ancilla in operator form.
+
+A noisy preparation of the pair ancilla |00> + |01> + |10> stays inside the
+two-dimensional span of the ideal state and |11>, so it is summarized by
+three coefficients (a1, a2, a3) in the operator form
+
+    rho  =  P + a1 |P><11| + a2 |11><P| + a3 |11><11|,      P = |pair><pair|
+
+with the pair vector kept unnormalized (squared norm 3).  A noisy readout
+reads these coefficients off its pair states, without loading the
+purification in `distill`, which serves the names of this module too.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple, Sequence, Tuple
+
+import numpy as np
+
+from .core import QuantumState
+
+PAIR_VECTOR = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.complex128)
+_ELEVEN = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
+_BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
+# the largest residual, relative to the state's largest entry, that
+# `MixedAncilla.from_state` accepts inside the pair/|11> span
+_SPAN_TOL = 1e-9
+# the 2 x 4 pseudo-inverse of `_BASIS`, as LAPACK's pinv returns it: its 1/3
+# entries lie one ulp above 1/3, and the contamination readings of
+# `MixedAncilla.from_state` depend on those bits
+_THIRD = float.fromhex("0x1.5555555555556p-2")
+_BASIS_PINV = np.array([[_THIRD, _THIRD, _THIRD, 0.0],
+                        [0.0, 0.0, 0.0, 1.0]], dtype=np.complex128)
+
+
+class MixedAncilla(NamedTuple):
+    """Coefficients (a1, a2, a3) of a noisy pair ancilla in operator form."""
+
+    a1: complex
+    a2: complex
+    a3: complex
+
+    @classmethod
+    def ideal(cls) -> "MixedAncilla":
+        return cls(0.0, 0.0, 0.0)
+
+    @classmethod
+    def from_phase_angle(cls, sigma: float) -> "MixedAncilla":
+        """Projector onto |pair> + i tan(sigma) |11> (coherent contamination)."""
+        t = math.tan(sigma)
+        return cls(-1j * t, 1j * t, t * t)
+
+    @classmethod
+    def from_excess_weight(cls, a3: float) -> "MixedAncilla":
+        """Incoherent |11> contamination only (decoherent preparation noise)."""
+        return cls(0.0, 0.0, a3)
+
+    @property
+    def weight(self) -> complex:
+        """Trace of the operator form: 3 + a3."""
+        return 3.0 + self.a3
+
+    def fidelity_to_pair(self) -> float:
+        """Overlap with the ideal pair state: 3 / (3 + a3)."""
+        val = 3.0 / (3.0 + complex(self.a3))
+        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+            raise ValueError("fidelity undefined: a3 is not real")
+        return float(val.real)
+
+    def is_physical(self, tol: float = 1e-12) -> bool:
+        """Positive-semidefinite and Hermitian as an actual density operator."""
+        a1, a2, a3 = complex(self.a1), complex(self.a2), complex(self.a3)
+        if abs(a2 - a1.conjugate()) > tol or abs(a3.imag) > tol:
+            return False
+        return a3.real >= abs(a1) ** 2 - tol
+
+    def to_state(self, labels: Sequence[str] = ("a", "b")) -> QuantumState:
+        coeff = np.array([[1.0, self.a1], [self.a2, self.a3]], dtype=np.complex128)
+        rho = _BASIS @ coeff @ _BASIS.conj().T
+        return QuantumState.from_density(labels, rho)
+
+    @classmethod
+    def from_state(cls, state: QuantumState) -> Tuple["MixedAncilla", complex]:
+        """Decompose a two-qubit state back into (coefficients, overall scale).
+
+        The scale is the coefficient on the ideal-pair projector, so a noisy
+        preparation with weight w on the ideal part returns scale w and
+        coefficients normalized to it.  Raises if the state leaves the
+        span of the pair vector and |11>.
+        """
+        if state.n_qubits != 2:
+            raise ValueError("expected a two-qubit state")
+        rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
+        coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
+        residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
+        if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
+            raise ValueError("state has support outside the pair/|11> span")
+        scale = coeff[0, 0]
+        if abs(scale) < 1e-14:
+            raise ValueError("state has no ideal-pair component; coefficients undefined")
+        return cls(coeff[0, 1] / scale, coeff[1, 0] / scale, coeff[1, 1] / scale), scale
+
+
+__all__ = [
+    "MixedAncilla",
+    "PAIR_VECTOR",
+]

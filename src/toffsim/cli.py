@@ -9,11 +9,10 @@ decoherent ensemble reads its own substream (seed, t), so its results do not
 depend on evaluation order.  The unitary ensemble instead draws every
 trial's tangents from the one substream (seed, 0), in blocks of
 `error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
-order; noisy-meas, in either mode
-and under either error model, samples them in blocks of
-`commands._TRIAL_CHUNK`, and tests check that its reports do not depend on
-the block size.  No worker pool exists: those tests are the only evidence
-that one handing out blocks of trials would reproduce the reports.
+order; noisy-meas samples them in blocks of `commands._TRIAL_CHUNK`, and
+tests check that its reports do not depend on the block size.  No worker
+pool exists: those tests are the only evidence that one handing out blocks
+of trials would reproduce the reports.
 
 Reports are JSON by default (schema `toffsim-report/1`, keys sorted, one
 wall_time_seconds field that reproducibility comparisons must ignore) or
@@ -25,34 +24,19 @@ are documented in docs/output-schema.md.
 
 Each call runs one subcommand in a fresh interpreter, where loading numpy
 and compiling the library's modules costs about as much as a small run.  So
-this module imports only the standard library, the numpy-free package
-constants and the shared pieces of `toffsim.commands` at its top.  The body
-of `estimate` is here; each of the other four is a module of
-`toffsim.commands`, imported on its subcommand's first call, so a process
-compiles only the body it runs, and each body imports what it runs inside
-itself.  `estimate` runs without numpy, and the report's `versions.numpy` is
-read from numpy's version file, not from an imported numpy.  noisy-meas
-samples its trials and its raw preparation through `rng.trial_uniforms`
-alone, so a readout process loads no `numpy.random` (nor the `secrets` and
-OpenSSL modules it pulls in).
+this module holds the config table, the parser and the report, and imports
+only the standard library and the numpy-free `toffsim` and
+`toffsim.commands`.  Each subcommand's body is a module of
+`toffsim.commands`, imported on its first call, which imports what it runs;
+`estimate` runs without numpy, and `versions.numpy` is read from numpy's
+version file.  A noisy-meas process loads the readout's own modules
+(`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no `numpy.random`.
 
 The installed `toffsim` command and `python -m toffsim.cli` run one process
 entry point, `process_main`, which makes three settings around `main` that
-only the owner of a process may make (timings on a 2-vCPU host):
-- `OPENBLAS_NUM_THREADS` defaults to 1, before numpy loads.  numpy's bundled
-  OpenBLAS otherwise starts a helper thread per extra core at import, which
-  spins for about 60 ms of CPU; `import numpy` took 234 ms wall, and 167 ms
-  without it.  No toffsim call is large enough to hand that thread work.  A
-  value set in the environment wins.
-- The cyclic collector is off for the run.  A readout run otherwise made 34
-  collections over the import-time heap, about 5 ms, and a run leaves the
-  same cyclic garbage (the parser's graph) whatever its trial count.
-- Once `main` has returned, `gc.freeze()` spares the heap from the final
-  collection that finalization runs even with the collector off: teardown
-  took 21 ms from the return of `main` to the process's exit (readout-exact;
-  24 ms for distill), and 5 ms frozen (7 ms for distill).
-`main` itself makes none of them, so an in-process caller keeps numpy's
-default threads, its environment and a collector that can clear its heap.
+only the owner of a process may make; `process_main`'s docstring times them.
+`main` makes none of them, so an in-process caller keeps numpy's default
+threads, its environment and a collector that can clear its heap.
 """
 
 from __future__ import annotations
@@ -73,7 +57,7 @@ from typing import Optional, Sequence
 
 from . import __version__, kernel_backend
 # the work limits live in `commands`; the two of noisy-meas are re-exported here
-from .commands import _BRANCHES, _MAX_CAT_BITS, _MAX_TRIAL_BITS, _Check  # noqa: F401
+from .commands import _BRANCHES, _MAX_CAT_BITS, _MAX_TRIAL_BITS  # noqa: F401
 
 SCHEMA = "toffsim-report/1"
 
@@ -204,64 +188,6 @@ def _scalar(name: str, value, kind: str):
 
 # -- subcommands -------------------------------------------------------------------
 
-def _cmd_estimate(cfg: dict, seed: int, rows):
-    from .concat import CodeParams, progressive_schedule, standard_concat_levels
-
-    del seed  # deterministic command; seed is echoed in the report envelope
-    params_kwargs = {key: cfg[key] for key in ("threshold_log10", "prefactor_log10")}
-    if cfg["scaling_exponent"] is not None:
-        params_kwargs["scaling_exponent"] = cfg["scaling_exponent"]
-    params = CodeParams(**params_kwargs)
-
-    out_targets = []
-    for target in cfg["targets"]:
-        entry = {"target_log10": target}
-        for strategy in cfg["strategies"]:
-            fn = progressive_schedule if strategy == "progressive" else standard_concat_levels
-            kwargs = dict(params=params, physical_error_log10=cfg["physical_error_log10"],
-                          gate_penalty=cfg["gate_penalty"])
-            if strategy == "progressive":
-                kwargs["first_block"] = cfg["first_block"]
-            else:
-                kwargs["block_size"] = cfg["block_size"]
-            try:
-                schedule = fn(target, **kwargs)
-            except ValueError as exc:
-                entry[strategy] = {"error": str(exc)}
-                continue
-            entry[strategy] = {
-                "depth": schedule.depth,
-                "achieved": schedule.achieved,
-                "levels": [
-                    {"level": lv.level, "block_size": lv.block_size,
-                     "failure_log10": lv.failure_log10,
-                     "gate_failure_log10": lv.gate_failure_log10}
-                    for lv in schedule.levels
-                ],
-            }
-            if rows is not None:
-                rows.extend((strategy, target, lv.level, lv.block_size,
-                             lv.failure_log10, lv.gate_failure_log10)
-                            for lv in schedule.levels)
-        out_targets.append(entry)
-
-    results = {"targets": out_targets}
-    checks = _Check()
-    prog_by_target = {e["target_log10"]: e.get("progressive") for e in out_targets}
-    one = prog_by_target.get(-9.0)
-    if one and "error" not in one:
-        exp1 = one["levels"][0]["failure_log10"]
-        checks.add("single-level exponent", one["depth"] == 1 and -10.0 <= exp1 <= -8.0,
-                   f"depth {one['depth']}, exponent {exp1!r}")
-    two = prog_by_target.get(-100.0)
-    if two and "error" not in two:
-        expf = two["levels"][-1]["failure_log10"]
-        checks.add("two-level exponent", two["depth"] == 2 and -850.0 <= expf <= -810.0,
-                   f"depth {two['depth']}, exponent {expf!r}")
-    return results, ("strategy", "target_log10", "level", "block_size",
-                     "failure_log10", "gate_failure_log10"), checks
-
-
 def _loaded_on_call(module: str):
     """The `run` of command module `toffsim.commands.<module>`, which is
     imported on the first call, not before."""
@@ -278,7 +204,7 @@ _COMMANDS = {
     "distill": _loaded_on_call("distill"),
     "noisy-meas": _loaded_on_call("noisy_meas"),
     "ensemble": _loaded_on_call("ensemble"),
-    "estimate": _cmd_estimate,
+    "estimate": _loaded_on_call("estimate"),
 }
 
 
@@ -293,6 +219,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags every subcommand takes, added once and shared through `parents`
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON config file")
+    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--trials", type=int, default=None, help="override the trial count")
+    common.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--check", action="store_true",
+                        help="exit 2 unless all built-in verifications pass")
     parser = _Parser(prog="toffsim",
                      description="Seeded experiments on measurement-based Toffoli "
                                  "gates, ancilla purification, and noisy parity "
@@ -305,16 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ensemble", "block-ensemble fidelity or log-tangent statistics"),
         ("estimate", "log-space concatenation schedules"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the trial count")
-        p.add_argument("--out", metavar="PATH", help="write the report here "
-                                                     "(default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--check", action="store_true",
-                       help="exit 2 unless all built-in verifications pass")
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "toffoli-verify":
             p.add_argument("--corrupt-branch", metavar="M1,M2,M3", default=None,
                            help="negative control: corrupt this branch's correction")
@@ -429,7 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def process_main() -> int:
     """`main` on the process's own argv, for a process that exits with its status.
 
-    It makes the three settings that the module docstring times (2-vCPU host):
+    It makes three settings (timings on a 2-vCPU host):
     - `OPENBLAS_NUM_THREADS` defaults to 1 before numpy loads, so OpenBLAS
       starts no idle helper thread: `import numpy` 234 -> 167 ms.  A value
       already set in the environment is kept.

@@ -1,11 +1,14 @@
-"""The numpy subcommands of the command line, one module each, and what they share.
+"""The subcommands of the command line, one module each, and what they share.
 
 Each module `toffsim.commands.<name>` holds one subcommand's body as
 `run(cfg, seed, rows)`: `cfg` is the resolved configuration, `seed` the master
 seed, and `rows` the sink of the CSV table's rows, or None when the report
 keeps none, in which case the command builds none.  `run` returns the
 results, the CSV header and the checks.  `toffsim.cli` imports a module on
-its subcommand's first call, so a process compiles only the body it runs.
+its subcommand's first call, so a process compiles only the body it runs:
+`estimate` without numpy, and `noisy_meas` without the purification or
+ensemble modules (`distill`, `error_models`), whose readout names it takes
+from `ancilla` and `channels`.
 
 This module holds what the CLI and the command modules share: the work
 limits, the outcome triples by name and the check list.  It imports only the

@@ -40,15 +40,15 @@ def _eigenstring_exhaustive(n: int) -> Tuple[int, int]:
 
 
 def run(cfg: dict, seed: int, rows):
-    from ..core import QuantumState
-    from ..distill import MixedAncilla
-    from ..error_models import (
+    from ..ancilla import MixedAncilla
+    from ..channels import (
         PauliChannel,
         UnitaryErrorSet,
         accumulated_flip_angle,
         alpha3_decoherent,
         parity_bias,
     )
+    from ..core import QuantumState
     from ..noisy_meas import prepare_raw_ancilla, sample_cphase, uniform_count
     from ..rng import trial_uniforms
 

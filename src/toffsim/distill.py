@@ -1,30 +1,27 @@
 """Purifying noisy pair ancillas by pairwise parity checks.
 
-A noisy preparation of the pair ancilla |00> + |01> + |10> stays inside the
-two-dimensional span of the ideal state and |11>, so it is summarized by
-three coefficients (a1, a2, a3) in the operator form
+A noisy pair ancilla is summarized by its coefficients (a1, a2, a3) in the
+operator form of `ancilla.MixedAncilla`, which this module serves too.  The
+purification step takes two such states, checks both cross parities, and
+disentangles one copy; on success the coefficients multiply componentwise,
+so the |11> contamination squares each round while the ideal part is
+untouched.
 
-    rho  =  P + a1 |P><11| + a2 |11><P| + a3 |11><11|,      P = |pair><pair|
-
-with the pair vector kept unnormalized (squared norm 3).  The purification
-step takes two such states, checks both cross parities, and disentangles one
-copy; on success the coefficients multiply componentwise, so the |11>
-contamination squares each round while the ideal part is untouched.
-
-Both faces are provided: the closed-form coefficient algebra (`combine`,
-`MixedAncilla`) and the explicit four-qubit circuit (`combine_states`),
-which must agree and are tested against each other.  `distill_tree` samples
-the retries of a whole purification tree fed by identically prepared raw
-copies (`pair_supply`), the one supply the protocol uses.
+Both faces are provided: the closed-form coefficient algebra (`combine`)
+and the explicit four-qubit circuit (`combine_states`), which must agree
+and are tested against each other.  `distill_tree` samples the retries of a
+whole purification tree fed by identically prepared raw copies
+(`pair_supply`), the one supply the protocol uses.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .ancilla import PAIR_VECTOR, MixedAncilla
 from .core import (
     QuantumState,
     apply_gate,
@@ -33,89 +30,6 @@ from .core import (
     tensor,
     z_product,
 )
-
-PAIR_VECTOR = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.complex128)
-_ELEVEN = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
-_BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
-# the largest residual, relative to the state's largest entry, that
-# `MixedAncilla.from_state` accepts inside the pair/|11> span
-_SPAN_TOL = 1e-9
-
-
-# the 2 x 4 pseudo-inverse of `_BASIS`, as LAPACK's pinv returns it: its 1/3
-# entries lie one ulp above 1/3, and the contamination readings of
-# `MixedAncilla.from_state` depend on those bits
-_THIRD = float.fromhex("0x1.5555555555556p-2")
-_BASIS_PINV = np.array([[_THIRD, _THIRD, _THIRD, 0.0],
-                        [0.0, 0.0, 0.0, 1.0]], dtype=np.complex128)
-
-
-class MixedAncilla(NamedTuple):
-    """Coefficients (a1, a2, a3) of a noisy pair ancilla in operator form."""
-
-    a1: complex
-    a2: complex
-    a3: complex
-
-    @classmethod
-    def ideal(cls) -> "MixedAncilla":
-        return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_phase_angle(cls, sigma: float) -> "MixedAncilla":
-        """Projector onto |pair> + i tan(sigma) |11> (coherent contamination)."""
-        t = math.tan(sigma)
-        return cls(-1j * t, 1j * t, t * t)
-
-    @classmethod
-    def from_excess_weight(cls, a3: float) -> "MixedAncilla":
-        """Incoherent |11> contamination only (decoherent preparation noise)."""
-        return cls(0.0, 0.0, a3)
-
-    @property
-    def weight(self) -> complex:
-        """Trace of the operator form: 3 + a3."""
-        return 3.0 + self.a3
-
-    def fidelity_to_pair(self) -> float:
-        """Overlap with the ideal pair state: 3 / (3 + a3)."""
-        val = 3.0 / (3.0 + complex(self.a3))
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-            raise ValueError("fidelity undefined: a3 is not real")
-        return float(val.real)
-
-    def is_physical(self, tol: float = 1e-12) -> bool:
-        """Positive-semidefinite and Hermitian as an actual density operator."""
-        a1, a2, a3 = complex(self.a1), complex(self.a2), complex(self.a3)
-        if abs(a2 - a1.conjugate()) > tol or abs(a3.imag) > tol:
-            return False
-        return a3.real >= abs(a1) ** 2 - tol
-
-    def to_state(self, labels: Sequence[str] = ("a", "b")) -> QuantumState:
-        coeff = np.array([[1.0, self.a1], [self.a2, self.a3]], dtype=np.complex128)
-        rho = _BASIS @ coeff @ _BASIS.conj().T
-        return QuantumState.from_density(labels, rho)
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> Tuple["MixedAncilla", complex]:
-        """Decompose a two-qubit state back into (coefficients, overall scale).
-
-        The scale is the coefficient on the ideal-pair projector, so a noisy
-        preparation with weight w on the ideal part returns scale w and
-        coefficients normalized to it.  Raises if the state leaves the
-        span of the pair vector and |11>.
-        """
-        if state.n_qubits != 2:
-            raise ValueError("expected a two-qubit state")
-        rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
-        coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
-        residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
-        if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
-            raise ValueError("state has support outside the pair/|11> span")
-        scale = coeff[0, 0]
-        if abs(scale) < 1e-14:
-            raise ValueError("state has no ideal-pair component; coefficients undefined")
-        return cls(coeff[0, 1] / scale, coeff[1, 0] / scale, coeff[1, 1] / scale), scale
 
 
 def success_probability(x: MixedAncilla, y: MixedAncilla) -> float:
@@ -316,23 +230,52 @@ def expected_ops(rounds: int, params: CostParams = CostParams()) -> float:
     return growth + (growth - 1.0) / (r - 1.0) * params.measurement_ratio
 
 
-def measurement_majority_repeats(eps: float, eps_m: float) -> int:
-    """Odd repetition count for a measurement that errs with probability eps_m.
+# the largest repetition count `measurement_majority_repeats` searches
+_MAX_REPEATS = 10**6
 
-    Returns r = ceil(log eps / log eps_m), bumped to the next odd integer so
-    that the vote cannot tie.  That count assumes a majority of r repeats
-    errs at ~eps_m^r.  It errs when (r+1)/2 of the repeats do, at
-    ~C(r, (r+1)/2) eps_m^((r+1)/2), so this r falls short of accuracy eps.
-    The count is kept as it is until it is rederived from that failure
-    probability, or the function is deleted.
+
+def _majority_failure(r: int, eps_m: float) -> float:
+    """Chance that a majority of r independent repeats, each wrong with
+    probability eps_m, is wrong: sum_{k > r/2} C(r, k) eps_m^k (1 - eps_m)^(r - k).
+
+    Each term is formed in logarithms, so no binomial coefficient or power
+    overflows.
+    """
+    log_p, log_q, log_r = math.log(eps_m), math.log1p(-eps_m), math.lgamma(r + 1)
+    return math.fsum(math.exp(log_r - math.lgamma(k + 1) - math.lgamma(r - k + 1)
+                              + k * log_p + (r - k) * log_q)
+                     for k in range(r, r // 2, -1))
+
+
+def measurement_majority_repeats(eps: float, eps_m: float) -> int:
+    """The smallest odd repetition count r whose majority vote errs with
+    probability at most eps, for a measurement that errs with probability
+    eps_m: `_majority_failure(r, eps_m) <= eps`.
+
+    The failure falls as r grows through the odd counts when eps_m < 1/2,
+    so r is found by doubling and then bisection.  At eps_m >= 1/2 no vote
+    helps, and a count above `_MAX_REPEATS` is not searched for: both raise
+    a ValueError.
     """
     if not 0.0 < eps < 1.0 or not 0.0 < eps_m < 1.0:
         raise ValueError("error rates must be in (0, 1)")
-    ratio = math.log(eps) / math.log(eps_m)
-    r = max(1, math.ceil(ratio - 1e-9))
-    if r % 2 == 0:
-        r += 1
-    return r
+    if eps_m >= 0.5:
+        raise ValueError("a majority vote cannot suppress an error rate of 1/2 or more")
+    if eps_m <= eps:
+        return 1  # one reading already errs at most eps; exact, as no sum is formed
+    # odd counts as 2h + 1: find h with the failure at h - 1 above eps, at h within
+    low, high = 0, 1
+    while _majority_failure(2 * high + 1, eps_m) > eps:
+        if 2 * high + 1 >= _MAX_REPEATS:
+            raise ValueError(f"more than {_MAX_REPEATS} repeats needed")
+        low, high = high, 2 * high + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _majority_failure(2 * mid + 1, eps_m) > eps:
+            low = mid
+        else:
+            high = mid
+    return 2 * high + 1
 
 
 __all__ = [

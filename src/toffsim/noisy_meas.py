@@ -59,8 +59,8 @@ from .core import (
     sample_outcomes,
     tensor,
 )
-from .distill import MixedAncilla
-from .error_models import PauliChannel, UnitaryErrorSet, alpha3_decoherent
+from .ancilla import MixedAncilla
+from .channels import PauliChannel, UnitaryErrorSet, alpha3_decoherent
 from .rng import trial_uniforms
 
 ErrorModel = Union[PauliChannel, UnitaryErrorSet]

@@ -19,10 +19,11 @@ bit-identical to `trial_rng(seed, t).random(first + count)[first:]`.  It
 never builds a `Generator`, so a process that samples only through it does
 not load `numpy.random`.  Reading from an offset lets one stream be consumed
 a block of draws at a time, as the raw pair preparation reads its attempts.
-Its Philox kernel computes a slab of blocks in place: the counter words, the
-output and the scratch for the 32-bit limb products are allocated once a
-slab, each round reads one set of counter words and writes the other, and
-the 64x64-bit high word takes four limb products (Hacker's Delight §8-2).
+Its Philox kernel computes a slab of blocks in place: the four counter
+words, two spare words and the scratch for the 32-bit limb products are
+allocated once a slab, each round updates the counter words in place and
+renames them, and the 64x64-bit high word takes four limb products (Hacker's
+Delight §8-2).
 Seeds and trial indices lie in [0, 2**64).
 """
 
@@ -116,31 +117,41 @@ def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
     (j + 1, 0, 0, 0).
 
     Every array is allocated once, at the full (rows, blocks) shape, so that
-    each operation runs over one contiguous array or with a scalar: two sets
-    of four counter words, of which a round reads one and writes the other
-    and the two are then swapped, not copied; the per-trial key; and the
-    scratch of `_mulhilo`.
+    each operation runs over one contiguous array or with a scalar: the four
+    counter words, two spare words, the per-trial key and the scratch of
+    `_mulhilo`.  A round writes each 128-bit product into the spares and a
+    consumed counter word, XORs its high word into the counter word it
+    updates, and renames the arrays.  The first round is taken in closed
+    form: three of its counter words are 0, and the fourth, j + 1, is the
+    same in every row.
     """
-    words = np.zeros((4, rows, blocks), dtype=np.uint64)
-    words[0] = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
-    c, nxt = tuple(words), tuple(np.empty_like(words))
-    scratch = tuple(np.empty((2, rows, blocks), dtype=np.uint64))
+    shape = (rows, blocks)
+    counter = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
+    first_hi, first_lo = np.empty((2, blocks), dtype=np.uint64)
+    _mulhilo(_MUL0, counter, first_hi, first_lo, np.empty((2, blocks), dtype=np.uint64))
     key0 = seed
-    key1 = np.empty((rows, blocks), dtype=np.uint64)
+    key1 = np.empty(shape, dtype=np.uint64)
     key1[:] = (np.uint64(first_trial) + np.arange(rows, dtype=np.uint64))[:, None]
-    for r in range(_ROUNDS):
-        if r:
-            key0 = (key0 + _BUMP0) % _KEY_LIMIT
-            key1 += np.uint64(_BUMP1)
-        (c0, c1, c2, c3), (n0, n1, n2, n3) = c, nxt
-        _mulhilo(_MUL1, c2, n0, n1, scratch)
-        _mulhilo(_MUL0, c0, n2, n3, scratch)
-        n0 ^= c1
-        n0 ^= np.uint64(key0)
-        n2 ^= c3
-        n2 ^= key1
-        c, nxt = nxt, c
-    return np.stack(c, axis=-1).reshape(rows, 4 * blocks)
+    c0, c1, c2, c3, hi, lo = np.empty((6, rows, blocks), dtype=np.uint64)
+    # round 0 of (j + 1, 0, 0, 0): (key0, 0, hi(M0 (j + 1)) ^ key1, lo(M0 (j + 1)))
+    c0.fill(key0)
+    c1.fill(0)
+    np.bitwise_xor(key1, first_hi, out=c2)
+    c3[:] = first_lo
+    scratch = tuple(np.empty((2, rows, blocks), dtype=np.uint64))
+    for _ in range(1, _ROUNDS):
+        key0 = (key0 + _BUMP0) % _KEY_LIMIT
+        key1 += np.uint64(_BUMP1)
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ key0, lo(M1 c2),
+        #                      hi(M0 c0) ^ c3 ^ key1, lo(M0 c0))
+        _mulhilo(_MUL1, c2, hi, lo, scratch)
+        c1 ^= hi
+        c1 ^= np.uint64(key0)
+        _mulhilo(_MUL0, c0, c2, hi, scratch)
+        c3 ^= c2
+        c3 ^= key1
+        c0, c1, c2, c3, hi, lo = c1, lo, c3, hi, c2, c0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
 
 
 def trial_uniforms(seed: int, start: int, stop: int, count: int,

@@ -58,6 +58,34 @@ def test_bad_flag_value_is_config_error(capsys):
     assert "format" in err
 
 
+# each subcommand's options, as its --help lists them: the six that every
+# subcommand shares, and toffoli-verify's negative control
+SHARED_OPTIONS = ["-h", "--help", "--config", "--seed", "--trials", "--out", "--format",
+                  "--check"]
+
+
+@pytest.mark.parametrize("command", sorted(cli._FIELDS))
+def test_each_subcommand_help_lists_the_shared_options_and_its_own(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: toffsim {command} [-h] [--config PATH] [--seed SEED]")
+    options = out[out.index("options:"):]
+    listed = re.findall(r"^  (-[-\w]+)(?:, (--[-\w]+))?", options, flags=re.M)
+    want = SHARED_OPTIONS + (["--corrupt-branch"] if command == "toffoli-verify" else [])
+    assert [name for pair in listed for name in pair if name] == want
+
+
+@pytest.mark.parametrize("command", sorted(cli._FIELDS))
+def test_a_subcommand_usage_error_exits_1_with_its_usage_line(capsys, command):
+    rc, out, err = run_cli([command, "--seed", "x"], capsys)
+    assert rc == 1 and out == ""
+    usage, message = err.split(f"toffsim {command}: error: ")
+    assert usage.startswith(f"usage: toffsim {command} [-h]")
+    assert message == "argument --seed: invalid int value: 'x'\n"
+
+
 def test_negative_seed_rejected(capsys):
     rc, _, err = run_cli(["estimate", "--seed", "-4"], capsys)
     assert rc == 1
@@ -1282,8 +1310,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     for command in ("estimate", "ensemble", "toffoli-verify", "distill", "noisy-meas"):
         added = [m for m in steps[command] if m.startswith("toffsim.commands.")
                  and m not in previous]
-        own = [] if command == "estimate" else ["toffsim.commands." + command.replace("-", "_")]
-        assert added == own, command
+        assert added == ["toffsim.commands." + command.replace("-", "_")], command
         previous = steps[command]
     assert "toffsim.concat" in steps["estimate"]
     assert not [m for m in steps["estimate"]
@@ -1327,8 +1354,8 @@ def test_module_run_of_noisy_meas_compiles_the_cli_once(tmp_path):
 
 # a fresh interpreter that runs noisy-meas, effective then exact, before any
 # other subcommand, counting `numpy.linalg.pinv` calls from before the first
-# import of toffsim.distill on; a unitary run last decomposes its states
-# through the pseudo-inverse constant
+# import of toffsim.ancilla, which holds the pseudo-inverse constant, on; a
+# unitary run last decomposes its states through that constant
 READOUT_PROBE = """
 import json, sys
 import numpy.linalg
@@ -1342,8 +1369,8 @@ def loaded():
     return sorted(m for m in sys.modules
                   if m.startswith(("numpy.random", "toffsim.")) or m in ("secrets", "hmac"))
 steps = {}
-import toffsim.distill
-steps["import distill"] = [len(pinv_calls), loaded()]
+import toffsim.ancilla
+steps["import ancilla"] = [len(pinv_calls), loaded()]
 import toffsim.cli
 for name, config in (("effective", {"mode": "effective"}), ("exact", {"mode": "exact"}),
                      ("unitary", {"mode": "exact", "model": "unitary"})):
@@ -1362,7 +1389,7 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    assert steps["import distill"][0] == 0
+    assert steps["import ancilla"][0] == 0
     for mode in ("effective", "exact"):
         pinv_calls, modules = steps[mode]
         assert pinv_calls == 0, mode
@@ -1371,6 +1398,41 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
     # decomposing a state takes no pseudo-inverse either: it is a constant
     assert steps["unitary"][0] == 0
     assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
+
+
+# a fresh interpreter that runs noisy-meas first, effective, exact under a
+# Pauli channel and exact under coherent errors, listing the toffsim modules
+# loaded after each
+READOUT_IMPORT_PROBE = """
+import json, sys
+import toffsim.cli
+steps = {}
+for name, config in (("effective", {}), ("exact", {"mode": "exact"}),
+                     ("unitary", {"mode": "exact", "model": "unitary"})):
+    with open(sys.argv[1], "w") as f:
+        json.dump(config, f)
+    assert toffsim.cli.main(["noisy-meas", "--trials", "3", "--check", "--config",
+                             sys.argv[1], "--out", sys.argv[2]]) == 0
+    steps[name] = sorted(m for m in sys.modules if m.startswith("toffsim."))
+print(json.dumps(steps))
+"""
+
+
+def test_a_readout_process_loads_no_purification_ensemble_or_other_command_module(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", READOUT_IMPORT_PROBE,
+                           str(tmp_path / "c.json"), str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    for name in ("effective", "exact", "unitary"):
+        modules = steps[name]
+        assert {"toffsim.channels", "toffsim.ancilla", "toffsim.noisy_meas"} <= set(modules)
+        # trees, circuit and cost calculus; the block-ensemble statistics; the
+        # gadget and the schedules
+        assert not {"toffsim.distill", "toffsim.error_models", "toffsim.gadgets",
+                    "toffsim.concat"} & set(modules), name
+        assert [m for m in modules if m.startswith("toffsim.commands.")] == \
+            ["toffsim.commands.noisy_meas"], name
 
 
 # a fresh interpreter in which numpy cannot be imported

@@ -1,11 +1,12 @@
 """Pair-ancilla purification: coefficient algebra, circuits, and cost calculus."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from toffsim import distill
+from toffsim import ancilla, distill
 from toffsim.core import QuantumState, fidelity, tensor
 from toffsim.distill import (
     PAIR_VECTOR,
@@ -98,10 +99,15 @@ def test_pair_vector_constant():
 def test_basis_pseudo_inverse_constant_is_lapacks_bit_for_bit():
     # the reference: LAPACK's pseudo-inverse, whose 1/3 entries lie one ulp
     # above 1/3; the contamination readings depend on those bits
-    want = np.linalg.pinv(distill._BASIS)
-    assert distill._BASIS_PINV.dtype == want.dtype
-    assert distill._BASIS_PINV.tobytes() == want.tobytes()
-    assert distill._BASIS_PINV[0, 0].real == np.nextafter(1.0 / 3.0, 1.0)
+    want = np.linalg.pinv(ancilla._BASIS)
+    assert ancilla._BASIS_PINV.dtype == want.dtype
+    assert ancilla._BASIS_PINV.tobytes() == want.tobytes()
+    assert ancilla._BASIS_PINV[0, 0].real == np.nextafter(1.0 / 3.0, 1.0)
+
+
+def test_distill_serves_the_ancilla_names():
+    assert distill.MixedAncilla is ancilla.MixedAncilla
+    assert distill.PAIR_VECTOR is ancilla.PAIR_VECTOR
 
 
 # -- combining two ancillas ---------------------------------------------------------
@@ -402,10 +408,38 @@ def test_cost_params_validation():
         CostParams(measurement_ratio=-1.0)
 
 
+def smallest_odd_repeats_oracle(eps, eps_m):
+    """The smallest odd r with sum_{k > r/2} C(r, k) eps_m^k (1 - eps_m)^(r - k)
+    <= eps, compared exactly: with eps_m = a / d, in integers times d^r."""
+    a, d = Fraction(eps_m).as_integer_ratio()
+    bound = Fraction(eps)
+    r = 1
+    while sum(math.comb(r, k) * a**k * (d - a) ** (r - k)
+              for k in range(r // 2 + 1, r + 1)) * bound.denominator > \
+            bound.numerator * d**r:
+        r += 2
+    return r
+
+
 def test_majority_repeat_counts():
-    assert measurement_majority_repeats(1e-9, 1e-3) == 3
-    assert measurement_majority_repeats(1e-8, 1e-2) == 5
-    assert measurement_majority_repeats(0.5, 1e-3) == 1
+    for eps, eps_m, want in ((1e-9, 1e-3, 7), (1e-8, 1e-2, 11), (0.5, 1e-3, 1)):
+        assert smallest_odd_repeats_oracle(eps, eps_m) == want
+        assert measurement_majority_repeats(eps, eps_m) == want
+    for eps in (0.3, 0.1, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+        for eps_m in (0.2, 0.1, 1e-2, 1e-3, 1e-4):
+            assert measurement_majority_repeats(eps, eps_m) == \
+                smallest_odd_repeats_oracle(eps, eps_m), (eps, eps_m)
+
+
+def test_majority_repeats_refuse_what_no_vote_reaches():
+    for eps_m in (0.5, 0.7):
+        with pytest.raises(ValueError, match="1/2"):
+            measurement_majority_repeats(1e-3, eps_m)
+    with pytest.raises(ValueError, match="repeats needed"):
+        measurement_majority_repeats(1e-300, 0.4999999)
+    for eps, eps_m in ((0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.0)):
+        with pytest.raises(ValueError, match="error rates"):
+            measurement_majority_repeats(eps, eps_m)
 
 
 def test_majority_repeats_are_odd():
