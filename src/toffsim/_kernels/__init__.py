@@ -28,8 +28,8 @@ def target_plan(n_axes, axes):
     return _cached_plan(n_axes, tuple(axes))
 
 
-# a CLI subcommand at its defaults uses at most 28 distinct plans (toffoli-verify,
-# with its correction-table derivation); tests/test_cli.py holds each within maxsize
+# a CLI subcommand at its defaults uses at most 23 distinct plans (toffoli-verify,
+# with its correction-table check); tests/test_cli.py holds each within maxsize
 @functools.lru_cache(maxsize=64)
 def _cached_plan(n_axes, axes):
     k = len(axes)

@@ -9,8 +9,9 @@ decoherent ensemble reads its own substream (seed, t), so its results do not
 depend on evaluation order.  The unitary ensemble instead draws every
 trial's tangents from the one substream (seed, 0), in blocks of
 `error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
-order; noisy-meas samples them in blocks of `commands._TRIAL_CHUNK`, and
-tests check that its reports do not depend on the block size.  No worker
+order; toffoli-verify and noisy-meas compute them in blocks of
+`commands._TRIAL_CHUNK`, and tests check that their reports do not depend on
+the block size.  No worker
 pool exists: those tests are the only evidence that one handing out blocks
 of trials would reproduce the reports.
 
@@ -30,7 +31,9 @@ only the standard library and the numpy-free `toffsim` and
 `toffsim.commands`, imported on its first call, which imports what it runs;
 `estimate` runs without numpy, and `versions.numpy` is read from numpy's
 version file.  A noisy-meas process loads the readout's own modules
-(`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no `numpy.random`.
+(`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no `numpy.random`;
+neither does a toffoli-verify process, which draws its inputs and the truth
+table's outcomes through `rng.trial_uniforms`.
 
 The installed `toffsim` command and `python -m toffsim.cli` run one process
 entry point, `process_main`, which makes three settings around `main` that
@@ -70,7 +73,7 @@ SCHEMA = "toffsim-report/1"
 # whose default is None also takes null, which its command resolves.
 _FIELDS = {
     # the trial caps: distill's about a minute at its defaults, toffoli-verify's
-    # 10^4 trials about 3 s (2-vCPU host)
+    # 10^4 trials about 0.3 s (2-vCPU host)
     "toffoli-verify": {
         "trials": ("int", 20, (1, 10**4)),
         "tolerance": ("float", 1e-10, (0, None)),

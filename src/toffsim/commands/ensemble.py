@@ -56,6 +56,9 @@ def run(cfg: dict, seed: int, rows):
 
     gen = trial_rng(seed, 0)
     if ensemble.model == "decoherent":
+        # refuses a block whose contamination can vanish, before any draw:
+        # its log-contamination would be log 0
+        log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
         empirical = np.empty(trials)
         log_contamination = np.empty(trials)
         sampled_analytic = np.empty(trials)
@@ -75,7 +78,6 @@ def run(cfg: dict, seed: int, rows):
         log_mean = float(log_contamination.mean())
         log_se = (float(log_contamination.std(ddof=1) / math.sqrt(trials))
                   if trials > 1 else 0.0)
-        log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
         median = _median(empirical)
         typical = 3.0 / (3.0 + math.exp(log_expected))
         results = {

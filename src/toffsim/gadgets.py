@@ -7,15 +7,18 @@ the three-qubit ancilla |000> + |001> + |010> + |100>, which in turn drives a
 Toffoli on three data qubits using only CNOTs, parity measurements, one X
 measurement, and outcome-dependent corrections from a small table.
 
-The correction table itself is not hard-coded: it is found by a bounded
-brute-force search over short products of allowed correction gates, checking
-each candidate against the exact branch transfer matrix of the gadget.
+The correction table is shipped as data, one sequence of correction tokens
+per outcome triple, and checked at its first use: each sequence must turn its
+branch's exact transfer matrix into a multiple of the Toffoli.  The bounded
+brute-force search that found the sequences is a test oracle, which shows
+each shipped sequence to be the first match by (length, vocabulary order).
+Each branch's uncorrected map is read off the Choi state once per process;
+the check and the `toffoli-verify` command share it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +30,7 @@ from .core import (
     discard,
     drop_qubit,
     measure_operator,
+    sample_outcomes,
     tensor,
     x_product,
     z_product,
@@ -128,9 +132,11 @@ def _choi_state() -> QuantumState:
     return QuantumState(("R0", "R1", "R2") + DATA_LABELS, np.eye(8).reshape(64))
 
 
-def _token_matrix(token: str) -> np.ndarray:
-    """The token's 8x8 matrix on A, B, C: its images of the 8 basis rows, transposed."""
-    return _corrected(_choi_state(), (token,), DATA_LABELS).data.reshape(8, 8).T.copy()
+def _correction_matrix(corrections: Sequence[str]) -> np.ndarray:
+    """The 8x8 matrix on A, B, C of the tokens applied in order: their images
+    of the 8 basis rows, transposed.  Every token is a signed permutation, so
+    the product is one, with entries 0 and +-1."""
+    return _corrected(_choi_state(), corrections, DATA_LABELS).data.reshape(8, 8).T.copy()
 
 
 # -- correction table ----------------------------------------------------------
@@ -183,15 +189,34 @@ def branch_map(branch: BranchKey, corrections: Sequence[str] = ()) -> np.ndarray
     return _corrected(state, corrections, DATA_LABELS).data.reshape(8, 64)
 
 
+@functools.lru_cache(maxsize=None)
+def _uncorrected_map(branch: BranchKey) -> np.ndarray:
+    """`branch_map(branch)`, run once per process and handed out read-only."""
+    m = branch_map(branch)
+    m.flags.writeable = False
+    return m
+
+
+def corrected_branch_map(branch: BranchKey, corrections: Sequence[str]) -> np.ndarray:
+    """`branch_map(branch, corrections)`, from the branch's shared uncorrected map.
+
+    The corrections' signed permutation is applied to the map's data index.
+    Each of its products has one nonzero term, +-1 times an entry of the
+    map, so the result equals the corrected Choi run's map exactly.
+    """
+    outputs = _uncorrected_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
+    return (_correction_matrix(corrections) @ outputs).reshape(8, 64)
+
+
 def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
     """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
 
     The uncorrected `branch_map`, with the ancilla residual factored out: the
     (ancilla x data, input) matrix is rank 1, outer(anc, M), and with `anc`
     its column of largest norm, M is its projection on `anc`.  The scale of
-    M is arbitrary, as the correction search allows.
+    M is arbitrary, as the correction check allows.
     """
-    outputs = branch_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
+    outputs = _uncorrected_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
     stacked = outputs.transpose(2, 1, 0).reshape(8, 64)  # ancilla x (data, input)
     anc = stacked[:, np.argmax(np.sum(np.abs(stacked) ** 2, axis=0))]
     m = anc.conj() @ stacked / np.vdot(anc, anc)
@@ -210,19 +235,31 @@ def _corrected(state: QuantumState, corrections: Sequence[str],
 
 
 def _run_gadget_circuit(state: QuantumState, branch: Optional[BranchKey],
-                        data: Sequence[str], anc: Sequence[str],
-                        rng: Optional[np.random.Generator] = None):
+                        data: Sequence[str], anc: Sequence[str], uniforms=None):
     """Steps of the gadget up to (and including) the X measurement; the three
-    outcomes are postselected as `branch`, or sampled from `rng` where it is None."""
+    outcomes are postselected as `branch`, or, where it is None, sampled
+    against `uniforms`, one each, by `sample_outcomes`."""
     A, B, C = data
     a, b, c = anc
-    state = apply_gate(state, "CNOT", A, a)
-    state = apply_gate(state, "CNOT", B, b)
     want = branch or (None, None, None)
     records = []
-    for op, outcome in ((z_product(a, b), want[0]), (z_product(b, c), want[1])):
-        state, rec = measure_operator(state, op, rng=rng, postselect=outcome)
+
+    def measure(state, op):
+        j = len(records)
+        if uniforms is None:
+            state, rec = measure_operator(state, op, postselect=want[j])
+        else:
+            outcomes, branches = sample_outcomes(state, op, uniforms[j:j + 1])
+            outcome = int(outcomes[0])
+            state, prob = branches[outcome]
+            rec = MeasurementRecord(str(op), outcome, prob)
         records.append(rec)
+        return state
+
+    state = apply_gate(state, "CNOT", A, a)
+    state = apply_gate(state, "CNOT", B, b)
+    state = measure(state, z_product(a, b))
+    state = measure(state, z_product(b, c))
     m1, m2 = records[0].outcome, records[1].outcome
     odd_one_out = {(1, 1): None, (-1, 1): a, (1, -1): c, (-1, -1): b}[(m1, m2)]
     if odd_one_out is not None:
@@ -230,53 +267,48 @@ def _run_gadget_circuit(state: QuantumState, branch: Optional[BranchKey],
     state = apply_gate(state, "CNOT", c, C)
     state = apply_gate(state, "CNOT", a, b)
     state = apply_gate(state, "CNOT", a, c)
-    state, rec = measure_operator(state, x_product(a), rng=rng, postselect=want[2])
-    records.append(rec)
+    state = measure(state, x_product(a))
     return state, records
 
 
-# derive_correction_table's longest sequence searched, and the relative
-# tolerance of a match
-_MAX_LEN = 4
+# The correction of each outcome triple (m1, m2, mx).  tests/test_gadgets.py
+# holds the search that found them: each is the first sequence, by length and
+# then vocabulary order, that makes its branch a Toffoli.
+_SHIPPED_CORRECTIONS = {
+    (1, 1, 1): (),
+    (1, 1, -1): ("CZ_AB",),
+    (1, -1, 1): ("CX_BC", "CX_AC"),
+    (1, -1, -1): ("CX_BC", "CX_AC", "X_AX_B*CZ_AB*X_BX_A"),
+    (-1, 1, 1): ("CX_BC",),
+    (-1, 1, -1): ("CX_BC", "X_A*CZ_AB*X_A"),
+    (-1, -1, 1): ("CX_AC",),
+    (-1, -1, -1): ("CX_AC", "X_B*CZ_AB*X_B"),
+}
+# the relative tolerance of a correction's match
 _TOL = 1e-10
 
 
 def derive_correction_table() -> CorrectionTable:
-    """Search short correction sequences making every gadget branch a Toffoli.
+    """The shipped correction table, each sequence checked against its branch.
 
-    For each outcome triple, the branch transfer matrix M is computed exactly
-    and the search looks for the first sequence (by length, then vocabulary
-    order) whose product P satisfies P @ M = lambda * TOFFOLI for some
-    scalar lambda.
+    For each outcome triple, the transfer matrix M of the uncorrected branch
+    is computed exactly, and the shipped sequence's product P must satisfy
+    P @ M = lambda * TOFFOLI for a nonzero scalar lambda, to a relative `_TOL`.
     """
     from .core import GATE_MATRICES
     toffoli = GATE_MATRICES["TOFFOLI"]
-    token_mats = {token: _token_matrix(token) for token in VOCAB_TOKENS}
-    entries = {}
-    for branch in itertools.product((1, -1), (1, -1), (1, -1)):
-        m = _branch_transfer_matrix(branch)
-        found = None
-        for length in range(_MAX_LEN + 1):
-            for seq in itertools.product(VOCAB_TOKENS, repeat=length):
-                corr = np.eye(8, dtype=np.complex128)
-                for token in seq:
-                    corr = token_mats[token] @ corr
-                cand = corr @ m
-                lam = np.trace(toffoli.conj().T @ cand) / 8.0
-                if abs(lam) > 1e-12 and np.max(np.abs(cand - lam * toffoli)) <= _TOL * abs(lam):
-                    found = seq
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise RuntimeError(f"no correction of length <= {_MAX_LEN} fixes branch {branch}")
-        entries[branch] = found
-    return CorrectionTable(entries)
+    for branch, corrections in _SHIPPED_CORRECTIONS.items():
+        cand = _correction_matrix(corrections) @ _branch_transfer_matrix(branch)
+        lam = np.trace(toffoli.conj().T @ cand) / 8.0
+        if abs(lam) <= 1e-12 or np.max(np.abs(cand - lam * toffoli)) > _TOL * abs(lam):
+            raise RuntimeError(f"the shipped correction {corrections} does not fix "
+                               f"branch {branch}")
+    return CorrectionTable(dict(_SHIPPED_CORRECTIONS))
 
 
 @functools.lru_cache(maxsize=None)
 def default_correction_table() -> CorrectionTable:
-    """The table `derive_correction_table` finds, derived on the first call."""
+    """The table of `derive_correction_table`, checked on the first call."""
     return derive_correction_table()
 
 
@@ -292,7 +324,7 @@ class GadgetResult(NamedTuple):
 
 def toffoli_gadget(input_state: QuantumState, *,
                    ancilla: Optional[QuantumState] = None,
-                   rng: Optional[np.random.Generator] = None,
+                   uniforms=None,
                    postselect: Optional[BranchKey] = None,
                    table: Optional[CorrectionTable] = None,
                    data_labels: Sequence[str] = DATA_LABELS,
@@ -301,21 +333,30 @@ def toffoli_gadget(input_state: QuantumState, *,
 
     `input_state` lives on `data_labels` (controls first, NOT target last).
     The ancilla defaults to the ideal three-qubit state; passing a noisy one
-    studies imperfect synthesis.  Exactly one of `rng` / `postselect` picks
-    how the three measurement outcomes are resolved.  All eight branches
-    implement the same Toffoli once the per-branch corrections from `table`
-    are applied; ancillas are measured off and discarded, so the returned
-    state is a density matrix on the data labels.
+    studies imperfect synthesis.  Exactly one of `uniforms` / `postselect`
+    picks how the three measurement outcomes are resolved: `uniforms` holds
+    three draws in [0, 1), and measurement j reports +1 exactly when draw j
+    is below the probability of +1, the rule of `measure_operator`'s
+    `rng.random()` draw.  All eight branches implement the same Toffoli once
+    the per-branch corrections from `table` are applied; ancillas are
+    measured off and discarded, so the returned state is a density matrix on
+    the data labels.
     """
-    if (rng is None) == (postselect is None):
-        raise ValueError("pass exactly one of rng= or postselect=(m1, m2, mx)")
+    if (uniforms is None) == (postselect is None):
+        raise ValueError("pass exactly one of uniforms= or postselect=(m1, m2, mx)")
+    if uniforms is not None:
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        if uniforms.shape != (3,):
+            raise ValueError(f"uniforms= takes 3 draws, one per outcome, got shape "
+                             f"{uniforms.shape}")
     input_state = input_state.reordered(data_labels)
     if ancilla is None:
         ancilla = toffoli_ancilla_target(ancilla_labels)
     if table is None:
         table = default_correction_table()
     state = tensor(input_state, ancilla)
-    state, records = _run_gadget_circuit(state, postselect, data_labels, ancilla_labels, rng)
+    state, records = _run_gadget_circuit(state, postselect, data_labels, ancilla_labels,
+                                         uniforms)
     branch = tuple(rec.outcome for rec in records)
     corrections = table[branch]
     output = discard(_corrected(state, corrections, data_labels), *ancilla_labels)

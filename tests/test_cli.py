@@ -285,6 +285,27 @@ def test_ensemble_beyond_its_work_limits_is_one_line_error(tmp_path, capsys, pay
     assert peak < 2**20  # no cascade or block of tangents was allocated
 
 
+@pytest.mark.parametrize("payload", [
+    {"p": 0.0},
+    {"n": 1, "p": 0.0, "defect_fraction": 0.0},
+])
+def test_ensemble_whose_contamination_can_vanish_is_one_line_error(tmp_path, capsys,
+                                                                   monkeypatch, payload):
+    # a block without errors has contamination 0, whose log is undefined; the
+    # run is refused before it samples a cascade
+    from toffsim import error_models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cascade was sampled")
+
+    monkeypatch.setattr(error_models, "ensemble_distill_fidelity", refuse)
+    cfg = write_config(tmp_path, "clean.json", payload)
+    rc, _, err = run_cli(["ensemble", "--config", cfg], capsys)
+    assert rc == 1
+    assert err == ("toffsim: error: contamination vanishes for a defect count; "
+                   "log-contamination is undefined\n")
+
+
 @pytest.mark.parametrize("payload, trials, error", [
     ({"levels": 10, "n": 64}, 1, None),
     ({"levels": 10, "n": 65}, 1, "2**levels x n at levels 10, n 65 exceeds the limit "
@@ -680,47 +701,105 @@ def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("trials", [1, 7, 20, 300])
 def test_toffoli_verify_block_rows_equal_one_gadget_run_each(capsys, monkeypatch, trials):
     from toffsim import core, gadgets
+    from toffsim.commands import toffoli_verify
 
-    circuit, branch_map, discard = gadgets._run_gadget_circuit, gadgets.branch_map, core.discard
-    runs, maps, outputs = [], [], []
+    circuit, fidelities = gadgets._run_gadget_circuit, toffoli_verify.branch_fidelities
+    runs, blocks = [], []
 
     def counted(state, *args, **kwargs):
         runs.append(state.n_qubits)
         return circuit(state, *args, **kwargs)
 
-    def recorded_map(branch, corrections=()):
-        maps.append((branch, branch_map(branch, corrections)))
-        return maps[-1][1]
+    def recorded(vec, m):
+        blocks.append((vec, m))
+        return fidelities(vec, m)
 
-    def recorded_discard(state, *labels):
-        outputs.append(state.data)
-        return discard(state, *labels)
-
-    gadgets.default_correction_table()  # its derivation runs the Choi state once a branch
+    # as in a fresh process: the table's check builds the 8 uncorrected maps,
+    # which the command then shares
+    gadgets._uncorrected_map.cache_clear()
+    gadgets.default_correction_table.cache_clear()
     monkeypatch.setattr(gadgets, "_run_gadget_circuit", counted)
-    monkeypatch.setattr(gadgets, "branch_map", recorded_map)
-    monkeypatch.setattr(core, "discard", recorded_discard)
+    monkeypatch.setattr(toffoli_verify, "branch_fidelities", recorded)
+    monkeypatch.setattr(commands, "_TRIAL_CHUNK", 8)
     rc, _, _ = run_cli(["toffoli-verify", "--trials", str(trials), "--check"], capsys)
     assert rc == 0
     # the 8 maps on the Choi state, then the 8 truth-table runs, whatever the trial count
     assert runs == [9] * 8 + [6] * 8
-    assert len(outputs) == 8 * trials
-    # trial t's inputs come from its own substream, in trial order, and its row on
-    # each branch is the map's image of them, bit for bit a one-input gadget run
+    monkeypatch.undo()
+    # blocks of 8 trials, each through the 8 branches in turn; the maps are the
+    # corrected Choi runs bit for bit
+    branches = list(commands._BRANCHES.values())
+    table = gadgets.default_correction_table()
+    maps = [gadgets.branch_map(branch, table[branch]) for branch in branches]
+    assert len(blocks) == 8 * -(-trials // 8)
     labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
-    rows = iter(outputs)
-    for t in range(trials):
-        draw = trial_rng(0, t)
-        vec = draw.standard_normal(8) + 1j * draw.standard_normal(8)
-        inp = QuantumState(gadgets.DATA_LABELS, vec)
-        for branch, m in maps:
-            row = next(rows)
-            assert np.array_equal(row, vec @ m)
-            want = gadgets.toffoli_gadget(inp, postselect=branch).output
-            assert np.array_equal(discard(QuantumState(labels, row), *gadgets.ANCILLA_LABELS).data,
-                                  want.data)
-            # the ancilla's squared norm 4, and the branch's probability 1/8
-            assert np.vdot(row, row).real == pytest.approx(inp.trace * 4 / 8, rel=1e-12)
+    for i, (vec, m) in enumerate(blocks):
+        block, b = divmod(i, 8)
+        assert np.array_equal(m, maps[b])
+        # trial t's input is drawn from its own substream, and its output on
+        # each branch is bit for bit a one-input gadget run's
+        assert len(vec) == min(8, trials - 8 * block)
+        for t, row in enumerate(vec, start=8 * block):
+            u = 2.0 * trial_rng(0, t).random(16) - 1.0
+            assert np.array_equal(row, u[:8] + 1j * u[8:])
+            inp = QuantumState(gadgets.DATA_LABELS, row)
+            want = gadgets.toffoli_gadget(inp, postselect=branches[b]).output
+            got = core.discard(QuantumState(labels, row @ m), *gadgets.ANCILLA_LABELS)
+            assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("corrupt", [None, "-1,1,-1"])
+def test_toffoli_verify_reports_do_not_depend_on_the_block_size(tmp_path, capsys,
+                                                                 monkeypatch, corrupt):
+    argv = ["toffoli-verify", "--trials", "30", "--seed", "4"]
+    if corrupt is not None:
+        argv.append(f"--corrupt-branch={corrupt}")
+    reports = []
+    for chunk in (commands._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
+        csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_toffoli_verify_memory_does_not_grow_with_its_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["toffoli-verify", "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # loads the modules the run imports, and fills its caches
+    assert peak(10_000) <= 2 * peak(512)
+
+
+def test_array_fidelities_equal_the_state_path_on_every_branch():
+    from toffsim import gadgets
+    from toffsim.commands.toffoli_verify import branch_fidelities
+    from toffsim.core import discard
+
+    table = gadgets.default_correction_table()
+    corrupt = (-1, 1, -1)
+    cases = [(branch, table[branch]) for branch in commands._BRANCHES.values()]
+    cases.append((corrupt, ("X_A",) + table[corrupt]))
+    rng = trial_rng(11, 0)
+    u = 2.0 * rng.random((64, 16)) - 1.0
+    # the command's inputs, and Gaussian ones
+    vecs = [u[:, :8] + 1j * u[:, 8:], rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))]
+    labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
+    for branch, corrections in cases:
+        m = gadgets.branch_map(branch, corrections)
+        for vec in vecs:
+            for row, got in zip(vec, branch_fidelities(vec, m)):
+                ideal = gadgets.ideal_toffoli_output(QuantumState(gadgets.DATA_LABELS, row))
+                output = discard(QuantumState(labels, row @ m), *gadgets.ANCILLA_LABELS)
+                assert abs(got - fidelity(output, ideal)) <= 1e-15, (branch, corrections)
 
 
 def test_csv_reports_byte_identical(tmp_path, capsys):
@@ -916,10 +995,12 @@ def test_toffoli_verify_csv_golden_rows(capsys, corrupt):
         argv.append(f"--corrupt-branch={corrupt}")
     rc, out, _ = run_cli(argv, capsys)
     assert rc == 0
-    want = {branch: f'"{branch}",0.9999999999999998,1.0,{" ".join(seq)}'
+    # a corrected branch's fidelity is exactly 1, and the fixed-order sums
+    # round its numerator and its denominator alike
+    want = {branch: f'"{branch}",1.0,1.0,{" ".join(seq)}'
             for branch, seq in TOFFOLI_CORRECTIONS.items()}
     if corrupt is not None:
-        want["-1,+1,-1"] = ('"-1,+1,-1",0.0008805446278348376,0.1129232198856835,'
+        want["-1,+1,-1"] = ('"-1,+1,-1",0.0016104376529954788,0.13685532786709206,'
                             "X_A CX_BC X_A*CZ_AB*X_A")
     assert out.splitlines()[1:] == list(want.values())
 
@@ -929,12 +1010,12 @@ def test_toffoli_verify_json_golden_results(capsys):
     assert rc == 0
     assert json.loads(out)["results"] == {
         "branches": [{"branch": branch, "corrections": seq, "mean_fidelity": 1.0,
-                      "min_fidelity": 0.9999999999999996}
+                      "min_fidelity": 1.0}
                      for branch, seq in TOFFOLI_CORRECTIONS.items()],
         "flagged_branches": [],
         "truth_table_passed": 8,
         "truth_table_total": 8,
-        "worst_fidelity": 0.9999999999999996,
+        "worst_fidelity": 1.0,
     }
 
 
@@ -1037,11 +1118,11 @@ print(json.dumps([code, "numpy" in sys.modules, len(os.listdir("/proc/self/task"
 """
 
 
-def blas_env(blas_threads):
-    """This environment with OPENBLAS_NUM_THREADS unset (None) or as given."""
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+def blas_env(setting, variable="OPENBLAS_NUM_THREADS"):
+    """This environment with `variable` unset (None) or set to `setting`."""
+    env = {key: value for key, value in os.environ.items() if key != variable}
+    if setting is not None:
+        env[variable] = setting
     return env
 
 
@@ -1129,7 +1210,10 @@ for name, argv in json.loads(sys.argv[2]).items():
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
-def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+def blas_reports(tmp_path, variable, settings):
+    """{(setting, report name): report} of every subcommand at its defaults and
+    both readout configs, as JSON without wall_time_seconds and as CSV bytes,
+    from one BLAS_PROBE child per setting of `variable` (None: unset)."""
     calls = {command: [command] for command in cli._COMMANDS}
     calls.update({config.stem: ["noisy-meas", "--config", str(config)]
                   for config in sorted(CONFIGS.glob("readout-*.json"))})
@@ -1137,12 +1221,12 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     runs = {f"{name}.{fmt}": argv + ["--format", fmt]
             for name, argv in calls.items() for fmt in ("json", "csv")}
     reports = {}
-    for setting in (None, "1", "2"):
-        out = tmp_path / str(setting)
+    for setting in settings:
+        out = tmp_path / f"{variable}-{setting}"
         out.mkdir()
         proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(out), json.dumps(runs)],
                               capture_output=True, text=True, timeout=300,
-                              env=blas_env(setting))
+                              env=blas_env(setting, variable))
         assert proc.returncode == 0, proc.stderr
         for name in runs:
             if name.endswith(".csv"):
@@ -1151,9 +1235,23 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
                 report = json.loads((out / name).read_text())
                 del report["wall_time_seconds"]
                 reports[setting, name] = report
-    for name in runs:
+    return reports, list(runs)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    reports, names = blas_reports(tmp_path, "OPENBLAS_NUM_THREADS", (None, "1", "2"))
+    for name in names:
         assert reports["1", name] == reports[None, name], name
         assert reports["2", name] == reports[None, name], name
+
+
+def test_reports_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names one:
+    # Haswell is its AVX2 kernel, Prescott its SSE3 one
+    reports, names = blas_reports(tmp_path, "OPENBLAS_CORETYPE", (None, "Haswell", "Prescott"))
+    for name in names:
+        assert reports["Haswell", name] == reports[None, name], name
+        assert reports["Prescott", name] == reports[None, name], name
 
 
 def test_the_console_script_runs_the_process_entry_point():
@@ -1238,7 +1336,9 @@ def test_each_subcommand_fits_its_index_plans_in_the_plan_cache(tmp_path, capsys
     from toffsim import _kernels, gadgets
 
     argv = subcommand_argv(tmp_path, command, config)
-    # as in a fresh process, toffoli-verify derives its correction table too
+    # as in a fresh process, toffoli-verify checks its correction table and
+    # builds the uncorrected branch maps that the check and the command share
+    gadgets._uncorrected_map.cache_clear()
     gadgets.default_correction_table.cache_clear()
     _kernels._cached_plan.cache_clear()
     rc, _, _ = run_cli(argv, capsys)
@@ -1256,7 +1356,9 @@ def test_no_subcommand_calls_numpy_linalg(tmp_path, capsys, monkeypatch, command
 
     for name in ("svd", "pinv", "eigh", "eig", "inv", "solve", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    # as in a fresh process, toffoli-verify derives its correction table too
+    # as in a fresh process, toffoli-verify checks its correction table and
+    # builds the uncorrected branch maps that the check and the command share
+    gadgets._uncorrected_map.cache_clear()
     gadgets.default_correction_table.cache_clear()
     argv = subcommand_argv(tmp_path, command, config)
     rc, _, err = run_cli(argv + ["--check", "--out", str(tmp_path / "report.json")], capsys)
@@ -1398,6 +1500,25 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
     # decomposing a state takes no pseudo-inverse either: it is a constant
     assert steps["unitary"][0] == 0
     assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
+
+
+# a fresh interpreter that runs toffoli-verify before any other subcommand and
+# lists the numpy.random modules it loaded
+TOFFOLI_VERIFY_PROBE = """
+import json, sys
+from toffsim.cli import main
+assert main(["toffoli-verify", "--check", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("numpy.random") or m == "secrets")))
+"""
+
+
+def test_a_toffoli_verify_process_loads_no_numpy_random(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", TOFFOLI_VERIFY_PROBE,
+                           str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # a fresh interpreter that runs noisy-meas first, effective, exact under a

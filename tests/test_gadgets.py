@@ -11,10 +11,12 @@ from toffsim.core import (
     QuantumState,
     apply_gate,
     apply_matrix,
+    discard,
     fidelity,
     gate,
     measure_operator,
     tensor,
+    x_product,
     z_product,
 )
 from toffsim.gadgets import (
@@ -134,7 +136,7 @@ def test_token_matrices_equal_the_kron_oracle_exactly():
         want = np.eye(8, dtype=np.complex128)
         for kind, axes in gadgets._VOCAB_OPS[token]:
             want = kron_embedded(GATE_MATRICES[kind], axes, 3) @ want
-        got = gadgets._token_matrix(token)
+        got = gadgets._correction_matrix((token,))
         assert set(np.unique(got)) <= {0, 1, -1}
         assert np.array_equal(got, want), token
 
@@ -172,7 +174,7 @@ def test_choi_transfer_matrix_equals_the_per_basis_oracle_bitwise(branch):
 def test_ancilla_factoring_rejects_a_matrix_of_rank_two(monkeypatch):
     rank_two = np.zeros((8, 8, 8), dtype=np.complex128)
     rank_two[0, 0, 0] = rank_two[1, 1, 1] = 1.0
-    monkeypatch.setattr(gadgets, "branch_map", lambda branch: rank_two.reshape(8, 64))
+    monkeypatch.setattr(gadgets, "_uncorrected_map", lambda branch: rank_two.reshape(8, 64))
     with pytest.raises(RuntimeError, match="fail to factor"):
         gadgets._branch_transfer_matrix((1, 1, 1))
 
@@ -195,8 +197,63 @@ def test_derivation_runs_the_gadget_circuit_once_per_branch(monkeypatch):
         return circuit(state, *args, **kwargs)
 
     monkeypatch.setattr(gadgets, "_run_gadget_circuit", counted)
-    derive_correction_table()
+    gadgets._uncorrected_map.cache_clear()  # as in a fresh process
+    table = derive_correction_table()
     assert runs == [9] * 8
+    # a second check, and the corrected maps the command reads, reuse those runs
+    derive_correction_table()
+    for branch in BRANCHES:
+        gadgets.corrected_branch_map(branch, table[branch])
+    assert runs == [9] * 8
+
+
+# the longest correction sequence the search oracle tries
+MAX_CORRECTION_LENGTH = 4
+
+
+def first_correction(transfer, token_mats):
+    """Oracle: the search that found the shipped table.  The first token
+    sequence, by length and then vocabulary order, whose product P makes
+    P @ transfer = lambda * TOFFOLI for a scalar lambda, to a relative 1e-10."""
+    toffoli = GATE_MATRICES["TOFFOLI"]
+    for length in range(MAX_CORRECTION_LENGTH + 1):
+        for seq in itertools.product(gadgets.VOCAB_TOKENS, repeat=length):
+            corr = np.eye(8, dtype=np.complex128)
+            for token in seq:
+                corr = token_mats[token] @ corr
+            cand = corr @ transfer
+            lam = np.trace(toffoli.conj().T @ cand) / 8.0
+            if abs(lam) > 1e-12 and np.max(np.abs(cand - lam * toffoli)) <= 1e-10 * abs(lam):
+                return seq
+    raise AssertionError(f"no correction of length <= {MAX_CORRECTION_LENGTH} fixes the branch")
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_each_shipped_correction_is_the_first_the_search_finds(branch):
+    token_mats = {token: gadgets._correction_matrix((token,)) for token in gadgets.VOCAB_TOKENS}
+    shipped = default_correction_table()[branch]
+    assert first_correction(gadgets._branch_transfer_matrix(branch), token_mats) == shipped
+    # the check reads the sequence's matrix in one Choi run: the tokens' product
+    product = np.eye(8, dtype=np.complex128)
+    for token in shipped:
+        product = token_mats[token] @ product
+    assert np.array_equal(gadgets._correction_matrix(shipped), product)
+
+
+def test_the_check_refuses_a_shipped_correction_that_fails_its_branch(monkeypatch):
+    broken = dict(gadgets._SHIPPED_CORRECTIONS)
+    broken[(1, -1, 1)] = ("X_A", "CX_BC", "CX_AC")
+    monkeypatch.setattr(gadgets, "_SHIPPED_CORRECTIONS", broken)
+    with pytest.raises(RuntimeError, match="does not fix branch"):
+        derive_correction_table()
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_corrected_map_equals_the_corrected_choi_run_bit_for_bit(branch):
+    table = default_correction_table()
+    for corrections in (table[branch], ("X_A",) + table[branch], ("CX_AB", "X_B")):
+        assert np.array_equal(gadgets.corrected_branch_map(branch, corrections),
+                              gadgets.branch_map(branch, corrections)), corrections
 
 
 def test_derived_table_matches_shipped_default():
@@ -256,7 +313,7 @@ def test_gadget_sampled_mode():
     ideal = ideal_toffoli_output(inp)
     seen = set()
     for t in range(40):
-        res = toffoli_gadget(inp, rng=trial_rng(9, t))
+        res = toffoli_gadget(inp, uniforms=trial_rng(9, t).random(3))
         assert fidelity(res.output, ideal) >= 1.0 - 1e-12
         seen.add(res.branch)
     assert len(seen) >= 4  # sampling actually explores branches
@@ -267,7 +324,9 @@ def test_gadget_requires_exactly_one_outcome_source():
     with pytest.raises(ValueError):
         toffoli_gadget(inp)
     with pytest.raises(ValueError):
-        toffoli_gadget(inp, rng=trial_rng(0, 0), postselect=(1, 1, 1))
+        toffoli_gadget(inp, uniforms=[0.5, 0.5, 0.5], postselect=(1, 1, 1))
+    with pytest.raises(ValueError, match="3 draws"):
+        toffoli_gadget(inp, uniforms=[0.5, 0.5])
 
 
 def test_gadget_records_expose_the_three_measurements():
@@ -324,7 +383,7 @@ def test_gadget_weight_bookkeeping():
     # branch probability so the output keeps input_trace * 4, while
     # postselection keeps the raw projection: input_trace * 4 * P(branch)
     inp = random_data_state(trial_rng(7, 0))
-    sampled = toffoli_gadget(inp, rng=trial_rng(8, 0))
+    sampled = toffoli_gadget(inp, uniforms=trial_rng(8, 0).random(3))
     assert sampled.output.trace == pytest.approx(4.0 * inp.trace)
     post = toffoli_gadget(inp, postselect=(1, -1, -1))
     assert post.output.trace == pytest.approx(
@@ -334,5 +393,42 @@ def test_gadget_weight_bookkeeping():
 def test_basis_truth_table_through_the_gadget():
     for i, bits in enumerate(itertools.product("01", repeat=3)):
         s = QuantumState.basis(DATA_LABELS, "".join(bits))
-        res = toffoli_gadget(s, rng=trial_rng(123, i))
+        res = toffoli_gadget(s, uniforms=trial_rng(123, i).random(3))
         assert fidelity(res.output, ideal_toffoli_output(s)) >= 1.0 - 1e-12
+
+
+def replica_gadget(input_state, rng):
+    """Oracle: the gadget with each of its three outcomes sampled by
+    `measure_operator(rng=...)`, one `rng.random()` draw each."""
+    A, B, C = DATA_LABELS
+    a, b, c = ANCILLA_LABELS
+    state = tensor(input_state, toffoli_ancilla_target(ANCILLA_LABELS))
+    state = apply_gate(apply_gate(state, "CNOT", A, a), "CNOT", B, b)
+    records = []
+    for op in (z_product(a, b), z_product(b, c)):
+        state, rec = measure_operator(state, op, rng=rng)
+        records.append(rec)
+    odd_one_out = {(1, 1): None, (-1, 1): a, (1, -1): c, (-1, -1): b}[
+        (records[0].outcome, records[1].outcome)]
+    if odd_one_out is not None:
+        state = apply_gate(state, "X", odd_one_out)
+    for ctrl, tgt in ((c, C), (a, b), (a, c)):
+        state = apply_gate(state, "CNOT", ctrl, tgt)
+    state, rec = measure_operator(state, x_product(a), rng=rng)
+    records.append(rec)
+    for token in default_correction_table()[tuple(r.outcome for r in records)]:
+        for kind, axes in gadgets._VOCAB_OPS[token]:
+            state = apply_gate(state, kind, *(DATA_LABELS[ax] for ax in axes))
+    return discard(state, *ANCILLA_LABELS), tuple(records)
+
+
+def test_gadget_on_uniforms_equals_the_rng_replica_bit_for_bit():
+    branches = set()
+    for t in range(40):
+        inp = random_data_state(trial_rng(13, t))
+        res = toffoli_gadget(inp, uniforms=trial_rng(14, t).random(3))
+        output, records = replica_gadget(inp, trial_rng(14, t))
+        assert res.records == records
+        assert np.array_equal(res.output.data, output.data)
+        branches.add(res.branch)
+    assert len(branches) == 8
