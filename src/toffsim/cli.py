@@ -9,7 +9,7 @@ decoherent ensemble reads its own substream (seed, t), so its results do not
 depend on evaluation order.  The unitary ensemble instead draws every
 trial's tangents from the one substream (seed, 0), in blocks of
 `error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
-order; toffoli-verify and noisy-meas compute them in blocks of
+order; toffoli-verify, distill and noisy-meas compute them in blocks of
 `commands._TRIAL_CHUNK`, and tests check that their reports do not depend on
 the block size.  No worker
 pool exists: those tests are the only evidence that one handing out blocks
@@ -33,7 +33,8 @@ only the standard library and the numpy-free `toffsim` and
 version file.  A noisy-meas process loads the readout's own modules
 (`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no `numpy.random`;
 neither does a toffoli-verify process, which draws its inputs and the truth
-table's outcomes through `rng.trial_uniforms`.
+table's outcomes through `rng.trial_uniforms`, nor a distill process, whose
+trees `distill.sample_trees` draws through `rng.ragged_uniforms`.
 
 The installed `toffsim` command and `python -m toffsim.cli` run one process
 entry point, `process_main`, which makes three settings around `main` that
@@ -72,8 +73,8 @@ SCHEMA = "toffsim-report/1"
 # docs/output-schema.md, "Configuration", states the kinds' rules; a field
 # whose default is None also takes null, which its command resolves.
 _FIELDS = {
-    # the trial caps: distill's about a minute at its defaults, toffoli-verify's
-    # 10^4 trials about 0.3 s (2-vCPU host)
+    # the trial caps: distill's 10^6 trials about 7 s at its defaults,
+    # toffoli-verify's 10^4 trials about 0.3 s (2-vCPU host)
     "toffoli-verify": {
         "trials": ("int", 20, (1, 10**4)),
         "tolerance": ("float", 1e-10, (0, None)),

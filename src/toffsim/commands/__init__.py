@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 from typing import List
 
-# trials per block of toffoli-verify and noisy-meas: bounds the block's arrays;
-# every trial keeps its own substream, so reports do not depend on it
+# trials per block of toffoli-verify, distill and noisy-meas: bounds the
+# block's arrays; every trial keeps its own substream, so reports do not
+# depend on it
 _TRIAL_CHUNK = 512
 # the most doubles one sampled array may hold, 32 MiB
 _MAX_BLOCK_DOUBLES = 2**22
@@ -38,7 +39,9 @@ _MAX_CAT_BITS = _MAX_BLOCK_DOUBLES // (3 * _TRIAL_CHUNK)
 # the combine attempts one distill tree may make before the run is refused
 _TREE_ATTEMPTS = 100_000
 # the most expected combine attempts a distill run may sample, over all its
-# trials: about a minute at the 3-4.5 million attempts a second measured
+# trials: about 25 s at the slowest rate measured, 8.6 million attempts a
+# second where nearly every check passes (alpha3 100), and 5-8 s at the 25-37
+# million a second of alpha3 0.5 to 1 (2-vCPU host)
 _MAX_COMBINE_ATTEMPTS = 2 * 10**8
 
 # the eight measurement outcome triples, by the name a config gives them

@@ -1,4 +1,8 @@
-"""The `distill` subcommand: purification trees, closed forms against sampling."""
+"""The `distill` subcommand: purification trees, closed forms against sampling.
+
+The trees are sampled by `distill.sample_trees`, one call a block of
+`commands._TRIAL_CHUNK` trials; trial t's tree reads the substream (seed, t).
+"""
 
 from __future__ import annotations
 
@@ -13,13 +17,12 @@ def run(cfg: dict, seed: int, rows):
     from ..distill import (
         MixedAncilla,
         combine_states,
-        distill_tree,
         expected_ops,
         fidelity_after_rounds,
         pair_supply,
+        sample_trees,
         success_probability,
     )
-    from ..rng import rekey, trial_rng
 
     alpha3, levels, trials = cfg["alpha3"], cfg["levels"], cfg["trials"]
     raw = MixedAncilla.from_excess_weight(alpha3)
@@ -63,18 +66,20 @@ def run(cfg: dict, seed: int, rows):
 
     total_attempts = total_successes = total_leaves = 0
     supply = pair_supply(raw)
-    gen = trial_rng(seed, 0)
-    for t in range(trials):
+    for start in range(0, trials, commands._TRIAL_CHUNK):
+        stop = min(start + commands._TRIAL_CHUNK, trials)
         try:
-            out = distill_tree(supply, levels, rng=rekey(gen, seed, t),
-                               max_attempts=tree_cap)
-        except RuntimeError as exc:  # the per-tree combine budget ran out
+            attempts, successes, leaves = sample_trees(supply, levels, seed=seed, start=start,
+                                                       stop=stop, max_attempts=tree_cap)
+        except RuntimeError as exc:  # a tree's combine budget ran out
             raise ValueError(f"levels {levels} is too deep to sample: {exc}") from None
-        total_attempts += out.combine_attempts
-        total_successes += out.combine_successes
-        total_leaves += out.leaves_used
+        # integer sums, exact in any order
+        total_attempts += int(attempts.sum())
+        total_successes += int(successes.sum())
+        total_leaves += int(leaves.sum())
         if rows is not None:
-            rows.append((t, out.combine_attempts, out.combine_successes, out.leaves_used))
+            rows.extend(zip(range(start, stop), attempts.tolist(), successes.tolist(),
+                            leaves.tolist()))
     freq = total_successes / total_attempts if total_attempts else float("nan")
     # per-attempt Bernoulli spread; approximate since the attempt count is random
     freq_se = (math.sqrt(freq * (1.0 - freq) / total_attempts)

@@ -9,18 +9,20 @@ untouched.
 
 Both faces are provided: the closed-form coefficient algebra (`combine`)
 and the explicit four-qubit circuit (`combine_states`), which must agree
-and are tested against each other.  `distill_tree` samples the retries of a
-whole purification tree fed by identically prepared raw copies
-(`pair_supply`), the one supply the protocol uses.
+and are tested against each other.  `sample_trees` samples the retries of
+a block of whole purification trees fed by identically prepared raw copies
+(`pair_supply`), the one supply the protocol uses, level by level in array
+passes; `distill_tree` is its one-tree call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from . import rng
 from .ancilla import PAIR_VECTOR, MixedAncilla
 from .core import (
     QuantumState,
@@ -94,8 +96,9 @@ class DistillOutcome(NamedTuple):
 
 class _FixedSupply:
     """`pair_supply`'s supply: one raw ancilla, and the results of its
-    combines per level, which `distill_tree` fills as its trees first reach
-    each level.  `combine` is pure, so trees drawing on one supply share them.
+    combines per level, which `sample_trees` fills up to the level of the
+    trees it samples.  `combine` is pure, so trees drawing on one supply
+    share them.
     """
 
     __slots__ = ("noise", "made", "probs")
@@ -117,77 +120,133 @@ class _FixedSupply:
 
 
 def pair_supply(noise: MixedAncilla = MixedAncilla.ideal()) -> _FixedSupply:
-    """Endless supply of identically prepared raw ancillas, for `distill_tree`."""
+    """Endless supply of identically prepared raw ancillas, for `sample_trees`."""
     return _FixedSupply(noise)
 
 
-# uniforms drawn from the rng per block by `distill_tree`
-_UNIFORM_BLOCK = 64
+# uniforms between the first draws of consecutive levels in a tree's substream:
+# level k reads from uniform k * _LEVEL_STRIDE on, so a budget below the
+# stride keeps the levels' regions apart
+_LEVEL_STRIDE = 2**32
+# CDF entries computed at once when `_attempt_counts` inverts its uniforms
+_CDF_CHUNK = 256
 
 
-def distill_tree(supply: _FixedSupply, level: int, *,
-                 rng: Optional[np.random.Generator] = None,
-                 max_attempts: int = 100_000) -> DistillOutcome:
-    """Produce one level-`level` ancilla, retrying failed parity checks.
+def _budget_error(max_attempts: int) -> RuntimeError:
+    return RuntimeError(f"purification exceeded {max_attempts} combine attempts")
 
-    `supply` is made by `pair_supply`: identically prepared raw ancillas,
-    endlessly.  Each combine succeeds with its coefficient-form probability,
-    decided against `rng`; on failure both inputs are discarded and rebuilt.
 
-    The tree is built depth first, left subtree before right.  An attempt
-    at level 1 pairs two fresh leaves; an attempt at level k > 1 pairs the
-    finished left output of level k - 1 with the right one just made.  Draw
-    contract: the j-th combine attempt passes exactly when the j-th uniform
-    of `rng` is below its success probability.  Uniforms are taken from
-    `rng` in blocks of `_UNIFORM_BLOCK`, so on return `rng` has advanced by
-    whole blocks, up to one block past the last uniform used.  A level-0
-    tree is the raw ancilla itself and draws no uniform.
+def _attempt_counts(u: np.ndarray, q: float, limit: int) -> np.ndarray:
+    """Geometric attempt counts, one per uniform of `u`, at failure chance q.
 
-    As all leaves are equal, every level-k combine has the same inputs and
-    the same result, so the tree runs on integers alone: each level's
-    (output, probability) is computed by `combine` once, when a tree drawing
-    on `supply` first reaches that level, and the walk keeps the level k, a
-    bitmask of the held levels and the counters.
+    A count is the least g >= 1 with u < T_g = 1 - q^g, where q^g is formed
+    by repeated multiplication, so its bits depend on neither libm nor the
+    SIMD target.  The table is computed `_CDF_CHUNK` entries at a time, and
+    a uniform past one chunk's last entry is looked up in the next, until
+    the table passes `limit` entries: a count above `limit` may read
+    limit + 1.
+    """
+    counts = np.full(u.size, limit + 1, dtype=np.int64)
+    pending = np.arange(u.size)
+    base, power = 0, 1.0  # q^base
+    while pending.size and base < limit:
+        table = np.full(_CDF_CHUNK, q)
+        table[0] *= power
+        np.multiply.accumulate(table, out=table)
+        power = table[-1]
+        np.subtract(1.0, table, out=table)
+        found = np.searchsorted(table, u[pending], side="right")
+        done = found < _CDF_CHUNK
+        counts[pending[done]] = base + 1 + found[done]
+        pending = pending[~done]
+        base += _CDF_CHUNK
+    return counts
+
+
+def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, stop: int,
+                 max_attempts: int = 100_000):
+    """Sample the combine attempts of the level-`level` trees of trials
+    start..stop-1, each on its own substream (seed, t), all at once.
+
+    Returns three int64 arrays, one entry a tree: its combine attempts, its
+    passed parity checks and the raw leaves it used.  `supply` is made by
+    `pair_supply`: identically prepared raw ancillas, endlessly.
+
+    An attempt at level k pairs two level-(k - 1) outputs and passes with
+    level k's coefficient-form probability p_k; on failure both inputs are
+    lost.  So a level-k output takes a Geometric(p_k) number of attempts,
+    and each attempt consumes two outputs of the level below.  The trees
+    are sampled from the top level down, one array pass a level: a tree
+    needing N_k level-k outputs (N_level = 1) reads N_k uniforms from
+    uniform k * 2**32 of its substream, turns each into an attempt count
+    through `_attempt_counts`, and sums them into A_k; the level below needs
+    N_(k-1) = 2 A_k.  Passed checks are the sum of the N_k, and leaves are
+    2 A_1.  A level-0 tree is the raw ancilla itself: no draw, one leaf.
+
+    Edge cases: at p_k >= 1 every attempt passes and nothing is drawn; at
+    p_k NaN or so small that 1 - p_k rounds to 1, no attempt passes.  A
+    non-real p_k raises a ValueError before any draw.
+
+    The run fails with a RuntimeError exactly when some tree's attempts
+    exceed `max_attempts`.  The error is raised as soon as it is certain:
+    before any draw when 2**level - 1, the fewest attempts a tree can make,
+    exceeds the budget; before drawing level k when some tree's N_k alone
+    exceeds what is left of its budget; and after each slab of draws.  The
+    ragged draws come in slabs of `rng._SLAB_BLOCKS` Philox blocks, so no
+    working array grows with the budget.
     """
     if not isinstance(supply, _FixedSupply):
         raise TypeError(f"supply must be made by pair_supply, got {type(supply).__name__}")
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > 0 and rng is None:
-        raise ValueError("rng is required to sample parity-check outcomes")
+    seed, start, stop = rng.check_trials(seed, start, stop)
+    if max_attempts >= _LEVEL_STRIDE:
+        raise ValueError("max_attempts must be below 2**32")
+    trees = stop - start
     if level == 0:
-        return DistillOutcome(supply.noise, 0, 0, 0, 1)
-    p1 = supply.reach(1)
-    # held: bit k set while a finished level-k output awaits its partner;
-    # upper: attempts above level 1 (each level-1 attempt takes two leaves)
-    attempts = successes = upper = held = 0
-    k = 1
-    while attempts < max_attempts:
-        block = rng.random(_UNIFORM_BLOCK).tolist()
-        del block[max_attempts - attempts:]
-        for u in block:
-            attempts += 1
-            if k == 1:
-                if not u < p1:
-                    continue
-            else:
-                upper += 1
-                if not u < p:
-                    k = 1  # both inputs are lost; rebuild from level 1
-                    continue
-            successes += 1
-            if k == level:
-                return DistillOutcome(supply.made[k], level, attempts, successes,
-                                      2 * (attempts - upper))
-            bit = 1 << k
-            if held & bit:
-                held ^= bit
-                k += 1
-                p = supply.reach(k)
-            else:
-                held |= bit
-                k = 1
-    raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+        return (np.zeros(trees, dtype=np.int64), np.zeros(trees, dtype=np.int64),
+                np.ones(trees, dtype=np.int64))
+    if (1 << level) - 1 > max_attempts:
+        raise _budget_error(max_attempts)
+    supply.reach(level)
+    attempts = np.zeros(trees, dtype=np.int64)
+    successes = np.zeros(trees, dtype=np.int64)
+    need = np.ones(trees, dtype=np.int64)
+    for k in range(level, 0, -1):
+        q = 1.0 - supply.probs[k]
+        room = max_attempts - attempts
+        if not q < 1.0 or (need > room).any():
+            raise _budget_error(max_attempts)
+        successes += need
+        if q <= 0.0:
+            made = need
+        else:
+            made = np.zeros(trees, dtype=np.int64)
+            limit = int(room.max())
+            for rows, u in rng.ragged_uniforms(seed, start, need, k * _LEVEL_STRIDE):
+                made += np.bincount(rows, weights=_attempt_counts(u, q, limit),
+                                    minlength=trees).astype(np.int64)
+                if (made > room).any():
+                    raise _budget_error(max_attempts)
+        attempts += made
+        need = 2 * made
+    return attempts, successes, need
+
+
+def distill_tree(supply: _FixedSupply, level: int, *, seed: int, trial: int,
+                 max_attempts: int = 100_000) -> DistillOutcome:
+    """Produce one level-`level` ancilla from `supply`, retrying failed
+    parity checks: the tree of trial `trial` of `sample_trees`, on the
+    substream (seed, trial).
+
+    As all leaves are equal, every level-k combine has the same inputs and
+    the same result, which `supply` computes once; the tree's randomness
+    lies in its counters alone, which are Python ints.
+    """
+    attempts, successes, leaves = sample_trees(supply, level, seed=seed, start=trial,
+                                               stop=trial + 1, max_attempts=max_attempts)
+    return DistillOutcome(supply.made[level], level, int(attempts[0]),
+                          int(successes[0]), int(leaves[0]))
 
 
 # -- operation-count calculus ---------------------------------------------------
@@ -290,5 +349,6 @@ __all__ = [
     "fidelity_after_rounds",
     "measurement_majority_repeats",
     "pair_supply",
+    "sample_trees",
     "success_probability",
 ]

@@ -19,15 +19,21 @@ bit-identical to `trial_rng(seed, t).random(first + count)[first:]`.  It
 never builds a `Generator`, so a process that samples only through it does
 not load `numpy.random`.  Reading from an offset lets one stream be consumed
 a block of draws at a time, as the raw pair preparation reads its attempts.
-Its Philox kernel computes a slab of blocks in place: the four counter
-words, two spare words and the scratch for the 32-bit limb products are
-allocated once a slab, each round updates the counter words in place and
-renames them, and the 64x64-bit high word takes four limb products (Hacker's
-Delight §8-2).
-Seeds and trial indices lie in [0, 2**64).
+`ragged_uniforms(seed, start, counts, first)` is its ragged form: a
+different count per substream, as distill's trees draw one level at a time.
+Both run one Philox kernel, `_philox_words`, over a slab of blocks in place:
+the four counter words, two spare words and the scratch for the 32-bit limb
+products are allocated once a slab, each round updates the counter words in
+place and renames them, and the 64x64-bit high word takes four limb products
+(Hacker's Delight §8-2).
+Seeds, trial indices and counts are integers (`operator.index`: a numpy
+integer is taken at its value, a float is refused), and seeds and trial
+indices lie in [0, 2**64).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -43,19 +49,32 @@ _ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-# Philox blocks (4 words each) computed at once by `trial_uniforms`
+# Philox blocks (4 words each) computed at once by `trial_uniforms` and
+# `ragged_uniforms`
 _SLAB_BLOCKS = 2**15
 
 
-def _check_key(value: int, what: str) -> None:
+def _check_key(value: int, what: str) -> int:
+    """`value` as an int in [0, 2**64); a TypeError if it is no integer."""
+    value = operator.index(value)
     if not 0 <= value < _KEY_LIMIT:
         raise ValueError(f"{what} must lie in [0, 2**64), got {value}")
+    return value
+
+
+def check_trials(seed: int, start: int, stop: int):
+    """(seed, start, stop) as ints, for the substreams of trials start..stop-1."""
+    seed = _check_key(seed, "seed")
+    start, stop = operator.index(start), operator.index(stop)
+    if not 0 <= start <= stop <= _KEY_LIMIT:
+        raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
+    return seed, start, stop
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream for one trial of one seeded experiment."""
-    _check_key(seed, "seed")
-    _check_key(trial, "trial index")
+    seed = _check_key(seed, "seed")
+    trial = _check_key(trial, "trial index")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -72,8 +91,8 @@ def rekey(gen: np.random.Generator, seed: int, trial: int) -> np.random.Generato
     `gen` itself: a generator taken from it, for one trial, is valid only
     until the next re-key.
     """
-    _check_key(seed, "seed")
-    _check_key(trial, "trial index")
+    seed = _check_key(seed, "seed")
+    trial = _check_key(trial, "trial index")
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": (seed, trial)},
@@ -110,35 +129,35 @@ def _mulhilo(mul: np.uint64, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     np.add(x_hi, w, out=hi)  # x_hi m_hi + (t >> 32) + (w >> 32)
 
 
-def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
-                  blocks: int) -> np.ndarray:
-    """(rows, 4 * blocks) output words of Philox blocks first_block.. of the
-    substreams of trials first_trial..; numpy keys block j with the counter
-    (j + 1, 0, 0, 0).
+def _philox_words(seed: int, trial: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Output words of the Philox blocks keyed (seed, trial) at the counters
+    (counter, 0, 0, 0), for uint64 arrays `trial` and `counter` that
+    broadcast together: shape broadcast + (4,).  numpy keys block j of a
+    substream with the counter j + 1.  `counter` is overwritten.
 
-    Every array is allocated once, at the full (rows, blocks) shape, so that
-    each operation runs over one contiguous array or with a scalar: the four
-    counter words, two spare words, the per-trial key and the scratch of
+    Every array is allocated once, at the full broadcast shape, so that each
+    operation runs over one contiguous array or with a scalar: the four
+    counter words, two spare words, the per-block key and the scratch of
     `_mulhilo`.  A round writes each 128-bit product into the spares and a
     consumed counter word, XORs its high word into the counter word it
     updates, and renames the arrays.  The first round is taken in closed
-    form: three of its counter words are 0, and the fourth, j + 1, is the
-    same in every row.
+    form, at `counter`'s own shape: three of its counter words are 0, and
+    the fourth is `counter`.  So rows x 1 trials against 1 x blocks counters,
+    as `trial_uniforms` passes them, take that round once a column.
     """
-    shape = (rows, blocks)
-    counter = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
-    first_hi, first_lo = np.empty((2, blocks), dtype=np.uint64)
-    _mulhilo(_MUL0, counter, first_hi, first_lo, np.empty((2, blocks), dtype=np.uint64))
+    shape = np.broadcast_shapes(trial.shape, counter.shape)
+    first_hi, first_lo, *spare = np.empty((4,) + counter.shape, dtype=np.uint64)
+    _mulhilo(_MUL0, counter, first_hi, first_lo, spare)
     key0 = seed
     key1 = np.empty(shape, dtype=np.uint64)
-    key1[:] = (np.uint64(first_trial) + np.arange(rows, dtype=np.uint64))[:, None]
-    c0, c1, c2, c3, hi, lo = np.empty((6, rows, blocks), dtype=np.uint64)
+    key1[...] = trial
+    c0, c1, c2, c3, hi, lo = np.empty((6,) + shape, dtype=np.uint64)
     # round 0 of (j + 1, 0, 0, 0): (key0, 0, hi(M0 (j + 1)) ^ key1, lo(M0 (j + 1)))
     c0.fill(key0)
     c1.fill(0)
     np.bitwise_xor(key1, first_hi, out=c2)
-    c3[:] = first_lo
-    scratch = tuple(np.empty((2, rows, blocks), dtype=np.uint64))
+    c3[...] = first_lo
+    scratch = tuple(np.empty((2,) + shape, dtype=np.uint64))
     for _ in range(1, _ROUNDS):
         key0 = (key0 + _BUMP0) % _KEY_LIMIT
         key1 += np.uint64(_BUMP1)
@@ -151,7 +170,7 @@ def _philox_words(seed: int, first_trial: int, rows: int, first_block: int,
         c3 ^= c2
         c3 ^= key1
         c0, c1, c2, c3, hi, lo = c1, lo, c3, hi, c2, c0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+    return np.stack((c0, c1, c2, c3), axis=-1)
 
 
 def trial_uniforms(seed: int, start: int, stop: int, count: int,
@@ -166,9 +185,8 @@ def trial_uniforms(seed: int, start: int, stop: int, count: int,
     of at most `_SLAB_BLOCKS` Philox blocks and written into the result, so
     the working arrays stay a few MiB however large the result is.
     """
-    _check_key(seed, "seed")
-    if not 0 <= start <= stop <= _KEY_LIMIT:
-        raise ValueError(f"trial range [{start}, {stop}) must lie in [0, 2**64)")
+    seed, start, stop = check_trials(seed, start, stop)
+    count, first = operator.index(count), operator.index(first)
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= first <= _KEY_LIMIT - count:
@@ -183,12 +201,52 @@ def trial_uniforms(seed: int, start: int, stop: int, count: int,
     row_step = max(1, _SLAB_BLOCKS // block_step)
     for r0 in range(0, rows, row_step):
         r1 = min(r0 + row_step, rows)
+        trials = np.uint64(start + r0) + np.arange(r1 - r0, dtype=np.uint64)[:, None]
         for b0 in range(0, blocks, block_step):
             b1 = min(b0 + block_step, blocks)
             lo, hi = max(4 * b0 - lead, 0), min(4 * b1 - lead, count)
             skip = lo - (4 * b0 - lead)
-            words = _philox_words(seed, start + r0, r1 - r0, first // 4 + b0, b1 - b0)
+            counters = np.arange(first // 4 + b0 + 1, first // 4 + b1 + 1, dtype=np.uint64)
+            words = _philox_words(seed, trials, counters[None, :]).reshape(r1 - r0, -1)
             words >>= _SHIFT11
             np.multiply(words[:, skip:skip + hi - lo], 2.0**-53, out=out[r0:r1, lo:hi])
             del words  # freed before the next slab's words are computed
     return out
+
+
+def ragged_uniforms(seed: int, start: int, counts: np.ndarray, first: int = 0):
+    """The first `counts[i]` uniforms, from uniform `first` on, of the
+    substream of trial start + i, for every i, in slabs.
+
+    Yields (rows, uniforms) per slab of at most `_SLAB_BLOCKS` Philox blocks:
+    `uniforms` holds the slab's draws, substream by substream in order, and
+    `rows[j]` is the i whose substream uniform j comes from.  Taken
+    together, the uniforms of row i equal
+    `trial_uniforms(seed, start + i, start + i + 1, counts[i], first)[0]`.
+    `first` is a multiple of 4, so every substream's draw begins a Philox
+    block.  A slab's arrays are computed flat, one block a row, so the
+    working arrays stay a few MiB however the counts are spread.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    seed, start, _ = check_trials(seed, start, start + counts.size)
+    first = operator.index(first)
+    if first % 4:
+        raise ValueError(f"first must be a multiple of 4, got {first}")
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be >= 0")
+    if counts.size and not 0 <= first <= _KEY_LIMIT - int(counts.max()):
+        raise ValueError(f"uniforms from {first} on must lie in [0, 2**64)")
+    blocks = (counts + 3) // 4
+    ends = np.cumsum(blocks)
+    total = int(ends[-1]) if ends.size else 0
+    for b0 in range(0, total, _SLAB_BLOCKS):
+        flat = np.arange(b0, min(b0 + _SLAB_BLOCKS, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        # each block's index within its substream's draw
+        local = flat - (ends[rows] - blocks[rows])
+        words = _philox_words(seed, np.uint64(start) + rows.astype(np.uint64),
+                              local.astype(np.uint64) + np.uint64(first // 4 + 1))
+        words >>= _SHIFT11
+        # a substream's last block may hold words past its count
+        keep = np.arange(4) < (counts[rows] - 4 * local)[:, None]
+        yield np.broadcast_to(rows[:, None], keep.shape)[keep], words[keep] * 2.0**-53

@@ -192,7 +192,7 @@ def test_purification_circuit_matches_raw_matrix_oracle():
 @pytest.mark.parametrize("levels", [0, 1, 2, 3])
 def test_tree_fidelity_matches_closed_form(a3, levels):
     supply = pair_supply(MixedAncilla.from_excess_weight(a3))
-    outcome = distill_tree(supply, levels, rng=trial_rng(SEED + levels, 0))
+    outcome = distill_tree(supply, levels, seed=SEED + levels, trial=0)
     want = fidelity_after_rounds(a3, levels)
     assert outcome.ancilla.fidelity_to_pair() == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(3.0 / (3.0 + a3 ** (2**levels)), abs=1e-15)

@@ -439,7 +439,7 @@ def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
     rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "4"], capsys)
     assert rc == 0
     with monkeypatch.context() as patched:
-        patched.setattr(distill, "distill_tree", no_sampling)
+        patched.setattr(distill, "sample_trees", no_sampling)
         rc, out, err = run_cli(["distill", "--config", cfg, "--trials", "5"], capsys)
     assert rc == 1 and out == ""
     assert err == ("toffsim: error: trials x expected combine attempts = 500000 "
@@ -452,7 +452,7 @@ def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
     rc, _, _ = run_cli(["distill", "--config", cfg, "--trials", "10"], capsys)
     assert rc == 0
     with monkeypatch.context() as patched:
-        patched.setattr(distill, "distill_tree", no_sampling)
+        patched.setattr(distill, "sample_trees", no_sampling)
         rc, _, err = run_cli(["distill", "--config", cfg, "--trials", "11"], capsys)
     assert rc == 1
     assert err.startswith("toffsim: error: trials x expected combine attempts")
@@ -779,6 +779,36 @@ def test_toffoli_verify_memory_does_not_grow_with_its_trials():
     assert peak(10_000) <= 2 * peak(512)
 
 
+@pytest.mark.parametrize("payload", [{}, {"alpha3": -0.5, "levels": 4}])
+def test_distill_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
+                                                         payload):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    argv = ["distill", "--config", cfg, "--trials", "30", "--seed", "4"]
+    reports = []
+    for chunk in (commands._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
+        csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_distill_memory_does_not_grow_with_its_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["distill", "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # loads the modules the run imports
+    assert peak(20_000) <= 2 * peak(512)
+
+
 def test_array_fidelities_equal_the_state_path_on_every_branch():
     from toffsim import gadgets
     from toffsim.commands.toffoli_verify import branch_fidelities
@@ -886,7 +916,7 @@ def test_estimate_csv_golden_first_rows(capsys):
 def test_distill_csv_golden_first_rows(capsys):
     rc, out, _ = run_cli(["distill", "--trials", "2", "--format", "csv"], capsys)
     assert rc == 0
-    assert out.splitlines()[1:] == ["0,314,75,554", "1,226,45,408"]
+    assert out.splitlines()[1:] == ["0,150,45,256", "1,76,25,128"]
 
 
 def test_distill_json_golden_results(tmp_path, capsys):
@@ -908,11 +938,11 @@ def test_distill_json_golden_results(tmp_path, capsys):
         "sampled": {
             "expected_attempts": 1000.5148792467784,
             "expected_leaves": 1720.9063107178458,
-            "mean_combine_attempts": 1133.92,
-            "mean_leaves_used": 1950.08,
-            "success_frequency": 0.2811133060533371,
+            "mean_combine_attempts": 1133.08,
+            "mean_leaves_used": 1951.84,
+            "success_frequency": 0.2782857344582907,
             "success_frequency_expected": 0.28097877763432183,
-            "success_frequency_se": 0.0018879683700576163,
+            "success_frequency_se": 0.0018828374493060772,
             "trials": 50,
         },
     }
@@ -1502,19 +1532,20 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
     assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
 
 
-# a fresh interpreter that runs toffoli-verify before any other subcommand and
-# lists the numpy.random modules it loaded
-TOFFOLI_VERIFY_PROBE = """
+# a fresh interpreter that runs one subcommand before any other and lists the
+# numpy.random modules it loaded
+COMMAND_PROBE = """
 import json, sys
 from toffsim.cli import main
-assert main(["toffoli-verify", "--check", "--out", sys.argv[1]]) == 0
+assert main([sys.argv[1], "--check", "--out", sys.argv[2]]) == 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("numpy.random") or m == "secrets")))
 """
 
 
-def test_a_toffoli_verify_process_loads_no_numpy_random(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", TOFFOLI_VERIFY_PROBE,
+@pytest.mark.parametrize("command", ["toffoli-verify", "distill"])
+def test_a_command_process_loads_no_numpy_random(tmp_path, command):
+    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, command,
                            str(tmp_path / "r.json")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -20,9 +20,10 @@ from toffsim.distill import (
     fidelity_after_rounds,
     measurement_majority_repeats,
     pair_supply,
+    sample_trees,
     success_probability,
 )
-from toffsim.rng import trial_rng
+from toffsim.rng import trial_rng, trial_uniforms
 
 
 def physical_tuples(rng, count):
@@ -193,36 +194,51 @@ def test_fidelity_after_rounds_rejects_complex_residue():
 def test_distill_tree_output_is_deterministic_in_value():
     # outcome randomness affects only the attempt ledger; all leaves are equal
     raw = MixedAncilla.from_excess_weight(0.5)
-    out = distill_tree(pair_supply(raw), 2, rng=trial_rng(0, 0))
+    out = distill_tree(pair_supply(raw), 2, seed=0, trial=0)
     assert complex(out.ancilla.a3) == pytest.approx(0.5**4)
     assert out.level == 2
 
 
 def test_distill_tree_counter_consistency():
     raw = MixedAncilla.from_excess_weight(0.3)
-    out = distill_tree(pair_supply(raw), 3, rng=trial_rng(5, 0))
+    out = distill_tree(pair_supply(raw), 3, seed=5, trial=0)
     assert out.combine_attempts >= out.combine_successes >= 2**3 - 1
     assert out.leaves_used % 2 == 0
     assert out.leaves_used >= 2**3
+    # the tracer adds these to int counters and writes them as JSON
+    assert all(type(v) is int for v in out[2:])
 
 
 def test_distill_tree_level_zero_is_a_plain_draw():
     raw = MixedAncilla.from_excess_weight(0.7)
-    out = distill_tree(pair_supply(raw), 0)
+    out = distill_tree(pair_supply(raw), 0, seed=0, trial=0)
     assert out.leaves_used == 1
     assert out.combine_attempts == 0
     assert complex(out.ancilla.a3) == pytest.approx(0.7)
 
 
 def test_distill_tree_requires_rng_beyond_level_zero():
-    with pytest.raises(ValueError):
-        distill_tree(pair_supply(), 1)
+    # the substream key is required, at every level, and must be integers
+    for level in (0, 1):
+        with pytest.raises(TypeError):
+            distill_tree(pair_supply(), level)
+        with pytest.raises(TypeError):
+            distill_tree(pair_supply(), level, seed=1.5, trial=0)
+        with pytest.raises(TypeError):
+            sample_trees(pair_supply(), level, seed=1, start=0, stop=2.0)
+    with pytest.raises(ValueError, match="seed"):
+        distill_tree(pair_supply(), 1, seed=-1, trial=0)
+    with pytest.raises(ValueError, match="trial range"):
+        sample_trees(pair_supply(), 1, seed=1, start=2**64 - 1, stop=2**64 + 1)
+    # numpy integers are read at their value
+    want = distill_tree(pair_supply(), 2, seed=2**63 + 1, trial=4)
+    assert distill_tree(pair_supply(), 2, seed=np.uint64(2**63 + 1), trial=np.int64(4)) == want
 
 
 def test_distill_tree_attempt_budget():
     raw = MixedAncilla.from_excess_weight(0.5)
     with pytest.raises(RuntimeError, match="attempts"):
-        distill_tree(pair_supply(raw), 3, rng=trial_rng(2, 0), max_attempts=3)
+        distill_tree(pair_supply(raw), 3, seed=2, trial=0, max_attempts=3)
 
 
 def test_distill_tree_takes_only_a_pair_supply():
@@ -230,36 +246,62 @@ def test_distill_tree_takes_only_a_pair_supply():
     for supply in (raw, [raw] * 4, iter([raw] * 4), lambda: raw):
         for level in (0, 1):
             with pytest.raises(TypeError, match="pair_supply"):
-                distill_tree(supply, level, rng=trial_rng(0, 0))
+                distill_tree(supply, level, seed=0, trial=0)
 
 
-def recursive_distill_tree(raw, level, *, rng=None, max_attempts=100_000):
-    """Reference: the tree built by plain recursion from leaves all equal to
-    `raw`, one `rng.random()` per attempt."""
+def test_budgets_at_or_above_the_level_stride_are_refused():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        distill_tree(pair_supply(), 1, seed=0, trial=0, max_attempts=2**32)
+    assert distill_tree(pair_supply(), 1, seed=0, trial=0,
+                        max_attempts=2**32 - 1).combine_successes == 1
+
+
+def recursive_distill_tree(raw, level, seed, trial, max_attempts=100_000):
+    """Reference: (attempts, successes, leaves) of the level-`level` tree of
+    trial `trial`, in Python ints, recursing down the levels.
+
+    A level-k output takes a geometric number of attempts and each attempt
+    consumes two outputs of the level below, so `outputs(k, n)` reads n
+    uniforms from uniform k * 2**32 of the substream (seed, trial), inverts
+    each by a linear scan of 1 - q^g (q^g by repeated multiplication), and
+    asks the level below for twice their sum.  A run past the budget is
+    certain once the fewest attempts left (2**level - 1, or n at one
+    level) exceed what is left of it.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > 0 and rng is None:
-        raise ValueError("rng is required to sample parity-check outcomes")
-    counters = {"attempts": 0, "successes": 0, "leaves": 0}
+    if level == 0:
+        return 0, 0, 1
+    if 2**level - 1 > max_attempts:
+        raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+    probs, x = [None], raw
+    for _ in range(level):
+        x, prob = combine(x, x)
+        probs.append(prob)
 
-    def build(lvl):
-        if lvl == 0:
-            counters["leaves"] += 1
-            return raw
-        while True:
-            left = build(lvl - 1)
-            right = build(lvl - 1)
-            out, prob = combine(left, right)
-            counters["attempts"] += 1
-            if counters["attempts"] > max_attempts:
-                raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
-            if rng.random() < prob:
-                counters["successes"] += 1
-                return out
+    def outputs(k, n, spent):
+        # (attempts, successes, leaves) of n level-k outputs, `spent` attempts made above
+        if k == 0:
+            return 0, 0, n
+        room = max_attempts - spent
+        q = 1.0 - probs[k]
+        if not q < 1.0 or n > room:
+            raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+        made = 0
+        if q <= 0.0:
+            made = n
+        else:
+            for u in trial_uniforms(seed, trial, trial + 1, n, k << 32)[0].tolist():
+                g, power = 1, q
+                while not u < 1.0 - power and g <= room:
+                    g, power = g + 1, power * q
+                made += g
+        if made > room:
+            raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
+        attempts, successes, leaves = outputs(k - 1, 2 * made, spent + made)
+        return attempts + made, successes + n, leaves
 
-    ancilla = build(level)
-    return DistillOutcome(ancilla, level, counters["attempts"],
-                          counters["successes"], counters["leaves"])
+    return outputs(level, 1, 0)
 
 
 def outcome_or_error(fn, *args, **kwargs):
@@ -270,25 +312,34 @@ def outcome_or_error(fn, *args, **kwargs):
 
 
 def assert_matches_recursive_oracle(raw, level, seed, trial, supply=None, **kwargs):
-    """`distill_tree` on `supply` (default: a new `pair_supply(raw)`) against the
-    recursive oracle on the same stream.  After an outcome or a spent budget
-    the generator has advanced by the whole blocks that cover the attempts."""
+    """`distill_tree` on `supply` (default: a new `pair_supply(raw)`) against
+    the recursive oracle on the same substream."""
     supply = pair_supply(raw) if supply is None else supply
-    rng = trial_rng(seed, trial)
-    got = outcome_or_error(distill_tree, supply, level, rng=rng, **kwargs)
-    want = outcome_or_error(recursive_distill_tree, raw, level,
-                            rng=trial_rng(seed, trial), **kwargs)
-    assert got == want
+    got = outcome_or_error(distill_tree, supply, level, seed=seed, trial=trial, **kwargs)
+    want = outcome_or_error(recursive_distill_tree, raw, level, seed, trial, **kwargs)
     if isinstance(got, DistillOutcome):
-        used = got.combine_attempts
-    elif got[1].startswith("purification exceeded"):
-        used = max(kwargs.get("max_attempts", 100_000), 0)
-    else:
-        return got
-    follower = trial_rng(seed, trial)
-    follower.random(-(-used // distill._UNIFORM_BLOCK) * distill._UNIFORM_BLOCK)
-    assert rng.random() == follower.random()
+        assert got.level == level and got.ancilla is supply.made[level]
+        got = tuple(got[2:])
+    assert got == want
     return got
+
+
+def assert_block_matches_recursive_oracle(raw, level, seed, start, stop, supply=None,
+                                          **kwargs):
+    """`sample_trees` over trials start..stop-1 against the oracle tree by
+    tree: equal arrays, or, when some tree errs, the first error in trial
+    order of the oracle's."""
+    supply = pair_supply(raw) if supply is None else supply
+    got = outcome_or_error(sample_trees, supply, level, seed=seed, start=start, stop=stop,
+                           **kwargs)
+    want = [outcome_or_error(recursive_distill_tree, raw, level, seed, t, **kwargs)
+            for t in range(start, stop)]
+    errors = [w for w in want if isinstance(w[0], str)]
+    if errors:
+        assert got == errors[0]
+    else:
+        assert all(a.dtype == np.int64 for a in got)
+        assert [tuple(map(int, tree)) for tree in zip(*got)] == want
 
 
 @pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 1.0, 2.0])
@@ -297,28 +348,67 @@ def test_distill_tree_matches_recursive_reference(a3):
     for level in range(5):
         for t in range(40 if level < 4 else 10):
             assert_matches_recursive_oracle(raw, level, t, level)
+        assert_block_matches_recursive_oracle(raw, level, 7, 3, 43 if level < 4 else 13)
 
 
 def test_attempt_budget_runs_out_where_the_reference_does():
     raw = MixedAncilla.from_excess_weight(0.5)
-    needed = distill_tree(pair_supply(raw), 3, rng=trial_rng(9, 0)).combine_attempts
-    assert needed > 64  # the budget falls in more than one block of uniforms
+    needed = distill_tree(pair_supply(raw), 3, seed=9, trial=0).combine_attempts
+    assert needed > 64
     for budget in range(1, needed + 2):
         got = assert_matches_recursive_oracle(raw, 3, 9, 0, max_attempts=budget)
         if budget < needed:
             assert got == ("RuntimeError",
                            f"purification exceeded {budget} combine attempts")
         else:
-            assert got.combine_attempts == needed
+            assert got[0] == needed
 
 
-def test_distill_tree_draws_uniforms_in_whole_blocks():
-    rng = trial_rng(2, 0)
-    out = distill_tree(pair_supply(), 2, rng=rng)
-    used_blocks = -(-out.combine_attempts // distill._UNIFORM_BLOCK)
-    follower = trial_rng(2, 0)
-    follower.random(distill._UNIFORM_BLOCK * used_blocks)
-    assert rng.random() == follower.random()
+def test_distill_tree_equals_its_row_of_the_batched_sampler():
+    raw = MixedAncilla.from_excess_weight(0.37)
+    supply = pair_supply(raw)
+    for start, stop in ((0, 1), (5, 70), (2**64 - 3, 2**64)):
+        rows = list(zip(*sample_trees(supply, 4, seed=11, start=start, stop=stop)))
+        assert [tuple(distill_tree(supply, 4, seed=11, trial=t)[2:])
+                for t in range(start, stop)] == [tuple(map(int, r)) for r in rows]
+
+
+def test_sampled_trees_keep_to_small_slabs(monkeypatch):
+    # slabs of three Philox blocks, so every level's draws span several, and
+    # CDF tables of two entries, so most counts are looked up past the first
+    monkeypatch.setattr(distill.rng, "_SLAB_BLOCKS", 3)
+    monkeypatch.setattr(distill, "_CDF_CHUNK", 2)
+    raw = MixedAncilla.from_excess_weight(0.5)
+    assert_block_matches_recursive_oracle(raw, 3, 4, 0, 20)
+    for budget in (20, 60, 200):
+        assert_block_matches_recursive_oracle(raw, 3, 4, 0, 20, max_attempts=budget)
+
+
+def test_attempt_counts_invert_the_geometric_cdf_at_its_steps(monkeypatch):
+    # q = 1/2: T_g = 1 - 2^-g exactly, and u = T_g needs one attempt more
+    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.75, 0), 1 - 2.0**-53])
+    assert distill._attempt_counts(u, 0.5, 100).tolist() == [1, 1, 2, 3, 2, 54]
+    assert distill._attempt_counts(u, 0.0, 100).tolist() == [1] * 6
+    # tables of two entries: a count past the limit, where they stop, reads limit + 1
+    monkeypatch.setattr(distill, "_CDF_CHUNK", 2)
+    assert distill._attempt_counts(u, 0.5, 2).tolist() == [1, 1, 2, 3, 2, 3]
+    assert distill._attempt_counts(u, 0.5, 3).tolist() == [1, 1, 2, 3, 2, 4]
+
+
+@pytest.mark.parametrize("a3", [-1.0, -2.0])
+def test_every_attempt_passes_at_success_probability_one_or_more(a3):
+    # p_1 = (3 + a3^2) / (3 + a3)^2 is 1 at a3 = -1 and 7 at a3 = -2; the
+    # levels above square a3 and pass with p < 1
+    raw = MixedAncilla.from_excess_weight(a3)
+    supply = pair_supply(raw)
+    assert supply.reach(1) >= 1.0 > supply.reach(2)
+    attempts, successes, leaves = sample_trees(supply, 1, seed=1, start=0, stop=3)
+    assert attempts.tolist() == successes.tolist() == [1] * 3
+    assert leaves.tolist() == [2] * 3
+    # a budget of one attempt is enough when that attempt cannot fail
+    assert distill_tree(supply, 1, seed=1, trial=0, max_attempts=1).combine_attempts == 1
+    for level in (2, 3):
+        assert_block_matches_recursive_oracle(raw, level, 1, 0, 30, supply)
 
 
 # The three tests below keep their names from when `distill_tree` also had a
@@ -332,10 +422,12 @@ def test_fixed_supply_loop_matches_the_general_loop(a3):
         for t in range(30 if level < 4 else 4):
             assert_matches_recursive_oracle(raw, level, 23, 10 * level + t)
             assert_matches_recursive_oracle(raw, level, 23, 10 * level + t, shared)
+        assert_block_matches_recursive_oracle(raw, level, 23, 10 * level, 10 * level + 8,
+                                              shared)
 
 
 @pytest.mark.parametrize("noise, ends", [
-    (MixedAncilla.from_phase_angle(0.3), {"outcome", "RuntimeError"}),
+    (MixedAncilla.from_phase_angle(0.3), {"outcome"}),
     (MixedAncilla(0.1 + 0.2j, 0.1 - 0.2j, 0.6), {"outcome", "RuntimeError"}),
     # a NaN success probability: no check ever passes
     (MixedAncilla.from_excess_weight(float("nan")), {"RuntimeError"}),
@@ -349,7 +441,9 @@ def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends)
         for t in range(20):
             got = assert_matches_recursive_oracle(noise, level, 29, t, supply,
                                                   max_attempts=500)
-            seen.add("outcome" if isinstance(got, DistillOutcome) else got[0])
+            seen.add("outcome" if isinstance(got[0], int) else got[0])
+        assert_block_matches_recursive_oracle(noise, level, 29, 0, 20, supply,
+                                              max_attempts=500)
     assert seen == ends
 
 
@@ -358,6 +452,10 @@ def test_fixed_supply_budget_error_matches_the_general_loop():
     for budget in (-1, 0, 1, 63, 64, 65, 128, 129, 1000):
         got = assert_matches_recursive_oracle(raw, 9, 9, 1, max_attempts=budget)
         assert got == ("RuntimeError", f"purification exceeded {budget} combine attempts")
+    # a budget at or below 0 fails every tree of level 1 or more at once
+    for budget in (-1, 0):
+        with pytest.raises(RuntimeError, match=f"exceeded {budget} combine"):
+            sample_trees(pair_supply(raw), 1, seed=9, start=0, stop=4, max_attempts=budget)
 
 
 def test_distill_tree_mean_leaves():
@@ -365,8 +463,25 @@ def test_distill_tree_mean_leaves():
     # consumes 36 leaves on average ((2/P)^2)
     total = 0
     for t in range(800):
-        total += distill_tree(pair_supply(), 2, rng=trial_rng(31, t)).leaves_used
+        total += distill_tree(pair_supply(), 2, seed=31, trial=t).leaves_used
     assert total / 800 == pytest.approx(36.0, rel=0.1)
+
+
+@pytest.mark.parametrize("a3, level", [(0.5, 2), (0.9, 3), (-0.5, 3)])
+def test_sampled_trees_meet_their_wald_expectations(a3, level):
+    # one top output takes 1/p_L attempts on average, each consuming two
+    # outputs of the level below (Wald's identity, level by level)
+    supply = pair_supply(MixedAncilla.from_excess_weight(a3))
+    attempts, successes, leaves = sample_trees(supply, level, seed=61, start=0, stop=20_000)
+    need, want_attempts, want_successes = 1.0, 0.0, 0.0
+    for k in range(level, 0, -1):
+        want_successes += need
+        want_attempts += need / supply.probs[k]
+        need = 2 * need / supply.probs[k]
+    for sample, want in ((attempts, want_attempts), (successes, want_successes),
+                         (leaves, need)):
+        se = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - want) <= 4 * se
 
 
 # -- operation-count calculus ---------------------------------------------------------

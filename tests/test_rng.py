@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toffsim import rng
-from toffsim.rng import rekey, trial_rng, trial_uniforms
+from toffsim.rng import ragged_uniforms, rekey, trial_rng, trial_uniforms
 
 COUNTS = (1, 3, 4, 5, 17, 33)
 
@@ -54,6 +54,80 @@ def test_trial_uniforms_reach_the_last_trial_index():
 def test_keys_outside_64_bits_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integer_keys_read_as_their_value(kind):
+    value = 2**63 + 4 if kind is np.uint64 else 4
+    want = trial_uniforms(value, 3, 5, 6, 4)
+    assert np.array_equal(trial_uniforms(kind(value), kind(3), kind(5), kind(6), kind(4)), want)
+    assert np.array_equal(trial_rng(kind(value), kind(3)).random(10)[4:], want[0])
+    assert np.array_equal(trial_uniforms(1, 0, 1, kind(4)), trial_uniforms(1, 0, 1, 4))
+    assert np.array_equal(rekey(trial_rng(0, 0), kind(value), kind(4)).random(10)[4:], want[1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trial_uniforms(1.5, 0, 1, 4),
+    lambda: trial_uniforms(1.0, 0, 1, 4),
+    lambda: trial_uniforms(1, 0.0, 1, 4),
+    lambda: trial_uniforms(1, 0, 1.0, 4),
+    lambda: trial_uniforms(1, 0, 1, 4.0),
+    lambda: trial_uniforms(1, 0, 1, 4, 1.0),
+    lambda: trial_uniforms(np.float64(1), 0, 1, 4),
+    lambda: trial_rng(1.5, 0),
+    lambda: trial_rng(1, 0.0),
+    lambda: rekey(trial_rng(0, 0), 1.5, 0),
+    lambda: next(ragged_uniforms(1.5, 0, [4])),
+    lambda: next(ragged_uniforms(1, 0.0, [4])),
+    lambda: next(ragged_uniforms(1, 0, [4], 4.0)),
+])
+def test_float_keys_are_type_errors(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def ragged_rows(seed, start, counts, first=0):
+    """The uniforms of `ragged_uniforms` gathered per row, and the slab count."""
+    slabs = list(ragged_uniforms(seed, start, counts, first))
+    rows = [[] for _ in counts]
+    for row_of, uniforms in slabs:
+        assert row_of.shape == uniforms.shape and uniforms.dtype == np.float64
+        assert np.all(np.diff(row_of) >= 0)  # substream by substream, in order
+        for i, u in zip(row_of.tolist(), uniforms.tolist()):
+            rows[i].append(u)
+    return rows, len(slabs)
+
+
+@pytest.mark.parametrize("seed, start", [(7, 3), (2**64 - 1, 2**64 - 6)])
+@pytest.mark.parametrize("first", [0, 4, 4 << 32, 2**64 - 64])
+def test_ragged_uniforms_equal_trial_uniforms_row_by_row(seed, start, first, monkeypatch):
+    counts = [3, 0, 9, 4, 1, 17]
+    rows, _ = ragged_rows(seed, start, counts, first)
+    for i, count in enumerate(counts):
+        assert rows[i] == trial_uniforms(seed, start + i, start + i + 1, count, first)[0].tolist()
+    # slabs of two blocks: rows split across slabs, and slabs across rows
+    monkeypatch.setattr(rng, "_SLAB_BLOCKS", 2)
+    split, slabs = ragged_rows(seed, start, counts, first)
+    assert split == rows and slabs == 6  # 1 + 0 + 3 + 1 + 1 + 5 = 11 blocks
+
+
+def test_ragged_uniforms_of_no_draws_yield_nothing():
+    assert list(ragged_uniforms(1, 0, [])) == []
+    assert list(ragged_uniforms(1, 0, [0, 0])) == []
+    assert list(ragged_uniforms(1, 2**64, [])) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ragged_uniforms(2**64, 0, [1]),
+    lambda: ragged_uniforms(0, 2**64 - 1, [1, 1]),
+    lambda: ragged_uniforms(0, -1, [1]),
+    lambda: ragged_uniforms(0, 0, [1, -1]),
+    lambda: ragged_uniforms(0, 0, [1], 2),
+    lambda: ragged_uniforms(0, 0, [8], 2**64 - 4),
+])
+def test_ragged_uniforms_refuse_what_they_would_get_wrong(call):
+    with pytest.raises(ValueError):
+        next(call())
 
 
 def test_trial_uniforms_peak_memory_stays_within_twice_the_result():
@@ -134,10 +208,16 @@ def reference_words(seed, trial, blocks, first_block=0):
 @pytest.mark.parametrize("first_trial, first_block", [
     (0, 0), (2**64 - 3, 1), (7, 2**40 + 5), (2**63, 2**64 - 6)])
 def test_philox_words_match_a_python_int_philox(seed, first_trial, first_block):
-    words = rng._philox_words(seed, first_trial, 3, first_block, 5)
-    assert words.shape == (3, 20) and words.dtype == np.uint64
-    for i, row in enumerate(words):
+    # rows x 1 trials against 1 x blocks counters, as `trial_uniforms` passes them
+    trials = np.uint64(first_trial) + np.arange(3, dtype=np.uint64)
+    counters = np.uint64(first_block + 1) + np.arange(5, dtype=np.uint64)
+    words = rng._philox_words(seed, trials[:, None], counters[None, :].copy())
+    assert words.shape == (3, 5, 4) and words.dtype == np.uint64
+    for i, row in enumerate(words.reshape(3, 20)):
         assert row.tolist() == reference_words(seed, first_trial + i, 5, first_block)
+    # flat trials and counters, one block each, as `ragged_uniforms` passes them
+    flat = rng._philox_words(seed, np.repeat(trials, 5), np.tile(counters, 3))
+    assert np.array_equal(flat, words.reshape(15, 4))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
