@@ -136,29 +136,40 @@ def _budget_error(max_attempts: int) -> RuntimeError:
     return RuntimeError(f"purification exceeded {max_attempts} combine attempts")
 
 
+def _cdf_chunk(q: float, power: float):
+    """The next `_CDF_CHUNK` entries 1 - q^g of `_attempt_counts`' table,
+    after the entry whose power q^g is `power`, and the chunk's last power."""
+    table = np.full(_CDF_CHUNK, q)
+    table[0] *= power
+    np.multiply.accumulate(table, out=table)
+    power = table[-1]
+    np.subtract(1.0, table, out=table)
+    return table, power
+
+
 def _attempt_counts(u: np.ndarray, q: float, limit: int) -> np.ndarray:
     """Geometric attempt counts, one per uniform of `u`, at failure chance q.
 
     A count is the least g >= 1 with u < T_g = 1 - q^g, where q^g is formed
     by repeated multiplication, so its bits depend on neither libm nor the
-    SIMD target.  The table is computed `_CDF_CHUNK` entries at a time, and
-    a uniform past one chunk's last entry is looked up in the next, until
-    the table passes `limit` entries: a count above `limit` may read
-    limit + 1.
+    SIMD target.  The table is computed `_CDF_CHUNK` entries at a time; the
+    few uniforms past one chunk's last entry are looked up in the next,
+    until the table passes `limit` entries.  Counts up to `limit` are exact,
+    and a larger count reads a value above `limit`.
     """
-    counts = np.full(u.size, limit + 1, dtype=np.int64)
-    pending = np.arange(u.size)
-    base, power = 0, 1.0  # q^base
-    while pending.size and base < limit:
-        table = np.full(_CDF_CHUNK, q)
-        table[0] *= power
-        np.multiply.accumulate(table, out=table)
-        power = table[-1]
-        np.subtract(1.0, table, out=table)
+    table, power = _cdf_chunk(q, 1.0)
+    counts = np.searchsorted(table, u, side="right")
+    counts += 1
+    pending = np.flatnonzero(counts > _CDF_CHUNK)  # the uniforms past the table
+    base = _CDF_CHUNK
+    while pending.size:
+        if base >= limit:
+            counts[pending] = limit + 1
+            break
+        table, power = _cdf_chunk(q, power)
         found = np.searchsorted(table, u[pending], side="right")
-        done = found < _CDF_CHUNK
-        counts[pending[done]] = base + 1 + found[done]
-        pending = pending[~done]
+        counts[pending] = found + (base + 1)
+        pending = pending[found == _CDF_CHUNK]
         base += _CDF_CHUNK
     return counts
 
@@ -206,7 +217,8 @@ def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, sto
     if level == 0:
         return (np.zeros(trees, dtype=np.int64), np.zeros(trees, dtype=np.int64),
                 np.ones(trees, dtype=np.int64))
-    if (1 << level) - 1 > max_attempts:
+    # a tree makes at least 2**level - 1 attempts, and every budget is below 2**32
+    if (1 << min(level, 33)) - 1 > max_attempts:
         raise _budget_error(max_attempts)
     supply.reach(level)
     attempts = np.zeros(trees, dtype=np.int64)
@@ -228,6 +240,7 @@ def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, sto
                                     minlength=trees).astype(np.int64)
                 if (made > room).any():
                     raise _budget_error(max_attempts)
+                del rows, u  # freed before the next slab is drawn
         attempts += made
         need = 2 * made
     return attempts, successes, need

@@ -157,6 +157,7 @@ def _philox_words(seed: int, trial: np.ndarray, counter: np.ndarray) -> np.ndarr
     c1.fill(0)
     np.bitwise_xor(key1, first_hi, out=c2)
     c3[...] = first_lo
+    del first_hi, first_lo, spare  # freed before the rounds' scratch is allocated
     scratch = tuple(np.empty((2,) + shape, dtype=np.uint64))
     for _ in range(1, _ROUNDS):
         key0 = (key0 + _BUMP0) % _KEY_LIMIT
@@ -227,7 +228,10 @@ def ragged_uniforms(seed: int, start: int, counts: np.ndarray, first: int = 0):
     block.  A slab's arrays are computed flat, one block a row, so the
     working arrays stay a few MiB however the counts are spread.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.size and counts.dtype.kind not in "iu":
+        raise TypeError(f"counts must be integers, got {counts.dtype}")
+    counts = counts.astype(np.int64)
     seed, start, _ = check_trials(seed, start, start + counts.size)
     first = operator.index(first)
     if first % 4:
@@ -249,4 +253,7 @@ def ragged_uniforms(seed: int, start: int, counts: np.ndarray, first: int = 0):
         words >>= _SHIFT11
         # a substream's last block may hold words past its count
         keep = np.arange(4) < (counts[rows] - 4 * local)[:, None]
-        yield np.broadcast_to(rows[:, None], keep.shape)[keep], words[keep] * 2.0**-53
+        row_of = np.broadcast_to(rows[:, None], keep.shape)[keep]
+        uniforms = words[keep] * 2.0**-53
+        del flat, rows, local, words, keep  # freed while the caller takes the slab
+        yield row_of, uniforms

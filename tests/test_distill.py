@@ -239,6 +239,10 @@ def test_distill_tree_attempt_budget():
     raw = MixedAncilla.from_excess_weight(0.5)
     with pytest.raises(RuntimeError, match="attempts"):
         distill_tree(pair_supply(raw), 3, seed=2, trial=0, max_attempts=3)
+    # a tree makes at least 2**level - 1 attempts: refused before any combine
+    for budget in (100_000, 2**32 - 1):
+        with pytest.raises(RuntimeError, match=f"exceeded {budget} combine"):
+            distill_tree(pair_supply(raw), 10**9, seed=2, trial=0, max_attempts=budget)
 
 
 def test_distill_tree_takes_only_a_pair_supply():
@@ -393,6 +397,8 @@ def test_attempt_counts_invert_the_geometric_cdf_at_its_steps(monkeypatch):
     monkeypatch.setattr(distill, "_CDF_CHUNK", 2)
     assert distill._attempt_counts(u, 0.5, 2).tolist() == [1, 1, 2, 3, 2, 3]
     assert distill._attempt_counts(u, 0.5, 3).tolist() == [1, 1, 2, 3, 2, 4]
+    # steps of the later chunks: T_3 = 7/8 and T_4 = 15/16
+    assert distill._attempt_counts(np.array([0.875, 0.9375]), 0.5, 100).tolist() == [4, 5]
 
 
 @pytest.mark.parametrize("a3", [-1.0, -2.0])

@@ -80,6 +80,7 @@ def test_numpy_integer_keys_read_as_their_value(kind):
     lambda: next(ragged_uniforms(1.5, 0, [4])),
     lambda: next(ragged_uniforms(1, 0.0, [4])),
     lambda: next(ragged_uniforms(1, 0, [4], 4.0)),
+    lambda: next(ragged_uniforms(1, 0, [4.0])),
 ])
 def test_float_keys_are_type_errors(call):
     with pytest.raises(TypeError):
