@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from typing import List
 
-# trials per block of toffoli-verify, distill and noisy-meas: bounds the
-# block's arrays; every trial keeps its own substream, so reports do not
-# depend on it
+# trials per block of toffoli-verify, distill, noisy-meas and the decoherent
+# ensemble: bounds the block's arrays; every trial keeps its own substream,
+# so reports do not depend on it
 _TRIAL_CHUNK = 512
 # the most doubles one sampled array may hold, 32 MiB
 _MAX_BLOCK_DOUBLES = 2**22

@@ -22,10 +22,10 @@ def run(cfg: dict, seed: int, rows):
     from ..error_models import (
         LOG_TAN_CHUNK,
         BlockEnsemble,
+        cascade_fidelity,
         ensemble_distill_fidelity,
         ensemble_log_tan,
     )
-    from ..rng import rekey, trial_rng
 
     trials = cfg["trials"]
     defect_fraction = cfg["defect_fraction"]
@@ -35,8 +35,9 @@ def run(cfg: dict, seed: int, rows):
         model=cfg["model"], distribution=cfg["distribution"],
         n=cfg["n"], levels=cfg["levels"], p=cfg["p"], q=cfg["q"],
         defect_fraction=defect_fraction, defect_p=cfg["defect_p"])
-    # limits, checked before 2**levels is formed: a cascade draws 2**levels x n
-    # flip probabilities, a unitary trial n tangents, LOG_TAN_CHUNK trials at once
+    # limits, checked before 2**levels is formed: 2**levels x n bounds a
+    # cascade's uniforms and the defect law's n + 1 counts; a unitary trial
+    # draws n tangents, LOG_TAN_CHUNK trials at once
     n, levels = ensemble.n, ensemble.levels
     block_doubles, trial_bits = commands._MAX_BLOCK_DOUBLES, commands._MAX_TRIAL_BITS
     if ensemble.model == "decoherent":
@@ -54,67 +55,62 @@ def run(cfg: dict, seed: int, rows):
                          f"budget of {trial_bits}")
     checks = _Check()
 
-    gen = trial_rng(seed, 0)
     if ensemble.model == "decoherent":
-        # refuses a block whose contamination can vanish, before any draw:
-        # its log-contamination would be log 0
+        # builds the defect-count law, which refuses a block of bias -1 or of
+        # vanishing contamination (log-contamination undefined) before any draw
         log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
         empirical = np.empty(trials)
         log_contamination = np.empty(trials)
-        sampled_analytic = np.empty(trials)
-        for t in range(trials):
-            fid = ensemble_distill_fidelity(ensemble, rng=rekey(gen, seed, t))
-            empirical[t] = fid.empirical
-            # the log of the product keeps the reports' bits; the summed log
-            # stands in where the product underflows to 0
-            log_contamination[t] = (math.log(fid.alpha_product) if fid.alpha_product
-                                    else fid.log_contamination)
-            sampled_analytic[t] = fid.analytic
+        # a call's uniforms, one a block, fill at most _MAX_BLOCK_DOUBLES
+        step = min(commands._TRIAL_CHUNK, block_doubles >> levels)
+        for start in range(0, trials, step):
+            stop = min(start + step, trials)
+            fid = ensemble_distill_fidelity(ensemble, seed=seed, start=start, stop=stop)
+            empirical[start:stop] = fid.empirical
+            log_contamination[start:stop] = fid.log_contamination
             if rows is not None:
-                rows.append((t, fid.empirical, log_contamination[t], fid.analytic))
-        marginal = ensemble.analytic_marginal_fidelity()
-        mean = float(empirical.mean())
-        se = float(empirical.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+                rows.extend(zip(range(start, stop), fid.empirical.tolist(),
+                                fid.log_contamination.tolist()))
         log_mean = float(log_contamination.mean())
-        log_se = (float(log_contamination.std(ddof=1) / math.sqrt(trials))
-                  if trials > 1 else 0.0)
+        log_se = float(log_contamination.std(ddof=1) / math.sqrt(trials))
         median = _median(empirical)
-        typical = 3.0 / (3.0 + math.exp(log_expected))
+        typical = cascade_fidelity(log_expected)
         results = {
             "model": "decoherent",
             "trials": trials,
             "blocks_per_cascade": ensemble.block_count,
-            "empirical_mean": mean,
-            "empirical_se": se,
+            "empirical_mean": float(empirical.mean()),
+            "empirical_se": float(empirical.std(ddof=1) / math.sqrt(trials)),
             "empirical_median": median,
             "log_contamination_mean": log_mean,
             "log_contamination_se": log_se,
             "log_contamination_expected": log_expected,
             "typical_fidelity_predicted": typical,
-            "analytic_marginal": marginal,
-            "analytic_sampled_mean": float(sampled_analytic.mean()),
+            "analytic_marginal": ensemble.analytic_marginal_fidelity(),
             "mean_flip_probability": ensemble.mean_flip_probability(),
         }
-        # summed log-contamination concentrates, so a plain 4-sigma gate is sound
+        # summed log-contamination concentrates, so a plain 4-sigma gate is
+        # sound; the floor passes a defect-free ensemble's last-bit rounding
         checks.add("log contamination vs exact expectation",
                    abs(log_mean - log_expected) <= max(4.0 * log_se, 1e-9),
                    f"mean {log_mean:.4f} vs expected {log_expected:.4f} "
                    f"(4se {4 * log_se:.4f})")
         # the fidelity prediction is typical-case: compare infidelity decades,
         # which log contamination sets, within 4 standard errors of its median,
-        # sqrt(pi/2) sd / sqrt(N)
+        # sqrt(pi/2) sd / sqrt(N), with the same floor
         med_decades = math.log10(max(1.0 - median, 1e-300))
         typ_decades = math.log10(max(1.0 - typical, 1e-300))
         med_se_decades = math.sqrt(math.pi / 2.0) * log_se / math.log(10.0)
         checks.add("median fidelity vs typical prediction",
-                   abs(med_decades - typ_decades) <= 4.0 * med_se_decades,
+                   abs(med_decades - typ_decades) <= max(4.0 * med_se_decades, 1e-9),
                    f"median infidelity 1e{med_decades:.2f}, "
                    f"predicted 1e{typ_decades:.2f} (4se {4 * med_se_decades:.2f} "
                    f"decades)")
-        return results, ("trial", "empirical_fidelity", "log_contamination",
-                         "analytic_sampled"), checks
+        return results, ("trial", "empirical_fidelity", "log_contamination"), checks
 
-    est = ensemble_log_tan(ensemble, trials=trials, rng=gen,
+    from ..rng import trial_rng
+
+    est = ensemble_log_tan(ensemble, trials=trials, rng=trial_rng(seed, 0),
                            k_max=cfg["k_max"])
     results = {
         "model": "unitary",

@@ -10,6 +10,7 @@ log-tangent contamination measures) decide whether the cascade converges.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ from .channels import (
     alpha3_decoherent,
     parity_bias,
 )
+from .rng import trial_uniforms
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -75,15 +77,14 @@ class _EnsembleFields(NamedTuple):
 class BlockEnsemble(_EnsembleFields):
     """Independent per-block error draws feeding one purification cascade.
 
-    A cascade of `levels` rounds consumes 2**levels raw blocks.  Decoherent
-    ensembles draw a PauliChannel per block: each bit independently becomes
-    defective with probability `defect_fraction` and flips with probability
-    `defect_p` (> 1/2, i.e. worse than chance); otherwise it flips with
-    probability `p`.  Independent draws make defect positions uncorrelated
-    and the block-to-block defect count fluctuate, so parity biases and
-    contamination genuinely vary across the ensemble.  Unitary ensembles
-    draw per-bit flip angles theta with E[tan^2 theta] = p from a
-    sign-symmetric `distribution`.
+    A cascade of `levels` rounds consumes 2**levels raw blocks.  In a
+    decoherent ensemble each bit of a block independently becomes defective
+    with probability `defect_fraction` and flips with probability `defect_p`
+    (> 1/2, i.e. worse than chance); otherwise it flips with probability
+    `p`.  So a block's defect count, which alone sets its parity bias, is
+    Binomial(n, defect_fraction), and contamination genuinely varies across
+    the ensemble.  Unitary ensembles draw per-bit flip angles theta with
+    E[tan^2 theta] = p from a sign-symmetric `distribution`.
     """
 
     __slots__ = ()
@@ -129,57 +130,28 @@ class BlockEnsemble(_EnsembleFields):
         """1 - exp(-2^(levels+1) (1 - 2 m)^n) / 3 at the marginal flip probability m.
 
         The cascade fidelity predicted from the policy's exact marginal alone,
-        so it needs no draw.
+        so it needs no draw.  A marginal above 1/2 at odd n makes the exponent
+        positive; where its exp overflows, the result is minus infinity.
         """
         scale = float(2 ** (self.levels + 1))
         marginal = self.mean_flip_probability()
-        return 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** self.n) / 3.0
+        try:
+            return 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** self.n) / 3.0
+        except OverflowError:
+            return -math.inf
 
     def expected_log_alpha3(self) -> float:
         """Exact E[log alpha3] over defect draws for one block.
 
         The contamination weight depends on the defect positions only through
-        their count, so the expectation is a binomial sum.  This is the
-        comparator that concentrates: sums of log alpha3 across blocks obey a
-        CLT even when the contamination product itself is heavy-tailed.
+        their count, so the expectation is a sum over the table of the
+        defect-count law, which the sampler reads too.  This is the comparator
+        that concentrates: sums of log alpha3 across blocks obey a CLT even
+        when the contamination product itself is heavy-tailed.
         """
         if self.model != "decoherent":
             raise ValueError("log-contamination applies to decoherent ensembles")
-        n, frac = self.n, self.defect_fraction
-        good, bad = 1.0 - 2.0 * self.p, 1.0 - 2.0 * self.defect_p
-        total = 0.0
-        for k in range(n + 1):
-            if frac == 0.0:
-                weight = 1.0 if k == 0 else 0.0
-            elif frac == 1.0:
-                weight = 1.0 if k == n else 0.0
-            else:
-                log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                              - math.lgamma(n - k + 1)
-                              + k * math.log(frac) + (n - k) * math.log1p(-frac))
-                weight = math.exp(log_weight)
-            if weight == 0.0:
-                continue
-            bias = good ** (n - k) * bad**k
-            alpha = (1.0 - bias) / (1.0 + bias)
-            if alpha <= 0.0:
-                raise ValueError("contamination vanishes for a defect count; "
-                                 "log-contamination is undefined")
-            total += weight * math.log(alpha)
-        return total
-
-    def _draw_flip_probabilities(self, rng: np.random.Generator,
-                                 blocks: int) -> np.ndarray:
-        """Per-bit flip probabilities of `blocks` decoherent blocks, shape (blocks, n).
-
-        Bit j of block i is defective when the (i * n + j)-th uniform of `rng`
-        is below `defect_fraction`; no uniform is drawn when that is 0.  So
-        one call draws what `blocks` successive one-block calls would.
-        """
-        p = np.full((blocks, self.n), self.p)
-        if self.defect_fraction > 0.0:
-            p[rng.random((blocks, self.n)) < self.defect_fraction] = self.defect_p
-        return p
+        return _defect_law(self).expected_log_alpha
 
     def _draw_tangents(self, rng: np.random.Generator, shape) -> np.ndarray:
         scale = math.sqrt(self.p)
@@ -188,46 +160,101 @@ class BlockEnsemble(_EnsembleFields):
         return scale * rng.standard_normal(shape)
 
 
+class _DefectLaw(NamedTuple):
+    """A decoherent block's defect-count law, one row per count k of positive
+    binomial weight: log alpha3 of a block with k defective bits, and the
+    running sums of the weights, capped at 1 and the last set to 1, so that
+    every uniform in [0, 1) inverts to a row."""
+
+    counts: np.ndarray
+    log_alpha: np.ndarray
+    cdf: np.ndarray
+    expected_log_alpha: float  # sum of weight x log alpha3, in increasing k
+
+
+@functools.lru_cache(maxsize=8)
+def _defect_law(ensemble: BlockEnsemble) -> _DefectLaw:
+    """The defect-count law of a decoherent `ensemble`'s blocks, built once.
+
+    Refuses, with a ValueError, a count of positive weight whose block has
+    parity bias -1 or whose contamination vanishes: log alpha3 is undefined.
+    """
+    n, frac = ensemble.n, ensemble.defect_fraction
+    good, bad = 1.0 - 2.0 * ensemble.p, 1.0 - 2.0 * ensemble.defect_p
+    counts, weights, log_alpha = [], [], []
+    expected = 0.0
+    for k in range(n + 1):
+        if frac == 0.0:
+            weight = 1.0 if k == 0 else 0.0
+        elif frac == 1.0:
+            weight = 1.0 if k == n else 0.0
+        else:
+            log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                          - math.lgamma(n - k + 1)
+                          + k * math.log(frac) + (n - k) * math.log1p(-frac))
+            weight = math.exp(log_weight)
+        if weight == 0.0:
+            continue
+        alpha = _alpha3_from_bias(good ** (n - k) * bad**k)
+        if alpha <= 0.0:
+            raise ValueError("contamination vanishes for a defect count; "
+                             "log-contamination is undefined")
+        counts.append(k)
+        weights.append(weight)
+        log_alpha.append(math.log(alpha))
+        expected += weight * log_alpha[-1]
+    cdf = np.minimum(np.cumsum(weights), 1.0)
+    cdf[-1] = 1.0
+    law = _DefectLaw(np.array(counts), np.array(log_alpha), cdf, expected)
+    for table in law[:3]:
+        table.flags.writeable = False  # shared by every caller of the cache
+    return law
+
+
+def cascade_fidelity(log_contamination: float) -> float:
+    """3 / (3 + c), the purified pair's fidelity at contamination product
+    c = exp(log_contamination), also where c overflows."""
+    if log_contamination < 700.0:
+        return 3.0 / (3.0 + math.exp(log_contamination))
+    tail = 3.0 * math.exp(-log_contamination)
+    return tail / (1.0 + tail)
+
+
 # -- ensemble-level quantities -----------------------------------------------------
 
 class EnsembleFidelity(NamedTuple):
-    """Purified-ancilla fidelity, predicted and sampled.
+    """Purified-ancilla fidelity of sampled cascades, one entry per trial.
 
-    analytic:          1 - (1/3) exp(-2^(levels+1) * prod_i(1 - 2 <p_i>)) with
-                       per-position means estimated from the sampled blocks.
-    analytic_marginal: same expression with the policy-exact marginal mean.
-    empirical:         3 / (3 + prod_m alpha3^(m)) over the sampled blocks.
-    log_contamination: sum_m log alpha3^(m), finite where alpha_product, its
-                       exp, underflows to 0.
+    empirical:         3 / (3 + prod_m alpha3^(m)) over the trial's blocks.
+    log_contamination: sum_m log alpha3^(m), summed in block order; finite
+                       where the product underflows to 0.
     """
 
-    analytic: float
-    analytic_marginal: float
-    empirical: float
-    alpha_product: float
-    mean_flip_probability: float
-    log_contamination: float
+    empirical: np.ndarray
+    log_contamination: np.ndarray
 
 
-def ensemble_distill_fidelity(ensemble: BlockEnsemble,
-                              rng: np.random.Generator) -> EnsembleFidelity:
-    """Fidelity after a full cascade fed by independently drawn blocks."""
+def ensemble_distill_fidelity(ensemble: BlockEnsemble, *, seed: int, start: int,
+                              stop: int) -> EnsembleFidelity:
+    """Fidelity after a full cascade fed by independently drawn blocks, for
+    each trial start..stop-1.
+
+    Block i of trial t inverts uniform i of the substream (seed, t) through
+    the defect-count law's CDF, and takes that row's log alpha3.  A trial
+    sums its blocks' in block order (np.cumsum adds in order; np.sum pairs).
+    """
     if ensemble.model != "decoherent":
         raise ValueError("the fidelity cascade formula applies to decoherent ensembles")
-    p_matrix = ensemble._draw_flip_probabilities(rng, ensemble.block_count)
-    # each block's bias as `parity_bias` computes it; math.log, not np.log,
-    # summed in block order, keeps the result bit-identical to block-by-block
-    log_alpha = 0.0
-    for bias in np.prod(1.0 - 2.0 * p_matrix, axis=1).tolist():
-        log_alpha += math.log(_alpha3_from_bias(bias))
-    alpha_product = math.exp(log_alpha)
-    empirical = 3.0 / (3.0 + alpha_product)
-
-    scale = float(2 ** (ensemble.levels + 1))
-    mean_per_position = p_matrix.mean(axis=0)
-    analytic = 1.0 - math.exp(-scale * float(np.prod(1.0 - 2.0 * mean_per_position))) / 3.0
-    return EnsembleFidelity(analytic, ensemble.analytic_marginal_fidelity(), empirical,
-                            alpha_product, ensemble.mean_flip_probability(), log_alpha)
+    law = _defect_law(ensemble)
+    rows = np.searchsorted(law.cdf, trial_uniforms(seed, start, stop, ensemble.block_count),
+                           side="right")
+    logs = law.log_alpha[rows]
+    del rows  # each working array is freed as soon as it is used
+    np.cumsum(logs, axis=1, out=logs)
+    log_contamination = logs[:, -1].copy()
+    del logs
+    empirical = np.array([cascade_fidelity(x) for x in log_contamination.tolist()])
+    return EnsembleFidelity(empirical, log_contamination)
 
 
 class LogTanEstimate(NamedTuple):
@@ -320,6 +347,7 @@ __all__ = [
     "UnitaryErrorSet",
     "accumulated_flip_angle",
     "alpha3_decoherent",
+    "cascade_fidelity",
     "characteristic_cos_moment",
     "ensemble_distill_fidelity",
     "ensemble_log_tan",

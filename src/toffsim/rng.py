@@ -7,10 +7,6 @@ aggregates to exactly the same numbers as a serial one.
 `trial_rng(seed, t)` is a numpy Philox4x64-10 generator keyed (seed, t).
 Building one costs ~15 us on a 2-vCPU Xeon host, most of it the OS entropy
 that numpy's Philox draws and then discards for the given key.
-`rekey(gen, seed, t)` points an existing `trial_rng` generator at the
-substream (seed, t) instead, in ~1 us: a counter-based Philox stream is
-reached by setting its key and a zero counter (Salmon et al., SC 2011).  So
-a loop over trials builds one generator and re-keys it per trial.
 
 `trial_uniforms(seed, start, stop, count, first)` computes `count`
 uniforms, from uniform `first` of the stream on, of every substream t in
@@ -77,28 +73,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     trial = _check_key(trial, "trial index")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-# a fresh Philox's counter and output buffer
-_ZERO_WORDS = (0, 0, 0, 0)
-
-
-def rekey(gen: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
-    """Point `gen`, made by `trial_rng`, at the substream of (seed, trial).
-
-    Sets the key, a zero counter and an empty output buffer, so the draws
-    that follow equal those of a fresh `trial_rng(seed, trial)`.  Returns
-    `gen` itself: a generator taken from it, for one trial, is valid only
-    until the next re-key.
-    """
-    seed = _check_key(seed, "seed")
-    trial = _check_key(trial, "trial index")
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": (seed, trial)},
-        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return gen
 
 
 def _mulhilo(mul: np.uint64, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,

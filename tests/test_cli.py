@@ -150,6 +150,12 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     ("toffoli-verify", {"trials": 10**400}),
     ("estimate", {"gate_penalty": -10**400}),
     ("estimate", {"strategies": []}),
+    # a block of parity bias -1, without defects and with defects only
+    ("ensemble", {"n": 1, "p": 1.0, "defect_fraction": 0.0}),
+    ("ensemble", {"n": 1, "defect_fraction": 1.0, "defect_p": 1.0}),
+    # one trial has no standard error
+    ("ensemble", {"trials": 1}),
+    ("ensemble", {"model": "unitary", "trials": 1}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -261,10 +267,10 @@ def test_csv_report_streams_its_rows(tmp_path):
 
 
 @pytest.mark.parametrize("payload, trials", [
-    ({"levels": 40}, 1),
+    ({"levels": 40}, 2),
     ({"levels": 25}, 2),
-    ({"levels": 10**9}, 1),
-    ({"n": 10**12}, 1),
+    ({"levels": 10**9}, 2),
+    ({"n": 10**12}, 2),
     ({"levels": 10}, cli._MAX_TRIAL_BITS // (50 << 10) + 1),
     ({"model": "unitary", "n": 10**7}, 200),
     ({"model": "unitary"}, cli._MAX_TRIAL_BITS // 50 + 1),
@@ -307,8 +313,10 @@ def test_ensemble_whose_contamination_can_vanish_is_one_line_error(tmp_path, cap
 
 
 @pytest.mark.parametrize("payload, trials, error", [
-    ({"levels": 10, "n": 64}, 1, None),
-    ({"levels": 10, "n": 65}, 1, "2**levels x n at levels 10, n 65 exceeds the limit "
+    # a cascade at its limit passes that check, and meets the trial budget
+    ({"levels": 10, "n": 64}, 2, "trials x draws per trial = 131072 exceeds the work "
+                                 "budget of 80000"),
+    ({"levels": 10, "n": 65}, 2, "2**levels x n at levels 10, n 65 exceeds the limit "
                                  "of 65536 draws per cascade"),
     ({"levels": 9, "n": 64}, 2, None),
     ({"levels": 9, "n": 64}, 3, "trials x draws per trial = 98304 exceeds the work "
@@ -559,7 +567,7 @@ def median_check(capsys, seed):
 
 @pytest.mark.parametrize("seed", [0, 29, 107])
 def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypatch, seed):
-    # seeds 29 and 107 sit 3.2 and 2.6 standard errors from the prediction
+    # seeds 29 and 107 sit 1.5 and 0.2 standard errors from the prediction
     assert median_check(capsys, seed)
     # negative control: a prediction 1.5 decades of infidelity off fails
     from toffsim.error_models import BlockEnsemble
@@ -569,6 +577,21 @@ def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypat
         monkeypatch.setattr(BlockEnsemble, "expected_log_alpha3", lambda self, d=decades:
                             expected_log_alpha3(self) + d * math.log(10) / self.block_count)
         assert not median_check(capsys, seed)
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 13, "p": 0.1, "levels": 3, "defect_fraction": 0.0},
+    {"n": 5, "p": 0.2, "levels": 3, "defect_fraction": 0.0},
+    {"n": 2, "p": 0.45, "levels": 6, "defect_fraction": 0.0},
+    {"n": 21, "p": 0.001, "levels": 0, "defect_fraction": 0.0},
+])
+def test_ensemble_median_check_passes_on_a_defect_free_ensemble(tmp_path, capsys, payload):
+    # every cascade is the same, so the median's standard error is 0, and the
+    # median and the prediction differ in their last bits only
+    cfg = write_config(tmp_path, "clean.json", payload)
+    rc, out, err = run_cli(["ensemble", "--config", cfg, "--trials", "2", "--check"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["results"]["log_contamination_se"] == 0.0
 
 
 def test_estimate_passes_checks(capsys):
@@ -779,6 +802,22 @@ def test_toffoli_verify_memory_does_not_grow_with_its_trials():
     assert peak(10_000) <= 2 * peak(512)
 
 
+@pytest.mark.parametrize("payload", [{}, {"n": 9, "levels": 4, "defect_fraction": 0.3}])
+def test_ensemble_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
+                                                          payload):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    argv = ["ensemble", "--config", cfg, "--trials", "30", "--seed", "4"]
+    reports = []
+    for chunk in (commands._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
+        csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+
+
 @pytest.mark.parametrize("payload", [{}, {"alpha3": -0.5, "levels": 4}])
 def test_distill_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
                                                          payload):
@@ -890,8 +929,7 @@ def test_ensemble_csv_headers_by_model(tmp_path, capsys):
                        {"n": 20, "levels": 2, "trials": 5})
     rc, out, _ = run_cli(["ensemble", "--config", cfg, "--format", "csv"], capsys)
     assert rc == 0
-    assert read_csv(out)[0] == ["trial", "empirical_fidelity",
-                                "log_contamination", "analytic_sampled"]
+    assert read_csv(out)[0] == ["trial", "empirical_fidelity", "log_contamination"]
 
     cfg_u = write_config(tmp_path, "uni.json",
                          {"model": "unitary", "n": 30, "levels": 1,
@@ -1001,8 +1039,8 @@ def test_ensemble_csv_golden_first_rows(capsys):
     rc, out, _ = run_cli(["ensemble", "--trials", "2", "--format", "csv"], capsys)
     assert rc == 0
     assert out.splitlines()[1:] == [
-        "0,0.9989401693581276,-5.7499734741139585,0.999677543353294",
-        "1,0.9998580192276855,-7.761064636245475,0.9991661623699613",
+        "0,0.9999052096565164,-8.165135932374797",
+        "1,0.9560500690085196,-1.9811469424814898",
     ]
 
 
@@ -1423,6 +1461,10 @@ for argv in (["estimate"], ["ensemble", "--trials", "3"], ["toffoli-verify", "--
              ["distill", "--trials", "3"], ["noisy-meas", "--trials", "3"]):
     toffsim.cli.main(argv + ["--out", sys.argv[1]])
     steps[argv[0]] = loaded()
+with open(sys.argv[2], "w") as f:
+    json.dump({"model": "unitary"}, f)
+toffsim.cli.main(["ensemble", "--trials", "3", "--config", sys.argv[2], "--out", sys.argv[1]])
+steps["unitary ensemble"] = loaded()
 toffsim.cli.main(["estimate", "--format", "csv", "--out", sys.argv[1]])
 steps["csv"] = loaded()
 print(json.dumps(steps))
@@ -1430,7 +1472,8 @@ print(json.dumps(steps))
 
 
 def test_each_subcommand_imports_only_what_it_runs(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "r.json")],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "r.json"),
+                           str(tmp_path / "c.json")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
@@ -1448,8 +1491,11 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert not [m for m in steps["estimate"]
                 if m.startswith("numpy") or m in ("toffsim.core", "toffsim._kernels")]
     assert "inspect" not in steps["estimate"]
-    assert "numpy.random" in steps["ensemble"]
+    # the decoherent ensemble draws through trial_uniforms, like the commands
+    # after it; the unitary ensemble's tangents come from a Generator
+    assert "numpy.random" not in steps["noisy-meas"]
     assert not {"numpy.ma", "toffsim.core", "toffsim._kernels"} & set(steps["ensemble"])
+    assert "numpy.random" in steps["unitary ensemble"]
     # records are built without dataclasses, and JSON reports without csv
     assert {"toffsim.core", "toffsim.gadgets", "toffsim.noisy_meas"} <= \
         set(steps["noisy-meas"])
@@ -1543,7 +1589,7 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("command", ["toffoli-verify", "distill"])
+@pytest.mark.parametrize("command", ["toffoli-verify", "distill", "ensemble"])
 def test_a_command_process_loads_no_numpy_random(tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, command,
                            str(tmp_path / "r.json")],

@@ -5,20 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from toffsim import error_models
 from toffsim.error_models import (
     Alpha3Reading,
     BlockEnsemble,
-    EnsembleFidelity,
     PauliChannel,
     UnitaryErrorSet,
     accumulated_flip_angle,
     alpha3_decoherent,
+    cascade_fidelity,
     characteristic_cos_moment,
     ensemble_distill_fidelity,
     ensemble_log_tan,
     parity_bias,
 )
-from toffsim.rng import trial_rng
+from toffsim.rng import trial_rng, trial_uniforms
 
 
 # -- Pauli channels and parity bias ------------------------------------------------
@@ -220,15 +221,64 @@ def test_mean_flip_probability_marginal():
     assert ens.mean_flip_probability() == pytest.approx(0.98 * 0.01 + 0.02 * 0.9)
 
 
+def sampled_counts(ensemble, seed, start, stop):
+    """Defect counts of the blocks of trials start..stop-1, as the sampler
+    draws them: one uniform a block, inverted through the law's table."""
+    law = error_models._defect_law(ensemble)
+    uniforms = trial_uniforms(seed, start, stop, ensemble.block_count)
+    return law.counts[np.searchsorted(law.cdf, uniforms, side="right")]
+
+
 def test_drawn_block_defect_statistics():
     ens = BlockEnsemble(n=200, levels=1, model="decoherent", p=0.01,
                         defect_fraction=0.1, defect_p=0.9)
-    rng = trial_rng(15, 0)
-    counts = np.sum(ens._draw_flip_probabilities(rng, 300) > 0.5, axis=1).tolist()
+    counts = sampled_counts(ens, 15, 0, 150).ravel().tolist()
     mean = sum(counts) / len(counts)
     sigma = math.sqrt(200 * 0.1 * 0.9 / 300)
     assert abs(mean - 20.0) < 4 * sigma
     assert len(set(counts)) > 1  # counts fluctuate block to block
+
+
+def binomial_chi2(counts, n, f):
+    """Pearson chi^2 of `counts` against Binomial(n, f), from `math.comb`, with
+    each tail pooled into one bin of expectation >= 5; and its degrees of
+    freedom and 0.999 quantile (Wilson-Hilferty)."""
+    total = len(counts)
+    law = [math.comb(n, k) * f**k * (1.0 - f) ** (n - k) for k in range(n + 1)]
+    observed = np.bincount(counts, minlength=n + 1)
+    lo, hi = 0, n
+    while total * sum(law[:lo + 1]) < 5.0:
+        lo += 1
+    while total * sum(law[hi:]) < 5.0:
+        hi -= 1
+    expected = [sum(law[:lo + 1])] + law[lo + 1:hi] + [sum(law[hi:])]
+    seen = [observed[:lo + 1].sum()] + observed[lo + 1:hi].tolist() + [observed[hi:].sum()]
+    chi2 = sum((o - total * e) ** 2 / (total * e) for o, e in zip(seen, expected))
+    df = len(expected) - 1
+    quantile = df * (1.0 - 2.0 / (9 * df) + 3.090 * math.sqrt(2.0 / (9 * df))) ** 3
+    return chi2, df, quantile
+
+
+# 20,000 blocks: 5,000 trials of 4
+@pytest.mark.parametrize("n, f", [(50, 0.02), (9, 0.3), (200, 0.6)])
+def test_sampled_defect_counts_follow_the_binomial_law(n, f):
+    ens = BlockEnsemble(n=n, levels=2, model="decoherent", p=0.01,
+                        defect_fraction=f, defect_p=0.9)
+    counts = sampled_counts(ens, 3, 0, 5000).ravel()
+    chi2, df, quantile = binomial_chi2(counts, n, f)
+    assert df >= 5
+    assert chi2 < quantile
+    # negative control: the law of a defect fraction 5% larger is refused
+    chi2, _, quantile = binomial_chi2(counts, n, 1.05 * f)
+    assert chi2 > quantile
+
+
+@pytest.mark.parametrize("f, want", [(0.0, 0), (1.0, 12)])
+def test_a_sure_defect_count_is_drawn_every_time(f, want):
+    ens = BlockEnsemble(n=12, levels=3, model="decoherent", p=0.02,
+                        defect_fraction=f, defect_p=0.8)
+    assert error_models._defect_law(ens).counts.tolist() == [want]
+    assert set(sampled_counts(ens, 3, 0, 500).ravel().tolist()) == {want}
 
 
 def test_expected_log_alpha3_defect_free_reduces_to_point_value():
@@ -240,9 +290,10 @@ def test_expected_log_alpha3_defect_free_reduces_to_point_value():
 def test_expected_log_alpha3_matches_sampling():
     ens = BlockEnsemble(n=30, levels=1, model="decoherent", p=0.02,
                         defect_fraction=0.05, defect_p=0.75)
-    rng = trial_rng(99, 0)
-    vals = [math.log(alpha3_decoherent(PauliChannel(p)).value)
-            for p in ens._draw_flip_probabilities(rng, 4000)]
+    # blocks drawn bit by bit, independently of the defect-count law
+    flips = np.full((4000, 30), 0.02)
+    flips[trial_rng(99, 0).random((4000, 30)) < 0.05] = 0.75
+    vals = [math.log(alpha3_decoherent(PauliChannel(p)).value) for p in flips]
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - ens.expected_log_alpha3()) < 4 * se
@@ -258,33 +309,27 @@ def test_expected_log_alpha3_decoherent_only():
 
 def test_cascade_fidelity_defect_free_is_deterministic():
     ens = BlockEnsemble(n=100, levels=5, model="decoherent", p=0.01)
-    fid = ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
+    fid = ensemble_distill_fidelity(ens, seed=0, start=0, stop=3)
     alpha = alpha3_decoherent(PauliChannel.uniform(100, 0.01)).value
-    assert fid.alpha_product == pytest.approx(alpha**32, rel=1e-12)
-    assert fid.empirical == pytest.approx(3.0 / (3.0 + alpha**32), abs=1e-12)
-    assert 0.0 < fid.analytic < 1.0
-    assert fid.analytic_marginal == pytest.approx(fid.analytic, abs=1e-6)
+    assert fid.log_contamination.tolist() == pytest.approx([32 * math.log(alpha)] * 3,
+                                                           rel=1e-12)
+    assert fid.empirical.tolist() == pytest.approx([3.0 / (3.0 + alpha**32)] * 3, abs=1e-12)
 
 
-def per_block_distill_fidelity(ensemble, rng):
-    """Reference cascade: one `rng.random(n)` draw and one PauliChannel per block."""
-    log_alpha = 0.0
-    p_matrix = np.empty((ensemble.block_count, ensemble.n))
-    for i in range(ensemble.block_count):
-        p = np.full(ensemble.n, ensemble.p)
-        if ensemble.defect_fraction > 0.0:
-            p[rng.random(ensemble.n) < ensemble.defect_fraction] = ensemble.defect_p
-        block = PauliChannel(p, np.full(ensemble.n, ensemble.q))
-        log_alpha += math.log(alpha3_decoherent(block).value)
-        p_matrix[i] = block.p
-    alpha_product = math.exp(log_alpha)
-    scale = float(2 ** (ensemble.levels + 1))
-    mean_per_position = p_matrix.mean(axis=0)
-    analytic = 1.0 - math.exp(-scale * float(np.prod(1.0 - 2.0 * mean_per_position))) / 3.0
-    marginal = ensemble.mean_flip_probability()
-    analytic_marginal = 1.0 - math.exp(-scale * (1.0 - 2.0 * marginal) ** ensemble.n) / 3.0
-    return EnsembleFidelity(analytic, analytic_marginal, 3.0 / (3.0 + alpha_product),
-                            alpha_product, marginal, log_alpha)
+def per_block_distill_fidelity(ensemble, seed, t):
+    """Reference cascade of trial t: block i's defect count is the first of
+    the law's counts whose CDF exceeds uniform i of the substream (seed, t),
+    found by a linear scan, and its log alpha3 is added in block order."""
+    law = error_models._defect_law(ensemble)
+    cdf, log_alpha = law.cdf.tolist(), law.log_alpha.tolist()
+    counts, log_contamination = [], 0.0
+    for u in trial_uniforms(seed, t, t + 1, ensemble.block_count)[0].tolist():
+        row = 0
+        while cdf[row] <= u:
+            row += 1
+        counts.append(int(law.counts[row]))
+        log_contamination += log_alpha[row]
+    return counts, log_contamination, 3.0 / (3.0 + math.exp(log_contamination))
 
 
 @pytest.mark.parametrize("config", [
@@ -297,50 +342,77 @@ def per_block_distill_fidelity(ensemble, rng):
 ])
 def test_cascade_fidelity_matches_per_block_reference(config):
     ens = BlockEnsemble(model="decoherent", **config)
+    fid = ensemble_distill_fidelity(ens, seed=7, start=0, stop=30)
+    counts = sampled_counts(ens, 7, 0, 30)
     for t in range(30):
-        got_rng, want_rng = trial_rng(t, 1), trial_rng(t, 1)
-        assert ensemble_distill_fidelity(ens, rng=got_rng) == \
-            per_block_distill_fidelity(ens, want_rng)
-        assert got_rng.random() == want_rng.random()  # same uniforms consumed
+        want_counts, want_log, want_fidelity = per_block_distill_fidelity(ens, 7, t)
+        assert counts[t].tolist() == want_counts
+        assert fid.log_contamination[t] == want_log
+        assert fid.empirical[t] == want_fidelity
+    # each count's log alpha3 is that of a block with so many defective bits
+    law = error_models._defect_law(ens)
+    for k, log_alpha in zip(law.counts.tolist(), law.log_alpha.tolist()):
+        flips = [ens.defect_p] * k + [ens.p] * (ens.n - k)
+        want = math.log(alpha3_decoherent(PauliChannel(flips)).value)
+        assert log_alpha == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-def test_analytic_marginal_fidelity_needs_no_draw():
+def test_sampled_trials_do_not_depend_on_the_call_block():
+    ens = BlockEnsemble(n=9, levels=4, model="decoherent", p=0.05,
+                        defect_fraction=0.3, defect_p=0.9)
+    whole = ensemble_distill_fidelity(ens, seed=2, start=0, stop=20)
+    parts = [ensemble_distill_fidelity(ens, seed=2, start=a, stop=b)
+             for a, b in ((0, 7), (7, 7), (7, 13), (13, 20))]
+    for field in ("empirical", "log_contamination"):
+        joined = np.concatenate([getattr(part, field) for part in parts])
+        assert np.array_equal(getattr(whole, field), joined)
+
+
+def test_analytic_marginal_fidelity_needs_no_draw(monkeypatch):
     ens = BlockEnsemble(n=50, levels=6, model="decoherent", p=0.01,
                         defect_fraction=0.02, defect_p=0.9)
-    want = ens.analytic_marginal_fidelity()
-    for t in range(5):
-        assert ensemble_distill_fidelity(ens, rng=trial_rng(t, 0)).analytic_marginal == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a uniform was drawn")
+
+    monkeypatch.setattr(error_models, "trial_uniforms", refuse)
+    marginal = 0.98 * 0.01 + 0.02 * 0.9
+    assert ens.analytic_marginal_fidelity() == \
+        1.0 - math.exp(-128.0 * (1.0 - 2.0 * marginal) ** 50) / 3.0
     with pytest.raises(ValueError):
         BlockEnsemble(n=8, levels=2, model="unitary", p=0.01).analytic_marginal_fidelity()
 
 
 def test_cascade_fidelity_bias_minus_one_is_the_reference_error():
-    # one bit that always flips: every block reports the wrong parity
-    ens = BlockEnsemble(n=1, levels=2, model="decoherent", p=0.0,
-                        defect_fraction=1.0, defect_p=1.0)
+    # one bit that always flips, defective or not: every block reports the
+    # wrong parity
     with pytest.raises(ValueError) as want:
-        per_block_distill_fidelity(ens, trial_rng(0, 0))
-    with pytest.raises(ValueError) as got:
-        ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
-    assert str(got.value) == str(want.value) == \
-        "bias -1: the reported outcome is deterministic and wrong"
+        alpha3_decoherent(PauliChannel([1.0]))
+    assert str(want.value) == "bias -1: the reported outcome is deterministic and wrong"
+    for config in (dict(p=0.0, defect_fraction=1.0, defect_p=1.0),
+                   dict(p=1.0, defect_fraction=0.0)):
+        ens = BlockEnsemble(n=1, levels=2, model="decoherent", **config)
+        with pytest.raises(ValueError) as got:
+            ensemble_distill_fidelity(ens, seed=0, start=0, stop=1)
+        with pytest.raises(ValueError) as expected:
+            ens.expected_log_alpha3()
+        assert str(got.value) == str(expected.value) == str(want.value)
 
 
-def test_one_drawn_block_is_one_block_of_the_cascade_draw():
-    ens = BlockEnsemble(n=12, levels=3, model="decoherent", p=0.02, q=0.01,
-                        defect_fraction=0.25, defect_p=0.8)
-    rng, reference = trial_rng(21, 0), trial_rng(21, 0)
-    for _ in range(20):
-        block = ens._draw_flip_probabilities(rng, 1)[0]
-        p = np.full(12, 0.02)
-        p[reference.random(12) < 0.25] = 0.8
-        np.testing.assert_array_equal(block, p)
+def test_cascade_fidelity_of_an_overflowing_contamination_is_finite():
+    # a block worse than chance contaminates by alpha3 9, 1024 times over
+    ens = BlockEnsemble(n=1, levels=10, model="decoherent", p=0.9)
+    fid = ensemble_distill_fidelity(ens, seed=0, start=0, stop=2)
+    assert fid.log_contamination.tolist() == pytest.approx([1024 * math.log(9.0)] * 2)
+    assert fid.empirical.tolist() == [0.0, 0.0]
+    assert cascade_fidelity(700.0) == pytest.approx(3.0 * math.exp(-700.0), rel=1e-12)
+    assert ens.analytic_marginal_fidelity() == -math.inf
 
 
 def test_cascade_fidelity_rejects_unitary_ensembles():
     ens = BlockEnsemble(n=8, levels=2, model="unitary", p=0.01)
     with pytest.raises(ValueError):
-        ensemble_distill_fidelity(ens, rng=trial_rng(0, 0))
+        ensemble_distill_fidelity(ens, seed=0, start=0, stop=1)
 
 
 # -- log-tangent statistics --------------------------------------------------------------------

@@ -35,7 +35,7 @@ VALUE_RECORDS = {
     "MeasurementRecord": lambda i: MeasurementRecord("Z(a)", 1 - 2 * i, 0.25),
     "Alpha3Reading": lambda i: Alpha3Reading(0.1, 0.2, 0.3 + i),
     "BlockEnsemble": lambda i: BlockEnsemble(n=4, levels=2 + i, model="decoherent", p=0.1),
-    "EnsembleFidelity": lambda i: EnsembleFidelity(0.9, 0.8, 0.7, 0.1, 0.05, -2.3 - i),
+    "EnsembleFidelity": lambda i: EnsembleFidelity(0.7, -2.3 - i),
     "LogTanEstimate": lambda i: LogTanEstimate(-1.0, 0.01, -1.1, -1.2, -0.5, 100 + i, 3),
     "MixedAncilla": lambda i: MixedAncilla(0.1j, -0.1j, 0.01 * (1 + i)),
     "DistillOutcome": lambda i: DistillOutcome(MixedAncilla.ideal(), 1, 3 + i, 1, 6),

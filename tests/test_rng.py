@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toffsim import rng
-from toffsim.rng import ragged_uniforms, rekey, trial_rng, trial_uniforms
+from toffsim.rng import ragged_uniforms, trial_rng, trial_uniforms
 
 COUNTS = (1, 3, 4, 5, 17, 33)
 
@@ -63,7 +63,6 @@ def test_numpy_integer_keys_read_as_their_value(kind):
     assert np.array_equal(trial_uniforms(kind(value), kind(3), kind(5), kind(6), kind(4)), want)
     assert np.array_equal(trial_rng(kind(value), kind(3)).random(10)[4:], want[0])
     assert np.array_equal(trial_uniforms(1, 0, 1, kind(4)), trial_uniforms(1, 0, 1, 4))
-    assert np.array_equal(rekey(trial_rng(0, 0), kind(value), kind(4)).random(10)[4:], want[1])
 
 
 @pytest.mark.parametrize("call", [
@@ -76,7 +75,7 @@ def test_numpy_integer_keys_read_as_their_value(kind):
     lambda: trial_uniforms(np.float64(1), 0, 1, 4),
     lambda: trial_rng(1.5, 0),
     lambda: trial_rng(1, 0.0),
-    lambda: rekey(trial_rng(0, 0), 1.5, 0),
+    lambda: trial_rng(1, np.float64(0)),
     lambda: next(ragged_uniforms(1.5, 0, [4])),
     lambda: next(ragged_uniforms(1, 0.0, [4])),
     lambda: next(ragged_uniforms(1, 0, [4], 4.0)),
@@ -231,51 +230,3 @@ def test_trial_uniforms_over_several_slabs_match_a_python_int_philox(seed, monke
         for i, row in enumerate(rows):
             words = reference_words(seed, 4 + i, -(-(first + count) // 4))
             assert row.tolist() == [(w >> 11) * 2.0**-53 for w in words[first:first + count]]
-
-
-# (seed, trial) keys at both ends of the 64-bit range
-KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (9, 3)]
-# draws that leave a generator part-way through a Philox block, or holding
-# back half of a 64-bit word for a 32-bit draw
-LEFTOVERS = {
-    "none": lambda g: None,
-    "random(1)": lambda g: g.random(1),
-    "random(3)": lambda g: g.random(3),
-    "integers(5)": lambda g: g.integers(0, 2, size=5),
-    "standard_normal(7)": lambda g: g.standard_normal(7),
-    "float32": lambda g: g.random(dtype=np.float32),
-}
-DRAWS = {
-    "random": lambda g: g.random(9),
-    "integers": lambda g: g.integers(0, 2, size=9),
-    "standard_normal": lambda g: g.standard_normal(9),
-}
-
-
-@pytest.mark.parametrize("seed, trial", KEYS)
-@pytest.mark.parametrize("leftover", sorted(LEFTOVERS))
-def test_rekeyed_generator_equals_a_fresh_trial_rng(seed, trial, leftover):
-    gen = trial_rng(5, 6)
-    for name, draw in DRAWS.items():
-        LEFTOVERS[leftover](gen)
-        assert rekey(gen, seed, trial) is gen
-        fresh = trial_rng(seed, trial)
-        # two draws of 9: the second starts mid-block
-        for _ in range(2):
-            assert np.array_equal(draw(gen), draw(fresh)), name
-
-
-def test_one_generator_rekeyed_per_trial_replays_every_substream():
-    gen = trial_rng(4, 0)
-    for t in range(20):
-        rekey(gen, 4, t)
-        assert np.array_equal(gen.random(t + 1), trial_rng(4, t).random(t + 1))
-    assert np.array_equal(rekey(gen, 4, 3).random(2), trial_uniforms(4, 3, 4, 2)[0])
-
-
-@pytest.mark.parametrize("key", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
-def test_rekey_refuses_keys_outside_64_bits(key):
-    gen = trial_rng(1, 1)
-    with pytest.raises(ValueError, match="must lie in"):
-        rekey(gen, *key)
-    assert np.array_equal(gen.random(3), trial_rng(1, 1).random(3))
