@@ -8,7 +8,7 @@ three coefficients (a1, a2, a3) in the operator form
 
 with the pair vector kept unnormalized (squared norm 3).  A noisy readout
 reads these coefficients off its pair states, without loading the
-purification in `distill`, which serves the names of this module too.
+purification in `distill`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ _SPAN_TOL = 1e-9
 _THIRD = float.fromhex("0x1.5555555555556p-2")
 _BASIS_PINV = np.array([[_THIRD, _THIRD, _THIRD, 0.0],
                         [0.0, 0.0, 0.0, 1.0]], dtype=np.complex128)
+
+
+def _zero_weight_error() -> ValueError:
+    return ValueError("the ancilla has zero weight: 3 + a3 = 0")
 
 
 class MixedAncilla(NamedTuple):
@@ -63,7 +67,10 @@ class MixedAncilla(NamedTuple):
 
     def fidelity_to_pair(self) -> float:
         """Overlap with the ideal pair state: 3 / (3 + a3)."""
-        val = 3.0 / (3.0 + complex(self.a3))
+        weight = 3.0 + complex(self.a3)
+        if weight == 0:
+            raise _zero_weight_error()
+        val = 3.0 / weight
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ValueError("fidelity undefined: a3 is not real")
         return float(val.real)

@@ -15,7 +15,7 @@ closed forms over the cat block:
 
 These are what one noisy parity readout runs on, so this module imports
 numpy alone; the statistics of many blocks feeding one purification cascade
-are in `error_models`, which serves these names too.
+are in `error_models`.
 """
 
 from __future__ import annotations

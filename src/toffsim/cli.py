@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 
 from . import __version__, kernel_backend
 # the work limits live in `commands`; the two of noisy-meas are re-exported here
-from .commands import _BRANCHES, _MAX_CAT_BITS, _MAX_TRIAL_BITS  # noqa: F401
+from .commands import _BRANCHES
 
 SCHEMA = "toffsim-report/1"
 

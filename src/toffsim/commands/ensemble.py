@@ -90,9 +90,12 @@ def run(cfg: dict, seed: int, rows):
             "mean_flip_probability": ensemble.mean_flip_probability(),
         }
         # summed log-contamination concentrates, so a plain 4-sigma gate is
-        # sound; the floor passes a defect-free ensemble's last-bit rounding
+        # sound; the floor passes a defect-free ensemble's rounding: summing
+        # 2**levels same-sign block logs in order errs by at most about
+        # 2**levels x 2**-52 x |expected|, and by no less than 1e-9 here
+        rounding = max(math.ldexp(abs(log_expected), levels - 52), 1e-9)
         checks.add("log contamination vs exact expectation",
-                   abs(log_mean - log_expected) <= max(4.0 * log_se, 1e-9),
+                   abs(log_mean - log_expected) <= max(4.0 * log_se, rounding),
                    f"mean {log_mean:.4f} vs expected {log_expected:.4f} "
                    f"(4se {4 * log_se:.4f})")
         # the fidelity prediction is typical-case: compare infidelity decades,

@@ -9,12 +9,12 @@ raw projection), and every probability or fidelity divides by the
 appropriate traces instead.
 
 Measurement is of Hermitian involutions (Pauli products, or two-valued gate
-operators such as the controlled-NOT), with two modes: sampling against a
-supplied random generator, or postselecting a requested branch.  Sampling
-divides the projected state by the branch probability, so the norm of the
-input is preserved; postselection returns the bare projection and the caller
-tracks the norm.  `sample_outcomes` repeats a sampled measurement of one
-state against an array of uniforms, by the same rule.
+operators such as the controlled-NOT), by one of two functions.
+`measure_operator` postselects a requested branch and returns the bare
+projection, so the caller tracks the norm.  `sample_outcomes` samples: it
+measures one state once per supplied uniform, reporting +1 exactly when the
+uniform is below the probability of +1, and divides each projected state
+by its branch probability, so the norm of the input is preserved.
 
 Every measurement projects by one formula: the branch of outcome s of an
 operator O is (psi + s O psi) / 2.  The gate kernel applies O, one pass per
@@ -384,34 +384,20 @@ def _measured_trace(state: QuantumState) -> float:
     return pin
 
 
-def measure_operator(state: QuantumState, op: MeasOperator, *,
-                     rng: Optional[np.random.Generator] = None,
-                     postselect: Optional[int] = None):
-    """Measure a Hermitian involution; returns (new state, MeasurementRecord).
-
-    Exactly one of `rng` (sample the outcome) and `postselect` (+1 or -1,
-    keep that branch unrenormalized) must be given.  Sampling renormalizes
-    the projection by the branch probability, preserving the input norm.
-    """
-    if (rng is None) == (postselect is None):
-        raise ValueError("pass exactly one of rng= (sampling) or postselect=")
-    if postselect is not None and postselect not in (+1, -1):
+def measure_operator(state: QuantumState, op: MeasOperator, *, postselect: int):
+    """Postselected measurement of a Hermitian involution: returns the bare
+    projection onto the `postselect` (+1 or -1) branch, unrenormalized, and
+    its MeasurementRecord.  Sampled measurement is `sample_outcomes`."""
+    if postselect not in (+1, -1):
         raise ValueError("postselect must be +1 or -1")
     pin = _measured_trace(state)
     desc, gates = _operator_gates(state, op)
-
-    if postselect is not None:
-        projected, prob = _project(state, gates, postselect, pin)
-        if prob < MIN_BRANCH_PROBABILITY:
-            raise ValueError(
-                f"postselected branch {postselect:+d} of {desc} has probability {prob:.3e} "
-                f"< {MIN_BRANCH_PROBABILITY}")
-        return projected, MeasurementRecord(desc, postselect, prob)
-
-    outcomes, branches = _sample_branches(state, desc, gates, pin, [rng.random()])
-    outcome = int(outcomes[0])
-    out, prob = branches[outcome]
-    return out, MeasurementRecord(desc, outcome, prob)
+    projected, prob = _project(state, gates, postselect, pin)
+    if prob < MIN_BRANCH_PROBABILITY:
+        raise ValueError(
+            f"postselected branch {postselect:+d} of {desc} has probability {prob:.3e} "
+            f"< {MIN_BRANCH_PROBABILITY}")
+    return projected, MeasurementRecord(desc, postselect, prob)
 
 
 def _renormalized(projected: QuantumState, prob: float) -> QuantumState:
@@ -420,7 +406,17 @@ def _renormalized(projected: QuantumState, prob: float) -> QuantumState:
     return projected
 
 
-def _sample_branches(state: QuantumState, desc: str, gates, pin: float, uniforms):
+def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
+    """Sampled measurement of `op`, repeated on one `state` once per uniform.
+
+    Shot i reports +1 exactly when uniforms[i] < p(+1).  Returns
+    (outcomes, branches): an int array of +1/-1, one per uniform, and
+    {outcome: (renormalized post-measurement state, probability)} for the
+    outcomes that occur; the -1 projection is computed only when some shot
+    hits it.
+    """
+    pin = _measured_trace(state)
+    desc, gates = _operator_gates(state, op)
     plus, p_plus = _project(state, gates, +1, pin)
     p_plus = min(max(p_plus, 0.0), 1.0)
     hit_plus = np.asarray(uniforms, dtype=np.float64) < p_plus
@@ -434,21 +430,6 @@ def _sample_branches(state: QuantumState, desc: str, gates, pin: float, uniforms
             raise ValueError(f"sampled an empty branch of {desc}; state is numerically degenerate")
         branches[-1] = (_renormalized(minus, p_minus), p_minus)
     return np.where(hit_plus, 1, -1), branches
-
-
-def sample_outcomes(state: QuantumState, op: MeasOperator, uniforms):
-    """Sampled measurement of `op`, repeated on one `state` once per uniform.
-
-    Shot i reports +1 exactly when uniforms[i] < p(+1), the rule
-    `measure_operator` applies to its one `rng.random()` draw.  Returns
-    (outcomes, branches): an int array of +1/-1, one per uniform, and
-    {outcome: (renormalized post-measurement state, probability)} for the
-    outcomes that occur; the -1 projection is computed only when some shot
-    hits it.
-    """
-    pin = _measured_trace(state)
-    desc, gates = _operator_gates(state, op)
-    return _sample_branches(state, desc, gates, pin, uniforms)
 
 
 def branch_probability(state: QuantumState, op: MeasOperator, outcome: int) -> float:

@@ -1,29 +1,31 @@
 """Purifying noisy pair ancillas by pairwise parity checks.
 
 A noisy pair ancilla is summarized by its coefficients (a1, a2, a3) in the
-operator form of `ancilla.MixedAncilla`, which this module serves too.  The
-purification step takes two such states, checks both cross parities, and
-disentangles one copy; on success the coefficients multiply componentwise,
-so the |11> contamination squares each round while the ideal part is
-untouched.
+operator form of `ancilla.MixedAncilla`.  The purification step takes two
+such states, checks both cross parities, and disentangles one copy; on
+success the coefficients multiply componentwise, so the |11> contamination
+squares each round while the ideal part is untouched.
 
 Both faces are provided: the closed-form coefficient algebra (`combine`)
 and the explicit four-qubit circuit (`combine_states`), which must agree
-and are tested against each other.  `sample_trees` samples the retries of
-a block of whole purification trees fed by identically prepared raw copies
-(`pair_supply`), the one supply the protocol uses, level by level in array
-passes; `distill_tree` is its one-tree call.
+and are tested against each other.  A tree fed by identically prepared raw
+copies passes its level-k checks with one probability p_k, and
+`level_success_probabilities` is the one function that builds the table of
+the p_k.  `sample_trees` samples the retries of a block of whole trees from
+that table, level by level in array passes; `distill_tree` is its one-tree
+call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+import numbers
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
-from .ancilla import PAIR_VECTOR, MixedAncilla
+from .ancilla import MixedAncilla, _zero_weight_error
 from .core import (
     QuantumState,
     apply_gate,
@@ -36,7 +38,10 @@ from .core import (
 
 def success_probability(x: MixedAncilla, y: MixedAncilla) -> float:
     """Chance both parity checks pass: (3 + a3 a3') / ((3 + a3)(3 + a3'))."""
-    val = (3.0 + complex(x.a3) * complex(y.a3)) / (complex(x.weight) * complex(y.weight))
+    weights = complex(x.weight) * complex(y.weight)
+    if weights == 0:
+        raise _zero_weight_error()
+    val = (3.0 + complex(x.a3) * complex(y.a3)) / weights
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ValueError("success probability undefined for non-real a3")
     return float(val.real)
@@ -78,7 +83,10 @@ def fidelity_after_rounds(a3: complex, rounds: int) -> float:
     """Fidelity to the ideal pair after balanced rounds: 3 / (3 + a3^(2^rounds))."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    val = 3.0 / (3.0 + complex(a3) ** (2**rounds))
+    weight = 3.0 + complex(a3) ** (2**rounds)
+    if weight == 0:
+        raise _zero_weight_error()
+    val = 3.0 / weight
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ValueError("fidelity undefined: contamination power is not real")
     return float(val.real)
@@ -94,34 +102,19 @@ class DistillOutcome(NamedTuple):
     leaves_used: int
 
 
-class _FixedSupply:
-    """`pair_supply`'s supply: one raw ancilla, and the results of its
-    combines per level, which `sample_trees` fills up to the level of the
-    trees it samples.  `combine` is pure, so trees drawing on one supply
-    share them.
+def level_success_probabilities(a3, levels: int) -> List[float]:
+    """The table p_1..p_levels of a tree fed by raw ancillas of contamination a3.
+
+    Entry k - 1 is the chance p_k that a level-k combine passes: the
+    `success_probability` of two inputs of contamination a3 ** 2**(k - 1),
+    each power formed by `**`.  These are the `distill` report's
+    `level_success_probabilities`, and the table its trees are sampled from.
     """
-
-    __slots__ = ("noise", "made", "probs")
-
-    def __init__(self, noise: MixedAncilla):
-        self.noise = noise
-        # made[k]: a level-k output; probs[k]: the probability that its combine
-        # passes (level 0 is the leaf itself)
-        self.made: List[MixedAncilla] = [noise]
-        self.probs: List[float] = [1.0]
-
-    def reach(self, k: int) -> float:
-        """Level k's success probability, combining up to level k on first use."""
-        while len(self.made) <= k:
-            out, prob = combine(self.made[-1], self.made[-1])
-            self.made.append(out)
-            self.probs.append(prob)
-        return self.probs[k]
-
-
-def pair_supply(noise: MixedAncilla = MixedAncilla.ideal()) -> _FixedSupply:
-    """Endless supply of identically prepared raw ancillas, for `sample_trees`."""
-    return _FixedSupply(noise)
+    probs = []
+    for k in range(levels):
+        level_input = MixedAncilla.from_excess_weight(a3 ** 2**k)
+        probs.append(success_probability(level_input, level_input))
+    return probs
 
 
 # uniforms between the first draws of consecutive levels in a tree's substream:
@@ -174,25 +167,36 @@ def _attempt_counts(u: np.ndarray, q: float, limit: int) -> np.ndarray:
     return counts
 
 
-def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, stop: int,
+def _check_budget(level: int, max_attempts: int) -> None:
+    """Refuse a budget at or above the level stride, and a tree of level 1 or
+    more whose fewest attempts, 2**level - 1, exceed its budget."""
+    if max_attempts >= _LEVEL_STRIDE:
+        raise ValueError("max_attempts must be below 2**32")
+    # every budget is below 2**32, so 2**33 - 1 attempts exceed them all
+    if level and (1 << min(level, 33)) - 1 > max_attempts:
+        raise _budget_error(max_attempts)
+
+
+def sample_trees(probs: Sequence[float], *, seed: int, start: int, stop: int,
                  max_attempts: int = 100_000):
-    """Sample the combine attempts of the level-`level` trees of trials
-    start..stop-1, each on its own substream (seed, t), all at once.
+    """Sample the combine attempts of the level-L trees of trials
+    start..stop-1, each on its own substream (seed, t), all at once, where
+    L = len(probs) and probs[k - 1] is p_k, the chance that a level-k
+    combine passes (`level_success_probabilities` builds this table).
 
     Returns three int64 arrays, one entry a tree: its combine attempts, its
-    passed parity checks and the raw leaves it used.  `supply` is made by
-    `pair_supply`: identically prepared raw ancillas, endlessly.
+    passed parity checks and the raw leaves it used.
 
     An attempt at level k pairs two level-(k - 1) outputs and passes with
-    level k's coefficient-form probability p_k; on failure both inputs are
-    lost.  So a level-k output takes a Geometric(p_k) number of attempts,
-    and each attempt consumes two outputs of the level below.  The trees
-    are sampled from the top level down, one array pass a level: a tree
-    needing N_k level-k outputs (N_level = 1) reads N_k uniforms from
-    uniform k * 2**32 of its substream, turns each into an attempt count
-    through `_attempt_counts`, and sums them into A_k; the level below needs
-    N_(k-1) = 2 A_k.  Passed checks are the sum of the N_k, and leaves are
-    2 A_1.  A level-0 tree is the raw ancilla itself: no draw, one leaf.
+    probability p_k; on failure both inputs are lost.  So a level-k output
+    takes a Geometric(p_k) number of attempts, and each attempt consumes two
+    outputs of the level below.  The trees are sampled from the top level
+    down, one array pass a level: a tree needing N_k level-k outputs
+    (N_L = 1) reads N_k uniforms from uniform k * 2**32 of its substream,
+    turns each into an attempt count through `_attempt_counts`, and sums
+    them into A_k; the level below needs N_(k-1) = 2 A_k.  Passed checks are
+    the sum of the N_k, and leaves are 2 A_1.  A level-0 tree is the raw
+    ancilla itself: no draw, one leaf.
 
     Edge cases: at p_k >= 1 every attempt passes and nothing is drawn; at
     p_k NaN or so small that 1 - p_k rounds to 1, no attempt passes.  A
@@ -200,32 +204,27 @@ def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, sto
 
     The run fails with a RuntimeError exactly when some tree's attempts
     exceed `max_attempts`.  The error is raised as soon as it is certain:
-    before any draw when 2**level - 1, the fewest attempts a tree can make,
+    before any draw when 2**L - 1, the fewest attempts a tree can make,
     exceeds the budget; before drawing level k when some tree's N_k alone
     exceeds what is left of its budget; and after each slab of draws.  The
     ragged draws come in slabs of `rng._SLAB_BLOCKS` Philox blocks, so no
     working array grows with the budget.
     """
-    if not isinstance(supply, _FixedSupply):
-        raise TypeError(f"supply must be made by pair_supply, got {type(supply).__name__}")
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    probs = list(probs)
+    level = len(probs)
     seed, start, stop = rng.check_trials(seed, start, stop)
-    if max_attempts >= _LEVEL_STRIDE:
-        raise ValueError("max_attempts must be below 2**32")
+    _check_budget(level, max_attempts)
     trees = stop - start
     if level == 0:
         return (np.zeros(trees, dtype=np.int64), np.zeros(trees, dtype=np.int64),
                 np.ones(trees, dtype=np.int64))
-    # a tree makes at least 2**level - 1 attempts, and every budget is below 2**32
-    if (1 << min(level, 33)) - 1 > max_attempts:
-        raise _budget_error(max_attempts)
-    supply.reach(level)
+    if not all(isinstance(p, numbers.Real) for p in probs):
+        raise ValueError("the per-level pass probabilities must be real")
     attempts = np.zeros(trees, dtype=np.int64)
     successes = np.zeros(trees, dtype=np.int64)
     need = np.ones(trees, dtype=np.int64)
     for k in range(level, 0, -1):
-        q = 1.0 - supply.probs[k]
+        q = 1.0 - probs[k - 1]
         room = max_attempts - attempts
         if not q < 1.0 or (need > room).any():
             raise _budget_error(max_attempts)
@@ -246,20 +245,28 @@ def sample_trees(supply: _FixedSupply, level: int, *, seed: int, start: int, sto
     return attempts, successes, need
 
 
-def distill_tree(supply: _FixedSupply, level: int, *, seed: int, trial: int,
+def distill_tree(noise: MixedAncilla, level: int, *, seed: int, trial: int,
                  max_attempts: int = 100_000) -> DistillOutcome:
-    """Produce one level-`level` ancilla from `supply`, retrying failed
-    parity checks: the tree of trial `trial` of `sample_trees`, on the
-    substream (seed, trial).
+    """Produce one level-`level` ancilla from raw copies of `noise`,
+    retrying failed parity checks: the tree of trial `trial` of
+    `sample_trees` on the table `level_success_probabilities(noise.a3,
+    level)`, on the substream (seed, trial).
 
     As all leaves are equal, every level-k combine has the same inputs and
-    the same result, which `supply` computes once; the tree's randomness
-    lies in its counters alone, which are Python ints.
+    the same result, so the output is `level` rounds of `combine`; the
+    tree's randomness lies in its counters alone, which are Python ints.
     """
-    attempts, successes, leaves = sample_trees(supply, level, seed=seed, start=trial,
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    _check_budget(level, max_attempts)  # before a table of `level` entries is built
+    probs = level_success_probabilities(noise.a3, level)
+    ancilla = noise
+    for _ in range(level):
+        ancilla, _ = combine(ancilla, ancilla)
+    attempts, successes, leaves = sample_trees(probs, seed=seed, start=trial,
                                                stop=trial + 1, max_attempts=max_attempts)
-    return DistillOutcome(supply.made[level], level, int(attempts[0]),
-                          int(successes[0]), int(leaves[0]))
+    return DistillOutcome(ancilla, level, int(attempts[0]), int(successes[0]),
+                          int(leaves[0]))
 
 
 # -- operation-count calculus ---------------------------------------------------
@@ -351,17 +358,15 @@ def measurement_majority_repeats(eps: float, eps_m: float) -> int:
 
 
 __all__ = [
-    "MixedAncilla",
     "CostParams",
     "DistillOutcome",
-    "PAIR_VECTOR",
     "combine",
     "combine_states",
     "distill_tree",
     "expected_ops",
     "fidelity_after_rounds",
+    "level_success_probabilities",
     "measurement_majority_repeats",
-    "pair_supply",
     "sample_trees",
     "success_probability",
 ]

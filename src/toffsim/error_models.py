@@ -2,10 +2,10 @@
 
 The per-block closed forms live in `channels`: a decoherent block's parity
 bias prod_i (1 - 2 p_i) and the |11> weight it implies, and a coherent
-block's accumulated flip angle.  This module serves those names too.  On top
-of them sit ensemble quantities: many independently drawn blocks feed one
-purification cascade, so averages of the per-block numbers (and of
-log-tangent contamination measures) decide whether the cascade converges.
+block's accumulated flip angle.  On top of them sit ensemble quantities:
+many independently drawn blocks feed one purification cascade, so averages
+of the per-block numbers (and of log-tangent contamination measures) decide
+whether the cascade converges.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    Alpha3Reading,
-    PauliChannel,
-    UnitaryErrorSet,
-    _alpha3_from_bias,
-    accumulated_flip_angle,
-    alpha3_decoherent,
-    parity_bias,
-)
+from .channels import _alpha3_from_bias
 from .rng import trial_uniforms
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -338,18 +330,12 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
 
 
 __all__ = [
-    "Alpha3Reading",
     "BlockEnsemble",
     "EnsembleFidelity",
     "LOG_TAN_CHUNK",
     "LogTanEstimate",
-    "PauliChannel",
-    "UnitaryErrorSet",
-    "accumulated_flip_angle",
-    "alpha3_decoherent",
     "cascade_fidelity",
     "characteristic_cos_moment",
     "ensemble_distill_fidelity",
     "ensemble_log_tan",
-    "parity_bias",
 ]

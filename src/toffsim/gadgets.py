@@ -5,7 +5,10 @@ The enabling resource is the unnormalized two-qubit "pair ancilla"
 them merge, by one joint parity measurement and a fixed CNOT sequence, into
 the three-qubit ancilla |000> + |001> + |010> + |100>, which in turn drives a
 Toffoli on three data qubits using only CNOTs, parity measurements, one X
-measurement, and outcome-dependent corrections from a small table.
+measurement, and outcome-dependent corrections from a small table.  The
+merge and the gadget resolve outcomes by postselection, or by
+`core.sample_outcomes` on supplied `uniforms=`: one per merge attempt, one
+per gadget measurement.
 
 The correction table is shipped as data, one sequence of correction tokens
 per outcome triple, and checked at its first use: each sequence must turn its
@@ -74,36 +77,45 @@ def _fresh_label(taken: Sequence[str]) -> str:
 
 
 def prepare_toffoli_ancilla(labels: Sequence[str] = ANCILLA_LABELS, *,
-                            rng: Optional[np.random.Generator] = None,
-                            postselect: Optional[int] = None,
-                            max_retries: int = 10_000) -> AncillaSynthesis:
+                            uniforms=None,
+                            postselect: Optional[int] = None) -> AncillaSynthesis:
     """Merge two pair ancillas into |000>+|001>+|010>+|100> on `labels`.
 
     The merge measures the joint parity of the two inner qubits; the -1
-    branch (probability 4/9) is the useful one.  Under sampling, the +1
-    branch is discarded and the merge retried with fresh pairs, up to
-    `max_retries` attempts.  Under postselection the requested branch is
-    taken directly (+1 raises, since it has no continuation).
+    branch (probability 4/9) is the useful one, and a +1 outcome discards
+    both pairs for a fresh attempt.  Exactly one of `uniforms` /
+    `postselect` picks how outcomes are resolved.  `uniforms` holds one
+    draw in [0, 1) per attempt, resolved by `sample_outcomes` on the one
+    projection of the two ideal pairs: the attempts are the index of the
+    first -1 plus one, and no -1 raises a RuntimeError.  `postselect` takes
+    the -1 branch directly (+1 raises, since it has no continuation).
     """
-    a, b, c = labels
-    d = _fresh_label(labels)
+    if (uniforms is None) == (postselect is None):
+        raise ValueError("pass exactly one of uniforms= or postselect=-1")
     if postselect is not None and postselect != -1:
         raise ValueError("only the -1 merge branch continues to the three-qubit ancilla")
-    attempts = 0
-    while True:
-        attempts += 1
-        joint = tensor(prepare_pair_ancilla((a, b)), prepare_pair_ancilla((c, d)))
-        if postselect is not None:
-            joint, rec = measure_operator(joint, z_product(b, c), postselect=-1)
-        else:
-            joint, rec = measure_operator(joint, z_product(b, c), rng=rng)
-        if rec.outcome == -1:
-            for ctrl, tgt in ((a, c), (d, b), (a, d), (b, d), (c, d)):
-                joint = apply_gate(joint, "CNOT", ctrl, tgt)
-            state = drop_qubit(joint, d, expected_bit=1)
-            return AncillaSynthesis(state, rec, attempts)
-        if attempts >= max_retries:
-            raise RuntimeError(f"ancilla merge failed {max_retries} times in a row")
+    a, b, c = labels
+    d = _fresh_label(labels)
+    joint = tensor(prepare_pair_ancilla((a, b)), prepare_pair_ancilla((c, d)))
+    op = z_product(b, c)
+    if postselect is not None:
+        joint, rec = measure_operator(joint, op, postselect=-1)
+        attempts = 1
+    else:
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        if uniforms.ndim != 1 or not uniforms.size:
+            raise ValueError(f"uniforms= takes a non-empty row of draws, one per attempt, "
+                             f"got shape {uniforms.shape}")
+        outcomes, branches = sample_outcomes(joint, op, uniforms)
+        failures = np.flatnonzero(outcomes == -1)
+        if not failures.size:
+            raise RuntimeError(f"ancilla merge failed {uniforms.size} times in a row")
+        joint, prob = branches[-1]
+        rec = MeasurementRecord(str(op), -1, prob)
+        attempts = int(failures[0]) + 1
+    for ctrl, tgt in ((a, c), (d, b), (a, d), (b, d), (c, d)):
+        joint = apply_gate(joint, "CNOT", ctrl, tgt)
+    return AncillaSynthesis(drop_qubit(joint, d, expected_bit=1), rec, attempts)
 
 
 # -- correction vocabulary -----------------------------------------------------
@@ -336,11 +348,10 @@ def toffoli_gadget(input_state: QuantumState, *,
     studies imperfect synthesis.  Exactly one of `uniforms` / `postselect`
     picks how the three measurement outcomes are resolved: `uniforms` holds
     three draws in [0, 1), and measurement j reports +1 exactly when draw j
-    is below the probability of +1, the rule of `measure_operator`'s
-    `rng.random()` draw.  All eight branches implement the same Toffoli once
-    the per-branch corrections from `table` are applied; ancillas are
-    measured off and discarded, so the returned state is a density matrix on
-    the data labels.
+    is below the probability of +1, the rule of `sample_outcomes`.  All
+    eight branches implement the same Toffoli once the per-branch
+    corrections from `table` are applied; ancillas are measured off and
+    discarded, so the returned state is a density matrix on the data labels.
     """
     if (uniforms is None) == (postselect is None):
         raise ValueError("pass exactly one of uniforms= or postselect=(m1, m2, mx)")

@@ -35,10 +35,11 @@ eigenvalue once.  Both samplers measure the controlled-NOT and return one
 in the Hadamard frame and maps the pair states back, and `uniform_count`
 gives the uniforms one shot draws.  `prepare_raw_ancilla` and the
 `noisy-meas` command read their rows from `rng.trial_uniforms`, so they
-build no numpy `Generator`; `measure_cphase_noisy` is the same readout on
-one row drawn from a `Generator`, the per-shot reference.  The readout
-block itself, `prepare_even_cat`, is built only to check the probe identity
-against dense states.
+build no numpy `Generator`.  `measure_cphase_noisy` is the same readout on
+one row drawn from a `Generator`; no library code calls it, and it stays as
+the function `perfbench/tracer.py` times per shot and as the tests'
+per-shot oracle.  The readout block itself, `prepare_even_cat`, is built
+only to check the probe identity against dense states.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
     (u < p), columns n..2n-1 the phase flips (u < q) and the last n columns
     the readouts of c1..cn; under coherent errors every column is a readout.
     Readout k reports +1 when its draw lies below the clamped Born
-    probability p(+1), the rule `measure_operator` applies.
+    probability p(+1), the rule `core.sample_outcomes` applies.
 
     The readout block is never built.  After the probe the joint state is
     A_+ (x) U_1|+>..U_n|+> + A_- (x) U_1|->..U_n|->, with A_+ the pair, A_- the

@@ -18,31 +18,29 @@ from toffsim.core import (
     QuantumState,
     apply_gate,
     apply_matrix,
+    branch_probability,
     discard,
     fidelity,
-    measure_operator,
     sample_outcomes,
     tensor,
     z_product,
 )
+from toffsim.ancilla import MixedAncilla
+from toffsim.channels import (
+    PauliChannel,
+    UnitaryErrorSet,
+    accumulated_flip_angle,
+    parity_bias,
+)
 from toffsim.distill import (
     CostParams,
-    MixedAncilla,
     combine_states,
     distill_tree,
     expected_ops,
     fidelity_after_rounds,
-    pair_supply,
     success_probability,
 )
-from toffsim.error_models import (
-    BlockEnsemble,
-    PauliChannel,
-    UnitaryErrorSet,
-    accumulated_flip_angle,
-    ensemble_log_tan,
-    parity_bias,
-)
+from toffsim.error_models import BlockEnsemble, ensemble_log_tan
 from toffsim.gadgets import (
     default_correction_table,
     derive_correction_table,
@@ -108,14 +106,15 @@ def test_pair_merge_produces_the_three_qubit_ancilla():
                    prepare_pair_ancilla(("c", "d")))
     op = z_product("b", "c")
     trials = 100_000
-    outcomes, _ = sample_outcomes(joint, op, trial_rng(SEED + 1, 0).random(trials))
+    uniforms = trial_rng(SEED + 1, 0).random(trials)
+    outcomes, _ = sample_outcomes(joint, op, uniforms)
     hits = int(np.count_nonzero(outcomes == -1))
 
-    # the first trials again, measured shot by shot on the same stream
-    rng = trial_rng(SEED + 1, 0)
-    per_shot = [measure_operator(joint, op, rng=rng)[1].outcome for _ in range(2_000)]
+    # the first trials again, shot by shot: +1 exactly below the Born probability
+    p_plus = branch_probability(joint, op, +1)
+    assert p_plus == pytest.approx(5.0 / 9.0, abs=1e-12)
+    per_shot = [+1 if u < p_plus else -1 for u in uniforms[:2_000].tolist()]
     assert per_shot == outcomes[:2_000].tolist()
-    assert per_shot.count(-1) == np.count_nonzero(outcomes[:2_000] == -1)
     p = 4.0 / 9.0
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(hits / trials - p) <= 4.0 * se
@@ -191,8 +190,8 @@ def test_purification_circuit_matches_raw_matrix_oracle():
 @pytest.mark.parametrize("a3", [-0.9, -0.5, 0.1, 0.5, 0.9])
 @pytest.mark.parametrize("levels", [0, 1, 2, 3])
 def test_tree_fidelity_matches_closed_form(a3, levels):
-    supply = pair_supply(MixedAncilla.from_excess_weight(a3))
-    outcome = distill_tree(supply, levels, seed=SEED + levels, trial=0)
+    outcome = distill_tree(MixedAncilla.from_excess_weight(a3), levels, seed=SEED + levels,
+                           trial=0)
     want = fidelity_after_rounds(a3, levels)
     assert outcome.ancilla.fidelity_to_pair() == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(3.0 / (3.0 + a3 ** (2**levels)), abs=1e-15)
@@ -204,33 +203,23 @@ def test_parity_check_success_probabilities():
     ideal = MixedAncilla.ideal()
     assert success_probability(ideal, ideal) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    # sampled frequency on the fixed ideal four-qubit state: a trial measures
-    # op1, and op2 on the +1 branch only, so it takes one or two uniforms
+    # sampled frequency on the fixed ideal four-qubit state: trial t measures
+    # op1 with uniform 0 of its own row, and op2, on the +1 branch, with uniform 1
     joint = tensor(prepare_pair_ancilla(("a", "b")),
                    prepare_pair_ancilla(("c", "d")))
     op1, op2 = z_product("a", "c"), z_product("b", "d")
     trials = 100_000
-    uniforms = trial_rng(SEED + 3, 0).random(2 * trials)
-    first, branches = sample_outcomes(joint, op1, uniforms)
-    second, _ = sample_outcomes(branches[+1][0], op2, uniforms)
-    first, second = first.tolist(), second.tolist()
-    passed = []
-    i = 0
-    for _ in range(trials):
-        if first[i] == +1:
-            passed.append(second[i + 1] == +1)
-            i += 2
-        else:
-            passed.append(False)
-            i += 1
-    successes = sum(passed)
+    uniforms = trial_uniforms(SEED + 3, 0, trials, 2)
+    first, branches = sample_outcomes(joint, op1, uniforms[:, 0])
+    second, _ = sample_outcomes(branches[+1][0], op2, uniforms[:, 1])
+    passed = (first == +1) & (second == +1)
+    successes = int(np.count_nonzero(passed))
 
-    # the first trials again, measured shot by shot on the same stream
-    rng = trial_rng(SEED + 3, 0)
-    for t in range(2_000):
-        state, rec1 = measure_operator(joint, op1, rng=rng)
-        ok = rec1.outcome == +1 and measure_operator(state, op2, rng=rng)[1].outcome == +1
-        assert ok == passed[t]
+    # the first trials again, shot by shot: +1 exactly below the Born probability
+    p1 = branch_probability(joint, op1, +1)
+    p2 = branch_probability(branches[+1][0], op2, +1)
+    for (u1, u2), ok in zip(uniforms[:2_000].tolist(), passed[:2_000].tolist()):
+        assert ok == (u1 < p1 and u2 < p2)
     p = 1.0 / 3.0
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(successes / trials - p) <= 4.0 * se

@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 from toffsim import cli, commands
 from toffsim.cli import main
 from toffsim.core import QuantumState, fidelity
-from toffsim.distill import MixedAncilla, combine_states
-from toffsim.error_models import PauliChannel, UnitaryErrorSet
+from toffsim.ancilla import MixedAncilla
+from toffsim.channels import PauliChannel, UnitaryErrorSet
+from toffsim.distill import combine_states
 from toffsim.noisy_meas import measure_cphase_noisy
 from toffsim.rng import trial_rng
 
@@ -182,8 +183,8 @@ def test_integral_float_runs_and_echoes_as_an_int(tmp_path, capsys):
 @pytest.mark.parametrize("payload, trials", [
     ({"n": 10**12}, 1),
     ({"n": 10**12, "model": "unitary", "mode": "exact"}, 1),
-    ({"n": cli._MAX_CAT_BITS + 1, "mode": "exact"}, 1),
-    ({"n": 1000}, cli._MAX_TRIAL_BITS // 1000 + 1),
+    ({"n": commands._MAX_CAT_BITS + 1, "mode": "exact"}, 1),
+    ({"n": 1000}, commands._MAX_TRIAL_BITS // 1000 + 1),
 ])
 def test_noisy_meas_beyond_its_work_limits_is_one_line_error(tmp_path, capsys,
                                                              payload, trials):
@@ -202,15 +203,15 @@ def test_noisy_meas_beyond_its_work_limits_is_one_line_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("payload", [
-    {"n": cli._MAX_CAT_BITS},
-    {"n": cli._MAX_CAT_BITS, "mode": "exact"},
-    {"n": cli._MAX_CAT_BITS, "model": "unitary", "mode": "exact", "ratio": 0.0005},
+    {"n": commands._MAX_CAT_BITS},
+    {"n": commands._MAX_CAT_BITS, "mode": "exact"},
+    {"n": commands._MAX_CAT_BITS, "model": "unitary", "mode": "exact", "ratio": 0.0005},
 ])
 def test_noisy_meas_at_its_bit_limit_runs(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, "edge.json", payload)
     rc, out, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "1"], capsys)
     assert rc == 0
-    assert json.loads(out)["results"]["n"] == cli._MAX_CAT_BITS
+    assert json.loads(out)["results"]["n"] == commands._MAX_CAT_BITS
 
 
 def test_noisy_meas_work_budget_boundary(tmp_path, capsys, monkeypatch):
@@ -271,9 +272,9 @@ def test_csv_report_streams_its_rows(tmp_path):
     ({"levels": 25}, 2),
     ({"levels": 10**9}, 2),
     ({"n": 10**12}, 2),
-    ({"levels": 10}, cli._MAX_TRIAL_BITS // (50 << 10) + 1),
+    ({"levels": 10}, commands._MAX_TRIAL_BITS // (50 << 10) + 1),
     ({"model": "unitary", "n": 10**7}, 200),
-    ({"model": "unitary"}, cli._MAX_TRIAL_BITS // 50 + 1),
+    ({"model": "unitary"}, commands._MAX_TRIAL_BITS // 50 + 1),
 ])
 def test_ensemble_beyond_its_work_limits_is_one_line_error(tmp_path, capsys, payload,
                                                            trials):
@@ -523,6 +524,44 @@ def test_distill_passes_checks(tmp_path, capsys):
     assert report["parameters"]["trials"] == 60
 
 
+@pytest.mark.parametrize("alpha3, levels", [(0.5, 3), (0.37, 4), (1.3, 5)])
+def test_distill_samples_the_table_it_reports(tmp_path, capsys, monkeypatch, alpha3, levels):
+    # the trees read exactly `level_success_probabilities`; at alpha3 1.3 its
+    # p_5 differs in the last bit from the one a chain of combines gives
+    from toffsim import distill
+
+    tables = []
+    sample_trees = distill.sample_trees
+
+    def recording(probs, **kwargs):
+        tables.append(list(probs))
+        return sample_trees(probs, **kwargs)
+
+    monkeypatch.setattr(distill, "sample_trees", recording)
+    cfg = write_config(tmp_path, "d.json", {"alpha3": alpha3, "levels": levels})
+    rc, out, _ = run_cli(["distill", "--config", cfg, "--trials", "600"], capsys)
+    assert rc == 0
+    reported = json.loads(out)["results"]["level_success_probabilities"]
+    assert len(tables) == 2  # two blocks of 512 trials
+    assert all(table == reported for table in tables)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3])
+def test_distill_zero_weight_ancilla_is_one_line_error(tmp_path, capsys, monkeypatch, levels):
+    # 3 + alpha3 = 0: refused by the closed forms, before the circuit or a draw
+    from toffsim import distill
+
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("ran the circuit of a zero-weight ancilla")
+
+    monkeypatch.setattr(distill, "combine_states", no_circuit)
+    monkeypatch.setattr(distill, "sample_trees", no_circuit)
+    cfg = write_config(tmp_path, "zero.json", {"alpha3": -3.0, "levels": levels})
+    rc, out, err = run_cli(["distill", "--config", cfg, "--check"], capsys)
+    assert rc == 1 and out == ""
+    assert err == "toffsim: error: the ancilla has zero weight: 3 + a3 = 0\n"
+
+
 @pytest.mark.parametrize("alpha3", [-0.9, 0.1, 0.5, 2.0])
 def test_distill_circuit_tree_equals_the_pairwise_tree(tmp_path, capsys, alpha3):
     raw = MixedAncilla.from_excess_weight(alpha3)
@@ -584,6 +623,8 @@ def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypat
     {"n": 5, "p": 0.2, "levels": 3, "defect_fraction": 0.0},
     {"n": 2, "p": 0.45, "levels": 6, "defect_fraction": 0.0},
     {"n": 21, "p": 0.001, "levels": 0, "defect_fraction": 0.0},
+    # 2**22 equal block logs summed in order drift from 2**22 x E by ~2e-4
+    {"n": 1, "p": 0.3, "levels": 22, "defect_fraction": 0.0},
 ])
 def test_ensemble_median_check_passes_on_a_defect_free_ensemble(tmp_path, capsys, payload):
     # every cascade is the same, so the median's standard error is 0, and the

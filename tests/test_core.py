@@ -1,5 +1,7 @@
 """Simulator conventions: state containers, gates, measurement semantics."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -64,6 +66,20 @@ def test_every_module_exports_what_it_names():
         for attr in getattr(module, "__all__", ()):
             assert hasattr(module, attr), f"{name}.{attr}"
         exec(f"from {name} import *", {})
+        if name == "toffsim":
+            continue  # the package root serves core's names by PEP 562
+        # one home per name: each exported name is defined in its module,
+        # not imported into it from another
+        tree = ast.parse(inspect.getsource(module))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for attr in getattr(module, "__all__", ()):
+            assert attr in defined, f"{name}.{attr} is not defined in {name}"
 
 
 def test_basis_state_indexing():
@@ -215,18 +231,21 @@ def test_postselect_keeps_raw_projection():
 
 def test_sampling_preserves_norm():
     s = QuantumState.from_vector(("a", "b"), [2, 2, 2, 0])  # unnormalized on purpose
-    out, rec = measure_operator(s, z_product("a", "b"), rng=trial_rng(3, 0))
+    outcomes, branches = sample_outcomes(s, z_product("a", "b"), trial_rng(3, 0).random(1))
+    assert int(outcomes[0]) in (+1, -1)
+    out, prob = branches[int(outcomes[0])]
     assert out.trace == pytest.approx(s.trace)
-    assert rec.outcome in (+1, -1)
+    # a sampled branch is the postselected one divided by its probability
+    post, rec = measure_operator(s, z_product("a", "b"), postselect=int(outcomes[0]))
+    assert rec.probability == prob
+    np.testing.assert_allclose(out.data, post.data / math.sqrt(prob), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("measure", [
-    lambda s, op: measure_operator(s, op, rng=trial_rng(0, 0)),
     lambda s, op: measure_operator(s, op, postselect=+1),
     lambda s, op: sample_outcomes(s, op, [0.5]),
     lambda s, op: branch_probability(s, op, +1),
-], ids=["measure_operator-sampled", "measure_operator-postselected", "sample_outcomes",
-        "branch_probability"])
+], ids=["measure_operator-postselected", "sample_outcomes", "branch_probability"])
 @pytest.mark.parametrize("density", [False, True])
 def test_a_zero_norm_state_cannot_be_measured(measure, density):
     zero = QuantumState(("a",), np.zeros((2, 2)) if density else [0, 0])
@@ -236,22 +255,28 @@ def test_a_zero_norm_state_cannot_be_measured(measure, density):
 
 def test_sampled_outcome_frequencies():
     s = QuantumState.from_vector(("a", "b"), [1, 1, 1, 0])
-    rng = trial_rng(17, 0)
-    hits = sum(measure_operator(s, z_product("a", "b"), rng=rng)[1].outcome == -1
-               for _ in range(4000))
+    uniforms = trial_rng(17, 0).random(4000)
+    outcomes, _ = sample_outcomes(s, z_product("a", "b"), uniforms)
+    # shot i reports +1 exactly when its uniform lies below p(+1)
+    p_plus = branch_probability(s, z_product("a", "b"), +1)
+    assert outcomes.tolist() == [+1 if u < p_plus else -1 for u in uniforms.tolist()]
+    hits = int(np.count_nonzero(outcomes == -1))
     freq = hits / 4000
     sigma = math.sqrt((2 / 3) * (1 / 3) / 4000)
     assert abs(freq - 2 / 3) < 4 * sigma
 
 
 def test_measure_operator_argument_validation():
+    # measure_operator only postselects: the branch is required, and sampled
+    # measurement is sample_outcomes
     s = QuantumState.basis(("a", "b"), "00")
-    with pytest.raises(ValueError):
-        measure_operator(s, z_product("a"))  # neither rng nor postselect
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        measure_operator(s, z_product("a"))
+    with pytest.raises(TypeError):
         measure_operator(s, z_product("a"), rng=trial_rng(0, 0), postselect=+1)
-    with pytest.raises(ValueError):
-        measure_operator(s, z_product("a"), postselect=0)
+    for postselect in (0, None):
+        with pytest.raises(ValueError):
+            measure_operator(s, z_product("a"), postselect=postselect)
 
 
 def test_postselecting_an_empty_branch_raises():

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from toffsim import ancilla, distill
+from toffsim.ancilla import PAIR_VECTOR, MixedAncilla
 from toffsim.core import QuantumState, fidelity, tensor
 from toffsim.distill import (
-    PAIR_VECTOR,
     CostParams,
-    MixedAncilla,
     combine,
     combine_states,
     DistillOutcome,
     distill_tree,
     expected_ops,
     fidelity_after_rounds,
+    level_success_probabilities,
     measurement_majority_repeats,
-    pair_supply,
     sample_trees,
     success_probability,
 )
@@ -106,11 +105,6 @@ def test_basis_pseudo_inverse_constant_is_lapacks_bit_for_bit():
     assert ancilla._BASIS_PINV[0, 0].real == np.nextafter(1.0 / 3.0, 1.0)
 
 
-def test_distill_serves_the_ancilla_names():
-    assert distill.MixedAncilla is ancilla.MixedAncilla
-    assert distill.PAIR_VECTOR is ancilla.PAIR_VECTOR
-
-
 # -- combining two ancillas ---------------------------------------------------------
 
 def test_combine_is_componentwise_product():
@@ -189,19 +183,52 @@ def test_fidelity_after_rounds_rejects_complex_residue():
         fidelity_after_rounds(1j, 0)
 
 
+def test_a_zero_weight_ancilla_is_refused_by_the_closed_forms():
+    # 3 + a3 = 0: no trace to divide by
+    zero = MixedAncilla.from_excess_weight(-3.0)
+    for call in (lambda: fidelity_after_rounds(-3.0, 0),
+                 lambda: success_probability(zero, MixedAncilla.ideal()),
+                 lambda: success_probability(MixedAncilla.ideal(), zero),
+                 lambda: level_success_probabilities(-3.0, 1),
+                 zero.fidelity_to_pair,
+                 lambda: distill_tree(zero, 2, seed=0, trial=0)):
+        with pytest.raises(ValueError, match="zero weight"):
+            call()
+    # squared, the contamination is 9, and one round is defined
+    assert fidelity_after_rounds(-3.0, 1) == 0.25
+    assert level_success_probabilities(-3.0, 0) == []
+
+
+def test_the_level_table_is_the_closed_form_power_through_success_probability():
+    for a3 in (-0.9, 0.37, 0.5, 1.3, 2.0):
+        probs = level_success_probabilities(a3, 5)
+        assert len(probs) == 5
+        for k, prob in enumerate(probs):
+            x = MixedAncilla.from_excess_weight(a3 ** (2**k))
+            assert prob == success_probability(x, x)
+    # the chain of combines squares by multiplication, and may differ from
+    # the power in the last bit: at a3 1.3, level 5 is one such pair
+    x, chain = MixedAncilla.from_excess_weight(1.3), []
+    for _ in range(5):
+        x, prob = combine(x, x)
+        chain.append(prob)
+    assert level_success_probabilities(1.3, 5)[4] == 0.9162021514791472
+    assert chain[4] == 0.9162021514791471
+
+
 # -- sampled purification trees ------------------------------------------------------
 
 def test_distill_tree_output_is_deterministic_in_value():
     # outcome randomness affects only the attempt ledger; all leaves are equal
     raw = MixedAncilla.from_excess_weight(0.5)
-    out = distill_tree(pair_supply(raw), 2, seed=0, trial=0)
+    out = distill_tree(raw, 2, seed=0, trial=0)
     assert complex(out.ancilla.a3) == pytest.approx(0.5**4)
     assert out.level == 2
 
 
 def test_distill_tree_counter_consistency():
     raw = MixedAncilla.from_excess_weight(0.3)
-    out = distill_tree(pair_supply(raw), 3, seed=5, trial=0)
+    out = distill_tree(raw, 3, seed=5, trial=0)
     assert out.combine_attempts >= out.combine_successes >= 2**3 - 1
     assert out.leaves_used % 2 == 0
     assert out.leaves_used >= 2**3
@@ -211,7 +238,7 @@ def test_distill_tree_counter_consistency():
 
 def test_distill_tree_level_zero_is_a_plain_draw():
     raw = MixedAncilla.from_excess_weight(0.7)
-    out = distill_tree(pair_supply(raw), 0, seed=0, trial=0)
+    out = distill_tree(raw, 0, seed=0, trial=0)
     assert out.leaves_used == 1
     assert out.combine_attempts == 0
     assert complex(out.ancilla.a3) == pytest.approx(0.7)
@@ -221,48 +248,59 @@ def test_distill_tree_requires_rng_beyond_level_zero():
     # the substream key is required, at every level, and must be integers
     for level in (0, 1):
         with pytest.raises(TypeError):
-            distill_tree(pair_supply(), level)
+            distill_tree(MixedAncilla.ideal(), level)
         with pytest.raises(TypeError):
-            distill_tree(pair_supply(), level, seed=1.5, trial=0)
+            distill_tree(MixedAncilla.ideal(), level, seed=1.5, trial=0)
         with pytest.raises(TypeError):
-            sample_trees(pair_supply(), level, seed=1, start=0, stop=2.0)
+            sample_trees([1 / 3] * level, seed=1, start=0, stop=2.0)
     with pytest.raises(ValueError, match="seed"):
-        distill_tree(pair_supply(), 1, seed=-1, trial=0)
+        distill_tree(MixedAncilla.ideal(), 1, seed=-1, trial=0)
     with pytest.raises(ValueError, match="trial range"):
-        sample_trees(pair_supply(), 1, seed=1, start=2**64 - 1, stop=2**64 + 1)
+        sample_trees([1 / 3], seed=1, start=2**64 - 1, stop=2**64 + 1)
     # numpy integers are read at their value
-    want = distill_tree(pair_supply(), 2, seed=2**63 + 1, trial=4)
-    assert distill_tree(pair_supply(), 2, seed=np.uint64(2**63 + 1), trial=np.int64(4)) == want
+    want = distill_tree(MixedAncilla.ideal(), 2, seed=2**63 + 1, trial=4)
+    assert distill_tree(MixedAncilla.ideal(), 2, seed=np.uint64(2**63 + 1), trial=np.int64(4)) == want
 
 
 def test_distill_tree_attempt_budget():
     raw = MixedAncilla.from_excess_weight(0.5)
     with pytest.raises(RuntimeError, match="attempts"):
-        distill_tree(pair_supply(raw), 3, seed=2, trial=0, max_attempts=3)
+        distill_tree(raw, 3, seed=2, trial=0, max_attempts=3)
     # a tree makes at least 2**level - 1 attempts: refused before any combine
     for budget in (100_000, 2**32 - 1):
         with pytest.raises(RuntimeError, match=f"exceeded {budget} combine"):
-            distill_tree(pair_supply(raw), 10**9, seed=2, trial=0, max_attempts=budget)
+            distill_tree(raw, 10**9, seed=2, trial=0, max_attempts=budget)
 
 
-def test_distill_tree_takes_only_a_pair_supply():
-    raw = MixedAncilla.from_excess_weight(0.5)
-    for supply in (raw, [raw] * 4, iter([raw] * 4), lambda: raw):
-        for level in (0, 1):
-            with pytest.raises(TypeError, match="pair_supply"):
-                distill_tree(supply, level, seed=0, trial=0)
+def test_a_non_real_or_nan_table_entry_is_refused_as_before(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew uniforms for a refused table")
+
+    # a non-real entry, at any level, is refused before any draw
+    with monkeypatch.context() as patched:
+        patched.setattr(distill.rng, "ragged_uniforms", no_draws)
+        for probs in ([0.5 + 1e-3j], [0.3, 0.5, 0.4 + 0j], [np.complex128(0.5)]):
+            with pytest.raises(ValueError, match="real"):
+                sample_trees(probs, seed=0, start=0, stop=4)
+        # a NaN at the top level passes no check: the budget runs out at once
+        with pytest.raises(RuntimeError, match="exceeded 100000 combine"):
+            sample_trees([0.3, float("nan")], seed=0, start=0, stop=4)
+    # a NaN below the top is reached after the top level's draws
+    with pytest.raises(RuntimeError, match="exceeded 500 combine"):
+        sample_trees([float("nan"), 0.3], seed=0, start=0, stop=4, max_attempts=500)
 
 
 def test_budgets_at_or_above_the_level_stride_are_refused():
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        distill_tree(pair_supply(), 1, seed=0, trial=0, max_attempts=2**32)
-    assert distill_tree(pair_supply(), 1, seed=0, trial=0,
+        distill_tree(MixedAncilla.ideal(), 1, seed=0, trial=0, max_attempts=2**32)
+    assert distill_tree(MixedAncilla.ideal(), 1, seed=0, trial=0,
                         max_attempts=2**32 - 1).combine_successes == 1
 
 
-def recursive_distill_tree(raw, level, seed, trial, max_attempts=100_000):
-    """Reference: (attempts, successes, leaves) of the level-`level` tree of
-    trial `trial`, in Python ints, recursing down the levels.
+def recursive_distill_tree(probs, seed, trial, max_attempts=100_000):
+    """Reference: (attempts, successes, leaves) of the level-len(probs) tree
+    of trial `trial` on the table `probs` of `sample_trees`, in Python ints,
+    recursing down the levels.
 
     A level-k output takes a geometric number of attempts and each attempt
     consumes two outputs of the level below, so `outputs(k, n)` reads n
@@ -272,23 +310,18 @@ def recursive_distill_tree(raw, level, seed, trial, max_attempts=100_000):
     certain once the fewest attempts left (2**level - 1, or n at one
     level) exceed what is left of it.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    level = len(probs)
     if level == 0:
         return 0, 0, 1
     if 2**level - 1 > max_attempts:
         raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
-    probs, x = [None], raw
-    for _ in range(level):
-        x, prob = combine(x, x)
-        probs.append(prob)
 
     def outputs(k, n, spent):
         # (attempts, successes, leaves) of n level-k outputs, `spent` attempts made above
         if k == 0:
             return 0, 0, n
         room = max_attempts - spent
-        q = 1.0 - probs[k]
+        q = 1.0 - probs[k - 1]
         if not q < 1.0 or n > room:
             raise RuntimeError(f"purification exceeded {max_attempts} combine attempts")
         made = 0
@@ -315,28 +348,41 @@ def outcome_or_error(fn, *args, **kwargs):
         return (type(exc).__name__, str(exc))
 
 
-def assert_matches_recursive_oracle(raw, level, seed, trial, supply=None, **kwargs):
-    """`distill_tree` on `supply` (default: a new `pair_supply(raw)`) against
-    the recursive oracle on the same substream."""
-    supply = pair_supply(raw) if supply is None else supply
-    got = outcome_or_error(distill_tree, supply, level, seed=seed, trial=trial, **kwargs)
-    want = outcome_or_error(recursive_distill_tree, raw, level, seed, trial, **kwargs)
+def oracle_tree(noise, level, seed, trial, **kwargs):
+    """The recursive oracle on the table of `noise`, or the error that
+    refuses the tree: a level below 0, a budget below the fewest attempts,
+    or a table that cannot be built."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    budget = kwargs.get("max_attempts", 100_000)
+    if level and 2**level - 1 > budget:
+        raise RuntimeError(f"purification exceeded {budget} combine attempts")
+    probs = level_success_probabilities(noise.a3, level)
+    return recursive_distill_tree(probs, seed, trial, **kwargs)
+
+
+def assert_matches_recursive_oracle(noise, level, seed, trial, **kwargs):
+    """`distill_tree` on raw copies of `noise` against the recursive oracle
+    on the same substream; its ancilla is `level` rounds of `combine`."""
+    got = outcome_or_error(distill_tree, noise, level, seed=seed, trial=trial, **kwargs)
+    want = outcome_or_error(oracle_tree, noise, level, seed, trial, **kwargs)
     if isinstance(got, DistillOutcome):
-        assert got.level == level and got.ancilla is supply.made[level]
+        ancilla = noise
+        for _ in range(level):
+            ancilla, _ = combine(ancilla, ancilla)
+        assert got.level == level and got.ancilla == ancilla
         got = tuple(got[2:])
     assert got == want
     return got
 
 
-def assert_block_matches_recursive_oracle(raw, level, seed, start, stop, supply=None,
-                                          **kwargs):
-    """`sample_trees` over trials start..stop-1 against the oracle tree by
-    tree: equal arrays, or, when some tree errs, the first error in trial
-    order of the oracle's."""
-    supply = pair_supply(raw) if supply is None else supply
-    got = outcome_or_error(sample_trees, supply, level, seed=seed, start=start, stop=stop,
-                           **kwargs)
-    want = [outcome_or_error(recursive_distill_tree, raw, level, seed, t, **kwargs)
+def assert_block_matches_recursive_oracle(noise, level, seed, start, stop, **kwargs):
+    """`sample_trees` over trials start..stop-1, on the table of `noise`,
+    against the oracle tree by tree: equal arrays, or, when some tree errs,
+    the first error in trial order of the oracle's."""
+    probs = level_success_probabilities(noise.a3, level)
+    got = outcome_or_error(sample_trees, probs, seed=seed, start=start, stop=stop, **kwargs)
+    want = [outcome_or_error(recursive_distill_tree, probs, seed, t, **kwargs)
             for t in range(start, stop)]
     errors = [w for w in want if isinstance(w[0], str)]
     if errors:
@@ -357,7 +403,7 @@ def test_distill_tree_matches_recursive_reference(a3):
 
 def test_attempt_budget_runs_out_where_the_reference_does():
     raw = MixedAncilla.from_excess_weight(0.5)
-    needed = distill_tree(pair_supply(raw), 3, seed=9, trial=0).combine_attempts
+    needed = distill_tree(raw, 3, seed=9, trial=0).combine_attempts
     assert needed > 64
     for budget in range(1, needed + 2):
         got = assert_matches_recursive_oracle(raw, 3, 9, 0, max_attempts=budget)
@@ -370,10 +416,10 @@ def test_attempt_budget_runs_out_where_the_reference_does():
 
 def test_distill_tree_equals_its_row_of_the_batched_sampler():
     raw = MixedAncilla.from_excess_weight(0.37)
-    supply = pair_supply(raw)
+    probs = level_success_probabilities(0.37, 4)
     for start, stop in ((0, 1), (5, 70), (2**64 - 3, 2**64)):
-        rows = list(zip(*sample_trees(supply, 4, seed=11, start=start, stop=stop)))
-        assert [tuple(distill_tree(supply, 4, seed=11, trial=t)[2:])
+        rows = list(zip(*sample_trees(probs, seed=11, start=start, stop=stop)))
+        assert [tuple(distill_tree(raw, 4, seed=11, trial=t)[2:])
                 for t in range(start, stop)] == [tuple(map(int, r)) for r in rows]
 
 
@@ -406,30 +452,28 @@ def test_every_attempt_passes_at_success_probability_one_or_more(a3):
     # p_1 = (3 + a3^2) / (3 + a3)^2 is 1 at a3 = -1 and 7 at a3 = -2; the
     # levels above square a3 and pass with p < 1
     raw = MixedAncilla.from_excess_weight(a3)
-    supply = pair_supply(raw)
-    assert supply.reach(1) >= 1.0 > supply.reach(2)
-    attempts, successes, leaves = sample_trees(supply, 1, seed=1, start=0, stop=3)
+    probs = level_success_probabilities(a3, 2)
+    assert probs[0] >= 1.0 > probs[1]
+    attempts, successes, leaves = sample_trees(probs[:1], seed=1, start=0, stop=3)
     assert attempts.tolist() == successes.tolist() == [1] * 3
     assert leaves.tolist() == [2] * 3
     # a budget of one attempt is enough when that attempt cannot fail
-    assert distill_tree(supply, 1, seed=1, trial=0, max_attempts=1).combine_attempts == 1
+    assert distill_tree(raw, 1, seed=1, trial=0, max_attempts=1).combine_attempts == 1
     for level in (2, 3):
-        assert_block_matches_recursive_oracle(raw, level, 1, 0, 30, supply)
+        assert_block_matches_recursive_oracle(raw, level, 1, 0, 30)
 
 
 # The three tests below keep their names from when `distill_tree` also had a
-# general loop for any supply; the recursive oracle now stands in for it.
+# general loop for any supply of raw ancillas; the recursive oracle on the
+# table of per-level pass probabilities now stands in for it.
 
 @pytest.mark.parametrize("a3", [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 2.0])
 def test_fixed_supply_loop_matches_the_general_loop(a3):
     raw = MixedAncilla.from_excess_weight(a3)
-    shared = pair_supply(raw)  # its per-level combines carry over from tree to tree
     for level in (5, 0, 1, 2, 3, 4):
         for t in range(30 if level < 4 else 4):
             assert_matches_recursive_oracle(raw, level, 23, 10 * level + t)
-            assert_matches_recursive_oracle(raw, level, 23, 10 * level + t, shared)
-        assert_block_matches_recursive_oracle(raw, level, 23, 10 * level, 10 * level + 8,
-                                              shared)
+        assert_block_matches_recursive_oracle(raw, level, 23, 10 * level, 10 * level + 8)
 
 
 @pytest.mark.parametrize("noise, ends", [
@@ -441,15 +485,13 @@ def test_fixed_supply_loop_matches_the_general_loop(a3):
     (MixedAncilla(0.0, 0.0, 0.5 + 1e-8j), {"outcome", "ValueError"}),
 ], ids=["coherent", "mixed", "nan", "complex"])
 def test_fixed_supply_loop_matches_the_general_loop_on_odd_ancillas(noise, ends):
-    supply = pair_supply(noise)
     seen = set()
     for level in (1, 3):
         for t in range(20):
-            got = assert_matches_recursive_oracle(noise, level, 29, t, supply,
-                                                  max_attempts=500)
+            got = assert_matches_recursive_oracle(noise, level, 29, t, max_attempts=500)
             seen.add("outcome" if isinstance(got[0], int) else got[0])
-        assert_block_matches_recursive_oracle(noise, level, 29, 0, 20, supply,
-                                              max_attempts=500)
+        if "ValueError" not in seen:  # a table that cannot be built samples nothing
+            assert_block_matches_recursive_oracle(noise, level, 29, 0, 20, max_attempts=500)
     assert seen == ends
 
 
@@ -461,7 +503,8 @@ def test_fixed_supply_budget_error_matches_the_general_loop():
     # a budget at or below 0 fails every tree of level 1 or more at once
     for budget in (-1, 0):
         with pytest.raises(RuntimeError, match=f"exceeded {budget} combine"):
-            sample_trees(pair_supply(raw), 1, seed=9, start=0, stop=4, max_attempts=budget)
+            sample_trees(level_success_probabilities(0.5, 1), seed=9, start=0, stop=4,
+                         max_attempts=budget)
 
 
 def test_distill_tree_mean_leaves():
@@ -469,7 +512,7 @@ def test_distill_tree_mean_leaves():
     # consumes 36 leaves on average ((2/P)^2)
     total = 0
     for t in range(800):
-        total += distill_tree(pair_supply(), 2, seed=31, trial=t).leaves_used
+        total += distill_tree(MixedAncilla.ideal(), 2, seed=31, trial=t).leaves_used
     assert total / 800 == pytest.approx(36.0, rel=0.1)
 
 
@@ -477,17 +520,33 @@ def test_distill_tree_mean_leaves():
 def test_sampled_trees_meet_their_wald_expectations(a3, level):
     # one top output takes 1/p_L attempts on average, each consuming two
     # outputs of the level below (Wald's identity, level by level)
-    supply = pair_supply(MixedAncilla.from_excess_weight(a3))
-    attempts, successes, leaves = sample_trees(supply, level, seed=61, start=0, stop=20_000)
+    probs = level_success_probabilities(a3, level)
+    attempts, successes, leaves = sample_trees(probs, seed=61, start=0, stop=20_000)
     need, want_attempts, want_successes = 1.0, 0.0, 0.0
-    for k in range(level, 0, -1):
+    for prob in reversed(probs):
         want_successes += need
-        want_attempts += need / supply.probs[k]
-        need = 2 * need / supply.probs[k]
+        want_attempts += need / prob
+        need = 2 * need / prob
     for sample, want in ((attempts, want_attempts), (successes, want_successes),
                          (leaves, need)):
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean() - want) <= 4 * se
+
+
+def test_a_perturbed_table_misses_the_wald_expectation():
+    # the sampler reads only its table: the draws of the a3 0.5, level-2 table meet
+    # that table's Wald expectation, and the same draws with every p_k scaled
+    # by 0.95 miss it (z = -0.29 and 14.4)
+    probs = level_success_probabilities(0.5, 2)
+    need, want = 1.0, 0.0
+    for prob in reversed(probs):
+        want += need / prob
+        need = 2 * need / prob
+    z = []
+    for table in (probs, [0.95 * prob for prob in probs]):
+        attempts, _, _ = sample_trees(table, seed=61, start=0, stop=20_000)
+        z.append((attempts.mean() - want) / (attempts.std(ddof=1) / math.sqrt(attempts.size)))
+    assert abs(z[0]) <= 4 < abs(z[1])
 
 
 # -- operation-count calculus ---------------------------------------------------------

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from toffsim import error_models
-from toffsim.error_models import (
+from toffsim.channels import (
     Alpha3Reading,
-    BlockEnsemble,
     PauliChannel,
     UnitaryErrorSet,
     accumulated_flip_angle,
     alpha3_decoherent,
+    parity_bias,
+)
+from toffsim.error_models import (
+    BlockEnsemble,
     cascade_fidelity,
     characteristic_cos_moment,
     ensemble_distill_fidelity,
     ensemble_log_tan,
-    parity_bias,
 )
 from toffsim.rng import trial_rng, trial_uniforms
 

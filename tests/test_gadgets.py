@@ -1,6 +1,7 @@
 """Ancilla synthesis and the measurement-based Toffoli gadget."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from toffsim.core import (
     QuantumState,
     apply_gate,
     apply_matrix,
+    branch_probability,
     discard,
     fidelity,
     gate,
@@ -31,7 +33,7 @@ from toffsim.gadgets import (
     toffoli_ancilla_target,
     toffoli_gadget,
 )
-from toffsim.rng import trial_rng
+from toffsim.rng import trial_rng, trial_uniforms
 
 BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
 
@@ -76,7 +78,7 @@ def test_synthesis_sampled_retries_until_success():
     # scan seeds for a run that needed more than one attempt, then check that
     # the surfaced count is honest and the output is still exact
     for seed in range(40):
-        syn = prepare_toffoli_ancilla(rng=trial_rng(seed, 0))
+        syn = prepare_toffoli_ancilla(uniforms=trial_rng(seed, 0).random(64))
         assert fidelity(syn.state, toffoli_ancilla_target()) == pytest.approx(1.0, abs=1e-12)
         if syn.attempts > 1:
             break
@@ -85,18 +87,48 @@ def test_synthesis_sampled_retries_until_success():
 
 
 def test_synthesis_retry_budget():
-    # find a seed whose first parity check comes out +1, then starve the budget
+    # find a seed whose first parity check comes out +1, then starve the budget:
+    # the uniforms are the attempts the merge may make
     for seed in range(60):
-        if prepare_toffoli_ancilla(rng=trial_rng(seed, 0)).attempts > 1:
+        uniforms = trial_rng(seed, 0).random(64)
+        if prepare_toffoli_ancilla(uniforms=uniforms).attempts > 1:
             with pytest.raises(RuntimeError, match="failed 1 times"):
-                prepare_toffoli_ancilla(rng=trial_rng(seed, 0), max_retries=1)
+                prepare_toffoli_ancilla(uniforms=uniforms[:1])
             return
     pytest.fail("no first-attempt failure in 60 seeds")
 
 
+def test_synthesis_attempts_count_up_to_the_first_minus_one():
+    # attempt i reports +1 exactly when draw i lies below p(+1) = 5/9
+    p_plus = branch_probability(tensor(prepare_pair_ancilla(("a", "b")),
+                                       prepare_pair_ancilla(("c", "d"))),
+                                z_product("b", "c"), +1)
+    assert p_plus == pytest.approx(5.0 / 9.0, abs=1e-12)
+    want = prepare_toffoli_ancilla(postselect=-1)
+    for uniforms, attempts in (([0.9], 1), ([0.0, p_plus], 2),
+                               ([0.5, 0.1, np.nextafter(p_plus, 0), 0.99, 0.0], 4)):
+        syn = prepare_toffoli_ancilla(uniforms=uniforms)
+        assert syn.attempts == attempts
+        assert syn.record.outcome == -1 and syn.record.probability == want.record.probability
+        assert fidelity(syn.state, toffoli_ancilla_target()) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(RuntimeError, match="failed 2 times"):
+        prepare_toffoli_ancilla(uniforms=[0.0, np.nextafter(p_plus, 0)])
+
+
+def test_synthesis_takes_exactly_one_way_to_resolve_the_merge():
+    with pytest.raises(ValueError, match="exactly one"):
+        prepare_toffoli_ancilla()
+    with pytest.raises(ValueError, match="exactly one"):
+        prepare_toffoli_ancilla(uniforms=[0.9], postselect=-1)
+    for uniforms in ([], [[0.9]], 0.9):
+        with pytest.raises(ValueError, match="uniforms="):
+            prepare_toffoli_ancilla(uniforms=uniforms)
+
+
 def test_synthesis_sampled_branch_frequency():
-    rng = trial_rng(91, 0)
-    hits = sum(prepare_toffoli_ancilla(rng=rng).attempts == 1 for _ in range(2000))
+    # merge t reads row t of the uniforms, one uniform an attempt
+    uniforms = trial_uniforms(91, 0, 2000, 64)
+    hits = sum(prepare_toffoli_ancilla(uniforms=row).attempts == 1 for row in uniforms)
     sigma = (4 / 9 * 5 / 9 / 2000) ** 0.5
     assert abs(hits / 2000 - 4 / 9) < 4 * sigma
 
@@ -397,16 +429,26 @@ def test_basis_truth_table_through_the_gadget():
         assert fidelity(res.output, ideal_toffoli_output(s)) >= 1.0 - 1e-12
 
 
+def sampled_measurement(state, op, u):
+    """Oracle of one sampled measurement: +1 exactly when u lies below the
+    Born probability of +1, and the postselected projection renormalized
+    by its probability."""
+    outcome = +1 if u < branch_probability(state, op, +1) else -1
+    state, rec = measure_operator(state, op, postselect=outcome)
+    state.data /= rec.probability if state.is_density else math.sqrt(rec.probability)
+    return state, rec
+
+
 def replica_gadget(input_state, rng):
     """Oracle: the gadget with each of its three outcomes sampled by
-    `measure_operator(rng=...)`, one `rng.random()` draw each."""
+    `sampled_measurement`, on one `rng.random()` draw each."""
     A, B, C = DATA_LABELS
     a, b, c = ANCILLA_LABELS
     state = tensor(input_state, toffoli_ancilla_target(ANCILLA_LABELS))
     state = apply_gate(apply_gate(state, "CNOT", A, a), "CNOT", B, b)
     records = []
     for op in (z_product(a, b), z_product(b, c)):
-        state, rec = measure_operator(state, op, rng=rng)
+        state, rec = sampled_measurement(state, op, rng.random())
         records.append(rec)
     odd_one_out = {(1, 1): None, (-1, 1): a, (1, -1): c, (-1, -1): b}[
         (records[0].outcome, records[1].outcome)]
@@ -414,7 +456,7 @@ def replica_gadget(input_state, rng):
         state = apply_gate(state, "X", odd_one_out)
     for ctrl, tgt in ((c, C), (a, b), (a, c)):
         state = apply_gate(state, "CNOT", ctrl, tgt)
-    state, rec = measure_operator(state, x_product(a), rng=rng)
+    state, rec = sampled_measurement(state, x_product(a), rng.random())
     records.append(rec)
     for token in default_correction_table()[tuple(r.outcome for r in records)]:
         for kind, axes in gadgets._VOCAB_OPS[token]:

@@ -9,15 +9,10 @@ import pytest
 
 from toffsim.concat import CodeParams, LevelSpec, Schedule
 from toffsim.core import GateSpec, MeasurementRecord, PauliOperator, QuantumState
-from toffsim.distill import CostParams, DistillOutcome, MixedAncilla
-from toffsim.error_models import (
-    Alpha3Reading,
-    BlockEnsemble,
-    EnsembleFidelity,
-    LogTanEstimate,
-    PauliChannel,
-    UnitaryErrorSet,
-)
+from toffsim.ancilla import MixedAncilla
+from toffsim.channels import Alpha3Reading, PauliChannel, UnitaryErrorSet
+from toffsim.distill import CostParams, DistillOutcome
+from toffsim.error_models import BlockEnsemble, EnsembleFidelity, LogTanEstimate
 from toffsim.gadgets import AncillaSynthesis, CorrectionTable, GadgetResult
 from toffsim.noisy_meas import ParityShots, RawPrepResult
 
