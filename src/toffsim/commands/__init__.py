@@ -25,16 +25,23 @@ from __future__ import annotations
 import itertools
 from typing import List
 
-# trials per block of toffoli-verify, distill, noisy-meas and the decoherent
-# ensemble: bounds the block's arrays; every trial keeps its own substream,
-# so reports do not depend on it
+# trials per block of toffoli-verify, distill, exact noisy-meas and the
+# decoherent ensemble: bounds the block's arrays; every trial keeps its own
+# substream, so reports do not depend on it
 _TRIAL_CHUNK = 512
+# trials per block of effective noisy-meas: a shot is 3 uniforms, one Philox
+# block, so a 512-trial block would be mostly `trial_uniforms`' fixed cost of
+# ~0.3 ms a call; 2048 to 8192 measured alike, ~5 ms for 8,000 warm shots
+_EFFECTIVE_CHUNK = 4096
 # the most doubles one sampled array may hold, 32 MiB
 _MAX_BLOCK_DOUBLES = 2**22
 # the most readout bits a run may sample, over all its trials: about a minute
 _MAX_TRIAL_BITS = 10**8
 # noisy-meas limit, checked before anything of size n is allocated: n keeps
-# one block's uniforms (at most 3n a trial) within _MAX_BLOCK_DOUBLES
+# one exact-mode block's uniforms (at most 3n a trial) within
+# _MAX_BLOCK_DOUBLES.  Effective mode draws 3 a trial, whatever n, and builds
+# two O(n^2) count tables; it keeps the same limit, so that a config is valid
+# in one mode exactly when it is in the other
 _MAX_CAT_BITS = _MAX_BLOCK_DOUBLES // (3 * _TRIAL_CHUNK)
 # the combine attempts one distill tree may make before the run is refused
 _TREE_ATTEMPTS = 100_000

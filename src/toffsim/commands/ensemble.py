@@ -61,8 +61,7 @@ def run(cfg: dict, seed: int, rows):
         log_expected = ensemble.block_count * ensemble.expected_log_alpha3()
         empirical = np.empty(trials)
         log_contamination = np.empty(trials)
-        # a call's uniforms, one a block, fill at most _MAX_BLOCK_DOUBLES
-        step = min(commands._TRIAL_CHUNK, block_doubles >> levels)
+        step = commands._TRIAL_CHUNK
         for start in range(0, trials, step):
             stop = min(start + step, trials)
             fid = ensemble_distill_fidelity(ensemble, seed=seed, start=start, stop=stop)

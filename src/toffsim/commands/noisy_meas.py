@@ -74,7 +74,7 @@ def run(cfg: dict, seed: int, rows):
     n_plus = n_minus_true_given_plus = 0
     corr_sum = 0.0
     alpha_readings = []
-    chunk = commands._TRIAL_CHUNK
+    chunk = commands._EFFECTIVE_CHUNK if mode == "effective" else commands._TRIAL_CHUNK
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         uniforms = trial_uniforms(seed, start, stop, columns)

@@ -151,7 +151,7 @@ def _attempt_counts(u: np.ndarray, q: float, limit: int) -> np.ndarray:
     and a larger count reads a value above `limit`.
     """
     table, power = _cdf_chunk(q, 1.0)
-    counts = np.searchsorted(table, u, side="right")
+    counts = rng.invert_cdf(table, u)
     counts += 1
     pending = np.flatnonzero(counts > _CDF_CHUNK)  # the uniforms past the table
     base = _CDF_CHUNK
@@ -160,7 +160,7 @@ def _attempt_counts(u: np.ndarray, q: float, limit: int) -> np.ndarray:
             counts[pending] = limit + 1
             break
         table, power = _cdf_chunk(q, power)
-        found = np.searchsorted(table, u[pending], side="right")
+        found = rng.invert_cdf(table, u[pending])
         counts[pending] = found + (base + 1)
         pending = pending[found == _CDF_CHUNK]
         base += _CDF_CHUNK

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _alpha3_from_bias
-from .rng import trial_uniforms
+from .rng import invert_cdf, trial_uniforms
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -226,6 +226,11 @@ class EnsembleFidelity(NamedTuple):
     log_contamination: np.ndarray
 
 
+# uniforms `ensemble_distill_fidelity` draws at once, one `rng` slab: bounds
+# its working arrays to a few MiB however many blocks a cascade has
+_SEGMENT_DRAWS = 2**17
+
+
 def ensemble_distill_fidelity(ensemble: BlockEnsemble, *, seed: int, start: int,
                               stop: int) -> EnsembleFidelity:
     """Fidelity after a full cascade fed by independently drawn blocks, for
@@ -234,17 +239,26 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble, *, seed: int, start: int,
     Block i of trial t inverts uniform i of the substream (seed, t) through
     the defect-count law's CDF, and takes that row's log alpha3.  A trial
     sums its blocks' in block order (np.cumsum adds in order; np.sum pairs).
+    The blocks are drawn a segment at a time, at most `_SEGMENT_DRAWS`
+    uniforms over the trials, and each segment's running sum starts from the
+    last one's, so the sums are the same bit for bit whatever the segments.
     """
     if ensemble.model != "decoherent":
         raise ValueError("the fidelity cascade formula applies to decoherent ensembles")
     law = _defect_law(ensemble)
-    rows = np.searchsorted(law.cdf, trial_uniforms(seed, start, stop, ensemble.block_count),
-                           side="right")
-    logs = law.log_alpha[rows]
-    del rows  # each working array is freed as soon as it is used
-    np.cumsum(logs, axis=1, out=logs)
-    log_contamination = logs[:, -1].copy()
-    del logs
+    blocks = ensemble.block_count
+    width = max(1, _SEGMENT_DRAWS // max(stop - start, 1))
+    log_contamination = np.zeros(stop - start)
+    for b0 in range(0, blocks, width):
+        rows = invert_cdf(law.cdf, trial_uniforms(seed, start, stop, min(width, blocks - b0),
+                                                  b0))
+        logs = law.log_alpha[rows]
+        del rows  # each working array is freed as soon as it is used
+        if b0:
+            logs[:, 0] += log_contamination
+        np.cumsum(logs, axis=1, out=logs)
+        log_contamination = logs[:, -1].copy()
+        del logs
     empirical = np.array([cascade_fidelity(x) for x in log_contamination.tolist()])
     return EnsembleFidelity(empirical, log_contamination)
 

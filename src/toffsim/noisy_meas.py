@@ -21,7 +21,9 @@ readout bit and keeps the pair's post-measurement state, so it takes
 coherent errors; `effective` measures the pair directly and samples the
 readout-error parity classically, which is faithful for Pauli errors
 because only the flip parity ever touches the outcome.  In effective mode a
-shot of a fixed pair state is one Born draw plus 2n Bernoulli draws, and it
+shot of a fixed pair state is three draws: the Born outcome, and the
+block's bit-flip and phase-flip counts, each inverted through its exact
+Poisson-binomial law (`rng.count_cdf`, tabulated once per channel).  It
 leaves the pair in one of just two states, so `sample_effective` runs any
 number of shots from one array of uniforms.  `sample_exact` does the same
 for exact mode without ever building the readout block: after the probe the
@@ -44,6 +46,7 @@ only to check the probe identity against dense states.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -62,7 +65,7 @@ from .core import (
 )
 from .ancilla import MixedAncilla
 from .channels import PauliChannel, UnitaryErrorSet, alpha3_decoherent
-from .rng import trial_uniforms
+from .rng import count_cdf, invert_cdf, trial_uniforms
 
 ErrorModel = Union[PauliChannel, UnitaryErrorSet]
 
@@ -197,31 +200,45 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
                      uniforms) -> ParityShots:
     """Effective-mode noisy parity measurement of one pair state, one shot per row.
 
-    `uniforms` is a (shots, 2n + 1) array of draws from [0, 1).  Column 0
-    decides the true eigenvalue by `core.sample_outcomes` (+1 when below the
-    Born probability); columns 1..n are the readout bit flips (u < p) and
-    columns n+1..2n the phase flips (u < q).  Measures the controlled-NOT
-    involution.  The pair ends in one of at most two states, one per true
-    eigenvalue, since readout errors only touch the report.
+    `uniforms` is a (shots, 3) array of draws from [0, 1), as
+    `uniform_count(channel, "effective")` says.  Column 0 decides the true
+    eigenvalue by `core.sample_outcomes` (+1 when below the Born
+    probability).  Column 1 is the block's bit-flip count and column 2 its
+    phase-flip count: each is inverted (`rng.invert_cdf`) through the
+    Poisson-binomial CDF of the channel's per-bit p or q, which
+    `rng.count_cdf` builds once per channel.  The report is the true
+    eigenvalue, flipped when the bit-flip count is odd; the readout bits
+    themselves are never drawn.  Measures the controlled-NOT involution.  The
+    pair ends in one of at most two states, one per true eigenvalue, since
+    readout errors only touch the report.
     """
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
     if not isinstance(channel, PauliChannel):
         raise ValueError("coherent errors require exact mode")
-    n = channel.n
     u = np.asarray(uniforms, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != 2 * n + 1:
-        raise ValueError(f"uniforms must have shape (shots, {2 * n + 1}), got {u.shape}")
+    if u.ndim != 2 or u.shape[1] != 3:
+        raise ValueError(f"uniforms must have shape (shots, 3), got {u.shape}")
     a, b = state.labels
     true, branches = sample_outcomes(state, gate("CNOT", a, b), u[:, 0])
-    bit_flips = np.count_nonzero(u[:, 1:n + 1] < channel.p, axis=1)
-    phase_flips = np.count_nonzero(u[:, n + 1:] < channel.q, axis=1)
+    bit_flips = invert_cdf(_count_table(channel.p.tobytes()), u[:, 1])
+    phase_flips = invert_cdf(_count_table(channel.q.tobytes()), u[:, 2])
     reported = np.where(bit_flips % 2, -true, true)
     # branches holds +1 before -1
     state_index = (true == -1) if len(branches) == 2 else np.zeros(len(true), dtype=bool)
-    return ParityShots(n, true, reported, bit_flips, phase_flips,
+    return ParityShots(channel.n, true, reported, bit_flips, phase_flips,
                        state_index.astype(np.intp),
                        tuple(post for post, _ in branches.values()))
+
+
+@functools.lru_cache(maxsize=8)
+def _count_table(probabilities: bytes) -> np.ndarray:
+    """`rng.count_cdf` of the per-bit chances whose float64 bytes these are:
+    keyed by value, so a run builds each channel's two tables once, whatever
+    its block of shots, and a changed channel never reads a stale table."""
+    table = count_cdf(np.frombuffer(probabilities))
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParityShots:
@@ -341,11 +358,12 @@ def _error_tables(errors: ErrorModel) -> np.ndarray:
 
 
 def uniform_count(errors: ErrorModel, mode: str) -> int:
-    """Uniforms one shot draws: 2n + 1 in effective mode; in exact mode n
-    bit-flip, n phase-flip and n readout draws under a Pauli channel, the n
-    readout draws alone under coherent errors."""
+    """Uniforms one shot draws: 3 in effective mode, the Born draw and the
+    bit-flip and phase-flip counts, whatever n; in exact mode n bit-flip, n
+    phase-flip and n readout draws under a Pauli channel, the n readout draws
+    alone under coherent errors."""
     if mode == "effective":
-        return 2 * errors.n + 1
+        return 3
     if mode == "exact":
         return 3 * errors.n if isinstance(errors, PauliChannel) else errors.n
     raise ValueError("mode must be 'exact' or 'effective'")
@@ -388,7 +406,8 @@ def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,
 
 
 # attempts of `prepare_raw_ancilla` sampled at once: a block of rows nearly
-# always holds the first +1 report, and one row is at most 3n uniforms
+# always holds the first +1 report; a row is 3 uniforms in effective mode
+# and at most 3n in exact mode
 _ATTEMPT_ROWS = 8
 
 

@@ -22,6 +22,10 @@ the four counter words, two spare words and the scratch for the 32-bit limb
 products are allocated once a slab, each round updates the counter words in
 place and renames them, and the 64x64-bit high word takes four limb products
 (Hacker's Delight §8-2).
+`count_cdf(probabilities)` tabulates the law of a count of independent
+Bernoulli trials, and `invert_cdf(cdf, uniforms)` draws from a table by
+inversion, one uniform a draw: what a sampler keeps of its trials is a
+tally, so it draws the tally and not the trials.
 Seeds, trial indices and counts are integers (`operator.index`: a numpy
 integer is taken at its value, a float is refused), and seeds and trial
 indices lie in [0, 2**64).
@@ -231,3 +235,37 @@ def ragged_uniforms(seed: int, start: int, counts: np.ndarray, first: int = 0):
         uniforms = words[keep] * 2.0**-53
         del flat, rows, local, words, keep  # freed while the caller takes the slab
         yield row_of, uniforms
+
+
+def count_cdf(probabilities) -> np.ndarray:
+    """P(count <= k) for k = 0..n, where the count is the number of successes
+    of n independent trials with success chances `probabilities`: the
+    Poisson-binomial law.
+
+    The probability mass is built in a fixed order, one trial at a time, by
+    the elementwise update m_k <- m_k (1 - p) + m_(k-1) p (the direct
+    convolution of Hong, Comput. Stat. Data Anal. 59, 41 (2013)), O(n^2) in
+    all, and summed by `np.cumsum`, which adds in order.  It takes no log or
+    exp, so its bits depend on neither libm nor the SIMD target.  The running
+    sums are capped at 1 and the last is set to exactly 1, so that every
+    uniform in [0, 1) inverts to a count of at most n.
+    """
+    chances = np.asarray(probabilities, dtype=np.float64).ravel()
+    mass = np.zeros(chances.size + 1)
+    mass[0] = 1.0
+    for k, p in enumerate(chances.tolist()):
+        head = mass[:k + 2]  # counts 0..k + 1 once trial k is in
+        head[1:] = head[1:] * (1.0 - p) + head[:-1] * p
+        head[0] *= 1.0 - p
+    cdf = np.cumsum(mass)
+    np.minimum(cdf, 1.0, out=cdf)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def invert_cdf(cdf: np.ndarray, uniforms) -> np.ndarray:
+    """For each uniform u, the least k with u < cdf[k]: discrete inversion by
+    table search (Devroye, Non-Uniform Random Variate Generation, 1986).
+    `cdf` is nondecreasing; a table whose last entry is 1 inverts every
+    uniform in [0, 1) to an index of the table."""
+    return np.searchsorted(cdf, uniforms, side="right")

@@ -316,13 +316,15 @@ def test_readout_bit_flips_reverse_the_report_and_phase_flips_do_nothing():
 # 8. Decoherent readout noise: contamination estimate and parity bias. -----------
 
 def test_decoherent_contamination_monte_carlo():
-    # one shot draws one row of 2n+1 uniforms, as a per-shot call draws them
+    # one shot draws one row of uniforms, as a per-shot call draws them
     errors = PauliChannel.uniform(8, 0.05)
     rng = trial_rng(SEED, 0)
     trials, block = 100_000, 10_000
+    columns = uniform_count(errors, "effective")
     reported_plus = false_plus = 0
     for _ in range(trials // block):
-        shots = sample_cphase(PLUS_PLUS, errors, rng.random((block, 17)), mode="effective")
+        shots = sample_cphase(PLUS_PLUS, errors, rng.random((block, columns)),
+                              mode="effective")
         plus = shots.reported_outcomes == +1
         reported_plus += int(np.count_nonzero(plus))
         false_plus += int(np.count_nonzero(plus & (shots.true_eigenvalues == -1)))

@@ -664,21 +664,23 @@ def test_failed_check_without_flag_still_exits_zero(tmp_path, capsys):
 
 
 def test_noisy_meas_without_estimate_fails_its_check(capsys):
-    # seed 3's only trial reports +1 from a true -1, so f = 1 and 3f/(1-f) is undefined
-    for flags, want_rc in ((["--check"], 2), ([], 0)):
-        rc, out, err = run_cli(["noisy-meas", "--trials", "1", "--seed", "3"] + flags,
-                               capsys)
-        assert rc == want_rc
-        assert "Traceback" not in err
-        results = json.loads(out)["results"]
-        assert results["alpha3_estimate"] is None
-        assert results["alpha3_estimate_se"] is None
-        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-        assert failed == ["alpha3 Monte Carlo vs closed form"]
-    rc, out, _ = run_cli(["noisy-meas", "--trials", "1", "--seed", "3",
-                          "--format", "csv"], capsys)
-    assert rc == 0
-    assert out.splitlines()[1] == "0,8,decoherent,1,-1,"
+    # each seed's only trial leaves 3f/(1-f) undefined
+    for seed, row in ((1, "0,8,decoherent,-1,1,"),    # no +1 report, so f has no value
+                      (14, "0,8,decoherent,1,-1,")):  # every +1 is false: f = 1
+        for flags, want_rc in ((["--check"], 2), ([], 0)):
+            rc, out, err = run_cli(["noisy-meas", "--trials", "1", "--seed", str(seed)]
+                                   + flags, capsys)
+            assert rc == want_rc
+            assert "Traceback" not in err
+            results = json.loads(out)["results"]
+            assert results["alpha3_estimate"] is None
+            assert results["alpha3_estimate_se"] is None
+            failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+            assert failed == ["alpha3 Monte Carlo vs closed form"]
+        rc, out, _ = run_cli(["noisy-meas", "--trials", "1", "--seed", str(seed),
+                              "--format", "csv"], capsys)
+        assert rc == 0
+        assert out.splitlines()[1] == row
 
 
 # -- report envelope --------------------------------------------------------------------------
@@ -724,17 +726,24 @@ def test_json_reports_identical_up_to_timing(tmp_path, capsys):
     assert strip_timing(a) == strip_timing(b)
 
 
+# effective mode takes blocks of _EFFECTIVE_CHUNK trials, exact mode of _TRIAL_CHUNK;
+# the rows checked straddle the default block's first edge
 @pytest.mark.parametrize("payload, mode, trials, checked", [
-    ({}, "effective", 600, (0, 1, 511, 512, 513, 599)),
+    ({}, "effective", 4200, (0, 1, 4095, 4096, 4097, 4199)),
     ({"n": 3, "mode": "exact"}, "exact", 20, (0, 6, 7, 13, 19)),
     ({"model": "unitary", "n": 3, "mode": "exact"}, "exact", 20, (0, 6, 7, 13, 19)),
 ])
 def test_noisy_meas_reports_independent_of_trial_chunk(tmp_path, capsys, monkeypatch,
                                                        payload, mode, trials, checked):
     cfg = write_config(tmp_path, "cfg.json", payload)
+    if mode == "effective":
+        # blocks of 7 meet every edge that blocks of 1 would, at a seventh of the calls
+        block, chunks = "_EFFECTIVE_CHUNK", (commands._EFFECTIVE_CHUNK, 7, 1000)
+    else:
+        block, chunks = "_TRIAL_CHUNK", (commands._TRIAL_CHUNK, 1, 7)
     reports = []
-    for chunk in (commands._TRIAL_CHUNK, 1, 7):
-        monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
+    for chunk in chunks:
+        monkeypatch.setattr(commands, block, chunk)
         csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
         argv = ["noisy-meas", "--config", cfg, "--trials", str(trials), "--seed", "5"]
         assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
@@ -1047,14 +1056,51 @@ def test_noisy_meas_effective_csv_golden_first_rows(capsys):
     assert rc == 0
     assert out.splitlines()[1:9] == [
         "0,8,decoherent,1,1,0.0",
-        "1,8,decoherent,-1,-1,",
-        "2,8,decoherent,1,-1,3.0",
-        "3,8,decoherent,-1,1,",
-        "4,8,decoherent,1,1,1.4999999999999998",
-        "5,8,decoherent,-1,1,",
-        "6,8,decoherent,1,1,1.0",
-        "7,8,decoherent,1,1,0.7500000000000001",
+        "1,8,decoherent,1,-1,3.0",
+        "2,8,decoherent,-1,-1,",
+        "3,8,decoherent,1,1,1.4999999999999998",
+        "4,8,decoherent,1,1,1.0",
+        "5,8,decoherent,1,1,0.7500000000000001",
+        "6,8,decoherent,-1,1,",
+        "7,8,decoherent,-1,1,",
     ]
+
+
+def test_an_effective_run_draws_a_block_of_shots_a_call(capsys, monkeypatch):
+    # the readout-effective benchmark config: 8,000 shots in blocks of
+    # _EFFECTIVE_CHUNK, each drawn by one `trial_uniforms` call, and the raw
+    # preparation's blocks of `_ATTEMPT_ROWS` attempts; two count tables
+    from toffsim import noisy_meas, rng
+
+    shot_calls, prep_calls, built = [], [], []
+
+    def spy(calls, draw):
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+        return counted
+
+    def counted_cdf(chances):
+        built.append(np.array(chances))
+        return rng.count_cdf(chances)
+
+    draw = rng.trial_uniforms
+    noisy_meas._count_table.cache_clear()
+    monkeypatch.setattr(rng, "trial_uniforms", spy(shot_calls, draw))
+    monkeypatch.setattr(noisy_meas, "trial_uniforms", spy(prep_calls, draw))
+    monkeypatch.setattr(noisy_meas, "count_cdf", counted_cdf)
+    rc, out, _ = run_cli(["noisy-meas", "--config", str(CONFIGS / "readout-effective.json"),
+                          "--trials", "8000", "--check"], capsys)
+    assert rc == 0
+    blocks = -(-8000 // commands._EFFECTIVE_CHUNK)
+    assert 1 < blocks < 8000 // commands._TRIAL_CHUNK
+    assert [args[1:4] for args in shot_calls] == [
+        (start, min(start + commands._EFFECTIVE_CHUNK, 8000), 3)
+        for start in range(0, 8000, commands._EFFECTIVE_CHUNK)]
+    attempts = json.loads(out)["results"]["raw_preparation"]["attempts"]
+    assert len(prep_calls) == -(-attempts // noisy_meas._ATTEMPT_ROWS)
+    assert [b.tolist() for b in built] == [[0.05] * 8, [0.0] * 8]
+    noisy_meas._count_table.cache_clear()
 
 
 def test_noisy_meas_unitary_exact_json_golden_results(tmp_path, capsys):

@@ -370,6 +370,45 @@ def test_sampled_trials_do_not_depend_on_the_call_block():
         assert np.array_equal(getattr(whole, field), joined)
 
 
+@pytest.mark.parametrize("segment", [1, 7, 16, 64])
+def test_sampled_trials_do_not_depend_on_the_draw_segment(monkeypatch, segment):
+    # 20 trials of 16 blocks: segments of 1 block, of part of a block row, and
+    # of whole rows; each trial's sum runs on from segment to segment
+    ens = BlockEnsemble(n=9, levels=4, model="decoherent", p=0.05,
+                        defect_fraction=0.3, defect_p=0.9)
+    whole = ensemble_distill_fidelity(ens, seed=2, start=0, stop=20)
+    draws = []
+
+    def recording(*args):
+        uniforms = trial_uniforms(*args)
+        draws.append(uniforms.size)
+        return uniforms
+
+    monkeypatch.setattr(error_models, "_SEGMENT_DRAWS", segment)
+    monkeypatch.setattr(error_models, "trial_uniforms", recording)
+    parts = ensemble_distill_fidelity(ens, seed=2, start=0, stop=20)
+    for field in ("empirical", "log_contamination"):
+        assert np.array_equal(getattr(whole, field), getattr(parts, field))
+    # a call draws at most a segment, or one block a trial where a segment is smaller
+    assert max(draws) <= max(segment, 20)
+    assert sum(draws) == 20 * 16
+
+
+def test_a_deep_cascade_draws_a_segment_at_a_time(monkeypatch):
+    ens = BlockEnsemble(n=1, levels=13, model="decoherent", p=0.01)
+    draws = []
+
+    def recording(*args):
+        uniforms = trial_uniforms(*args)
+        draws.append(uniforms.shape)
+        return uniforms
+
+    monkeypatch.setattr(error_models, "trial_uniforms", recording)
+    ensemble_distill_fidelity(ens, seed=1, start=0, stop=512)
+    width = error_models._SEGMENT_DRAWS // 512
+    assert draws == [(512, width)] * (2**13 // width)
+
+
 def test_analytic_marginal_fidelity_needs_no_draw(monkeypatch):
     ens = BlockEnsemble(n=50, levels=6, model="decoherent", p=0.01,
                         defect_fraction=0.02, defect_p=0.9)

@@ -46,7 +46,7 @@ from toffsim.noisy_meas import (
     sample_exact,
     uniform_count,
 )
-from toffsim.rng import trial_rng, trial_uniforms
+from toffsim.rng import count_cdf, trial_rng, trial_uniforms
 
 PLUS_PLUS = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
 
@@ -263,12 +263,31 @@ def sampled_measurement(state, op, u):
     return branches[outcome][0], outcome
 
 
+def flip_count_law_enumerated(chances):
+    """Oracle of a block's flip-count law: P(count = k) summed over all 2^n
+    flip patterns, each weighted by its product of per-bit chances, as
+    `parity_bias_enumerated` sums them (n <= 12)."""
+    chances = np.asarray(chances, dtype=np.float64)
+    n = chances.size
+    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    probs = np.prod(np.where(bits == 1, chances, 1.0 - chances), axis=1)
+    return np.bincount(bits.sum(axis=1), weights=probs, minlength=n + 1)
+
+
+def count_from_law(law, u):
+    """The least count k whose cumulative enumerated probability exceeds u."""
+    return next((k for k, c in enumerate(itertools.accumulate(law.tolist())) if u < c),
+                len(law) - 1)
+
+
 def per_shot_reference(state, channel, rng):
-    """One effective CNOT shot as separate draws: Born outcome, bit flips, phase flips."""
+    """One effective CNOT shot as three draws from the count laws: the Born
+    outcome, then the bit-flip and phase-flip counts by inversion of their
+    enumerated laws."""
     a, b = state.labels
     post, outcome = sampled_measurement(state, gate("CNOT", a, b), rng.random())
-    bit_flips = int(np.sum(rng.random(channel.n) < channel.p))
-    phase_flips = int(np.sum(rng.random(channel.n) < channel.q))
+    bit_flips = count_from_law(flip_count_law_enumerated(channel.p), rng.random())
+    phase_flips = count_from_law(flip_count_law_enumerated(channel.q), rng.random())
     reported = -outcome if bit_flips % 2 else outcome
     return outcome, reported, bit_flips, phase_flips, post
 
@@ -283,16 +302,18 @@ def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
         # the controlled-phase measurement is the CNOT one conjugated by H on b
         return apply_gate(s, "H", "b") if controlled_phase else s
 
+    columns = uniform_count(errors, "effective")
+
     def measure(rng):
         if controlled_phase:
             return measure_cphase_noisy(state, errors, mode="effective", rng=rng)
-        return sample_effective(state, errors, rng.random((1, 17))).shot(0)
+        return sample_effective(state, errors, rng.random((1, columns))).shot(0)
 
     frame = unframe(state)
     rng, ref_rng = trial_rng(31, 0), trial_rng(31, 0)
     singles = [measure(rng) for _ in range(500)]
     refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
-    shots = sample_effective(frame, errors, trial_rng(31, 0).random((500, 17)))
+    shots = sample_effective(frame, errors, trial_rng(31, 0).random((500, columns)))
     assert set(shots.true_eigenvalues.tolist()) == {+1, -1}
     assert len(shots.logical_states) == 2
     for i, (single, ref) in enumerate(zip(singles, refs)):
@@ -310,16 +331,100 @@ def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
 
 def test_batched_effective_input_validation():
     errors = PauliChannel.uniform(3, 0.1)
+    columns = uniform_count(errors, "effective")
     with pytest.raises(ValueError, match="shape"):
-        sample_effective(PLUS_PLUS, errors, np.zeros((4, 6)))
+        sample_effective(PLUS_PLUS, errors, np.zeros((4, columns - 1)))
     with pytest.raises(ValueError, match="shape"):
-        sample_effective(PLUS_PLUS, errors, np.zeros(7))
+        sample_effective(PLUS_PLUS, errors, np.zeros((4, 2 * errors.n + 1)))
+    with pytest.raises(ValueError, match="shape"):
+        sample_effective(PLUS_PLUS, errors, np.zeros(columns))
     with pytest.raises(ValueError, match="exact"):
         sample_effective(PLUS_PLUS, UnitaryErrorSet.uniform_ratio(3, 0.05),
-                         np.zeros((4, 7)))
-    empty = sample_effective(PLUS_PLUS, errors, np.zeros((0, 7)))
+                         np.zeros((4, columns)))
+    empty = sample_effective(PLUS_PLUS, errors, np.zeros((0, columns)))
     assert empty.reported_outcomes.shape == empty.state_index.shape == (0,)
     assert empty.logical_states == ()
+
+
+# -- the flip counts' exact law ------------------------------------------------------
+
+def pearson_chi2(counts, law):
+    """Pearson chi^2 of `counts` against the law `law` on 0..n, with each tail
+    pooled into one bin of expectation >= 5; and its degrees of freedom and
+    0.999 quantile (Wilson-Hilferty)."""
+    total, n = len(counts), len(law) - 1
+    law = law.tolist()
+    observed = np.bincount(counts, minlength=n + 1)
+    lo, hi = 0, n
+    while total * sum(law[:lo + 1]) < 5.0:
+        lo += 1
+    while total * sum(law[hi:]) < 5.0:
+        hi -= 1
+    expected = [sum(law[:lo + 1])] + law[lo + 1:hi] + [sum(law[hi:])]
+    seen = [observed[:lo + 1].sum()] + observed[lo + 1:hi].tolist() + [observed[hi:].sum()]
+    chi2 = sum((o - total * e) ** 2 / (total * e) for o, e in zip(seen, expected))
+    df = len(expected) - 1
+    quantile = df * (1.0 - 2.0 / (9 * df) + 3.090 * math.sqrt(2.0 / (9 * df))) ** 3
+    return chi2, df, quantile
+
+
+# 20,000 shots; bit flips at p, phase flips at q, uniform and not
+@pytest.mark.parametrize("p, q", [
+    (np.full(10, 0.15), np.full(10, 0.3)),
+    (np.linspace(0.02, 0.4, 12), np.linspace(0.5, 0.05, 12)),
+])
+def test_sampled_flip_counts_follow_the_enumerated_law(p, q):
+    channel = PauliChannel(p, q)
+    uniforms = trial_uniforms(61, 0, 20_000, uniform_count(channel, "effective"))
+    shots = sample_effective(SKEWED_PAIR, channel, uniforms)
+    for counts, chances in ((shots.bit_flips, p), (shots.phase_flips, q)):
+        chi2, df, quantile = pearson_chi2(counts, flip_count_law_enumerated(chances))
+        assert df >= 5
+        assert chi2 < quantile
+        # negative control: the law of per-bit chances 5% larger is refused
+        chi2, _, quantile = pearson_chi2(counts, flip_count_law_enumerated(1.05 * chances))
+        assert chi2 > quantile
+    # the report flips with the bit-flip count's parity, and with nothing else
+    flipped = shots.reported_outcomes != shots.true_eigenvalues
+    assert np.array_equal(flipped, shots.bit_flips % 2 == 1)
+
+
+@pytest.mark.parametrize("p, want", [
+    ([0.0, 0.0, 0.0, 0.0], {0}),
+    ([1.0, 1.0, 1.0, 1.0], {4}),
+    ([1.0, 0.0, 1.0, 0.0], {2}),
+    ([1.0, 0.3, 0.0, 1.0], {2, 3}),
+])
+def test_sure_flips_are_drawn_every_time(p, want):
+    channel = PauliChannel(p, p)
+    uniforms = trial_uniforms(62, 0, 500, uniform_count(channel, "effective"))
+    # the extreme uniforms, 0 and the largest below 1, invert inside the table
+    uniforms[:2, 1:] = [[0.0, 0.0], [np.nextafter(1.0, 0.0)] * 2]
+    shots = sample_effective(PLUS_PLUS, channel, uniforms)
+    for counts in (shots.bit_flips, shots.phase_flips):
+        assert set(counts.tolist()) == want
+
+
+def test_each_channel_count_table_is_built_once(monkeypatch):
+    built = []
+
+    def counted(chances):
+        built.append(np.array(chances))
+        return count_cdf(chances)
+
+    noisy_meas._count_table.cache_clear()
+    monkeypatch.setattr(noisy_meas, "count_cdf", counted)
+    channel = PauliChannel.uniform(6, 0.1, q=0.2)
+    for seed in range(3):
+        sample_effective(PLUS_PLUS, channel, trial_uniforms(seed, 0, 40, 3))
+    # an equal channel, built anew, reads the same tables
+    sample_effective(PLUS_PLUS, PauliChannel.uniform(6, 0.1, q=0.2),
+                     trial_uniforms(0, 0, 40, 3))
+    assert [b.tolist() for b in built] == [[0.1] * 6, [0.2] * 6]
+    # a changed channel never reads a stale table
+    sample_effective(PLUS_PLUS, PauliChannel.uniform(6, 0.3, q=0.2), trial_uniforms(0, 0, 40, 3))
+    assert len(built) == 3
+    noisy_meas._count_table.cache_clear()
 
 
 def exact_per_shot_reference(state, errors, rng):
@@ -594,7 +699,8 @@ def test_batched_exact_input_validation():
     pauli = PauliChannel.uniform(3, 0.1)
     unitary = UnitaryErrorSet.uniform_ratio(3, 0.05)
     assert uniform_count(pauli, "exact") == 9 and uniform_count(unitary, "exact") == 3
-    assert uniform_count(pauli, "effective") == 7
+    # an effective shot draws the Born outcome and two counts, whatever n
+    assert uniform_count(pauli, "effective") == uniform_count(unitary, "effective") == 3
     with pytest.raises(ValueError, match="mode"):
         uniform_count(pauli, "dense")
     with pytest.raises(ValueError, match="shape"):
@@ -772,7 +878,10 @@ def per_attempt_raw_preparation(errors, mode, seed, trial):
     pytest.fail("no +1 report")
 
 
-# a seed per config at which some of 24 trials retry past one default block
+# configs of nearly fair readout bits and a seed each; the tests search the
+# seed's first RAW_PREP_SEARCH trials for a preparation that retries past one
+# default block of attempts, wherever the stream puts it
+RAW_PREP_SEARCH = 400
 RAW_PREP_CONFIGS = [
     (PauliChannel.uniform(1, 0.45), "effective", 0),
     (PauliChannel.uniform(3, 0.4, 0.2), "exact", 1),
@@ -787,8 +896,10 @@ def test_raw_preparation_takes_the_per_attempt_draws(errors, mode, seed, block_r
     if block_rows is not None:
         monkeypatch.setattr(noisy_meas, "_ATTEMPT_ROWS", block_rows)
     rows = noisy_meas._ATTEMPT_ROWS
-    most = 0
-    for t in range(24):
+    most = t = 0
+    # the first 24 trials, and on until a preparation runs past its first block
+    while t < 24 or most <= rows:
+        assert t < RAW_PREP_SEARCH, "no preparation ran past its first block"
         want, attempts = per_attempt_raw_preparation(errors, mode, seed, t)
         got = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=t)
         assert got.attempts == attempts
@@ -797,7 +908,7 @@ def test_raw_preparation_takes_the_per_attempt_draws(errors, mode, seed, block_r
         assert got.logical_state.labels == want.logical_state.labels
         assert got.logical_state.data.tobytes() == want.logical_state.data.tobytes()
         most = max(most, attempts)
-    assert most > rows  # some preparation ran past its first block of attempts
+        t += 1
 
 
 @pytest.mark.parametrize("block_rows", [3, None])
@@ -806,7 +917,7 @@ def test_raw_preparation_examines_exactly_max_retries_rows(errors, mode, seed, b
                                                            monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(noisy_meas, "_ATTEMPT_ROWS", block_rows)
-    trial = next(t for t in range(24)
+    trial = next(t for t in range(RAW_PREP_SEARCH)
                  if prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=t).attempts > 8)
     attempts = prepare_raw_ancilla(errors, mode=mode, seed=seed, trial=trial).attempts
     columns = uniform_count(errors, mode)

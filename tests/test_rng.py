@@ -230,3 +230,38 @@ def test_trial_uniforms_over_several_slabs_match_a_python_int_philox(seed, monke
         for i, row in enumerate(rows):
             words = reference_words(seed, 4 + i, -(-(first + count) // 4))
             assert row.tolist() == [(w >> 11) * 2.0**-53 for w in words[first:first + count]]
+
+
+# -- count tables and their inversion ---------------------------------------------------
+
+def test_count_cdf_caps_its_running_sums_and_ends_at_one():
+    # at n = 100 the in-order sums of the mass end just below 1, so the last
+    # entry is set: a uniform just below 1 must still invert to a count <= n
+    chances = np.full(100, 0.05)
+    mass = np.zeros(101)
+    mass[0] = 1.0
+    for k in range(100):  # the elementwise recurrence, one trial at a time
+        mass[1:k + 2] = mass[1:k + 2] * 0.95 + mass[:k + 1] * 0.05
+        mass[0] *= 0.95
+    sums = np.cumsum(mass)
+    assert sums[-1] < 1.0
+    table = rng.count_cdf(chances)
+    assert table.shape == (101,) and table[-1] == 1.0
+    assert np.array_equal(table[:-1], np.minimum(sums[:-1], 1.0))
+    assert np.all(np.diff(table) >= 0.0)
+    assert rng.invert_cdf(table, [np.nextafter(1.0, 0.0)]).tolist() == [100]
+    assert rng.invert_cdf(table, [0.0]).tolist() == [0]
+
+
+def test_count_cdf_of_sure_trials_is_a_step():
+    assert rng.count_cdf([0.0, 0.0, 0.0]).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert rng.count_cdf([1.0, 1.0, 1.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert rng.count_cdf([1.0, 0.0, 1.0, 0.0]).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    assert rng.count_cdf([]).tolist() == [1.0]
+
+
+def test_invert_cdf_takes_the_least_index_above_each_uniform():
+    table = np.array([0.25, 0.25, 0.5, 1.0])
+    u = [0.0, 0.2499, 0.25, 0.4999, 0.5, 0.999]
+    # an entry of zero mass (index 1) is never drawn
+    assert rng.invert_cdf(table, u).tolist() == [0, 0, 2, 2, 3, 3]
