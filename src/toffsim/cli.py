@@ -10,7 +10,8 @@ depend on evaluation order.  The unitary ensemble instead draws every
 trial's tangents from the one substream (seed, 0), in blocks of
 `error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
 order; toffoli-verify, distill, noisy-meas and the decoherent ensemble
-compute them in blocks of at most `commands._TRIAL_CHUNK`, and tests check
+compute them in blocks of at most `commands._TRIAL_CHUNK` trials
+(`commands._EFFECTIVE_CHUNK` for effective noisy-meas), and tests check
 that their reports do not depend on the block size.  No worker
 pool exists: those tests are the only evidence that one handing out blocks
 of trials would reproduce the reports.
@@ -100,7 +101,6 @@ _FIELDS = {
         "levels": ("int", 6, (0, None)),
         "model": ("choice", "decoherent", ("decoherent", "unitary")),
         "p": ("float", 0.01, None),
-        "q": ("float", 0.0, None),
         "defect_fraction": ("float", None, None),  # None: 0.02 decoherent, 0.0 unitary
         "defect_p": ("float", 0.9, None),
         "distribution": ("choice", "gaussian", ("gaussian", "two_point")),

@@ -33,17 +33,21 @@ def run(cfg: dict, seed: int, rows):
         defect_fraction = 0.02 if cfg["model"] == "decoherent" else 0.0
     ensemble = BlockEnsemble(
         model=cfg["model"], distribution=cfg["distribution"],
-        n=cfg["n"], levels=cfg["levels"], p=cfg["p"], q=cfg["q"],
+        n=cfg["n"], levels=cfg["levels"], p=cfg["p"],
         defect_fraction=defect_fraction, defect_p=cfg["defect_p"])
     # limits, checked before 2**levels is formed: 2**levels x n bounds a
-    # cascade's uniforms and the defect law's n + 1 counts; a unitary trial
-    # draws n tangents, LOG_TAN_CHUNK trials at once
+    # cascade's uniforms and the defect law's n + 1 counts, and the decoherent
+    # run keeps two results a trial; a unitary trial draws n tangents,
+    # LOG_TAN_CHUNK trials at once, and keeps only running sums
     n, levels = ensemble.n, ensemble.levels
     block_doubles, trial_bits = commands._MAX_BLOCK_DOUBLES, commands._MAX_TRIAL_BITS
     if ensemble.model == "decoherent":
         if levels >= block_doubles.bit_length() or n << levels > block_doubles:
             raise ValueError(f"2**levels x n at levels {levels}, n {n} exceeds the limit "
                              f"of {block_doubles} draws per cascade")
+        if trials > block_doubles:
+            raise ValueError(f"trials {trials} exceeds the limit of {block_doubles} "
+                             f"decoherent trials")
         draws = n << levels
     else:
         if min(trials, LOG_TAN_CHUNK) * n > block_doubles:

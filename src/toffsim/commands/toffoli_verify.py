@@ -5,10 +5,8 @@ from __future__ import annotations
 import itertools
 
 from .. import commands
+from ..gadgets import _TOFFOLI_ORDER
 from . import _BRANCHES, _Check
-
-# the Toffoli on A, B, C as a permutation of basis indices: |110> <-> |111>
-_TOFFOLI_ORDER = (0, 1, 2, 3, 4, 5, 7, 6)
 
 
 def _branch_key(branch) -> str:

@@ -83,13 +83,7 @@ def fidelity_after_rounds(a3: complex, rounds: int) -> float:
     """Fidelity to the ideal pair after balanced rounds: 3 / (3 + a3^(2^rounds))."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    weight = 3.0 + complex(a3) ** (2**rounds)
-    if weight == 0:
-        raise _zero_weight_error()
-    val = 3.0 / weight
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ValueError("fidelity undefined: contamination power is not real")
-    return float(val.real)
+    return MixedAncilla.from_excess_weight(complex(a3) ** (2**rounds)).fidelity_to_pair()
 
 
 # -- running a purification tree by sampling -----------------------------------

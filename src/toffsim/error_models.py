@@ -60,7 +60,6 @@ class _EnsembleFields(NamedTuple):
     levels: int
     model: str
     p: float
-    q: float = 0.0
     defect_fraction: float = 0.0
     defect_p: float = 0.9
     distribution: str = "two_point"
@@ -92,8 +91,6 @@ class BlockEnsemble(_EnsembleFields):
         if self.model == "decoherent":
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError("decoherent p must lie in [0, 1]")
-            if not 0.0 <= self.q <= 1.0:
-                raise ValueError("q must lie in [0, 1]")
             if not 0.0 <= self.defect_fraction <= 1.0:
                 raise ValueError("defect_fraction must lie in [0, 1]")
             if self.defect_fraction > 0.0 and not 0.5 < self.defect_p <= 1.0:

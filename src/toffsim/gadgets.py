@@ -11,12 +11,13 @@ merge and the gadget resolve outcomes by postselection, or by
 per gadget measurement.
 
 The correction table is shipped as data, one sequence of correction tokens
-per outcome triple, and checked at its first use: each sequence must turn its
-branch's exact transfer matrix into a multiple of the Toffoli.  The bounded
-brute-force search that found the sequences is a test oracle, which shows
-each shipped sequence to be the first match by (length, vocabulary order).
-Each branch's uncorrected map is read off the Choi state once per process;
-the check and the `toffoli-verify` command share it.
+per outcome triple, and checked at its first use on the corrected branch map
+that `toffoli-verify` reads: every basis input must leave as its Toffoli
+image times one ancilla residual.  The bounded brute-force search that found
+the sequences is a test oracle, which shows each shipped sequence to be the
+first match by (length, vocabulary order).  Each branch's uncorrected map is
+read off the Choi state once per process; the check and the `toffoli-verify`
+command share it.
 """
 
 from __future__ import annotations
@@ -220,23 +221,6 @@ def corrected_branch_map(branch: BranchKey, corrections: Sequence[str]) -> np.nd
     return (_correction_matrix(corrections) @ outputs).reshape(8, 64)
 
 
-def _branch_transfer_matrix(branch: BranchKey) -> np.ndarray:
-    """Exact (unnormalized) 8x8 map the uncorrected gadget branch applies to A,B,C.
-
-    The uncorrected `branch_map`, with the ancilla residual factored out: the
-    (ancilla x data, input) matrix is rank 1, outer(anc, M), and with `anc`
-    its column of largest norm, M is its projection on `anc`.  The scale of
-    M is arbitrary, as the correction check allows.
-    """
-    outputs = _uncorrected_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
-    stacked = outputs.transpose(2, 1, 0).reshape(8, 64)  # ancilla x (data, input)
-    anc = stacked[:, np.argmax(np.sum(np.abs(stacked) ** 2, axis=0))]
-    m = anc.conj() @ stacked / np.vdot(anc, anc)
-    if np.max(np.abs(stacked - np.outer(anc, m))) > 1e-10 * np.max(np.abs(stacked)):
-        raise RuntimeError(f"ancillas fail to factor out on branch {branch}")
-    return m.reshape(8, 8)
-
-
 def _corrected(state: QuantumState, corrections: Sequence[str],
                data: Sequence[str]) -> QuantumState:
     """`state` with the correction tokens applied, in order, to the `data` qubits."""
@@ -298,21 +282,27 @@ _SHIPPED_CORRECTIONS = {
 }
 # the relative tolerance of a correction's match
 _TOL = 1e-10
+# the Toffoli on A, B, C as a permutation of basis indices: |110> <-> |111>
+_TOFFOLI_ORDER = (0, 1, 2, 3, 4, 5, 7, 6)
 
 
 def derive_correction_table() -> CorrectionTable:
     """The shipped correction table, each sequence checked against its branch.
 
-    For each outcome triple, the transfer matrix M of the uncorrected branch
-    is computed exactly, and the shipped sequence's product P must satisfy
-    P @ M = lambda * TOFFOLI for a nonzero scalar lambda, to a relative `_TOL`.
+    For each outcome triple, the corrected branch map, read as [input, data,
+    ancilla], must send every basis input |j> to its Toffoli image
+    |T(j)> times one ancilla residual r, the same nonzero r for every j, to
+    a relative `_TOL`.  As the uncorrected map is anc x M, with M the map on
+    A, B, C, this holds exactly when the sequence's product P makes
+    P @ M = lambda * TOFFOLI for a nonzero scalar lambda.
     """
-    from .core import GATE_MATRICES
-    toffoli = GATE_MATRICES["TOFFOLI"]
     for branch, corrections in _SHIPPED_CORRECTIONS.items():
-        cand = _correction_matrix(corrections) @ _branch_transfer_matrix(branch)
-        lam = np.trace(toffoli.conj().T @ cand) / 8.0
-        if abs(lam) <= 1e-12 or np.max(np.abs(cand - lam * toffoli)) > _TOL * abs(lam):
+        outputs = corrected_branch_map(branch, corrections).reshape(8, 8, 8)
+        residual = outputs[0, _TOFFOLI_ORDER[0]]
+        want = np.zeros_like(outputs)
+        want[np.arange(8), _TOFFOLI_ORDER] = residual
+        scale = np.max(np.abs(residual))
+        if scale == 0 or np.max(np.abs(outputs - want)) > _TOL * scale:
             raise RuntimeError(f"the shipped correction {corrections} does not fix "
                                f"branch {branch}")
     return CorrectionTable(dict(_SHIPPED_CORRECTIONS))

@@ -157,6 +157,8 @@ def test_unitary_model_rejects_effective_mode(tmp_path, capsys):
     # one trial has no standard error
     ("ensemble", {"trials": 1}),
     ("ensemble", {"model": "unitary", "trials": 1}),
+    # no draw or result of a block ensemble reads a phase-flip probability
+    ("ensemble", {"q": 0.0}),
 ])
 def test_mistyped_config_field_is_one_line_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "typed.json", payload)
@@ -327,6 +329,10 @@ def test_ensemble_whose_contamination_can_vanish_is_one_line_error(tmp_path, cap
                                           "per block of 8192 trials"),
     ({"model": "unitary", "n": 8}, 10_001, "trials x draws per trial = 80008 exceeds "
                                            "the work budget of 80000"),
+    # a decoherent run keeps two results a trial
+    ({"levels": 0, "n": 1}, 65_536, None),
+    ({"levels": 0, "n": 1}, 65_537, "trials 65537 exceeds the limit of 65536 decoherent "
+                                    "trials"),
 ])
 def test_ensemble_work_limit_boundaries(tmp_path, capsys, monkeypatch, payload, trials,
                                         error):
@@ -339,6 +345,24 @@ def test_ensemble_work_limit_boundaries(tmp_path, capsys, monkeypatch, payload, 
     else:
         assert rc == 1
         assert err == f"toffsim: error: {error}\n"
+
+
+def test_decoherent_ensemble_beyond_its_trial_limit_is_refused(tmp_path, capsys, monkeypatch):
+    # a decoherent run keeps two results a trial; one trial past the limit is
+    # refused before any cascade is sampled
+    from toffsim import error_models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cascade was sampled")
+
+    monkeypatch.setattr(error_models, "ensemble_distill_fidelity", refuse)
+    limit = commands._MAX_BLOCK_DOUBLES
+    assert limit == 2**22
+    cfg = write_config(tmp_path, "wide.json", {"n": 1, "levels": 0})
+    rc, _, err = run_cli(["ensemble", "--config", cfg, "--trials", str(limit + 1)], capsys)
+    assert rc == 1
+    assert err == (f"toffsim: error: trials {limit + 1} exceeds the limit of {limit} "
+                   f"decoherent trials\n")
 
 
 @pytest.mark.parametrize("payload, failing", [
@@ -1432,6 +1456,8 @@ def load_tracer():
 
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     import toffsim
+    from toffsim.distill import DistillOutcome
+    from toffsim.noisy_meas import RawPrepResult
 
     tracer = load_tracer()
     for targets in tracer.TRACED.values():
@@ -1443,6 +1469,14 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
     assert all(callable(fn) for fn in cli._COMMANDS.values())
     assert isinstance(toffsim.kernel_backend, str)
     assert "__init__" in QuantumState.__dict__
+    # the after-hooks read their counts off the records the timed calls return
+    returns = {"distill.distill_tree": DistillOutcome,
+               "noisy_meas.prepare_raw_ancilla": RawPrepResult}
+    assert sorted(tracer._AFTER) == sorted(returns)
+    counters = dict.fromkeys(tracer.COUNTERS, 0)
+    for name, record in returns.items():
+        tracer._AFTER[name](counters, record._make(range(1, len(record._fields) + 1)))
+    assert sorted(counters) == sorted(tracer.COUNTERS)
 
 
 @pytest.mark.parametrize("argv", [

@@ -338,7 +338,7 @@ def per_block_distill_fidelity(ensemble, seed, t):
     dict(n=50, levels=6, p=0.01, defect_fraction=0.02, defect_p=0.9),
     dict(n=9, levels=4, p=0.05, defect_fraction=0.3, defect_p=0.9),
     dict(n=1, levels=3, p=0.2, defect_fraction=0.5, defect_p=0.6),
-    dict(n=17, levels=2, p=0.0, defect_fraction=1.0, defect_p=0.7, q=0.3),
+    dict(n=17, levels=2, p=0.0, defect_fraction=1.0, defect_p=0.7),
     dict(n=50, levels=6, p=0.01, defect_fraction=0.0),
     dict(n=3, levels=0, p=0.1, defect_fraction=0.1),
 ])

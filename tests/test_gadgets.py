@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,16 +176,24 @@ def test_token_matrices_equal_the_kron_oracle_exactly():
 
 # -- correction table -------------------------------------------------------------
 
-def per_basis_transfer_matrix(branch):
-    """Oracle: the branch's transfer matrix from one gadget run per basis input."""
-    columns = np.zeros((8, 8, 8), dtype=np.complex128)  # [data, ancilla, input]
+def per_basis_outputs(branch):
+    """Oracle: the uncorrected branch's outputs as [input, data, ancilla], from
+    one gadget run per basis input."""
+    outputs = np.zeros((8, 8, 8), dtype=np.complex128)
     for x in range(8):
         state = tensor(QuantumState.basis(DATA_LABELS, format(x, "03b")),
                        toffoli_ancilla_target(ANCILLA_LABELS))
         state = gadgets._run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
-        columns[:, :, x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
-    stacked = columns.transpose(1, 0, 2).reshape(8, 64)
-    # rank 1: project on the ancilla column of largest norm, as the library does
+        outputs[x] = state.reordered(DATA_LABELS + ANCILLA_LABELS).data.reshape(8, 8)
+    return outputs
+
+
+def transfer_matrix(outputs):
+    """The 8x8 map on A, B, C of [input, data, ancilla] outputs whose
+    (ancilla x data, input) matrix is rank 1, outer(anc, M): M is its
+    projection on `anc`, the column of largest norm, checked against the
+    leading singular pair."""
+    stacked = outputs.transpose(2, 1, 0).reshape(8, 64)
     anc = stacked[:, np.argmax(np.sum(np.abs(stacked) ** 2, axis=0))]
     m = anc.conj() @ stacked / np.vdot(anc, anc)
     assert np.max(np.abs(stacked - np.outer(anc, m))) <= 1e-10 * np.max(np.abs(stacked))
@@ -197,18 +206,37 @@ def per_basis_transfer_matrix(branch):
     return m.reshape(8, 8)
 
 
+def per_basis_transfer_matrix(branch):
+    """Oracle: the branch's transfer matrix from one gadget run per basis input."""
+    return transfer_matrix(per_basis_outputs(branch))
+
+
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_choi_transfer_matrix_equals_the_per_basis_oracle_bitwise(branch):
-    assert np.array_equal(gadgets._branch_transfer_matrix(branch),
-                          per_basis_transfer_matrix(branch))
+    # the check reads the Choi run's map: it equals the per-input runs
+    choi = gadgets._uncorrected_map(branch).reshape(8, 8, 8)
+    assert np.array_equal(choi, per_basis_outputs(branch))
+    assert np.array_equal(transfer_matrix(choi), per_basis_transfer_matrix(branch))
 
 
 def test_ancilla_factoring_rejects_a_matrix_of_rank_two(monkeypatch):
+    # every input lands on its Toffoli image, but input 1 leaves another
+    # ancilla residual than the rest: no one residual factors out
     rank_two = np.zeros((8, 8, 8), dtype=np.complex128)
-    rank_two[0, 0, 0] = rank_two[1, 1, 1] = 1.0
+    rank_two[np.arange(8), gadgets._TOFFOLI_ORDER, 0] = 1.0
+    rank_two[1, 1] = [0.0, 1.0, 0, 0, 0, 0, 0, 0]
     monkeypatch.setattr(gadgets, "_uncorrected_map", lambda branch: rank_two.reshape(8, 64))
-    with pytest.raises(RuntimeError, match="fail to factor"):
-        gadgets._branch_transfer_matrix((1, 1, 1))
+    monkeypatch.setattr(gadgets, "_SHIPPED_CORRECTIONS",
+                        {branch: () for branch in gadgets._SHIPPED_CORRECTIONS})
+    with pytest.raises(RuntimeError, match=r"\(\) does not fix branch \(1, 1, 1\)"):
+        derive_correction_table()
+    # with input 1's residual restored, the map is rank 1 and a Toffoli
+    rank_two[1, 1] = [1.0, 0, 0, 0, 0, 0, 0, 0]
+    assert derive_correction_table()[(1, 1, 1)] == ()
+    # a map of rank 0 leaves no residual to factor out
+    rank_two[:] = 0.0
+    with pytest.raises(RuntimeError, match="does not fix branch"):
+        derive_correction_table()
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
@@ -264,7 +292,7 @@ def first_correction(transfer, token_mats):
 def test_each_shipped_correction_is_the_first_the_search_finds(branch):
     token_mats = {token: gadgets._correction_matrix((token,)) for token in gadgets.VOCAB_TOKENS}
     shipped = default_correction_table()[branch]
-    assert first_correction(gadgets._branch_transfer_matrix(branch), token_mats) == shipped
+    assert first_correction(per_basis_transfer_matrix(branch), token_mats) == shipped
     # the check reads the sequence's matrix in one Choi run: the tokens' product
     product = np.eye(8, dtype=np.complex128)
     for token in shipped:
@@ -273,11 +301,18 @@ def test_each_shipped_correction_is_the_first_the_search_finds(branch):
 
 
 def test_the_check_refuses_a_shipped_correction_that_fails_its_branch(monkeypatch):
-    broken = dict(gadgets._SHIPPED_CORRECTIONS)
-    broken[(1, -1, 1)] = ("X_A", "CX_BC", "CX_AC")
-    monkeypatch.setattr(gadgets, "_SHIPPED_CORRECTIONS", broken)
-    with pytest.raises(RuntimeError, match="does not fix branch"):
-        derive_correction_table()
+    shipped = gadgets._SHIPPED_CORRECTIONS
+    for branch, corrections in (
+        ((1, -1, 1), ("X_A", "CX_BC", "CX_AC")),  # a stray X moves the support
+        ((1, 1, 1), ("CZ_AB",)),                  # a relative phase between inputs
+        ((1, 1, -1), ()),                         # the phase left uncorrected
+        ((-1, -1, -1), ("CX_AC",)),               # a token dropped
+    ):
+        broken = dict(shipped)
+        broken[branch] = corrections
+        monkeypatch.setattr(gadgets, "_SHIPPED_CORRECTIONS", broken)
+        with pytest.raises(RuntimeError, match=re.escape(f"does not fix branch {branch}")):
+            derive_correction_table()
 
 
 @pytest.mark.parametrize("branch", BRANCHES)

@@ -119,7 +119,6 @@ def _ensemble(**changes):
     (_ensemble(levels=-1), "levels must be >= 0"),
     (_ensemble(model="pauli"), "model must be one of ('decoherent', 'unitary')"),
     (_ensemble(p=1.5), "decoherent p must lie in [0, 1]"),
-    (_ensemble(q=-0.1), "q must lie in [0, 1]"),
     (_ensemble(defect_fraction=2.0), "defect_fraction must lie in [0, 1]"),
     (_ensemble(defect_fraction=0.1, defect_p=0.4), "defective bits flip with probability > 1/2"),
     (_ensemble(model="unitary", p=-1.0), "unitary p (mean squared tangent) must be >= 0"),
