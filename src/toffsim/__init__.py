@@ -27,7 +27,6 @@ __all__ = [
     "PauliOperator",
     "QuantumState",
     "apply_gate",
-    "apply_matrix",
     "discard",
     "fidelity",
     "gate",

@@ -130,18 +130,31 @@ def run(cfg: dict, seed: int, rows):
         "bound": est.bound,
         "series_terms": est.series_terms,
     }
-    ok_sc = abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
-    ok_mc = abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
-                                                     4.0 * est.standard_error)
-    ok_bound = est.monte_carlo <= est.bound + 4.0 * est.standard_error
-    checks.add("series vs closed form", ok_sc,
-               f"series {est.series:.6g}, closed {est.closed_form:.6g}")
-    checks.add("Monte Carlo vs series", ok_mc,
-               f"mc {est.monte_carlo:.6g} +- {est.standard_error:.2g}")
-    checks.add("below coarse bound", ok_bound,
-               f"mc {est.monte_carlo:.6g} vs bound {est.bound:.6g}")
+    if est.exact is not None:
+        # a two_point block's exact law; minus infinity (an atom at angle 0)
+        # is matched only by a Monte Carlo mean of minus infinity
+        results["exact"] = est.exact
+        if math.isinf(est.exact):
+            ok_exact = est.monte_carlo == est.exact
+        else:
+            ok_exact = abs(est.monte_carlo - est.exact) <= max(0.2 * abs(est.exact),
+                                                               4.0 * est.standard_error)
+        checks.add("Monte Carlo vs exact", ok_exact,
+                   f"mc {est.monte_carlo:.6g} +- {est.standard_error:.2g}, "
+                   f"exact {est.exact:.6g}")
+        methods = ("monte_carlo", "monte_carlo_se", "exact")
+    else:
+        ok_sc = abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
+        ok_mc = abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
+                                                         4.0 * est.standard_error)
+        ok_bound = est.monte_carlo <= est.bound + 4.0 * est.standard_error
+        checks.add("series vs closed form", ok_sc,
+                   f"series {est.series:.6g}, closed {est.closed_form:.6g}")
+        checks.add("Monte Carlo vs series", ok_mc,
+                   f"mc {est.monte_carlo:.6g} +- {est.standard_error:.2g}")
+        checks.add("below coarse bound", ok_bound,
+                   f"mc {est.monte_carlo:.6g} vs bound {est.bound:.6g}")
+        methods = ("monte_carlo", "monte_carlo_se", "series", "closed_form", "bound")
     if rows is not None:
-        rows.extend([("monte_carlo", est.monte_carlo), ("monte_carlo_se", est.standard_error),
-                     ("series", est.series), ("closed_form", est.closed_form),
-                     ("bound", est.bound)])
+        rows.extend((method, results[method]) for method in methods)
     return results, ("method", "value"), checks

@@ -120,12 +120,6 @@ class Schedule(NamedTuple):
     def depth(self) -> int:
         return len(self.levels)
 
-    @property
-    def final_failure_log10(self) -> float:
-        if not self.levels:
-            raise ValueError("empty schedule")
-        return self.levels[-1].failure_log10
-
 
 #: Slack in decades when comparing against a target: the modeling law is an
 #: order-of-magnitude relation, so a level within half a decade counts.

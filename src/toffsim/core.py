@@ -22,8 +22,8 @@ Pauli factor or one pass of the measured gate, and a density matrix is
 projected on its rows, then on its columns with conj(O).  When O has entries
 in {0, +-1, +-i}, as every Pauli product and the X, Z, CNOT, CPHASE and
 TOFFOLI gates do, O psi is exact, and the branch equals the product of psi
-with the projector (I + s O) / 2 bit for bit.  H and PROBE have other
-entries; for them the two may differ in the last bit.
+with the projector (I + s O) / 2 bit for bit.  H has other entries; for it
+the two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class QuantumState:
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 def _build_gate_matrices():
-    eye2 = np.eye(2)
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     h = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128)
@@ -184,15 +183,10 @@ def _build_gate_matrices():
     cphase = np.diag([1, 1, 1, -1]).astype(np.complex128)
     toffoli = np.eye(8, dtype=np.complex128)
     toffoli[6:, 6:] = x
-    # Three-qubit probe: flips the third qubit exactly when the first two sit
-    # in the -1 eigenstate of CNOT; realized as the middle qubit's Hadamard
-    # conjugating a Toffoli.
-    h_mid = np.kron(np.kron(eye2, h), eye2)
-    probe = h_mid @ toffoli @ h_mid
     return {
         "X": x, "Z": z, "H": h, "S": s,
         "CNOT": cnot, "CPHASE": cphase,
-        "TOFFOLI": toffoli, "PROBE": probe,
+        "TOFFOLI": toffoli,
     }
 
 
@@ -266,18 +260,6 @@ def apply_gate(state: QuantumState, gate_or_kind, *targets: str) -> QuantumState
         spec = gate(gate_or_kind, *targets)
     axes = [state.axis(t) for t in spec.targets]
     return _apply_matrix_to_axes(state, spec.matrix, axes)
-
-
-def apply_matrix(state: QuantumState, matrix, *targets: str) -> QuantumState:
-    """Apply an arbitrary 2^k x 2^k matrix to the k target qubits."""
-    m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    if not targets:
-        raise ValueError("at least one target qubit required")
-    dim = 2 ** len(targets)
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix shape {m.shape} does not fit {len(targets)} qubits")
-    axes = [state.axis(t) for t in targets]
-    return _apply_matrix_to_axes(state, m, axes)
 
 
 # -- measurement --------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,15 +32,13 @@ _QUADRATURE_POINTS = 200_001
 def characteristic_cos_moment(distribution: str, p: float, m: int) -> float:
     """Literal E[cos(m * theta)] for the per-bit flip-angle distribution.
 
-    `p` is the mean squared tangent E[tan^2 theta] for both supported
-    distributions: "two_point" puts theta = +-arctan(sqrt(p)) with equal
-    weight (exact cosine); "gaussian" puts tan(theta) = sqrt(p) * Z with Z
-    standard normal (computed by dense quadrature).
+    `p` is the mean squared tangent E[tan^2 theta]: "gaussian" puts
+    tan(theta) = sqrt(p) * Z with Z standard normal (computed by dense
+    quadrature).  The two_point law needs no moments: `ensemble_log_tan`
+    sums its lattice exactly.
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
-    if distribution == "two_point":
-        return float(math.cos(m * math.atan(math.sqrt(p))))
     if distribution == "gaussian":
         z = np.linspace(-_QUADRATURE_SPAN, _QUADRATURE_SPAN, _QUADRATURE_POINTS)
         density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
@@ -161,6 +159,18 @@ class _DefectLaw(NamedTuple):
     expected_log_alpha: float  # sum of weight x log alpha3, in increasing k
 
 
+def _binomial_weight(n: int, k: int, frac: float) -> float:
+    """C(n, k) frac^k (1 - frac)^(n - k), through lgamma; exact at frac 0 and 1."""
+    if frac == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if frac == 1.0:
+        return 1.0 if k == n else 0.0
+    log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                  - math.lgamma(n - k + 1)
+                  + k * math.log(frac) + (n - k) * math.log1p(-frac))
+    return math.exp(log_weight)
+
+
 @functools.lru_cache(maxsize=8)
 def _defect_law(ensemble: BlockEnsemble) -> _DefectLaw:
     """The defect-count law of a decoherent `ensemble`'s blocks, built once.
@@ -173,15 +183,7 @@ def _defect_law(ensemble: BlockEnsemble) -> _DefectLaw:
     counts, weights, log_alpha = [], [], []
     expected = 0.0
     for k in range(n + 1):
-        if frac == 0.0:
-            weight = 1.0 if k == 0 else 0.0
-        elif frac == 1.0:
-            weight = 1.0 if k == n else 0.0
-        else:
-            log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                          - math.lgamma(n - k + 1)
-                          + k * math.log(frac) + (n - k) * math.log1p(-frac))
-            weight = math.exp(log_weight)
+        weight = _binomial_weight(n, k, frac)
         if weight == 0.0:
             continue
         alpha = _alpha3_from_bias(good ** (n - k) * bad**k)
@@ -261,24 +263,31 @@ def ensemble_distill_fidelity(ensemble: BlockEnsemble, *, seed: int, start: int,
 
 
 class LogTanEstimate(NamedTuple):
-    """<log |tan(block flip angle)|> computed three ways, plus its upper bound.
+    """<log |tan(block flip angle)|> by Monte Carlo, and its comparators.
 
     monte_carlo:    sample mean over `trials` independent blocks (+- standard_error).
     series:         -sum_k 2/(2k+1) * E[cos(2(2k+1) theta)]^n with literal
-                    per-bit moments (quadrature for gaussian, exact for two_point).
+                    per-bit moments (by quadrature); gaussian only.
     closed_form:    same series with the moments replaced by exp(-2(2k+1)^2 p),
-                    giving -sum_k 2/(2k+1) exp(-2(2k+1)^2 p n).
+                    giving -sum_k 2/(2k+1) exp(-2(2k+1)^2 p n); gaussian only.
     bound:          -2 exp(-2 p n), the leading closed-form term; the true
-                    mean lies below it when the series terms keep their signs.
+                    mean lies below it when the series terms keep their signs;
+                    gaussian only.
+    exact:          two_point only: the sum over the block's sign count K ~
+                    Binomial(n, 1/2) of log|tan((n - 2K) arctan sqrt(p))|,
+                    minus infinity where a count of positive weight gives
+                    angle 0 (even n).  A lattice law's moments do not decay,
+                    so no truncated series stands in for it.
     """
 
     monte_carlo: float
     standard_error: float
-    series: float
-    closed_form: float
-    bound: float
+    series: Optional[float]
+    closed_form: Optional[float]
+    bound: Optional[float]
     trials: int
-    series_terms: int
+    series_terms: Optional[int]
+    exact: Optional[float] = None
 
 
 # trials whose tangents `ensemble_log_tan` draws in one array
@@ -294,7 +303,8 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
     Requires a sign-symmetric angle distribution (both built-ins are), which
     kills the odd terms of the underlying series.  A two_point ensemble with
     even n has an atom at total angle 0 where log|tan| = -inf; the Monte
-    Carlo mean then diverges honestly rather than being masked.
+    Carlo mean then diverges honestly rather than being masked, and so does
+    the exact value.
     """
     if ensemble.model != "unitary":
         raise ValueError("log-tangent statistics apply to unitary ensembles")
@@ -317,6 +327,10 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
     var = max(total_sq / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)
 
+    if ensemble.distribution == "two_point":
+        return LogTanEstimate(mean, se, None, None, None, trials, None,
+                              _two_point_log_tan(ensemble.n, ensemble.p))
+
     series = 0.0
     terms = 0
     pn = ensemble.p * ensemble.n
@@ -338,6 +352,22 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
 
     bound = -2.0 * math.exp(-2.0 * pn)
     return LogTanEstimate(mean, se, series, closed, bound, trials, terms)
+
+
+def _two_point_log_tan(n: int, p: float) -> float:
+    """E[log|tan sigma|] of a two_point block, summed over its sign count in
+    increasing order; counts of zero weight are skipped."""
+    theta = math.atan(math.sqrt(p))
+    expected = 0.0
+    for k in range(n + 1):
+        weight = _binomial_weight(n, k, 0.5)
+        if weight == 0.0:
+            continue
+        tangent = abs(math.tan((n - 2 * k) * theta))
+        if tangent == 0.0:
+            return -math.inf
+        expected += weight * math.log(tangent)
+    return expected
 
 
 __all__ = [

@@ -186,20 +186,16 @@ class CorrectionTable(_TableFields):
         return CorrectionTable(new)
 
 
-def branch_map(branch: BranchKey, corrections: Sequence[str] = ()) -> np.ndarray:
+def branch_map(branch: BranchKey) -> np.ndarray:
     """The linear map of one postselected gadget branch, as an (8, 64) array.
 
     One run of the gadget with the ideal ancilla on the Choi state,
-    postselecting `branch`, then `corrections` on the data qubits.  Row j is
-    the unnormalized output over A, B, C, a, b, c for the input |j>, so an
-    input vector `vec` leaves as `vec @ map`.  With the table's corrections,
-    every entry is 0 or +-1/2 and each column holds at most one nonzero, so
-    that product is exact: it equals a one-input `toffoli_gadget` run's
-    output bit for bit.
+    postselecting `branch`, before any correction.  Row j is the
+    unnormalized output over A, B, C, a, b, c for the input |j>, so an input
+    vector `vec` leaves as `vec @ map`.
     """
     state = tensor(_choi_state(), toffoli_ancilla_target(ANCILLA_LABELS))
-    state = _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0]
-    return _corrected(state, corrections, DATA_LABELS).data.reshape(8, 64)
+    return _run_gadget_circuit(state, branch, DATA_LABELS, ANCILLA_LABELS)[0].data.reshape(8, 64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,11 +207,15 @@ def _uncorrected_map(branch: BranchKey) -> np.ndarray:
 
 
 def corrected_branch_map(branch: BranchKey, corrections: Sequence[str]) -> np.ndarray:
-    """`branch_map(branch, corrections)`, from the branch's shared uncorrected map.
+    """The branch's map with `corrections` applied to the data qubits, from
+    its shared uncorrected map.
 
     The corrections' signed permutation is applied to the map's data index.
     Each of its products has one nonzero term, +-1 times an entry of the
-    map, so the result equals the corrected Choi run's map exactly.
+    map, so the result equals a run of the gadget and the corrections on the
+    Choi state exactly.  With the table's corrections, every entry is 0 or
+    +-1/2 and each column holds at most one nonzero, so `vec @ map` is exact
+    too: it equals a one-input `toffoli_gadget` run's output bit for bit.
     """
     outputs = _uncorrected_map(branch).reshape(8, 8, 8)  # [input, data, ancilla]
     return (_correction_matrix(corrections) @ outputs).reshape(8, 64)

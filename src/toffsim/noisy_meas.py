@@ -40,28 +40,24 @@ gives the uniforms one shot draws.  `prepare_raw_ancilla` and the
 build no numpy `Generator`.  `measure_cphase_noisy` is the same readout on
 one row drawn from a `Generator`; no library code calls it, and it stays as
 the function `perfbench/tracer.py` times per shot and as the tests'
-per-shot oracle.  The readout block itself, `prepare_even_cat`, is built
-only to check the probe identity against dense states.
+per-shot oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import (
     GATE_MATRICES,
-    MAX_PURE_QUBITS,
     QuantumState,
     _measured_trace,
     apply_gate,
     branch_probability,
     gate,
     sample_outcomes,
-    tensor,
 )
 from .ancilla import MixedAncilla
 from .channels import PauliChannel, UnitaryErrorSet, alpha3_decoherent
@@ -69,84 +65,9 @@ from .rng import count_cdf, invert_cdf, trial_uniforms
 
 ErrorModel = Union[PauliChannel, UnitaryErrorSet]
 
-_EIGENSTATE_VECTORS = {
-    "1": np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128),
-    "2": np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128),
-    "3": np.array([0.0, 0.0, 1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0),
-    "4": np.array([0.0, 0.0, 1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0),
-}
-
-
-def eigenstring_weight(x: str) -> int:
-    """Parity (0 or 1) of the number of '4' symbols: the -1 eigenstate count.
-
-    A string over {1,2,3,4} names a product of per-pair controlled-NOT
-    eigenstates; the joint bitwise-probe eigenvalue is (-1)**weight.
-    """
-    if not x:
-        raise ValueError("eigenstring must be non-empty")
-    bad = set(x) - set("1234")
-    if bad:
-        raise ValueError(f"invalid eigenstring symbols: {sorted(bad)}")
-    return x.count("4") % 2
-
-
-def eigenstring_state(x: str,
-                      a_labels: Optional[Sequence[str]] = None,
-                      b_labels: Optional[Sequence[str]] = None) -> QuantumState:
-    """Product of per-pair eigenstates |x_i> on pairs (a_i, b_i).
-
-    Symbols: '1' -> |00>, '2' -> |01>, '3' -> (|10>+|11>)/sqrt(2) (the three
-    +1 eigenstates), '4' -> (|10>-|11>)/sqrt(2) (the -1 eigenstate).
-    """
-    n = len(x)
-    eigenstring_weight(x)  # validation
-    a_labels = tuple(a_labels) if a_labels else tuple(f"a{i+1}" for i in range(n))
-    b_labels = tuple(b_labels) if b_labels else tuple(f"b{i+1}" for i in range(n))
-    if len(a_labels) != n or len(b_labels) != n:
-        raise ValueError("need one (a, b) label pair per symbol")
-    state = None
-    for i, symbol in enumerate(x):
-        pair = QuantumState.from_vector((a_labels[i], b_labels[i]),
-                                        _EIGENSTATE_VECTORS[symbol])
-        state = pair if state is None else tensor(state, pair)
-    return state
-
 
 def cat_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"c{i+1}" for i in range(n))
-
-
-def prepare_even_cat(n: int, labels: Optional[Sequence[str]] = None) -> QuantumState:
-    """Equal superposition of all even-weight n-bit strings (normalized)."""
-    if n < 1:
-        raise ValueError("cat block needs at least one bit")
-    if n > MAX_PURE_QUBITS:
-        raise ValueError(f"exact cat of {n} bits exceeds the {MAX_PURE_QUBITS}-qubit cap")
-    labels = cat_labels(n) if labels is None else tuple(labels)
-    idx = np.arange(2**n)
-    parity = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        parity ^= (idx >> bit) & 1
-    vec = np.where(parity == 0, 1.0, 0.0) / math.sqrt(2.0 ** (n - 1))
-    return QuantumState.from_vector(labels, vec)
-
-
-def apply_bitwise_probe(pair_state: QuantumState,
-                        a_labels: Sequence[str], b_labels: Sequence[str],
-                        cat: QuantumState) -> QuantumState:
-    """Couple n pairs to an n-bit cat block, one probe per (a_i, b_i, c_i).
-
-    Each probe touches only its own triple, so a fault on one qubit can
-    spread to at most one qubit in each of the other two blocks.
-    """
-    a_labels, b_labels = tuple(a_labels), tuple(b_labels)
-    if not len(a_labels) == len(b_labels) == cat.n_qubits:
-        raise ValueError("label blocks must match the cat size")
-    joint = tensor(pair_state, cat)
-    for a, b, c in zip(a_labels, b_labels, cat.labels):
-        joint = apply_gate(joint, "PROBE", a, b, c)
-    return joint
 
 
 class RawPrepResult(NamedTuple):
@@ -457,12 +378,8 @@ def prepare_raw_ancilla(errors: ErrorModel, *,
 __all__ = [
     "ParityShots",
     "RawPrepResult",
-    "apply_bitwise_probe",
     "cat_labels",
-    "eigenstring_state",
-    "eigenstring_weight",
     "measure_cphase_noisy",
-    "prepare_even_cat",
     "prepare_raw_ancilla",
     "sample_cphase",
     "sample_effective",

@@ -32,6 +32,8 @@ from toffsim.distill import combine_states
 from toffsim.noisy_meas import measure_cphase_noisy
 from toffsim.rng import trial_rng
 
+from oracles import corrected_choi_map
+
 
 def run_cli(argv, capsys):
     rc = main(argv)
@@ -610,6 +612,43 @@ def test_noisy_meas_passes_checks(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def failed_checks(argv, capsys):
+    """The checks a `--check` run failed, which exits 2 exactly when there is one."""
+    rc, out, err = run_cli(argv + ["--check"], capsys)
+    failed = sorted(c["name"] for c in json.loads(out)["checks"] if not c["passed"])
+    assert rc == (2 if failed else 0), err
+    return failed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decoherent_readout_checks_fail_on_a_hotter_flip_law(capsys, monkeypatch, seed):
+    from toffsim import noisy_meas
+    from toffsim.rng import count_cdf
+
+    argv = ["noisy-meas", "--seed", str(seed)]
+    assert failed_checks(argv, capsys) == []
+    # negative control: the sampler draws its flip counts from the law of
+    # chances 1.2 x the channel's, which both checks compare against
+    monkeypatch.setattr(noisy_meas, "_count_table",
+                        lambda chances: count_cdf(1.2 * np.frombuffer(chances)))
+    assert failed_checks(argv, capsys) == ["alpha3 Monte Carlo vs closed form",
+                                           "reported-true correlation vs parity bias"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coherent_reading_check_fails_on_a_shifted_flip_angle(capsys, monkeypatch, seed):
+    from toffsim import channels
+
+    argv = ["noisy-meas", "--config", str(CONFIGS / "readout-exact.json"), "--seed", str(seed)]
+    assert failed_checks(argv, capsys) == []
+    # negative control: the block's flip angle, which the exact sampler never
+    # reads, off by 1e-6 in the tan^2 sigma the readings are checked against
+    flip_angle = channels.accumulated_flip_angle
+    monkeypatch.setattr(channels, "accumulated_flip_angle",
+                        lambda errors: flip_angle(errors) + 1e-6)
+    assert failed_checks(argv, capsys) == ["coherent contamination reading"]
+
+
 def test_ensemble_passes_checks(tmp_path, capsys):
     cfg = write_config(tmp_path, "e.json",
                        {"n": 20, "levels": 3, "p": 0.02, "defect_fraction": 0.05,
@@ -657,6 +696,57 @@ def test_ensemble_median_check_passes_on_a_defect_free_ensemble(tmp_path, capsys
     rc, out, err = run_cli(["ensemble", "--config", cfg, "--trials", "2", "--check"], capsys)
     assert rc == 0, err
     assert json.loads(out)["results"]["log_contamination_se"] == 0.0
+
+
+TWO_POINT = {"model": "unitary", "distribution": "two_point", "n": 51, "p": 0.02}
+
+
+def truncated_two_point_series(n, p):
+    """The series a two_point ensemble was once checked against: -sum_k 2/(2k+1)
+    cos(2(2k+1) arctan sqrt(p))^n, ended at its first term below 1e-15.  On
+    the lattice law the cosine moments do not decay, so it stops early."""
+    theta, series = math.atan(math.sqrt(p)), 0.0
+    for k in range(401):
+        term = -(2.0 / (2 * k + 1)) * math.cos(2 * (2 * k + 1) * theta) ** n
+        series += term
+        if abs(term) < 1e-15:
+            break
+    return series
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_point_ensemble_passes_against_its_exact_law(tmp_path, capsys, monkeypatch, seed):
+    from toffsim import error_models
+
+    cfg = write_config(tmp_path, "two_point.json", TWO_POINT)
+    argv = ["ensemble", "--config", cfg, "--trials", "20000", "--seed", str(seed), "--check"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    results = json.loads(out)["results"]
+    assert results["exact"] == pytest.approx(-0.13950, abs=5e-6)
+    assert [results[k] for k in ("series", "closed_form", "bound", "series_terms")] == [None] * 4
+    if seed == 1:
+        # negative control: the truncated series as the comparator misses the
+        # same Monte Carlo by 0.116, beyond the allowance of 0.052
+        series = truncated_two_point_series(51, 0.02)
+        allowance = max(0.2 * abs(series), 4.0 * results["monte_carlo_se"])
+        assert abs(results["monte_carlo"] - series) > allowance
+        monkeypatch.setattr(error_models, "_two_point_log_tan", truncated_two_point_series)
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert "Monte Carlo vs exact" in err
+
+
+def test_even_two_point_ensemble_matches_its_atom_at_angle_zero(tmp_path, capsys):
+    # C(8, 4) / 2^8 of the blocks have angle 0: log |tan 0| is -inf, exactly
+    # and in the Monte Carlo mean alike
+    cfg = write_config(tmp_path, "even.json", dict(TWO_POINT, n=8, p=0.05))
+    rc, out, err = run_cli(["ensemble", "--config", cfg, "--check"], capsys)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == ["Monte Carlo vs exact"]
+    results = report["results"]
+    assert results["exact"] is None and results["monte_carlo"] is None
 
 
 def test_estimate_passes_checks(capsys):
@@ -827,7 +917,7 @@ def test_toffoli_verify_block_rows_equal_one_gadget_run_each(capsys, monkeypatch
     # corrected Choi runs bit for bit
     branches = list(commands._BRANCHES.values())
     table = gadgets.default_correction_table()
-    maps = [gadgets.branch_map(branch, table[branch]) for branch in branches]
+    maps = [corrected_choi_map(branch, table[branch]) for branch in branches]
     assert len(blocks) == 8 * -(-trials // 8)
     labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
     for i, (vec, m) in enumerate(blocks):
@@ -922,6 +1012,23 @@ def test_distill_memory_does_not_grow_with_its_trials():
     assert peak(20_000) <= 2 * peak(512)
 
 
+def test_unitary_readout_memory_does_not_grow_with_its_trials(tmp_path):
+    # the contamination check keeps a running maximum, not one reading a +1 trial
+    cfg = write_config(tmp_path, "unitary.json", {"n": 1, "model": "unitary", "mode": "exact"})
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["noisy-meas", "--config", cfg, "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # loads the modules the run imports
+    assert peak(200_000) <= 1.5 * peak(512)
+
+
 def test_array_fidelities_equal_the_state_path_on_every_branch():
     from toffsim import gadgets
     from toffsim.commands.toffoli_verify import branch_fidelities
@@ -937,7 +1044,7 @@ def test_array_fidelities_equal_the_state_path_on_every_branch():
     vecs = [u[:, :8] + 1j * u[:, 8:], rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))]
     labels = gadgets.DATA_LABELS + gadgets.ANCILLA_LABELS
     for branch, corrections in cases:
-        m = gadgets.branch_map(branch, corrections)
+        m = corrected_choi_map(branch, corrections)
         for vec in vecs:
             for row, got in zip(vec, branch_fidelities(vec, m)):
                 ideal = gadgets.ideal_toffoli_output(QuantumState(gadgets.DATA_LABELS, row))
@@ -1134,7 +1241,6 @@ def test_noisy_meas_unitary_exact_json_golden_results(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out)["results"] == {
         "alpha3_readings_max_deviation": 6.938893903907228e-17,
-        "eigenstring_checks": {"passed": 64, "total": 64},
         "flip_angle": 0.14987518716582826,
         "mode": "exact",
         "model": "unitary",

@@ -80,7 +80,7 @@ def test_progressive_single_level_reaches_nine_decades():
     sched = progressive_schedule(-9.0)
     assert sched.depth == 1
     assert sched.achieved
-    assert sched.final_failure_log10 == pytest.approx(-8.838826932936374, abs=1e-12)
+    assert sched.levels[-1].failure_log10 == pytest.approx(-8.838826932936374, abs=1e-12)
     assert sched.levels[0].block_size == 1000
 
 
@@ -184,12 +184,10 @@ def test_progressive_never_deeper_than_standard(target):
 def test_achieved_schedules_hit_target_within_slack(target):
     for sched in (progressive_schedule(target), standard_concat_levels(target)):
         assert sched.achieved
-        assert sched.final_failure_log10 <= target + TARGET_SLACK_DECADES
+        assert sched.levels[-1].failure_log10 <= target + TARGET_SLACK_DECADES
 
 
 def test_schedule_accessors():
     sched = standard_concat_levels(-9.0)
     assert sched.depth == len(sched.levels)
-    assert sched.final_failure_log10 == sched.levels[-1].failure_log10
-    with pytest.raises(ValueError):
-        Schedule("standard", -9.0, (), False).final_failure_log10
+    assert Schedule("standard", -9.0, (), False).depth == 0

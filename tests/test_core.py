@@ -3,7 +3,9 @@
 import ast
 import inspect
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from toffsim.core import (
     MAX_PURE_QUBITS,
     QuantumState,
     apply_gate,
-    apply_matrix,
     branch_probability,
     discard,
     drop_qubit,
@@ -30,6 +31,8 @@ from toffsim.core import (
     z_product,
 )
 from toffsim.rng import trial_rng
+
+from oracles import PROBE, apply_matrix
 
 
 # -- package namespace ---------------------------------------------------------------
@@ -50,8 +53,16 @@ def test_package_serves_the_core_names_without_binding_them():
     assert vars(toffsim) == before
     assert sorted(toffsim.__all__) == sorted([
         "GateSpec", "MeasurementRecord", "PauliOperator", "QuantumState",
-        "apply_gate", "apply_matrix", "discard", "fidelity", "gate", "kernel_backend",
+        "apply_gate", "discard", "fidelity", "gate", "kernel_backend",
         "measure_operator", "tensor", "__version__"])
+
+
+def test_every_python_block_of_the_readme_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_every_module_exports_what_it_names():
@@ -121,9 +132,13 @@ def test_reordered_copies_only_for_a_real_permutation():
     assert not np.shares_memory(rho.reordered(("b", "a")).data, rho.data)
 
 
-@pytest.mark.parametrize("kind", sorted(GATE_MATRICES))
+# the core gate table plus the tests' probe matrix
+NAMED_MATRICES = {**GATE_MATRICES, "PROBE": PROBE}
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_MATRICES))
 def test_named_gates_are_unitary(kind):
-    u = GATE_MATRICES[kind]
+    u = NAMED_MATRICES[kind]
     np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-14)
 
 
@@ -152,9 +167,15 @@ def test_cphase_is_hadamard_conjugated_cnot():
 
 
 def test_probe_structure():
-    h_mid = np.kron(np.kron(np.eye(2), GATE_MATRICES["H"]), np.eye(2))
-    np.testing.assert_allclose(
-        GATE_MATRICES["PROBE"], h_mid @ GATE_MATRICES["TOFFOLI"] @ h_mid, atol=1e-14)
+    # the tests' probe, a Hadamard-conjugated Toffoli: the identity when the
+    # first qubit is 0; otherwise X on the third exactly when the second is |->
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    want = np.kron(zero, np.eye(4)) + np.kron(
+        one, np.kron(plus, np.eye(2)) + np.kron(minus, GATE_MATRICES["X"]))
+    np.testing.assert_allclose(PROBE, want, atol=1e-14)
+    np.testing.assert_allclose(PROBE @ PROBE.conj().T, np.eye(8), atol=1e-14)
 
 
 def test_apply_gate_serves_one_cached_spec_per_kind_and_targets():

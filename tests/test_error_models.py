@@ -180,12 +180,6 @@ def test_arctan_reading_signs():
 
 # -- cosine moments ----------------------------------------------------------------------
 
-def test_two_point_moment_is_exact():
-    p, m = 0.01, 6
-    want = math.cos(m * math.atan(math.sqrt(p)))
-    assert characteristic_cos_moment("two_point", p, m) == pytest.approx(want, abs=1e-14)
-
-
 def test_gaussian_moment_nears_exponential_form_at_small_p():
     for p in (0.001, 0.01):
         for k in range(4):
@@ -476,19 +470,46 @@ def test_log_tan_gaussian_three_way_consistency():
     assert est.series_terms >= 1
 
 
-def test_log_tan_two_point_against_lattice_enumeration():
-    # odd block size keeps the flip angle away from zero; enumerate all 2^n
-    # sign patterns exactly and compare the Monte Carlo leg
-    n, p = 7, 0.04
+def lattice_log_tan(n, p):
+    """Oracle: E[log |tan sigma|] of a two_point block, its 2^n sign patterns
+    enumerated by their count of minus signs."""
     theta = math.atan(math.sqrt(p))
     exact = 0.0
     for k in range(n + 1):
         weight = math.comb(n, k) / 2.0**n
         exact += weight * math.log(abs(math.tan((n - 2 * k) * theta)))
+    return exact
+
+
+def test_log_tan_two_point_against_lattice_enumeration():
+    # odd block size keeps the flip angle away from zero; enumerate all 2^n
+    # sign patterns exactly and compare the Monte Carlo leg
+    n, p = 7, 0.04
+    exact = lattice_log_tan(n, p)
     ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p,
                         distribution="two_point")
     est = ensemble_log_tan(ens, trials=60_000, rng=trial_rng(3, 0))
     assert abs(est.monte_carlo - exact) < 4.0 * est.standard_error
+
+
+@pytest.mark.parametrize("n, p", [(7, 0.04), (51, 0.02), (201, 0.005)])
+def test_two_point_exact_equals_the_lattice_enumeration(n, p):
+    ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p, distribution="two_point")
+    est = ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0))
+    assert abs(est.exact - lattice_log_tan(n, p)) <= 1e-12
+    # the lattice law has no truncated series, closed form or bound
+    assert (est.series, est.closed_form, est.bound, est.series_terms) == (None,) * 4
+
+
+def test_two_point_exact_is_minus_infinity_at_even_n():
+    # the atom at angle 0 has weight C(8, 4) / 2^8
+    ens = BlockEnsemble(n=8, levels=1, model="unitary", p=0.05, distribution="two_point")
+    assert ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0)).exact == -math.inf
+
+
+def test_gaussian_log_tan_has_no_exact_value():
+    ens = BlockEnsemble(n=8, levels=1, model="unitary", p=0.05, distribution="gaussian")
+    assert ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0)).exact is None
 
 
 def test_log_tan_bound_is_the_coarse_envelope():

@@ -12,7 +12,6 @@ from toffsim.core import (
     GATE_MATRICES,
     QuantumState,
     apply_gate,
-    apply_matrix,
     branch_probability,
     discard,
     fidelity,
@@ -35,6 +34,8 @@ from toffsim.gadgets import (
     toffoli_gadget,
 )
 from toffsim.rng import trial_rng, trial_uniforms
+
+from oracles import apply_matrix, corrected_choi_map
 
 BRANCHES = tuple(itertools.product((1, -1), (1, -1), (1, -1)))
 
@@ -242,7 +243,7 @@ def test_ancilla_factoring_rejects_a_matrix_of_rank_two(monkeypatch):
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_corrected_branch_map_takes_one_input_amplitude_at_half_weight(branch):
     # so `vec @ map` is exact whatever order the product sums in
-    m = gadgets.branch_map(branch, default_correction_table()[branch])
+    m = gadgets.corrected_branch_map(branch, default_correction_table()[branch])
     assert m.shape == (8, 64)
     assert set(np.unique(m)) <= {0, 0.5, -0.5}
     assert np.count_nonzero(m, axis=0).max() == 1
@@ -320,7 +321,7 @@ def test_corrected_map_equals_the_corrected_choi_run_bit_for_bit(branch):
     table = default_correction_table()
     for corrections in (table[branch], ("X_A",) + table[branch], ("CX_AB", "X_B")):
         assert np.array_equal(gadgets.corrected_branch_map(branch, corrections),
-                              gadgets.branch_map(branch, corrections)), corrections
+                              corrected_choi_map(branch, corrections)), corrections
 
 
 def test_derived_table_matches_shipped_default():

@@ -14,7 +14,6 @@ from toffsim.core import (
     GATE_MATRICES,
     QuantumState,
     apply_gate,
-    apply_matrix,
     branch_probability,
     discard,
     fidelity,
@@ -34,12 +33,8 @@ from toffsim.channels import (
 )
 from toffsim.noisy_meas import (
     ParityShots,
-    apply_bitwise_probe,
     cat_labels,
-    eigenstring_state,
-    eigenstring_weight,
     measure_cphase_noisy,
-    prepare_even_cat,
     prepare_raw_ancilla,
     sample_cphase,
     sample_effective,
@@ -47,6 +42,15 @@ from toffsim.noisy_meas import (
     uniform_count,
 )
 from toffsim.rng import count_cdf, trial_rng, trial_uniforms
+
+from oracles import (
+    PROBE,
+    apply_bitwise_probe,
+    apply_matrix,
+    eigenstring_state,
+    eigenstring_weight,
+    prepare_even_cat,
+)
 
 PLUS_PLUS = QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1.0])
 
@@ -437,7 +441,7 @@ def exact_per_shot_reference(state, errors, rng):
     n = errors.n
     labels = cat_labels(n)
     joint = tensor(state, prepare_even_cat(n, labels))
-    joint = apply_gate(joint, "PROBE", a, b, labels[0])
+    joint = apply_matrix(joint, PROBE, a, b, labels[0])
 
     bit_flips = phase_flips = 0
     if isinstance(errors, PauliChannel):
@@ -482,7 +486,7 @@ def dense_pre_measurement(state, errors, labels, flips, phases):
     """The pair probed into an even cat block, then the readout errors."""
     a, b = state.labels
     cat = prepare_even_cat(len(labels), labels)
-    joint = apply_gate(tensor(state, cat), "PROBE", a, b, labels[0])
+    joint = apply_matrix(tensor(state, cat), PROBE, a, b, labels[0])
     if isinstance(errors, PauliChannel):
         for i, label in enumerate(labels):
             if flips[i]:
