@@ -5,14 +5,15 @@ configuration (built-in defaults, then an optional JSON config file, then
 flags), runs seeded trials, and emits a machine-readable report.  Sampling
 reads counter-based Philox substreams, and a run is reproducible bit for bit
 from its seed.  Trial t of toffoli-verify, distill, noisy-meas and the
-decoherent ensemble reads its own substream (seed, t), so its results do not
-depend on evaluation order.  The unitary ensemble instead draws every
-trial's tangents from the one substream (seed, 0), in blocks of
+decoherent and two_point ensembles reads its own substream (seed, t), so its
+results do not depend on evaluation order.  Only the gaussian ensemble
+draws every trial's tangents from the one substream (seed, 0), in blocks of
 `error_models.LOG_TAN_CHUNK` (8192) trials.  Trials run serially in trial
-order; toffoli-verify, distill, noisy-meas and the decoherent ensemble
-compute them in blocks of at most `commands._TRIAL_CHUNK` trials
-(`commands._EFFECTIVE_CHUNK` for effective noisy-meas), and tests check
-that their reports do not depend on the block size.  No worker
+order; toffoli-verify, distill, noisy-meas and the ensembles compute them
+in blocks of at most `commands._TRIAL_CHUNK` trials
+(`commands._EFFECTIVE_CHUNK` for effective noisy-meas, `LOG_TAN_CHUNK` for
+the unitary ensemble), and tests check that every report but the gaussian
+ensemble's does not depend on the block size.  No worker
 pool exists: those tests are the only evidence that one handing out blocks
 of trials would reproduce the reports.
 
@@ -36,7 +37,8 @@ version file.  A noisy-meas process loads the readout's own modules
 neither does a toffoli-verify process, which draws its inputs and the truth
 table's outcomes through `rng.trial_uniforms`, nor a distill process, whose
 trees `distill.sample_trees` draws through `rng.ragged_uniforms`, nor a
-decoherent ensemble, whose defect counts come from `rng.trial_uniforms`.
+decoherent or two_point ensemble, whose defect or sign counts come from
+`rng.trial_uniforms`.
 
 The installed `toffsim` command and `python -m toffsim.cli` run one process
 entry point, `process_main`, which makes three settings around `main` that
@@ -105,8 +107,8 @@ _FIELDS = {
         "defect_p": ("float", 0.9, None),
         "distribution": ("choice", "gaussian", ("gaussian", "two_point")),
         "trials": ("int", 200, (2, None)),
-        # the gaussian series takes a 200,001-point quadrature (~10 ms) a term,
-        # and runs to k_max when p is 0
+        # bounds the gaussian series only, which takes a 200,001-point
+        # quadrature (~10 ms) a term, and runs to k_max when p is 0
         "k_max": ("int", 400, (0, 1000)),
     },
     "estimate": {

@@ -29,22 +29,20 @@ _QUADRATURE_SPAN = 12.0
 _QUADRATURE_POINTS = 200_001
 
 
-def characteristic_cos_moment(distribution: str, p: float, m: int) -> float:
-    """Literal E[cos(m * theta)] for the per-bit flip-angle distribution.
+def characteristic_cos_moment(p: float, m: int) -> float:
+    """Literal E[cos(m * theta)] for the gaussian per-bit flip-angle law.
 
-    `p` is the mean squared tangent E[tan^2 theta]: "gaussian" puts
-    tan(theta) = sqrt(p) * Z with Z standard normal (computed by dense
-    quadrature).  The two_point law needs no moments: `ensemble_log_tan`
-    sums its lattice exactly.
+    `p` is the mean squared tangent E[tan^2 theta], with tan(theta) =
+    sqrt(p) * Z and Z standard normal (computed by dense quadrature).  The
+    two_point law needs no moments: `ensemble_log_tan` sums its lattice
+    exactly.
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
-    if distribution == "gaussian":
-        z = np.linspace(-_QUADRATURE_SPAN, _QUADRATURE_SPAN, _QUADRATURE_POINTS)
-        density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        vals = np.cos(m * np.arctan(math.sqrt(p) * z))
-        return float(np.trapezoid(vals * density, z))
-    raise ValueError(f"unknown distribution {distribution!r}")
+    z = np.linspace(-_QUADRATURE_SPAN, _QUADRATURE_SPAN, _QUADRATURE_POINTS)
+    density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    vals = np.cos(m * np.arctan(math.sqrt(p) * z))
+    return float(np.trapezoid(vals * density, z))
 
 
 # -- block ensembles --------------------------------------------------------------
@@ -73,7 +71,8 @@ class BlockEnsemble(_EnsembleFields):
     `p`.  So a block's defect count, which alone sets its parity bias, is
     Binomial(n, defect_fraction), and contamination genuinely varies across
     the ensemble.  Unitary ensembles draw per-bit flip angles theta with
-    E[tan^2 theta] = p from a sign-symmetric `distribution`.
+    E[tan^2 theta] = p from a sign-symmetric `distribution`; a two_point
+    block's angle is set by its count of minus signs, Binomial(n, 1/2).
     """
 
     __slots__ = ()
@@ -138,25 +137,20 @@ class BlockEnsemble(_EnsembleFields):
         """
         if self.model != "decoherent":
             raise ValueError("log-contamination applies to decoherent ensembles")
-        return _defect_law(self).expected_log_alpha
-
-    def _draw_tangents(self, rng: np.random.Generator, shape) -> np.ndarray:
-        scale = math.sqrt(self.p)
-        if self.distribution == "two_point":
-            return scale * (1.0 - 2.0 * rng.integers(0, 2, size=shape).astype(np.float64))
-        return scale * rng.standard_normal(shape)
+        return _defect_law(self).expected
 
 
 class _DefectLaw(NamedTuple):
-    """A decoherent block's defect-count law, one row per count k of positive
-    binomial weight: log alpha3 of a block with k defective bits, and the
-    running sums of the weights, capped at 1 and the last set to 1, so that
-    every uniform in [0, 1) inverts to a row."""
+    """A block's count law, one row per count k of positive binomial weight:
+    the weight, the log-contamination of a block of count k, and the running
+    sums of the weights, capped at 1 and the last set to 1, so that every
+    uniform in [0, 1) inverts to a row."""
 
     counts: np.ndarray
-    log_alpha: np.ndarray
+    weights: np.ndarray
+    log_contamination: np.ndarray
     cdf: np.ndarray
-    expected_log_alpha: float  # sum of weight x log alpha3, in increasing k
+    expected: float  # sum of weight x log-contamination, in increasing k
 
 
 def _binomial_weight(n: int, k: int, frac: float) -> float:
@@ -173,31 +167,39 @@ def _binomial_weight(n: int, k: int, frac: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _defect_law(ensemble: BlockEnsemble) -> _DefectLaw:
-    """The defect-count law of a decoherent `ensemble`'s blocks, built once.
-
-    Refuses, with a ValueError, a count of positive weight whose block has
-    parity bias -1 or whose contamination vanishes: log alpha3 is undefined.
-    """
-    n, frac = ensemble.n, ensemble.defect_fraction
+    """The count law of `ensemble`'s blocks, built once: a decoherent
+    block's defect count, Binomial(n, defect_fraction), with log alpha3 (a
+    ValueError where it is undefined: bias -1 or vanishing contamination),
+    or a two_point block's sign count K, Binomial(n, 1/2), with
+    log|tan((n - 2K) arctan sqrt(p))|, minus infinity at angle 0."""
+    n, two_point = ensemble.n, ensemble.model == "unitary"
+    frac = 0.5 if two_point else ensemble.defect_fraction
     good, bad = 1.0 - 2.0 * ensemble.p, 1.0 - 2.0 * ensemble.defect_p
-    counts, weights, log_alpha = [], [], []
+    theta = math.atan(math.sqrt(ensemble.p))
+    counts, weights, logs = [], [], []
     expected = 0.0
     for k in range(n + 1):
         weight = _binomial_weight(n, k, frac)
         if weight == 0.0:
+            if k > n * frac:  # past the mode of a unimodal law, no weight is left
+                break
             continue
-        alpha = _alpha3_from_bias(good ** (n - k) * bad**k)
-        if alpha <= 0.0:
-            raise ValueError("contamination vanishes for a defect count; "
-                             "log-contamination is undefined")
+        if two_point:
+            tangent = abs(math.tan((n - 2 * k) * theta))
+            logs.append(math.log(tangent) if tangent else -math.inf)
+        else:
+            alpha = _alpha3_from_bias(good ** (n - k) * bad**k)
+            if alpha <= 0.0:
+                raise ValueError("contamination vanishes for a defect count; "
+                                 "log-contamination is undefined")
+            logs.append(math.log(alpha))
         counts.append(k)
         weights.append(weight)
-        log_alpha.append(math.log(alpha))
-        expected += weight * log_alpha[-1]
+        expected += weight * logs[-1]
     cdf = np.minimum(np.cumsum(weights), 1.0)
     cdf[-1] = 1.0
-    law = _DefectLaw(np.array(counts), np.array(log_alpha), cdf, expected)
-    for table in law[:3]:
+    law = _DefectLaw(np.array(counts), np.array(weights), np.array(logs), cdf, expected)
+    for table in law[:4]:
         table.flags.writeable = False  # shared by every caller of the cache
     return law
 
@@ -225,39 +227,41 @@ class EnsembleFidelity(NamedTuple):
     log_contamination: np.ndarray
 
 
-# uniforms `ensemble_distill_fidelity` draws at once, one `rng` slab: bounds
-# its working arrays to a few MiB however many blocks a cascade has
+# uniforms `_sample_log_sums` draws at once, one `rng` slab: bounds its
+# working arrays to a few MiB however many blocks a cascade has
 _SEGMENT_DRAWS = 2**17
+
+
+def _sample_log_sums(law: _DefectLaw, seed: int, start: int, stop: int,
+                     blocks: int) -> np.ndarray:
+    """The summed log-contamination of `blocks` blocks, for each trial
+    start..stop-1: block i of trial t inverts uniform i of the substream
+    (seed, t) through the law's CDF, and a trial sums its blocks' in block
+    order (np.cumsum adds in order; np.sum pairs), `_SEGMENT_DRAWS` uniforms
+    at a time, each segment's sums running on from the last one's."""
+    width = max(1, _SEGMENT_DRAWS // max(stop - start, 1))
+    sums = np.zeros(stop - start)
+    for b0 in range(0, blocks, width):
+        rows = invert_cdf(law.cdf, trial_uniforms(seed, start, stop, min(width, blocks - b0),
+                                                  b0))
+        logs = law.log_contamination[rows]
+        del rows  # each working array is freed as soon as it is used
+        if b0:
+            logs[:, 0] += sums
+        np.cumsum(logs, axis=1, out=logs)
+        sums = logs[:, -1].copy()
+        del logs
+    return sums
 
 
 def ensemble_distill_fidelity(ensemble: BlockEnsemble, *, seed: int, start: int,
                               stop: int) -> EnsembleFidelity:
     """Fidelity after a full cascade fed by independently drawn blocks, for
-    each trial start..stop-1.
-
-    Block i of trial t inverts uniform i of the substream (seed, t) through
-    the defect-count law's CDF, and takes that row's log alpha3.  A trial
-    sums its blocks' in block order (np.cumsum adds in order; np.sum pairs).
-    The blocks are drawn a segment at a time, at most `_SEGMENT_DRAWS`
-    uniforms over the trials, and each segment's running sum starts from the
-    last one's, so the sums are the same bit for bit whatever the segments.
-    """
+    each trial start..stop-1: the sum of its 2**levels blocks' log alpha3."""
     if ensemble.model != "decoherent":
         raise ValueError("the fidelity cascade formula applies to decoherent ensembles")
-    law = _defect_law(ensemble)
-    blocks = ensemble.block_count
-    width = max(1, _SEGMENT_DRAWS // max(stop - start, 1))
-    log_contamination = np.zeros(stop - start)
-    for b0 in range(0, blocks, width):
-        rows = invert_cdf(law.cdf, trial_uniforms(seed, start, stop, min(width, blocks - b0),
-                                                  b0))
-        logs = law.log_alpha[rows]
-        del rows  # each working array is freed as soon as it is used
-        if b0:
-            logs[:, 0] += log_contamination
-        np.cumsum(logs, axis=1, out=logs)
-        log_contamination = logs[:, -1].copy()
-        del logs
+    log_contamination = _sample_log_sums(_defect_law(ensemble), seed, start, stop,
+                                         ensemble.block_count)
     empirical = np.array([cascade_fidelity(x) for x in log_contamination.tolist()])
     return EnsembleFidelity(empirical, log_contamination)
 
@@ -273,11 +277,11 @@ class LogTanEstimate(NamedTuple):
     bound:          -2 exp(-2 p n), the leading closed-form term; the true
                     mean lies below it when the series terms keep their signs;
                     gaussian only.
-    exact:          two_point only: the sum over the block's sign count K ~
-                    Binomial(n, 1/2) of log|tan((n - 2K) arctan sqrt(p))|,
-                    minus infinity where a count of positive weight gives
-                    angle 0 (even n).  A lattice law's moments do not decay,
-                    so no truncated series stands in for it.
+    exact:          two_point only: E[log|tan((n - 2K) arctan sqrt(p))|] over
+                    the sign count K ~ Binomial(n, 1/2), minus infinity at
+                    even n.  A lattice law's moments do not decay, so no
+                    truncated series stands in for it.
+    atom_weight:    two_point only: the chance of a block of angle 0.
     """
 
     monte_carlo: float
@@ -288,55 +292,64 @@ class LogTanEstimate(NamedTuple):
     trials: int
     series_terms: Optional[int]
     exact: Optional[float] = None
+    atom_weight: Optional[float] = None
 
 
-# trials whose tangents `ensemble_log_tan` draws in one array
+# trials whose blocks `ensemble_log_tan` draws in one array
 LOG_TAN_CHUNK = 8_192
 # `ensemble_log_tan` ends each series at its first term below this
 _TERM_TOL = 1e-15
 
 
 def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
-                     rng: np.random.Generator, k_max: int = 400) -> LogTanEstimate:
+                     seed: int, k_max: int = 400) -> LogTanEstimate:
     """Average log-tangent contamination of a coherent-error block ensemble.
 
-    Requires a sign-symmetric angle distribution (both built-ins are), which
-    kills the odd terms of the underlying series.  A two_point ensemble with
-    even n has an atom at total angle 0 where log|tan| = -inf; the Monte
-    Carlo mean then diverges honestly rather than being masked, and so does
-    the exact value.
+    Two_point trial t is one block from the substream (seed, t), drawn by
+    `_sample_log_sums` and added in trial order whatever `LOG_TAN_CHUNK`; at
+    even n the atom at angle 0 makes `exact` -inf.  A gaussian ensemble
+    draws all tangents from the substream (seed, 0); its sign-symmetric law
+    kills the odd terms of its series.
     """
     if ensemble.model != "unitary":
         raise ValueError("log-tangent statistics apply to unitary ensembles")
     if trials < 2:
         raise ValueError("need at least 2 trials")
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        m = min(LOG_TAN_CHUNK, trials - done)
-        tangents = ensemble._draw_tangents(rng, (m, ensemble.n))
-        sigma = np.sum(np.arctan(tangents), axis=1)
-        with np.errstate(divide="ignore"):
-            vals = np.log(np.abs(np.tan(sigma)))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += m
+    total = total_sq = 0.0
+    if ensemble.distribution == "two_point":
+        law = _defect_law(ensemble)
+        for start in range(0, trials, LOG_TAN_CHUNK):
+            vals = _sample_log_sums(law, seed, start, min(start + LOG_TAN_CHUNK, trials), 1)
+            sums = np.stack((vals, vals * vals))
+            sums[:, 0] += (total, total_sq)
+            total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
+    else:
+        from .rng import trial_rng
+        rng = trial_rng(seed, 0)
+        scale = math.sqrt(ensemble.p)
+        for start in range(0, trials, LOG_TAN_CHUNK):
+            tangents = scale * rng.standard_normal((min(LOG_TAN_CHUNK, trials - start),
+                                                    ensemble.n))
+            sigma = np.sum(np.arctan(tangents), axis=1)
+            with np.errstate(divide="ignore"):
+                vals = np.log(np.abs(np.tan(sigma)))
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)
 
     if ensemble.distribution == "two_point":
-        return LogTanEstimate(mean, se, None, None, None, trials, None,
-                              _two_point_log_tan(ensemble.n, ensemble.p))
+        atom = float(np.sum(law.weights[np.isneginf(law.log_contamination)]))
+        return LogTanEstimate(mean, se, None, None, None, trials, None, law.expected, atom)
 
     series = 0.0
     terms = 0
     pn = ensemble.p * ensemble.n
     for k in range(k_max + 1):
         m_arg = 2 * (2 * k + 1)
-        moment = characteristic_cos_moment(ensemble.distribution, ensemble.p, m_arg)
+        moment = characteristic_cos_moment(ensemble.p, m_arg)
         term = -(2.0 / (2 * k + 1)) * moment**ensemble.n
         series += term
         terms = k + 1
@@ -352,22 +365,6 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
 
     bound = -2.0 * math.exp(-2.0 * pn)
     return LogTanEstimate(mean, se, series, closed, bound, trials, terms)
-
-
-def _two_point_log_tan(n: int, p: float) -> float:
-    """E[log|tan sigma|] of a two_point block, summed over its sign count in
-    increasing order; counts of zero weight are skipped."""
-    theta = math.atan(math.sqrt(p))
-    expected = 0.0
-    for k in range(n + 1):
-        weight = _binomial_weight(n, k, 0.5)
-        if weight == 0.0:
-            continue
-        tangent = abs(math.tan((n - 2 * k) * theta))
-        if tangent == 0.0:
-            return -math.inf
-        expected += weight * math.log(tangent)
-    return expected
 
 
 __all__ = [

@@ -427,7 +427,7 @@ def test_coherent_errors_rotate_the_cat_exactly():
 def test_log_tangent_statistics_three_ways(n):
     ensemble = BlockEnsemble(n=n, levels=1, model="unitary", p=0.005,
                              distribution="gaussian")
-    est = ensemble_log_tan(ensemble, trials=400_000, rng=trial_rng(SEED, 0))
+    est = ensemble_log_tan(ensemble, trials=400_000, seed=SEED)
     assert abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
     assert abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
                                                     4.0 * est.standard_error)

@@ -731,7 +731,9 @@ def test_two_point_ensemble_passes_against_its_exact_law(tmp_path, capsys, monke
         series = truncated_two_point_series(51, 0.02)
         allowance = max(0.2 * abs(series), 4.0 * results["monte_carlo_se"])
         assert abs(results["monte_carlo"] - series) > allowance
-        monkeypatch.setattr(error_models, "_two_point_log_tan", truncated_two_point_series)
+        law = error_models._defect_law
+        monkeypatch.setattr(error_models, "_defect_law",
+                            lambda ensemble: law(ensemble)._replace(expected=series))
         rc, _, err = run_cli(argv, capsys)
         assert rc == 2
         assert "Monte Carlo vs exact" in err
@@ -747,6 +749,49 @@ def test_even_two_point_ensemble_matches_its_atom_at_angle_zero(tmp_path, capsys
     assert [c["name"] for c in report["checks"]] == ["Monte Carlo vs exact"]
     results = report["results"]
     assert results["exact"] is None and results["monte_carlo"] is None
+
+
+EVEN_TWO_POINT = [dict(TWO_POINT, n=2000, p=0.001), dict(TWO_POINT, n=20000, p=1e-4)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("payload", EVEN_TWO_POINT, ids=["2000", "20000"])
+def test_even_two_point_ensemble_may_miss_its_atom(tmp_path, capsys, payload, seed):
+    # the atom C(n, n/2) / 2^n is 0.018 at n 2000 and 0.0056 at n 20000, so
+    # 200 trials miss it with chance 0.027 and 0.32: a finite mean then passes
+    cfg = write_config(tmp_path, "even.json", payload)
+    argv = ["ensemble", "--config", cfg, "--seed", str(seed), "--check"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    n = payload["n"]
+    atom = math.comb(n, n // 2) / 2**n
+    [check] = json.loads(out)["checks"]
+    assert f"atom weight {atom:.3g}, chance that no trial draws it " \
+           f"{(1.0 - atom) ** 200:.2g}" in check["detail"]
+
+
+def test_even_two_point_ensemble_whose_sampler_never_draws_the_atom_fails(
+        tmp_path, capsys, monkeypatch):
+    # negative control: a table whose atom row has no width; 2,000 trials miss
+    # an atom of weight 0.018 with chance e^-36, so the finite mean fails
+    from toffsim import error_models
+
+    law = error_models._defect_law
+
+    def atomless(ensemble):
+        got = law(ensemble)
+        cdf = got.cdf.copy()
+        atom = int(np.flatnonzero(np.isneginf(got.log_contamination))[0])
+        cdf[atom - 1] = cdf[atom]
+        return got._replace(cdf=cdf)
+
+    monkeypatch.setattr(error_models, "_defect_law", atomless)
+    cfg = write_config(tmp_path, "even.json", EVEN_TWO_POINT[0])
+    argv = ["ensemble", "--config", cfg, "--seed", "1", "--trials", "2000", "--check"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "Monte Carlo vs exact" in err
+    assert math.isfinite(json.loads(out)["results"]["monte_carlo"])
 
 
 def test_estimate_passes_checks(capsys):
@@ -974,6 +1019,22 @@ def test_ensemble_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monk
     reports = []
     for chunk in (commands._TRIAL_CHUNK, 1, 7):
         monkeypatch.setattr(commands, "_TRIAL_CHUNK", chunk)
+        csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(argv + ["--out", str(json_out)]) == 0
+        reports.append((csv_out.read_bytes(), strip_timing(json_out)))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_two_point_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    from toffsim import error_models
+
+    cfg = write_config(tmp_path, "cfg.json", TWO_POINT)
+    argv = ["ensemble", "--config", cfg, "--seed", "1"]
+    reports = []
+    for chunk in (error_models.LOG_TAN_CHUNK, 1, 7):
+        monkeypatch.setattr(error_models, "LOG_TAN_CHUNK", chunk)
         csv_out, json_out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
         assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
         assert main(argv + ["--out", str(json_out)]) == 0
@@ -1805,24 +1866,37 @@ def test_readout_process_loads_no_numpy_random_and_no_import_time_pinv(tmp_path)
     assert not [m for m in steps["unitary"][1] if m.startswith("numpy.random")]
 
 
-# a fresh interpreter that runs one subcommand before any other and lists the
-# numpy.random modules it loaded
+# a fresh interpreter that runs one subcommand before any other, with the
+# config file given as its third argument if any, and lists the numpy.random
+# modules it loaded
 COMMAND_PROBE = """
 import json, sys
 from toffsim.cli import main
-assert main([sys.argv[1], "--check", "--out", sys.argv[2]]) == 0
+argv = [sys.argv[1], "--check", "--out", sys.argv[2]]
+if len(sys.argv) > 3:
+    argv += ["--config", sys.argv[3]]
+assert main(argv) == 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("numpy.random") or m == "secrets")))
 """
 
 
-@pytest.mark.parametrize("command", ["toffoli-verify", "distill", "ensemble"])
-def test_a_command_process_loads_no_numpy_random(tmp_path, command):
-    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, command,
-                           str(tmp_path / "r.json")],
-                          capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("command, config, loads_random", [
+    ("toffoli-verify", None, False), ("distill", None, False), ("ensemble", None, False),
+    ("ensemble", TWO_POINT, False),
+    # the gaussian ensemble draws its tangents from a numpy Generator
+    ("ensemble", {"model": "unitary", "distribution": "gaussian"}, True),
+], ids=["toffoli-verify", "distill", "ensemble", "ensemble-two_point", "ensemble-gaussian"])
+def test_a_command_process_loads_no_numpy_random(tmp_path, command, config, loads_random):
+    argv = [sys.executable, "-c", COMMAND_PROBE, command, str(tmp_path / "r.json")]
+    if config is not None:
+        argv.append(write_config(tmp_path, "c.json", config))
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    loaded = json.loads(proc.stdout)
+    assert bool([m for m in loaded if m.startswith("numpy.random")]) == loads_random, loaded
+    if not loads_random:
+        assert loaded == []
 
 
 # a fresh interpreter that runs noisy-meas first, effective, exact under a

@@ -184,13 +184,8 @@ def test_gaussian_moment_nears_exponential_form_at_small_p():
     for p in (0.001, 0.01):
         for k in range(4):
             m = 2 * (2 * k + 1)
-            char = characteristic_cos_moment("gaussian", p, m)
+            char = characteristic_cos_moment(p, m)
             assert abs(char - math.exp(-0.5 * m * m * p)) <= 0.1
-
-
-def test_moment_distribution_validation():
-    with pytest.raises(ValueError):
-        characteristic_cos_moment("cauchy", 0.01, 2)
 
 
 # -- block ensembles -----------------------------------------------------------------------
@@ -218,8 +213,10 @@ def test_mean_flip_probability_marginal():
 
 
 def sampled_counts(ensemble, seed, start, stop):
-    """Defect counts of the blocks of trials start..stop-1, as the sampler
-    draws them: one uniform a block, inverted through the law's table."""
+    """Counts of the blocks of trials start..stop-1, as the sampler draws
+    them: one uniform a block, inverted through the law's table.  A unitary
+    ensemble of `levels` 0 has one block a trial, as `ensemble_log_tan`
+    draws its sign counts."""
     law = error_models._defect_law(ensemble)
     uniforms = trial_uniforms(seed, start, stop, ensemble.block_count)
     return law.counts[np.searchsorted(law.cdf, uniforms, side="right")]
@@ -255,16 +252,26 @@ def binomial_chi2(counts, n, f):
     return chi2, df, quantile
 
 
-# 20,000 blocks: 5,000 trials of 4
-@pytest.mark.parametrize("n, f", [(50, 0.02), (9, 0.3), (200, 0.6)])
-def test_sampled_defect_counts_follow_the_binomial_law(n, f):
-    ens = BlockEnsemble(n=n, levels=2, model="decoherent", p=0.01,
-                        defect_fraction=f, defect_p=0.9)
-    counts = sampled_counts(ens, 3, 0, 5000).ravel()
+# 20,000 blocks: 5,000 decoherent trials of 4, or 20,000 two_point trials
+# of one, whose sign counts are Binomial(n, 1/2)
+@pytest.mark.parametrize("n, f, two_point_p", [
+    (50, 0.02, None), (9, 0.3, None), (200, 0.6, None),
+    (7, 0.5, 0.04), (8, 0.5, 0.05), (51, 0.5, 0.02),
+], ids=["50-0.02", "9-0.3", "200-0.6",
+        "two_point-7-0.04", "two_point-8-0.05", "two_point-51-0.02"])
+def test_sampled_defect_counts_follow_the_binomial_law(n, f, two_point_p):
+    if two_point_p is None:
+        ens = BlockEnsemble(n=n, levels=2, model="decoherent", p=0.01,
+                            defect_fraction=f, defect_p=0.9)
+    else:
+        ens = BlockEnsemble(n=n, levels=0, model="unitary", p=two_point_p,
+                            distribution="two_point")
+    counts = sampled_counts(ens, 3, 0, 20_000 // ens.block_count).ravel()
+    assert counts.size == 20_000
     chi2, df, quantile = binomial_chi2(counts, n, f)
     assert df >= 5
     assert chi2 < quantile
-    # negative control: the law of a defect fraction 5% larger is refused
+    # negative control: the law of a count fraction 5% larger is refused
     chi2, _, quantile = binomial_chi2(counts, n, 1.05 * f)
     assert chi2 > quantile
 
@@ -317,7 +324,7 @@ def per_block_distill_fidelity(ensemble, seed, t):
     the law's counts whose CDF exceeds uniform i of the substream (seed, t),
     found by a linear scan, and its log alpha3 is added in block order."""
     law = error_models._defect_law(ensemble)
-    cdf, log_alpha = law.cdf.tolist(), law.log_alpha.tolist()
+    cdf, log_alpha = law.cdf.tolist(), law.log_contamination.tolist()
     counts, log_contamination = [], 0.0
     for u in trial_uniforms(seed, t, t + 1, ensemble.block_count)[0].tolist():
         row = 0
@@ -347,7 +354,7 @@ def test_cascade_fidelity_matches_per_block_reference(config):
         assert fid.empirical[t] == want_fidelity
     # each count's log alpha3 is that of a block with so many defective bits
     law = error_models._defect_law(ens)
-    for k, log_alpha in zip(law.counts.tolist(), law.log_alpha.tolist()):
+    for k, log_alpha in zip(law.counts.tolist(), law.log_contamination.tolist()):
         flips = [ens.defect_p] * k + [ens.p] * (ens.n - k)
         want = math.log(alpha3_decoherent(PauliChannel(flips)).value)
         assert log_alpha == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -455,13 +462,13 @@ def test_cascade_fidelity_rejects_unitary_ensembles():
 def test_log_tan_requires_unitary_model():
     ens = BlockEnsemble(n=8, levels=2, model="decoherent", p=0.01)
     with pytest.raises(ValueError):
-        ensemble_log_tan(ens, rng=trial_rng(0, 0))
+        ensemble_log_tan(ens, seed=0)
 
 
 def test_log_tan_gaussian_three_way_consistency():
     ens = BlockEnsemble(n=100, levels=1, model="unitary", p=0.01,
                         distribution="gaussian")
-    est = ensemble_log_tan(ens, trials=20_000, rng=trial_rng(8, 0))
+    est = ensemble_log_tan(ens, trials=20_000, seed=8)
     assert abs(est.series - est.closed_form) <= 0.2 * abs(est.closed_form)
     assert abs(est.monte_carlo - est.series) <= max(0.2 * abs(est.series),
                                                     4.0 * est.standard_error)
@@ -488,14 +495,14 @@ def test_log_tan_two_point_against_lattice_enumeration():
     exact = lattice_log_tan(n, p)
     ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p,
                         distribution="two_point")
-    est = ensemble_log_tan(ens, trials=60_000, rng=trial_rng(3, 0))
+    est = ensemble_log_tan(ens, trials=60_000, seed=3)
     assert abs(est.monte_carlo - exact) < 4.0 * est.standard_error
 
 
 @pytest.mark.parametrize("n, p", [(7, 0.04), (51, 0.02), (201, 0.005)])
 def test_two_point_exact_equals_the_lattice_enumeration(n, p):
     ens = BlockEnsemble(n=n, levels=1, model="unitary", p=p, distribution="two_point")
-    est = ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0))
+    est = ensemble_log_tan(ens, trials=2, seed=0)
     assert abs(est.exact - lattice_log_tan(n, p)) <= 1e-12
     # the lattice law has no truncated series, closed form or bound
     assert (est.series, est.closed_form, est.bound, est.series_terms) == (None,) * 4
@@ -504,16 +511,43 @@ def test_two_point_exact_equals_the_lattice_enumeration(n, p):
 def test_two_point_exact_is_minus_infinity_at_even_n():
     # the atom at angle 0 has weight C(8, 4) / 2^8
     ens = BlockEnsemble(n=8, levels=1, model="unitary", p=0.05, distribution="two_point")
-    assert ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0)).exact == -math.inf
+    est = ensemble_log_tan(ens, trials=2, seed=0)
+    assert est.exact == -math.inf
+    assert est.atom_weight == pytest.approx(math.comb(8, 4) / 2**8, rel=1e-12)
+    odd = ens._replace(n=7)
+    assert ensemble_log_tan(odd, trials=2, seed=0).atom_weight == 0.0
+
+
+@pytest.mark.parametrize("n, p", [(7, 0.04), (8, 0.05), (51, 0.02)])
+def test_two_point_trials_each_read_one_sign_count(monkeypatch, n, p):
+    # trial t is the block of the sign count that uniform 0 of the substream
+    # (seed, t) inverts to; the Monte Carlo mean and spread add the trials'
+    # values and squares in trial order, over blocks of 7 trials
+    monkeypatch.setattr(error_models, "LOG_TAN_CHUNK", 7)
+    ens = BlockEnsemble(n=n, levels=0, model="unitary", p=p, distribution="two_point")
+    est = ensemble_log_tan(ens, trials=60, seed=5)
+    law = error_models._defect_law(ens)
+    counts = sampled_counts(ens, 5, 0, 60).ravel().tolist()
+    total = total_sq = 0.0
+    for k in counts:
+        tangent = abs(math.tan((n - 2 * k) * math.atan(math.sqrt(p))))
+        value = math.log(tangent) if tangent else -math.inf
+        assert law.log_contamination[law.counts.tolist().index(k)] == value
+        total += value
+        total_sq += value * value
+    mean = total / 60
+    assert est.monte_carlo == mean
+    if math.isfinite(mean):
+        assert est.standard_error == math.sqrt(max(total_sq / 60 - mean * mean, 0.0) / 60)
 
 
 def test_gaussian_log_tan_has_no_exact_value():
     ens = BlockEnsemble(n=8, levels=1, model="unitary", p=0.05, distribution="gaussian")
-    assert ensemble_log_tan(ens, trials=2, rng=trial_rng(0, 0)).exact is None
+    assert ensemble_log_tan(ens, trials=2, seed=0).exact is None
 
 
 def test_log_tan_bound_is_the_coarse_envelope():
     ens = BlockEnsemble(n=200, levels=1, model="unitary", p=0.005,
                         distribution="gaussian")
-    est = ensemble_log_tan(ens, trials=5_000, rng=trial_rng(1, 0))
+    est = ensemble_log_tan(ens, trials=5_000, seed=1)
     assert est.bound == pytest.approx(-2.0 * math.exp(-2.0 * 0.005 * 200), abs=1e-12)
