@@ -27,18 +27,22 @@ are documented in docs/output-schema.md.
 
 Each call runs one subcommand in a fresh interpreter, where loading numpy
 and compiling the library's modules costs about as much as a small run.  So
-this module holds the config table, the parser and the report, and imports
-only the standard library and the numpy-free `toffsim` and
-`toffsim.commands`.  Each subcommand's body is a module of
-`toffsim.commands`, imported on its first call, which imports what it runs;
-`estimate` runs without numpy, and `versions.numpy` is read from numpy's
-version file.  A noisy-meas process loads the readout's own modules
-(`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no `numpy.random`;
-neither does a toffoli-verify process, which draws its inputs and the truth
-table's outcomes through `rng.trial_uniforms`, nor a distill process, whose
-trees `distill.sample_trees` draws through `rng.ragged_uniforms`, nor a
-decoherent or two_point ensemble, whose defect or sign counts come from
-`rng.trial_uniforms`.
+this module holds the config table, the flag table with the parser that
+reads it, and the report, and imports only the standard library and the
+numpy-free `toffsim` and `toffsim.commands`.  The parser is its own:
+importing the standard library's, which loads gettext, and building its
+seven parsers took about 4.5 ms a call (2-vCPU host, no cached bytecode),
+where compiling and running `_parse_args` takes about 1.5 ms.  It reads a
+command line as that parser did, which a test checks.  Each subcommand's body
+is a module of `toffsim.commands`, imported on its first call, which imports
+what it runs; `estimate` runs without numpy, and `versions.numpy` is read
+from numpy's version file.  A noisy-meas process loads the readout's own
+modules (`channels`, `ancilla`, `noisy_meas`, `rng`, `core`) and no
+`numpy.random`; neither does a toffoli-verify process, which draws its
+inputs and the truth table's outcomes through `rng.trial_uniforms`, nor a
+distill process, whose trees `distill.sample_trees` draws through
+`rng.ragged_uniforms`, nor a decoherent or two_point ensemble, whose defect
+or sign counts come from `rng.trial_uniforms`.
 
 The installed `toffsim` command and `python -m toffsim.cli` run one process
 entry point, `process_main`, which makes three settings around `main` that
@@ -49,13 +53,13 @@ threads, its environment and a collector that can clear its heap.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib.machinery
 import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -215,44 +219,197 @@ _COMMANDS = {
 }
 
 
+# -- command line -------------------------------------------------------------------
+
+# The command line keeps the grammar of the standard library's argument
+# parser: the subcommand comes first and its flags after it; a flag takes its
+# value as the next token or after "=", and may be shortened to a unique
+# prefix; the last of a repeated flag wins; no token after "--" is a flag.  A
+# usage error writes the usage line and one error line to stderr and exits
+# 1; -h/--help writes the help to stdout and exits 0.  The usage, the help
+# and the errors are all written from _FLAGS.
+
+# Every flag as (metavar, kind, default, help).  A kind is "text", "int",
+# "switch" (a flag that takes no value) or the tuple of values a flag takes,
+# whose metavar is written from it.  Every subcommand takes every flag but
+# the last, which sets toffoli-verify's config field corrupt_branch.
+_FLAGS = {
+    "--config": ("PATH", "text", None, "JSON config file"),
+    "--seed": ("SEED", "int", 0, "master seed (default 0)"),
+    "--trials": ("TRIALS", "int", None, "override the trial count"),
+    "--out": ("PATH", "text", None, "write the report here (default stdout)"),
+    "--format": (None, ("json", "csv"), "json", None),
+    "--check": (None, "switch", False, "exit 2 unless all built-in verifications pass"),
+    "--corrupt-branch": ("M1,M2,M3", "text", None,
+                         "negative control: corrupt this branch's correction"),
+}
+
+_SUMMARIES = {
+    "toffoli-verify": "branch-complete gadget equivalence against a direct Toffoli",
+    "distill": "pair-ancilla purification trees, closed forms vs sampling",
+    "noisy-meas": "noisy cat-block parity measurement statistics",
+    "ensemble": "block-ensemble fidelity or log-tangent statistics",
+    "estimate": "log-space concatenation schedules",
+}
+_HELP = ("-h", "--help")
+_WIDTH = 78  # the width of help text on an 80-column terminal
+_COLUMN = 24  # the column that help texts start at, or before
+
+
+def _flags(command: str) -> list:
+    """The flags `command` takes, in table order."""
+    return [flag for flag in _FLAGS
+            if flag != "--corrupt-branch" or command == "toffoli-verify"]
+
+
+def _invocation(flag: str) -> str:
+    metavar, kind = _FLAGS[flag][:2]
+    return flag if kind == "switch" else f"{flag} {metavar or '{%s}' % ','.join(kind)}"
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage line, wrapped to `_WIDTH` between its parts."""
+    line = "usage: toffsim" + (f" {command}" if command else "")
+    parts = ([f"[{_invocation(flag)}]" for flag in _flags(command)] if command
+             else ["{%s}" % ",".join(_COMMANDS), "..."])
+    indent, lines = " " * len(line), []
+    for part in ["[-h]"] + parts:
+        if len(line) + len(part) >= _WIDTH:
+            lines.append(line)
+            line = indent
+        line += " " + part
+    return "\n".join(lines + [line]) + "\n"
+
+
+def _help(command: Optional[str]) -> str:
+    import textwrap  # only help wraps free text
+
+    def row(indent: int, name: str, text: Optional[str], column: int) -> str:
+        """`name`, then `text` wrapped from `column`, on its line if there is room."""
+        head = " " * indent + name
+        lines = [head] + [" " * column + line
+                          for line in textwrap.wrap(text or "", _WIDTH - column)]
+        if len(lines) > 1 and len(head) + 2 <= column:
+            lines[:2] = [head.ljust(column) + lines[1][column:]]
+        return "\n".join(lines)
+
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        text = textwrap.fill("Seeded experiments on measurement-based Toffoli gates, "
+                             "ancilla purification, and noisy parity readout.", _WIDTH)
+        text += "\n\npositional arguments:\n  {%s}\n" % ",".join(_COMMANDS)
+        text += "\n".join(row(4, *item, _COLUMN) for item in _SUMMARIES.items()) + "\n\n"
+        column = _COLUMN
+    else:
+        text = ""
+        rows += [(_invocation(flag), _FLAGS[flag][3]) for flag in _flags(command)]
+        column = min(max(len(name) for name, _ in rows) + 4, _COLUMN)
+    return (f"{_usage(command)}\n{text}options:\n"
+            + "\n".join(row(2, *item, column) for item in rows) + "\n")
+
+
+def _fail(command: Optional[str], message: str):
+    """A usage error: the usage line and `message` on stderr, then exit 1."""
+    prog = "toffsim" + (f" {command}" if command else "")
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _read_flag(token: str, names, command: Optional[str]):
+    """`token` as (flag, its value after "=" or the like, or None) among
+    `names`: None for a value, and (None, None) for a flag of no such name."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":  # a unique prefix
+        matches = [(flag, value if eq else None) for flag in names if flag.startswith(name)]
+    else:  # -h, with more short flags after it
+        matches = [("-h", token[2:])] if token[1] == "h" else []
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match "
+                       f"{', '.join(flag for flag, _ in matches)}")
+    if matches:
+        return matches[0]
+    # a token that reads as a negative number, or holds a space, is a value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _take_help(command: Optional[str], flag: str, value: Optional[str]):
+    """-h or --help: write the help and exit 0.  A value joined to --help is
+    an error; one joined to -h, after "=" or not, reads as more short flags,
+    and -h is the only one."""
+    if value is not None:
+        rest = value.lstrip("h") if flag == "-h" else value
+        if rest or not value:
+            _fail(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> types.SimpleNamespace:
+    """The subcommand and its flags' values from `argv` (default sys.argv[1:]);
+    a usage error or a help request raises SystemExit with the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, extras = None, []  # extras: tokens no flag took, refused at the end
+    for i, token in enumerate(argv):
+        found = None if token == "--" else _read_flag(token, _HELP, None)
+        if found is None:
+            command, tokens = token, argv[i + 1:]
+            break
+        if found[0] is None:
+            extras.append(token)
+        else:
+            _take_help(None, *found)
+    # "--" reads as the subcommand only when a token follows it
+    if command is None or command == "--" and not tokens:
+        _fail(None, "the following arguments are required: command")
+    if command not in _COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+
+    flags = _flags(command)
+    values = {flag[2:].replace("-", "_"): _FLAGS[flag][2] for flag in flags}
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_read_flag(token, _HELP + tuple(flags), command) for token in tokens[:end]]
+    found.append(("--", None))  # "--" is no flag's value
+    i = 0
+    while i < end:
+        flag, value = found[i] or (None, None)
+        i += 1
+        if flag in _HELP:
+            _take_help(command, flag, value)
+        elif flag is None:
+            extras.append(tokens[i - 1])
+            continue
+        kind = _FLAGS[flag][1]
+        if kind == "switch":
+            if value is not None:
+                _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if found[i] is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"argument {flag}: invalid int value: {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            _fail(command, f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        values[flag[2:].replace("-", "_")] = value
+    if extras + tokens[end:]:
+        _fail(None, f"unrecognized arguments: {' '.join(extras + tokens[end:])}")
+    return types.SimpleNamespace(command=command, **values)
+
+
 # -- entry point --------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit 1 (config error), not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # the flags every subcommand takes, added once and shared through `parents`
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--trials", type=int, default=None, help="override the trial count")
-    common.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--check", action="store_true",
-                        help="exit 2 unless all built-in verifications pass")
-    parser = _Parser(prog="toffsim",
-                     description="Seeded experiments on measurement-based Toffoli "
-                                 "gates, ancilla purification, and noisy parity "
-                                 "readout.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in (
-        ("toffoli-verify", "branch-complete gadget equivalence against a direct Toffoli"),
-        ("distill", "pair-ancilla purification trees, closed forms vs sampling"),
-        ("noisy-meas", "noisy cat-block parity measurement statistics"),
-        ("ensemble", "block-ensemble fidelity or log-tangent statistics"),
-        ("estimate", "log-space concatenation schedules"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "toffoli-verify":
-            p.add_argument("--corrupt-branch", metavar="M1,M2,M3", default=None,
-                           help="negative control: corrupt this branch's correction")
-    return parser
-
 
 def _numpy_version() -> str:
     """numpy's `__version__`, read without importing numpy where possible.
@@ -291,9 +448,8 @@ def _finite_or_null(value):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # checked here, for every subcommand, before a command module or numpy loads
@@ -342,7 +498,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         spool.seek(0)
         try:
-            with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+            # an empty path is an unwritable one, not stdout
+            with (open(args.out, "w", encoding="utf-8", newline="") if args.out is not None
                   else contextlib.nullcontext(sys.stdout)) as fh:
                 fh.write(text)
                 shutil.copyfileobj(spool, fh)

@@ -153,16 +153,37 @@ class _DefectLaw(NamedTuple):
     expected: float  # sum of weight x log-contamination, in increasing k
 
 
-def _binomial_weight(n: int, k: int, frac: float) -> float:
-    """C(n, k) frac^k (1 - frac)^(n - k), through lgamma; exact at frac 0 and 1."""
+def _log_binomial_weight(n: int, k: int, frac: float) -> float:
+    """log of C(n, k) frac^k (1 - frac)^(n - k), through lgamma; exact at
+    frac 0 and 1, where it is 0 or minus infinity."""
     if frac == 0.0:
-        return 1.0 if k == 0 else 0.0
+        return 0.0 if k == 0 else -math.inf
     if frac == 1.0:
-        return 1.0 if k == n else 0.0
-    log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                  - math.lgamma(n - k + 1)
-                  + k * math.log(frac) + (n - k) * math.log1p(-frac))
-    return math.exp(log_weight)
+        return 0.0 if k == n else -math.inf
+    return (math.lgamma(n + 1) - math.lgamma(k + 1)
+            - math.lgamma(n - k + 1)
+            + k * math.log(frac) + (n - k) * math.log1p(-frac))
+
+
+# a log weight below this is far below the log of the least double, -744.4,
+# whatever the rounding of its lgamma terms, and so is a weight that rounds to 0
+_LOG_WEIGHT_FLOOR = -800.0
+
+
+def _first_count(n: int, frac: float) -> int:
+    """The least count k of Binomial(n, frac) whose log weight is not below
+    `_LOG_WEIGHT_FLOOR`, by bisection: the log weight rises from k 0 up to
+    the mode, and floor(n frac) is at the mode or one count below it."""
+    low, high = 0, int(n * frac)
+    if _log_binomial_weight(n, low, frac) >= _LOG_WEIGHT_FLOOR:
+        return 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _log_binomial_weight(n, mid, frac) < _LOG_WEIGHT_FLOOR:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,8 +199,9 @@ def _defect_law(ensemble: BlockEnsemble) -> _DefectLaw:
     theta = math.atan(math.sqrt(ensemble.p))
     counts, weights, logs = [], [], []
     expected = 0.0
-    for k in range(n + 1):
-        weight = _binomial_weight(n, k, frac)
+    # every count below the first has no weight, and is skipped unread
+    for k in range(_first_count(n, frac), n + 1):
+        weight = math.exp(_log_binomial_weight(n, k, frac))
         if weight == 0.0:
             if k > n * frac:  # past the mode of a unimodal law, no weight is left
                 break

@@ -8,15 +8,22 @@ matrix is applied through `core._apply_matrix_to_axes`, the path
 `apply_gate` takes, so a reference built here has the bits that a named
 gate would give.  `corrected_choi_map` is the corrected branch map by one
 run of the gadget on the Choi state, the oracle of
-`gadgets.corrected_branch_map`.
+`gadgets.corrected_branch_map`.  `full_scan_defect_law` builds a block
+ensemble's count law reading every count from 0, the reference for
+`error_models._defect_law`, which skips the counts below the first of
+positive weight.  `argparse_parser` is the command line as argparse parsed
+it, the reference that `cli._parse_args` is checked against.
 """
 
+import argparse
 import math
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from toffsim import gadgets
+from toffsim import error_models, gadgets
+from toffsim.channels import _alpha3_from_bias
 from toffsim.core import (
     GATE_MATRICES,
     MAX_PURE_QUBITS,
@@ -135,3 +142,82 @@ def corrected_choi_map(branch: gadgets.BranchKey, corrections: Sequence[str]) ->
     state = gadgets._run_gadget_circuit(state, branch, gadgets.DATA_LABELS,
                                         gadgets.ANCILLA_LABELS)[0]
     return gadgets._corrected(state, corrections, gadgets.DATA_LABELS).data.reshape(8, 64)
+
+
+def _binomial_weight(n: int, k: int, frac: float) -> float:
+    """C(n, k) frac^k (1 - frac)^(n - k), through lgamma; exact at frac 0 and 1."""
+    if frac == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if frac == 1.0:
+        return 1.0 if k == n else 0.0
+    log_weight = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                  - math.lgamma(n - k + 1)
+                  + k * math.log(frac) + (n - k) * math.log1p(-frac))
+    return math.exp(log_weight)
+
+
+def full_scan_defect_law(ensemble) -> "error_models._DefectLaw":
+    """`error_models._defect_law(ensemble)`, built by reading the weight of
+    every count from 0 up to the last of positive weight past the mode."""
+    n, two_point = ensemble.n, ensemble.model == "unitary"
+    frac = 0.5 if two_point else ensemble.defect_fraction
+    good, bad = 1.0 - 2.0 * ensemble.p, 1.0 - 2.0 * ensemble.defect_p
+    theta = math.atan(math.sqrt(ensemble.p))
+    counts, weights, logs = [], [], []
+    expected = 0.0
+    for k in range(n + 1):
+        weight = _binomial_weight(n, k, frac)
+        if weight == 0.0:
+            if k > n * frac:  # past the mode of a unimodal law, no weight is left
+                break
+            continue
+        if two_point:
+            tangent = abs(math.tan((n - 2 * k) * theta))
+            logs.append(math.log(tangent) if tangent else -math.inf)
+        else:
+            logs.append(math.log(_alpha3_from_bias(good ** (n - k) * bad**k)))
+        counts.append(k)
+        weights.append(weight)
+        expected += weight * logs[-1]
+    cdf = np.minimum(np.cumsum(weights), 1.0)
+    cdf[-1] = 1.0
+    return error_models._DefectLaw(np.array(counts), np.array(weights), np.array(logs),
+                                   cdf, expected)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse variant whose usage errors exit 1 (config error), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The toffsim command line as an argparse parser."""
+    # the flags every subcommand takes, added once and shared through `parents`
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON config file")
+    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--trials", type=int, default=None, help="override the trial count")
+    common.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--check", action="store_true",
+                        help="exit 2 unless all built-in verifications pass")
+    parser = _Parser(prog="toffsim",
+                     description="Seeded experiments on measurement-based Toffoli "
+                                 "gates, ancilla purification, and noisy parity "
+                                 "readout.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, help_text in (
+        ("toffoli-verify", "branch-complete gadget equivalence against a direct Toffoli"),
+        ("distill", "pair-ancilla purification trees, closed forms vs sampling"),
+        ("noisy-meas", "noisy cat-block parity measurement statistics"),
+        ("ensemble", "block-ensemble fidelity or log-tangent statistics"),
+        ("estimate", "log-space concatenation schedules"),
+    ):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        if name == "toffoli-verify":
+            p.add_argument("--corrupt-branch", metavar="M1,M2,M3", default=None,
+                           help="negative control: corrupt this branch's correction")
+    return parser

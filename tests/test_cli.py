@@ -17,6 +17,7 @@ import tracemalloc
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from toffsim.distill import combine_states
 from toffsim.noisy_meas import measure_cphase_noisy
 from toffsim.rng import trial_rng
 
-from oracles import corrected_choi_map
+from oracles import argparse_parser, corrected_choi_map
 
 
 def run_cli(argv, capsys):
@@ -69,10 +70,8 @@ SHARED_OPTIONS = ["-h", "--help", "--config", "--seed", "--trials", "--out", "--
 
 @pytest.mark.parametrize("command", sorted(cli._FIELDS))
 def test_each_subcommand_help_lists_the_shared_options_and_its_own(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args([command, "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
+    rc, out, err = run_cli([command, "--help"], capsys)
+    assert rc == 0 and err == ""
     assert out.startswith(f"usage: toffsim {command} [-h] [--config PATH] [--seed SEED]")
     options = out[out.index("options:"):]
     listed = re.findall(r"^  (-[-\w]+)(?:, (--[-\w]+))?", options, flags=re.M)
@@ -87,6 +86,99 @@ def test_a_subcommand_usage_error_exits_1_with_its_usage_line(capsys, command):
     usage, message = err.split(f"toffsim {command}: error: ")
     assert usage.startswith(f"usage: toffsim {command} [-h]")
     assert message == "argument --seed: invalid int value: 'x'\n"
+
+
+def parse_both(argv):
+    """(exit code or None, parsed values, stdout, stderr) of `argv` through
+    the argparse reference and through `cli._parse_args`."""
+    results = []
+    for parse in (lambda: argparse_parser().parse_args(argv), lambda: cli._parse_args(argv)):
+        out, err = io.StringIO(), io.StringIO()
+        # argparse wraps its text to the terminal's width, which COLUMNS sets
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, values = None, vars(parse())
+            except SystemExit as exc:
+                code, values = exc.code, None
+        results.append((code, values, out.getvalue(), err.getvalue()))
+    return results
+
+
+# every rule of the command line, as argv
+PARSE_CASES = [
+    [], ["--help"], ["-h"], ["-hh", "estimate"], ["-hx"], ["--help=x"], ["--he", "x"],
+    ["frobnicate"], ["frobnicate", "--help"], ["--"], ["--", "estimate"], ["-", "estimate"],
+    ["-x", "estimate"], ["-x", "estimate", "--help"], ["--seed", "3", "estimate"],
+    *([command, "--help"] for command in cli._FIELDS),
+    # a value as the next token or after "="
+    ["estimate", "--seed", "3", "--format", "csv", "--out", "r.csv", "--config", "c.json"],
+    ["distill", "--seed=3", "--format=csv", "--out=r.csv", "--config=c.json", "--trials=4"],
+    ["estimate", "--out="], ["estimate", "--out", "-a b"], ["estimate", "--seed", " 7 "],
+    # unique prefixes, and ambiguous ones
+    ["ensemble", "--tri", "5", "--s", "2", "--f", "csv", "--ch", "--o", "x", "--con", "c"],
+    ["estimate", "--tri=5"], ["estimate", "--c"], ["estimate", "--help", "--c"],
+    ["toffoli-verify", "--co", "x"], ["toffoli-verify", "--cor=-1,+1,+1"],
+    ["estimate", "--cor=-1,+1,+1"], ["estimate", "--=x"],
+    # the last of repeated flags wins
+    ["noisy-meas", "--seed", "1", "--seed", "2", "--format", "csv", "--format", "json"],
+    # -h and --help
+    ["estimate", "-hh"], ["estimate", "-hx"], ["estimate", "-h=h"], ["estimate", "-h="],
+    ["estimate", "--help=h"], ["estimate", "--h"], ["estimate", "--bogus", "--help"],
+    ["estimate", "--help", "--bogus"], ["estimate", "--seed", "x", "--help"],
+    # a value that reads as a negative number, and one that reads as a flag
+    ["toffoli-verify", "--corrupt-branch=-1,+1,+1"],
+    ["toffoli-verify", "--corrupt-branch", "-1,+1,+1"],
+    ["estimate", "--seed", "-4"], ["estimate", "--trials", "-1.5"],
+    ["estimate", "--seed", "-1e5"], ["estimate", "--seed", "--out", "x"],
+    # refused: an unknown flag, an extra token, a bad or missing value
+    ["estimate", "--bogus"], ["estimate", "extra"], ["estimate", "-"], ["estimate", "-4"],
+    ["estimate", "--"], ["estimate", "--seed", "5", "--"], ["estimate", "--", "--seed", "5"],
+    ["estimate", "--seed"], ["estimate", "--seed", "x"], ["estimate", "--seed="],
+    ["estimate", "--format", "xml"], ["estimate", "--check=1"], ["estimate", "--ch="],
+    ["estimate", "extra", "--seed", "y"], ["distill", "--corrupt-branch=-1,+1,+1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parse_args_reads_the_command_line_as_argparse_did(argv):
+    reference, parsed = parse_both(argv)
+    assert parsed == reference
+
+
+# tokens from which argv are drawn: each subcommand, flags whole, shortened
+# and with "=", values, and tokens the grammar treats specially
+PARSE_TOKENS = [*cli._FIELDS, "frobnicate", "", "--", "-", "-h", "-hh", "-hx", "--help",
+                "--he", "--h=x", "--config", "--con", "--c", "--co", "--seed", "--s", "--seed=2",
+                "--trials", "--tri", "--tri=3", "--out", "--out=", "--o=r.json", "--format",
+                "--f", "--format=csv", "--check", "--ch", "--check=1", "--corrupt-branch",
+                "--cor", "--corrupt-branch=-1,+1,+1", "--bogus", "-x", "--=x",
+                "0", "3", "-4", "-1.5", "x", " 7 ", "json", "csv", "xml", "-1,+1,+1",
+                "1,1,-1", "-a b", "c.json"]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(PARSE_TOKENS), max_size=6),
+                 st.tuples(st.lists(st.sampled_from(PARSE_TOKENS), max_size=1),
+                           st.sampled_from(sorted(cli._FIELDS)),
+                           st.lists(st.sampled_from(PARSE_TOKENS), max_size=6))
+                 .map(lambda parts: parts[0] + [parts[1]] + parts[2])))
+def test_parse_args_reads_any_argv_as_argparse_did(argv):
+    reference, parsed = parse_both(argv)
+    assert parsed == reference
+
+
+def test_a_flag_value_of_two_dashes_is_that_text(tmp_path, capsys, monkeypatch):
+    # argparse read "--flag=--" as an empty list, which --seed and --config
+    # then failed on with a traceback
+    assert run_cli(["estimate", "--seed=--"], capsys)[2].endswith(
+        "toffsim estimate: error: argument --seed: invalid int value: '--'\n")
+    rc, _, err = run_cli(["estimate", "--config=--"], capsys)
+    assert rc == 1 and err.startswith("toffsim: error: [Errno 2]")
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run_cli(["estimate", "--out=--"], capsys)
+    assert rc == 0 and out == ""
+    assert json.loads((tmp_path / "--").read_text())["command"] == "estimate"
 
 
 def test_negative_seed_rejected(capsys):
@@ -460,6 +552,11 @@ def test_unwritable_out_path_is_one_line_error(tmp_path, capsys, fmt):
         assert rc == 1 and stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("toffsim: error: cannot write the report:") and str(out) in err
+    # an empty path names no file, and is not stdout
+    rc, stdout, err = run_cli(["estimate", "--format", fmt, "--out", ""], capsys)
+    assert rc == 1 and stdout == ""
+    assert err == ("toffsim: error: cannot write the report: "
+                   "[Errno 2] No such file or directory: ''\n")
 
 
 def test_distill_work_budget_boundary(tmp_path, capsys, monkeypatch):
@@ -548,6 +645,26 @@ def test_distill_passes_checks(tmp_path, capsys):
     report = json.loads(out)
     assert all(c["passed"] for c in report["checks"])
     assert report["parameters"]["trials"] == 60
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_distill_checks_fail_on_a_shifted_formula_or_a_thinner_table(capsys, monkeypatch,
+                                                                   seed):
+    from toffsim import distill
+
+    argv = ["distill", "--seed", str(seed)]
+    assert failed_checks(argv, capsys) == []
+    # negative controls: the closed form off by 1e-9, and the trees sampled
+    # from success chances 0.95 x the table's, which the frequency is checked against
+    with monkeypatch.context() as patched:
+        formula = distill.fidelity_after_rounds
+        patched.setattr(distill, "fidelity_after_rounds",
+                        lambda alpha3, levels: formula(alpha3, levels) + 1e-9)
+        assert failed_checks(argv, capsys) == ["tree fidelity vs closed form"]
+    sample_trees = distill.sample_trees
+    monkeypatch.setattr(distill, "sample_trees", lambda probs, **kwargs:
+                        sample_trees([0.95 * p for p in probs], **kwargs))
+    assert failed_checks(argv, capsys) == ["combine success frequency"]
 
 
 @pytest.mark.parametrize("alpha3, levels", [(0.5, 3), (0.37, 4), (1.3, 5)])
@@ -671,7 +788,8 @@ def median_check(capsys, seed):
 def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypatch, seed):
     # seeds 29 and 107 sit 1.5 and 0.2 standard errors from the prediction
     assert median_check(capsys, seed)
-    # negative control: a prediction 1.5 decades of infidelity off fails
+    # negative control: a prediction 1.5 decades of infidelity off fails, and
+    # so does the log contamination checked against the same expectation
     from toffsim.error_models import BlockEnsemble
 
     expected_log_alpha3 = BlockEnsemble.expected_log_alpha3
@@ -679,6 +797,8 @@ def test_ensemble_median_check_gates_on_its_own_standard_error(capsys, monkeypat
         monkeypatch.setattr(BlockEnsemble, "expected_log_alpha3", lambda self, d=decades:
                             expected_log_alpha3(self) + d * math.log(10) / self.block_count)
         assert not median_check(capsys, seed)
+        assert failed_checks(["ensemble", "--seed", str(seed)], capsys) == [
+            "log contamination vs exact expectation", "median fidelity vs typical prediction"]
 
 
 @pytest.mark.parametrize("payload", [
@@ -1514,10 +1634,19 @@ GARBAGE_RUNS = {
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("run", sorted(GARBAGE_RUNS))
-def test_cyclic_garbage_of_a_warm_run_does_not_grow_with_trials(tmp_path, capsys, run, fmt):
+def test_cyclic_garbage_of_a_warm_run_does_not_grow_with_trials(tmp_path, capsys, monkeypatch,
+                                                              run, fmt):
     # process_main runs main with the collector disabled, which holds only if
     # what a run leaves for the collector does not grow with its work
     argv, trials, config = GARBAGE_RUNS[run]
+    command = cli._COMMANDS[argv[0]]
+
+    def leaky(cfg, seed, rows):
+        """The command, leaving one reference cycle a trial (a target, for estimate)."""
+        for _ in range(cfg["trials"] if trials else len(cfg["targets"])):
+            cycle = []
+            cycle.append(cycle)
+        return command(cfg, seed, rows)
 
     def garbage(scale):
         """Objects the collector frees after one run at `scale` times the work."""
@@ -1538,11 +1667,15 @@ def test_cyclic_garbage_of_a_warm_run_does_not_grow_with_trials(tmp_path, capsys
     try:
         garbage(1)  # warm: first-call imports and caches
         counts = [garbage(1), garbage(4)]
+        # positive control: the count sees a cycle a trial, 4x as many at 4x the work
+        monkeypatch.setitem(cli._COMMANDS, argv[0], leaky)
+        leaked = [garbage(1), garbage(4)]
     finally:
         if enabled:
             gc.enable()
-    assert counts[0] > 0
     assert counts[1] == counts[0]
+    per_trial = trials or 2  # estimate's two targets
+    assert leaked == [counts[0] + per_trial, counts[0] + 4 * per_trial]
 
 
 # a child interpreter that calls `main` in process, so that OPENBLAS_NUM_THREADS
@@ -1739,7 +1872,8 @@ IMPORT_PROBE = """
 import json, sys
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.startswith(("toffsim.", "numpy")) or m in ("dataclasses", "inspect", "csv"))
+                  if m.startswith(("toffsim.", "numpy"))
+                  or m in ("dataclasses", "inspect", "csv", "argparse", "gettext"))
 steps = {}
 import toffsim
 steps["package"] = loaded()
@@ -1789,6 +1923,9 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
         set(steps["noisy-meas"])
     assert not {"dataclasses", "csv"} & set(steps["noisy-meas"])
     assert "csv" in steps["csv"]
+    # the command line is parsed without argparse, which loads gettext
+    assert not [(step, m) for step, loaded in steps.items() for m in loaded
+                if m in ("argparse", "gettext")]
 
 
 # `python -m toffsim.cli` runs the CLI's module as __main__; a command module

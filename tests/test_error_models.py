@@ -23,6 +23,8 @@ from toffsim.error_models import (
 )
 from toffsim.rng import trial_rng, trial_uniforms
 
+from oracles import full_scan_defect_law
+
 
 # -- Pauli channels and parity bias ------------------------------------------------
 
@@ -274,6 +276,23 @@ def test_sampled_defect_counts_follow_the_binomial_law(n, f, two_point_p):
     # negative control: the law of a count fraction 5% larger is refused
     chi2, _, quantile = binomial_chi2(counts, n, 1.05 * f)
     assert chi2 > quantile
+
+
+@pytest.mark.parametrize("ensemble", [
+    *(BlockEnsemble(n=n, levels=0, model="decoherent", p=0.01, defect_fraction=f,
+                    defect_p=0.9)
+      for n in (1, 7, 50, 1000, 20000)
+      for f in (0.0, 1e-300, 1e-12, 1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-9, 1.0)),
+    *(BlockEnsemble(n=n, levels=0, model="unitary", p=1e-4, distribution="two_point")
+      for n in (1, 8, 51, 2000, 20001, 200000)),
+], ids=lambda e: f"{e.model}-{e.n}-{e.defect_fraction}")
+def test_defect_law_skips_only_counts_of_no_weight(ensemble):
+    # the law read from its first count of positive weight is, bit for bit,
+    # the law read from count 0
+    law, want = error_models._defect_law(ensemble), full_scan_defect_law(ensemble)
+    for table, reference in zip(law[:4], want[:4]):
+        assert table.dtype == reference.dtype and table.tobytes() == reference.tobytes()
+    assert np.float64(law.expected).tobytes() == np.float64(want.expected).tobytes()
 
 
 @pytest.mark.parametrize("f, want", [(0.0, 0), (1.0, 12)])
