@@ -26,12 +26,6 @@ _BASIS = np.stack([PAIR_VECTOR, _ELEVEN], axis=1)          # 4 x 2
 # the largest residual, relative to the state's largest entry, that
 # `MixedAncilla.from_state` accepts inside the pair/|11> span
 _SPAN_TOL = 1e-9
-# the 2 x 4 pseudo-inverse of `_BASIS`, as LAPACK's pinv returns it: its 1/3
-# entries lie one ulp above 1/3, and the contamination readings of
-# `MixedAncilla.from_state` depend on those bits
-_THIRD = float.fromhex("0x1.5555555555556p-2")
-_BASIS_PINV = np.array([[_THIRD, _THIRD, _THIRD, 0.0],
-                        [0.0, 0.0, 0.0, 1.0]], dtype=np.complex128)
 
 
 def _zero_weight_error() -> ValueError:
@@ -93,20 +87,26 @@ class MixedAncilla(NamedTuple):
 
         The scale is the coefficient on the ideal-pair projector, so a noisy
         preparation with weight w on the ideal part returns scale w and
-        coefficients normalized to it.  Raises if the state leaves the
+        coefficients normalized to it.  Each coefficient is the mean of the
+        entries of rho that it fills, added in index order: the scale of the
+        nine pair-block entries, a1 x scale of the three in |11>'s column,
+        a2 x scale of the three in its row, and a3 x scale the corner; so no
+        reading depends on a BLAS kernel.  Raises if the state leaves the
         span of the pair vector and |11>.
         """
         if state.n_qubits != 2:
             raise ValueError("expected a two-qubit state")
         rho = state.data if state.is_density else np.outer(state.data, state.data.conj())
-        coeff = _BASIS_PINV @ rho @ _BASIS_PINV.conj().T
+        scale = sum(rho[i, j] for i in range(3) for j in range(3)) / 9.0
+        column = sum(rho[i, 3] for i in range(3)) / 3.0
+        row = sum(rho[3, j] for j in range(3)) / 3.0
+        coeff = np.array([[scale, column], [row, rho[3, 3]]])
         residual = np.max(np.abs(_BASIS @ coeff @ _BASIS.conj().T - rho))
         if residual > _SPAN_TOL * max(1.0, float(np.max(np.abs(rho)))):
             raise ValueError("state has support outside the pair/|11> span")
-        scale = coeff[0, 0]
         if abs(scale) < 1e-14:
             raise ValueError("state has no ideal-pair component; coefficients undefined")
-        return cls(coeff[0, 1] / scale, coeff[1, 0] / scale, coeff[1, 1] / scale), scale
+        return cls(column / scale, row / scale, rho[3, 3] / scale), scale
 
 
 __all__ = [

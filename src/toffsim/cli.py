@@ -12,10 +12,9 @@ draws every trial's tangents from the one substream (seed, 0), in blocks of
 order; toffoli-verify, distill, noisy-meas and the ensembles compute them
 in blocks of at most `commands._TRIAL_CHUNK` trials
 (`commands._EFFECTIVE_CHUNK` for effective noisy-meas, `LOG_TAN_CHUNK` for
-the unitary ensemble), and tests check that every report but the gaussian
-ensemble's does not depend on the block size.  No worker
-pool exists: those tests are the only evidence that one handing out blocks
-of trials would reproduce the reports.
+the unitary ensemble), and tests check that no report depends on the block
+size.  No worker pool exists: those tests are the only evidence that one
+handing out blocks of trials would reproduce the reports.
 
 Reports are JSON by default (schema `toffsim-report/1`, keys sorted, one
 wall_time_seconds field that reproducibility comparisons must ignore) or

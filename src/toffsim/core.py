@@ -22,8 +22,9 @@ Pauli factor or one pass of the measured gate, and a density matrix is
 projected on its rows, then on its columns with conj(O).  When O has entries
 in {0, +-1, +-i}, as every Pauli product and the X, Z, CNOT, CPHASE and
 TOFFOLI gates do, O psi is exact, and the branch equals the product of psi
-with the projector (I + s O) / 2 bit for bit.  H has other entries; for it
-the two may differ in the last bit.
+with the projector (I + s O) / 2 bit for bit.  H has other entries, and for
+it the two may differ in the last bit; H stays in the gate table, but no
+library path applies it.
 """
 
 from __future__ import annotations

@@ -328,36 +328,37 @@ def ensemble_log_tan(ensemble: BlockEnsemble, *, trials: int = 100_000,
     """Average log-tangent contamination of a coherent-error block ensemble.
 
     Two_point trial t is one block from the substream (seed, t), drawn by
-    `_sample_log_sums` and added in trial order whatever `LOG_TAN_CHUNK`; at
-    even n the atom at angle 0 makes `exact` -inf.  A gaussian ensemble
-    draws all tangents from the substream (seed, 0); its sign-symmetric law
-    kills the odd terms of its series.
+    `_sample_log_sums`; at even n the atom at angle 0 makes `exact` -inf.  A
+    gaussian ensemble draws all tangents from the substream (seed, 0); its
+    sign-symmetric law kills the odd terms of its series.  Both add their
+    values and squares in trial order, whatever `LOG_TAN_CHUNK`.
     """
     if ensemble.model != "unitary":
         raise ValueError("log-tangent statistics apply to unitary ensembles")
     if trials < 2:
         raise ValueError("need at least 2 trials")
 
-    total = total_sq = 0.0
-    if ensemble.distribution == "two_point":
+    two_point = ensemble.distribution == "two_point"
+    if two_point:
         law = _defect_law(ensemble)
-        for start in range(0, trials, LOG_TAN_CHUNK):
-            vals = _sample_log_sums(law, seed, start, min(start + LOG_TAN_CHUNK, trials), 1)
-            sums = np.stack((vals, vals * vals))
-            sums[:, 0] += (total, total_sq)
-            total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
     else:
         from .rng import trial_rng
         rng = trial_rng(seed, 0)
         scale = math.sqrt(ensemble.p)
-        for start in range(0, trials, LOG_TAN_CHUNK):
-            tangents = scale * rng.standard_normal((min(LOG_TAN_CHUNK, trials - start),
-                                                    ensemble.n))
+    total = total_sq = 0.0
+    for start in range(0, trials, LOG_TAN_CHUNK):
+        stop = min(start + LOG_TAN_CHUNK, trials)
+        if two_point:
+            vals = _sample_log_sums(law, seed, start, stop, 1)
+        else:
+            tangents = scale * rng.standard_normal((stop - start, ensemble.n))
             sigma = np.sum(np.arctan(tangents), axis=1)
             with np.errstate(divide="ignore"):
                 vals = np.log(np.abs(np.tan(sigma)))
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
+        # cumsum adds in trial order, so the sums do not depend on the block size
+        sums = np.stack((vals, vals * vals))
+        sums[:, 0] += (total, total_sq)
+        total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)

@@ -1,14 +1,14 @@
 """Measuring two-qubit parities through a cat-state readout block.
 
-The controlled-NOT between two qubits, viewed as a Hermitian involution, can
-be measured without touching the pair coherently: a block of n readout bits
-is prepared in the even-parity cat state, every bit is coupled to the pair
-by the probe gate (a Toffoli conjugated by Hadamard on the middle qubit,
-which flips the readout bit exactly when the pair sits in the -1
-eigenstate), and each readout bit is measured in the computational basis.
-The product of the n single-bit outcomes reports the eigenvalue while the
-pair is projected onto an eigenspace.  The controlled-phase involution is
-the same scheme conjugated by a Hadamard on the pair's second qubit.
+The controlled phase between two qubits, viewed as a Hermitian involution,
+can be measured without touching the pair coherently: a block of n readout
+bits is prepared in the even-parity cat state, every bit is coupled to the
+pair by a Toffoli (which flips the readout bit exactly when the pair sits in
+|11>, the -1 eigenstate), and each readout bit is measured in the
+computational basis.  The product of the n single-bit outcomes reports the
+eigenvalue while the pair is projected onto an eigenspace.  Every matrix the
+readout applies to the pair has entries in {0, +-1}, so applying one rounds
+nothing.
 
 Bit-flip errors on the readout block flip the reported product without
 damaging the projection; phase errors on readout bits never reach the
@@ -29,12 +29,11 @@ number of shots from one array of uniforms.  `sample_exact` does the same
 for exact mode without ever building the readout block: after the probe the
 joint state is a sum of two product terms, one per eigenvalue of the
 readout bits' X, so each shot carries just two complex weights from bit to
-bit, and each bit-identical pair state left at the end is tested for its
-eigenvalue once.  Both samplers measure the controlled-NOT and return one
-`ParityShots` record.
+bit, and each bit-identical pair state left at the end is labelled once, by
+its weight on |11>.  Both samplers measure the controlled phase and return
+one `ParityShots` record.
 
-`sample_cphase` is the one controlled-phase readout: it runs either sampler
-in the Hadamard frame and maps the pair states back, and `uniform_count`
+`sample_cphase` runs the sampler that `mode` names, and `uniform_count`
 gives the uniforms one shot draws.  `prepare_raw_ancilla` and the
 `noisy-meas` command read their rows from `rng.trial_uniforms`, so they
 build no numpy `Generator`.  `measure_cphase_noisy` is the same readout on
@@ -54,8 +53,6 @@ from .core import (
     GATE_MATRICES,
     QuantumState,
     _measured_trace,
-    apply_gate,
-    branch_probability,
     gate,
     sample_outcomes,
 )
@@ -129,9 +126,9 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
     Poisson-binomial CDF of the channel's per-bit p or q, which
     `rng.count_cdf` builds once per channel.  The report is the true
     eigenvalue, flipped when the bit-flip count is odd; the readout bits
-    themselves are never drawn.  Measures the controlled-NOT involution.  The
-    pair ends in one of at most two states, one per true eigenvalue, since
-    readout errors only touch the report.
+    themselves are never drawn.  Measures the controlled phase, whose -1
+    eigenspace is |11>.  The pair ends in one of at most two states, one per
+    true eigenvalue, since readout errors only touch the report.
     """
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
@@ -141,7 +138,7 @@ def sample_effective(state: QuantumState, channel: PauliChannel,
     if u.ndim != 2 or u.shape[1] != 3:
         raise ValueError(f"uniforms must have shape (shots, 3), got {u.shape}")
     a, b = state.labels
-    true, branches = sample_outcomes(state, gate("CNOT", a, b), u[:, 0])
+    true, branches = sample_outcomes(state, gate("CPHASE", a, b), u[:, 0])
     bit_flips = invert_cdf(_count_table(channel.p.tobytes()), u[:, 1])
     phase_flips = invert_cdf(_count_table(channel.q.tobytes()), u[:, 2])
     reported = np.where(bit_flips % 2, -true, true)
@@ -174,12 +171,15 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
 
     The readout block is never built.  After the probe the joint state is
     A_+ (x) U_1|+>..U_n|+> + A_- (x) U_1|->..U_n|->, with A_+ the pair, A_- the
-    pair under the controlled-NOT and U_i bit i's error.  A readout prefix s
-    leaves each shot two weights c_sigma = prod_i <s_i|U_i|sigma>, kept at unit
-    norm.  As <U_i +|U_i -> = 0, a bit read before the last has the two-term
-    mixture sum_sigma |c_sigma <s|U|sigma>|^2 as its weights; the last bit
-    interferes, and leaves the pair sum_sigma c_sigma A_sigma.  Each bit is one
-    numpy step over every shot.
+    pair under the controlled phase (its |11> entries negated) and U_i bit
+    i's error.  A readout prefix s leaves each shot two weights c_sigma =
+    prod_i <s_i|U_i|sigma>, kept at unit norm.  As <U_i +|U_i -> = 0, a bit
+    read before the last has the two-term mixture sum_sigma |c_sigma
+    <s|U|sigma>|^2 as its weights; the last bit interferes, and leaves the
+    pair sum_sigma c_sigma A_sigma.  Each bit is one numpy step over every
+    shot.  A distinct pair state left behind is labelled by its weight on
+    |11> over its trace: +1 below 1e-9, -1 above 1 - 1e-9, and 0, a
+    superposition of the eigenspaces, in between.
     """
     if state.n_qubits != 2:
         raise ValueError("the measured pair must be exactly two qubits")
@@ -210,7 +210,7 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
         g = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
     else:
         g = state.data[:, None]
-    cnot_g = GATE_MATRICES["CNOT"] @ g
+    cphase_g = GATE_MATRICES["CPHASE"] @ g
     tables = _error_tables(errors)
     c = np.ones((shots, 2), dtype=np.complex128)  # (c_+, c_-) per shot
     minus_reads = np.zeros(shots, dtype=np.int64)
@@ -221,8 +221,8 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
             weight = amps.real**2 + amps.imag**2
             weight = weight[..., 0] + weight[..., 1]
         else:
-            # the last bit interferes: pairs[i, s] = (amps_+ + amps_- CNOT) G
-            pairs = amps[..., 0, None, None] * g + amps[..., 1, None, None] * cnot_g
+            # the last bit interferes: pairs[i, s] = (amps_+ + amps_- CPHASE) G
+            pairs = amps[..., 0, None, None] * g + amps[..., 1, None, None] * cphase_g
             weight = np.sum((pairs.real**2 + pairs.imag**2).reshape(shots, 2, g.size), axis=2)
         plus = readout[:, k] < np.clip(weight[:, 0] / (weight[:, 0] + weight[:, 1]), 0.0, 1.0)
         if np.any(~plus & (weight[:, 1] <= 0.0)):
@@ -241,14 +241,13 @@ def sample_exact(state: QuantumState, errors: ErrorModel, uniforms) -> ParitySho
     state_index = np.zeros(shots, dtype=np.intp)
     logical_states, state_true = [], []
     index_of = {}  # bytes of a pair state -> its index in logical_states
-    measured = gate("CNOT", a, b)
     for i, leaf in enumerate(leaves):
         index = index_of.setdefault(leaf.tobytes(), len(logical_states))
         if index == len(logical_states):
             logical = QuantumState(state.labels, leaf.copy())
-            p_plus = branch_probability(logical, measured, +1)
+            p_minus = leaf[3, 3].real / logical.trace
             # 0: a coherent superposition of the eigenspaces
-            state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
+            state_true.append(+1 if p_minus < 1e-9 else -1 if p_minus > 1.0 - 1e-9 else 0)
             logical_states.append(logical)
         state_index[i] = index
     true = np.array(state_true, dtype=np.int64)[state_index]
@@ -292,25 +291,15 @@ def uniform_count(errors: ErrorModel, mode: str) -> int:
 
 def sample_cphase(state: QuantumState, errors: ErrorModel, uniforms, *,
                   mode: str) -> ParityShots:
-    """Noisy controlled-phase parity measurement of one pair state, one shot per row.
-
-    The controlled-NOT shots of `sample_effective` or `sample_exact`, by
-    `mode`, taken of the pair conjugated by a Hadamard on its second qubit;
-    the pair states left behind are mapped back by the same Hadamard.
-    `uniforms` is a (shots, `uniform_count(errors, mode)`) array.
+    """Noisy controlled-phase parity measurement of one pair state, one shot per row:
+    `sample_effective` or `sample_exact`, by `mode`.  `uniforms` is a
+    (shots, `uniform_count(errors, mode)`) array.
     """
-    if state.n_qubits != 2:
-        raise ValueError("the measured pair must be exactly two qubits")
     if mode == "effective":
-        sample = sample_effective
-    elif mode == "exact":
-        sample = sample_exact
-    else:
-        raise ValueError("mode must be 'exact' or 'effective'")
-    b = state.labels[1]
-    shots = sample(apply_gate(state, "H", b), errors, uniforms)
-    return shots._replace(logical_states=tuple(apply_gate(logical, "H", b)
-                                               for logical in shots.logical_states))
+        return sample_effective(state, errors, uniforms)
+    if mode == "exact":
+        return sample_exact(state, errors, uniforms)
+    raise ValueError("mode must be 'exact' or 'effective'")
 
 
 def measure_cphase_noisy(state: QuantumState, errors: ErrorModel, *,

@@ -2,7 +2,7 @@
 
 None of these runs on a report path.  The cat-block readout is built here as
 a dense state, so that the product-form sampler of `noisy_meas` can be
-checked against it qubit by qubit: the even cat, the per-pair controlled-NOT
+checked against it qubit by qubit: the even cat, the per-pair controlled-phase
 eigenstates, and the probe coupling each pair to its readout bit.  Every
 matrix is applied through `core._apply_matrix_to_axes`, the path
 `apply_gate` takes, so a reference built here has the bits that a named
@@ -47,23 +47,17 @@ def apply_matrix(state: QuantumState, matrix, *targets: str) -> QuantumState:
 
 
 # Three-qubit probe: flips the third qubit exactly when the first two sit in
-# the -1 eigenstate of CNOT; realized as the middle qubit's Hadamard
-# conjugating a Toffoli.
-_H_MID = np.kron(np.kron(np.eye(2), GATE_MATRICES["H"]), np.eye(2))
-PROBE = _H_MID @ GATE_MATRICES["TOFFOLI"] @ _H_MID
+# |11>, the -1 eigenstate of CPHASE; that is the Toffoli.
+PROBE = GATE_MATRICES["TOFFOLI"]
 
-_EIGENSTATE_VECTORS = {
-    "1": np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128),
-    "2": np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128),
-    "3": np.array([0.0, 0.0, 1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0),
-    "4": np.array([0.0, 0.0, 1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0),
-}
+# the per-pair CPHASE eigenstates: |00>, |01>, |10> (+1) and |11> (-1)
+_EIGENSTATE_BITS = {"1": "00", "2": "01", "3": "10", "4": "11"}
 
 
 def eigenstring_weight(x: str) -> int:
     """Parity (0 or 1) of the number of '4' symbols: the -1 eigenstate count.
 
-    A string over {1,2,3,4} names a product of per-pair controlled-NOT
+    A string over {1,2,3,4} names a product of per-pair controlled-phase
     eigenstates; the joint bitwise-probe eigenvalue is (-1)**weight.
     """
     if not x:
@@ -79,8 +73,8 @@ def eigenstring_state(x: str,
                       b_labels: Optional[Sequence[str]] = None) -> QuantumState:
     """Product of per-pair eigenstates |x_i> on pairs (a_i, b_i).
 
-    Symbols: '1' -> |00>, '2' -> |01>, '3' -> (|10>+|11>)/sqrt(2) (the three
-    +1 eigenstates), '4' -> (|10>-|11>)/sqrt(2) (the -1 eigenstate).
+    Symbols: '1' -> |00>, '2' -> |01>, '3' -> |10> (the three +1
+    eigenstates), '4' -> |11> (the -1 eigenstate).
     """
     n = len(x)
     eigenstring_weight(x)  # validation
@@ -90,8 +84,7 @@ def eigenstring_state(x: str,
         raise ValueError("need one (a, b) label pair per symbol")
     state = None
     for i, symbol in enumerate(x):
-        pair = QuantumState.from_vector((a_labels[i], b_labels[i]),
-                                        _EIGENSTATE_VECTORS[symbol])
+        pair = QuantumState.basis((a_labels[i], b_labels[i]), _EIGENSTATE_BITS[symbol])
         state = pair if state is None else tensor(state, pair)
     return state
 

@@ -292,11 +292,10 @@ def test_probe_transfers_parity_onto_readout_block():
 
 
 def test_readout_bit_flips_reverse_the_report_and_phase_flips_do_nothing():
-    minus = QuantumState.from_vector(("a", "b"),
-                                     np.array([0, 0, 1, -1]) / math.sqrt(2.0))
+    minus = QuantumState.basis(("a", "b"), "11")  # CPHASE's -1 eigenstate
 
     def measure(p, q):
-        # one exact controlled-NOT shot; p[k] = 1 (q[k] = 1) flips (dephases)
+        # one exact controlled-phase shot; p[k] = 1 (q[k] = 1) flips (dephases)
         # readout bit k with certainty
         errors = PauliChannel(p, q)
         row = trial_rng(SEED, 0).random((1, uniform_count(errors, "exact")))

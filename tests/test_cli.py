@@ -638,6 +638,41 @@ def test_toffoli_verify_negative_control(capsys):
     assert "-1,+1,+1" in report["results"]["flagged_branches"]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_toffoli_verify_checks_fail_on_a_table_corrupted_where_each_reads_it(capsys,
+                                                                           monkeypatch, seed):
+    from toffsim import gadgets
+
+    argv = ["toffoli-verify", "--seed", str(seed)]
+    assert failed_checks(argv, capsys) == []
+    # negative controls: every correction starts with a stray X on the first
+    # data qubit, in the branch maps alone or in the truth-table runs of
+    # `toffoli_gadget` alone; and branch maps that drop the stray X which
+    # --corrupt-branch adds, so that its negative control sees no corruption
+    def stray(seq):
+        return ("X_A",) + tuple(seq)
+
+    branch_map = gadgets.corrected_branch_map
+    with monkeypatch.context() as patched:
+        patched.setattr(gadgets, "corrected_branch_map",
+                        lambda branch, seq: branch_map(branch, stray(seq)))
+        assert failed_checks(argv, capsys) == ["branch fidelity"]
+    with monkeypatch.context() as patched:
+        patched.setattr(gadgets, "corrected_branch_map", lambda branch, seq: branch_map(
+            branch, seq[1:] if seq[:1] == ("X_A",) else seq))
+        assert failed_checks(argv + ["--corrupt-branch=-1,+1,+1"], capsys) == \
+            ["negative control"]
+    shipped = gadgets.default_correction_table()
+    corrupted = gadgets.CorrectionTable({branch: stray(seq)
+                                         for branch, seq in shipped.entries.items()})
+    gadget = gadgets.toffoli_gadget
+    monkeypatch.setattr(gadgets, "toffoli_gadget",
+                        lambda state, **kwargs: gadget(state, table=corrupted, **kwargs))
+    assert failed_checks(argv, capsys) == ["truth table"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and json.loads(out)["results"]["truth_table_passed"] == 0
+
+
 def test_distill_passes_checks(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"levels": 2, "alpha3": 0.5, "trials": 60})
     rc, out, _ = run_cli(["distill", "--config", cfg, "--check"], capsys)
@@ -859,6 +894,49 @@ def test_two_point_ensemble_passes_against_its_exact_law(tmp_path, capsys, monke
         assert "Monte Carlo vs exact" in err
 
 
+class ScaledNormals:
+    """A numpy Generator whose standard normals come out `factor` times too wide."""
+
+    def __init__(self, generator, factor):
+        self.generator, self.factor = generator, factor
+
+    def standard_normal(self, size):
+        return self.factor * self.generator.standard_normal(size)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gaussian_ensemble_checks_fail_on_a_scaled_sampler_or_closed_form(tmp_path, capsys,
+                                                                          monkeypatch, seed):
+    from toffsim import error_models, rng
+
+    cfg = write_config(tmp_path, "gaussian.json", {"model": "unitary"})
+    argv = ["ensemble", "--config", cfg, "--seed", str(seed)]
+    # negative controls on the sampler: tangents sqrt(p) Z drawn at half or
+    # twice their width are the law of p / 4 or 4 p.  The first misses the
+    # series alone, by 0.7-1.1 against an allowance of 0.29-0.36 at the
+    # default 200 trials.  The second also sits above the coarse bound; at
+    # 200 trials it clears the allowances by as little as 0.01, so it runs
+    # 2,000, where it misses the series by 0.67-0.72 against 0.15
+    trial_rng = rng.trial_rng
+    for trials, factor, failed in (
+            ("200", 0.5, ["Monte Carlo vs series"]),
+            ("2000", 2.0, ["Monte Carlo vs series", "below coarse bound"])):
+        assert failed_checks(argv + ["--trials", trials], capsys) == []
+        with monkeypatch.context() as patched:
+            patched.setattr(rng, "trial_rng",
+                            lambda s, t, f=factor: ScaledNormals(trial_rng(s, t), f))
+            assert failed_checks(argv + ["--trials", trials], capsys) == failed
+    # on the comparator: a closed form 1.5 x its value
+    log_tan = error_models.ensemble_log_tan
+
+    def shifted(*args, **kwargs):
+        est = log_tan(*args, **kwargs)
+        return est._replace(closed_form=1.5 * est.closed_form)
+
+    monkeypatch.setattr(error_models, "ensemble_log_tan", shifted)
+    assert failed_checks(argv, capsys) == ["series vs closed form"]
+
+
 def test_even_two_point_ensemble_matches_its_atom_at_angle_zero(tmp_path, capsys):
     # C(8, 4) / 2^8 of the blocks have angle 0: log |tan 0| is -inf, exactly
     # and in the Monte Carlo mean alike
@@ -920,6 +998,21 @@ def test_estimate_passes_checks(capsys):
     report = json.loads(out)
     names = {c["name"] for c in report["checks"]}
     assert names == {"single-level exponent", "two-level exponent"}
+
+
+def test_estimate_checks_fail_on_a_shifted_block_failure(capsys, monkeypatch):
+    from toffsim import concat
+
+    assert failed_checks(["estimate"], capsys) == []
+    # negative controls: every block fails d decades below the law; half a
+    # decade moves level 2's block size and so its exponent by some 550
+    # decades, and 1.5 also push level 1 below its window of [-10, -8]
+    block_failure = concat.block_failure
+    for shift, failed in ((-0.5, ["two-level exponent"]),
+                          (-1.5, ["single-level exponent", "two-level exponent"])):
+        monkeypatch.setattr(concat, "block_failure", lambda *args, d=shift:
+                            block_failure(*args) + d)
+        assert failed_checks(["estimate"], capsys) == failed
 
 
 # -- check semantics ------------------------------------------------------------------------
@@ -1147,10 +1240,13 @@ def test_ensemble_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monk
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_two_point_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("payload", [TWO_POINT, {"model": "unitary"}],
+                         ids=["two_point", "gaussian"])
+def test_unitary_ensemble_reports_do_not_depend_on_the_block_size(tmp_path, capsys,
+                                                                  monkeypatch, payload):
     from toffsim import error_models
 
-    cfg = write_config(tmp_path, "cfg.json", TWO_POINT)
+    cfg = write_config(tmp_path, "cfg.json", payload)
     argv = ["ensemble", "--config", cfg, "--seed", "1"]
     reports = []
     for chunk in (error_models.LOG_TAN_CHUNK, 1, 7):
@@ -1357,9 +1453,9 @@ def test_noisy_meas_exact_csv_golden_first_rows(tmp_path, capsys):
     assert rc == 0
     assert out.splitlines()[1:] == [
         "0,12,unitary,-1,,",
-        "1,12,unitary,1,,0.4670412131202334",
-        "2,12,unitary,1,,0.4670412131202334",
-        "3,12,unitary,1,,0.4670412131202334",
+        "1,12,unitary,1,,0.46704121312023356",
+        "2,12,unitary,1,,0.46704121312023356",
+        "3,12,unitary,1,,0.46704121312023356",
     ]
 
 
@@ -1421,12 +1517,12 @@ def test_noisy_meas_unitary_exact_json_golden_results(tmp_path, capsys):
     rc, out, _ = run_cli(["noisy-meas", "--config", cfg, "--trials", "4"], capsys)
     assert rc == 0
     assert json.loads(out)["results"] == {
-        "alpha3_readings_max_deviation": 6.938893903907228e-17,
+        "alpha3_readings_max_deviation": 1.0408340855860843e-17,
         "flip_angle": 0.14987518716582826,
         "mode": "exact",
         "model": "unitary",
         "n": 3,
-        "raw_preparation": {"alpha3_reading": 0.022803282172972415, "attempts": 1},
+        "raw_preparation": {"alpha3_reading": 0.022803282172972356, "attempts": 1},
         "reported_plus_frequency": 1.0,
         "tan_squared": 0.022803282172972346,
         "trials": 4,

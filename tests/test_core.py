@@ -167,15 +167,12 @@ def test_cphase_is_hadamard_conjugated_cnot():
 
 
 def test_probe_structure():
-    # the tests' probe, a Hadamard-conjugated Toffoli: the identity when the
-    # first qubit is 0; otherwise X on the third exactly when the second is |->
-    plus = np.full((2, 2), 0.5)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    want = np.kron(zero, np.eye(4)) + np.kron(
-        one, np.kron(plus, np.eye(2)) + np.kron(minus, GATE_MATRICES["X"]))
-    np.testing.assert_allclose(PROBE, want, atol=1e-14)
-    np.testing.assert_allclose(PROBE @ PROBE.conj().T, np.eye(8), atol=1e-14)
+    # the tests' probe, the Toffoli: the identity unless the first two qubits
+    # sit in |11>, CPHASE's -1 eigenstate; then X on the third
+    eleven = np.diag([0.0, 0.0, 0.0, 1.0])
+    want = np.kron(np.eye(4) - eleven, np.eye(2)) + np.kron(eleven, GATE_MATRICES["X"])
+    np.testing.assert_array_equal(PROBE, want)
+    np.testing.assert_array_equal(PROBE @ PROBE.conj().T, np.eye(8))
 
 
 def test_apply_gate_serves_one_cached_spec_per_kind_and_targets():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toffsim import ancilla, distill
+from toffsim import distill
 from toffsim.ancilla import PAIR_VECTOR, MixedAncilla
 from toffsim.core import QuantumState, fidelity, tensor
 from toffsim.distill import (
@@ -92,17 +92,26 @@ def test_from_state_rejects_states_outside_the_family():
         MixedAncilla.from_state(junk)
 
 
+def test_from_state_reads_what_the_pseudo_inverse_reads():
+    # the reference: the coefficients through LAPACK's pseudo-inverse of the
+    # 4 x 2 basis, pinv rho pinv^dagger; the defining sums that `from_state`
+    # adds differ from its products in rounding only
+    pinv = np.linalg.pinv(np.stack([PAIR_VECTOR, [0.0, 0.0, 0.0, 1.0]], axis=1))
+    rng = trial_rng(44, 0)
+    states = [QuantumState.from_density(("a", "b"), scale * m.to_state().data)
+              for m, scale in zip(physical_tuples(rng, 16), 0.1 + 3.0 * rng.random(16))]
+    states += [QuantumState.from_vector(("a", "b"), [1.0, 1.0, 1.0, 1j * t])
+               for t in (0.0, 0.3, -2.0)]
+    for state in states:
+        rho = state.to_density().data
+        coeff = (pinv @ rho @ pinv.conj().T).ravel()
+        got, scale = MixedAncilla.from_state(state)
+        np.testing.assert_allclose([scale, *got], [coeff[0], *(coeff[1:] / coeff[0])],
+                                   rtol=1e-14, atol=1e-15)
+
+
 def test_pair_vector_constant():
     np.testing.assert_array_equal(PAIR_VECTOR, [1, 1, 1, 0])
-
-
-def test_basis_pseudo_inverse_constant_is_lapacks_bit_for_bit():
-    # the reference: LAPACK's pseudo-inverse, whose 1/3 entries lie one ulp
-    # above 1/3; the contamination readings depend on those bits
-    want = np.linalg.pinv(ancilla._BASIS)
-    assert ancilla._BASIS_PINV.dtype == want.dtype
-    assert ancilla._BASIS_PINV.tobytes() == want.tobytes()
-    assert ancilla._BASIS_PINV[0, 0].real == np.nextafter(1.0 / 3.0, 1.0)
 
 
 # -- combining two ancillas ---------------------------------------------------------

@@ -115,7 +115,7 @@ def test_eigenstring_states_are_actual_eigenstates():
     # the string labels eigenstates pairwise; verify against the involution
     for sym, eig in (("1", +1), ("2", +1), ("3", +1), ("4", -1)):
         s = eigenstring_state(sym)
-        assert branch_probability(s, gate("CNOT", "a1", "b1"), eig) == pytest.approx(1.0)
+        assert branch_probability(s, gate("CPHASE", "a1", "b1"), eig) == 1.0
 
 
 def test_eigenstring_state_interleaves_pairs():
@@ -193,6 +193,34 @@ def test_zero_noise_measurement_is_faithful():
         else:
             want = QuantumState.basis(("a", "b"), "11")
         assert fidelity(res.logical_state, want) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mode, errors", [
+    ("effective", PauliChannel.uniform(3, 0.0)),
+    ("exact", PauliChannel.uniform(3, 0.0)),
+    ("exact", UnitaryErrorSet.uniform_ratio(3, 0.0)),
+])
+def test_a_noiseless_readout_leaves_the_pair_or_eleven_exactly(mode, errors):
+    # every matrix the readout applies to the pair has entries in {0, +-1},
+    # so nothing rounds onto |11> after a +1 report, or off it after a -1
+    uniforms = trial_uniforms(5, 0, 64, uniform_count(errors, mode))
+    shots = sample_cphase(PLUS_PLUS, errors, uniforms, mode=mode)
+    assert set(shots.reported_outcomes.tolist()) == {+1, -1}
+    for i in range(len(uniforms)):
+        res = shots.shot(i)
+        assert res.true_eigenvalue == res.reported_outcome
+        data = res.logical_state.data  # a vector, or a density matrix
+        pair = np.zeros(data.shape, dtype=bool)
+        pair[(slice(0, 3),) * data.ndim] = True
+        if res.reported_outcome == +1:
+            assert not np.any(data[~pair])
+            assert len({entry.tobytes() for entry in data[pair]}) == 1
+            assert MixedAncilla.from_state(res.logical_state)[0] == MixedAncilla.ideal()
+        else:
+            eleven = np.zeros(data.shape, dtype=bool)
+            eleven[(3,) * data.ndim] = True
+            assert not np.any(data[~eleven])
+            assert data[eleven] != 0
 
 
 def test_phase_noise_never_corrupts_the_report():
@@ -285,11 +313,11 @@ def count_from_law(law, u):
 
 
 def per_shot_reference(state, channel, rng):
-    """One effective CNOT shot as three draws from the count laws: the Born
-    outcome, then the bit-flip and phase-flip counts by inversion of their
-    enumerated laws."""
+    """One effective controlled-phase shot as three draws from the count
+    laws: the Born outcome, then the bit-flip and phase-flip counts by
+    inversion of their enumerated laws."""
     a, b = state.labels
-    post, outcome = sampled_measurement(state, gate("CNOT", a, b), rng.random())
+    post, outcome = sampled_measurement(state, gate("CPHASE", a, b), rng.random())
     bit_flips = count_from_law(flip_count_law_enumerated(channel.p), rng.random())
     phase_flips = count_from_law(flip_count_law_enumerated(channel.q), rng.random())
     reported = -outcome if bit_flips % 2 else outcome
@@ -299,37 +327,29 @@ def per_shot_reference(state, channel, rng):
 @pytest.mark.parametrize("controlled_phase", [False, True])
 def test_batched_effective_shots_equal_per_shot_calls(controlled_phase):
     errors = PauliChannel.uniform(8, 0.2, q=0.1)
-    # both eigenspaces of either involution are populated
+    # both eigenspaces of the controlled phase are populated
     state = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
-
-    def unframe(s):
-        # the controlled-phase measurement is the CNOT one conjugated by H on b
-        return apply_gate(s, "H", "b") if controlled_phase else s
-
     columns = uniform_count(errors, "effective")
 
     def measure(rng):
+        # the per-shot call through the controlled-phase readout, or the sampler
         if controlled_phase:
             return measure_cphase_noisy(state, errors, mode="effective", rng=rng)
         return sample_effective(state, errors, rng.random((1, columns))).shot(0)
 
-    frame = unframe(state)
     rng, ref_rng = trial_rng(31, 0), trial_rng(31, 0)
     singles = [measure(rng) for _ in range(500)]
-    refs = [per_shot_reference(frame, errors, ref_rng) for _ in range(500)]
-    shots = sample_effective(frame, errors, trial_rng(31, 0).random((500, columns)))
+    refs = [per_shot_reference(state, errors, ref_rng) for _ in range(500)]
+    shots = sample_effective(state, errors, trial_rng(31, 0).random((500, columns)))
     assert set(shots.true_eigenvalues.tolist()) == {+1, -1}
     assert len(shots.logical_states) == 2
     for i, (single, ref) in enumerate(zip(singles, refs)):
-        batched = shots.shot(i)
-        want_state = unframe(ref[4])
-        for res, logical in ((single, single.logical_state),
-                             (batched, unframe(batched.logical_state))):
+        for res in (single, shots.shot(i)):
             fields = (res.true_eigenvalue, res.reported_outcome,
                       res.bit_flips, res.phase_flips)
             assert fields == ref[:4]
-            assert logical.labels == want_state.labels
-            assert np.array_equal(logical.data, want_state.data)
+            assert res.logical_state.labels == ref[4].labels
+            assert np.array_equal(res.logical_state.data, ref[4].data)
         assert shots.reported_outcomes[i] == ref[1]
 
 
@@ -463,7 +483,7 @@ def exact_per_shot_reference(state, errors, rng):
         reported *= outcome
     logical = discard(joint, *labels)
 
-    p_plus = branch_probability(logical, gate("CNOT", a, b), +1)
+    p_plus = branch_probability(logical, gate("CPHASE", a, b), +1)
     if p_plus > 1.0 - 1e-9:
         true = +1
     elif p_plus < 1e-9:
@@ -568,7 +588,7 @@ def dense_sample_exact(state, errors, uniforms):
             logical = discard(post, *labels)
             index = index_of.setdefault(logical.data.tobytes(), len(logical_states))
             if index == len(logical_states):
-                p_plus = branch_probability(logical, gate("CNOT", a, b), +1)
+                p_plus = branch_probability(logical, gate("CPHASE", a, b), +1)
                 state_true.append(+1 if p_plus > 1.0 - 1e-9 else -1 if p_plus < 1e-9 else 0)
                 logical_states.append(logical)
             state_index[rows] = index
@@ -592,7 +612,7 @@ def assert_shots_match(shots, ref):
                                    rtol=0, atol=1e-12)
 
 
-# both eigenspaces of the controlled-NOT are populated
+# both eigenspaces of the controlled phase are populated
 SKEWED_PAIR = QuantumState.from_vector(("a", "b"), [1.0, 0.5j, 0.8, -0.3])
 
 
@@ -775,30 +795,6 @@ def test_an_exact_readout_of_a_zero_norm_pair_is_refused(errors, density):
         sample_exact(zero, errors, uniforms)
     with pytest.raises(ValueError, match="cannot measure a zero-norm state"):
         sample_cphase(zero, errors, uniforms, mode="exact")
-
-
-@pytest.mark.parametrize("mode, errors", [
-    ("effective", PauliChannel.uniform(3, 0.2, q=0.1)),
-    ("exact", PauliChannel.uniform(3, 0.2, q=0.1)),
-    ("exact", UnitaryErrorSet.uniform_ratio(3, 0.2)),
-])
-def test_cphase_shots_are_cnot_shots_in_the_hadamard_frame(mode, errors):
-    uniforms = trial_rng(47, 0).random((40, uniform_count(errors, mode)))
-    shots = sample_cphase(SKEWED_PAIR, errors, uniforms, mode=mode)
-    sample = sample_effective if mode == "effective" else sample_exact
-    cnot = sample(apply_gate(SKEWED_PAIR, "H", "b"), errors, uniforms)
-    for name in ("true_eigenvalues", "reported_outcomes", "bit_flips", "phase_flips",
-                 "state_index"):
-        np.testing.assert_array_equal(getattr(shots, name), getattr(cnot, name), name)
-    assert len(shots.logical_states) == len(cnot.logical_states)
-    for got, framed in zip(shots.logical_states, cnot.logical_states):
-        assert got.data.tobytes() == apply_gate(framed, "H", "b").data.tobytes()
-    # each row is one per-shot call on the same draws
-    for i in range(len(uniforms)):
-        single = measure_cphase_noisy(SKEWED_PAIR, errors, mode=mode,
-                                      rng=ReplayRng(uniforms[i]))
-        assert single.logical_state.data.tobytes() == shots.shot(i).logical_state.data.tobytes()
-        assert single[1:] == shots.shot(i)[1:]
 
 
 # -- noisy measurement: coherent model ------------------------------------------------
